@@ -874,7 +874,7 @@ fn main() {
         // A window comfortably above per-query barrier skew; flushes almost
         // always fire early via the everyone-parked rule, the window only
         // catches stragglers.
-        let knobs = BatchConfig { window_us: 2_000, max_wave: 512, min_sessions: 2 };
+        let knobs = BatchConfig { window_us: 2_000, max_wave: 512 };
         eprintln!("batch protocol: {tenants} tenants x {bq} aligned queries, {workers} workers");
         let off = run_batch_point(&system, tenants, bq, workers, None, "batch_off");
         let on = run_batch_point(&system, tenants, bq, workers, Some(knobs), "batch_on");

@@ -1,7 +1,7 @@
 //! Cross-session batched probing: merge concurrent sessions' frontiers into
 //! shared dispatch waves.
 //!
-//! PR 8's process-wide [`crate::evalcache::SharedEvalCache`] deduplicates
+//! The process-wide [`crate::evalcache::SharedEvalCache`] deduplicates
 //! overlapping probes *after* the first session has paid for the execution.
 //! This module removes the other half of the redundancy: probes that are
 //! simultaneously **in flight** across sessions. Concurrent sessions on the
@@ -9,65 +9,65 @@
 //! to a configured window; probes are canonicalized by the same
 //! [`crate::evalcache::network_key`] the layer-3 verdict cache uses, equal
 //! keys coalesce, and each distinct probe executes exactly once — on the
-//! PR 3 work-stealing pool of the first session that submitted it (the
-//! *owner*). Every other subscriber (a *follower*) receives the verdict in
-//! flight and books it like a memo hit (`coalesced_probes`), never as an
-//! execution.
+//! executor of the first session that submitted it (the *owner*). Every
+//! other subscriber (a *follower*) receives the verdict in flight and books
+//! it like a memo hit (`coalesced_probes`), never as an execution.
 //!
-//! **Determinism** (DESIGN.md §14): the batched driver replays verdicts in
-//! each session's original dispatch-slot order, so per-session reports are
-//! identical to unbatched runs. Three properties make this sound:
+//! The exchange is one optional stage of the single Phase-3 wave driver
+//! ([`crate::traversal`]), not a driver of its own: the driver reserves a
+//! parked wave in visit order, hands it to `BatchTicket::resolve`, and
+//! applies the returned outcomes in dispatch-slot order exactly as it does
+//! for an unparked wave. **Determinism** (DESIGN.md §8.2) therefore needs
+//! only two facts beyond the driver's own argument:
 //!
-//! * *Wave independence* (§8) — no verdict in a wave can classify another
-//!   member, so within a wave the apply order is the only order that
-//!   matters, and the driver preserves it per session.
 //! * *Ground-truth verdicts* — two probes with equal canonical keys on the
 //!   same database snapshot are the same query; the owner's verdict is
 //!   bit-for-bit the verdict the follower's own engine would have produced.
-//! * *Deterministic budgets* — followers reserve their own
-//!   [`crate::budget::BudgetGate`] slot at their original dispatch position
-//!   *before* parking, so a `max_probes` budget trips at exactly the node
-//!   where the unbatched run would have stopped.
+//! * *Reserved slots* — followers hold their own
+//!   [`crate::budget::BudgetGate`] slot, reserved at their original dispatch
+//!   position before parking, so a `max_probes` budget trips at exactly the
+//!   node where the unbatched run would have stopped.
 //!
 //! **Liveness**: a session always executes and publishes *all* probes it
 //! owns before waiting on any follower cell, so two sessions can never wait
 //! on each other. If an owner dies mid-wave (panic, hard failure), an RAII
 //! guard orphans its unpublished cells and each follower re-executes the
-//! probe on its own pool — the reservation it already holds makes that a
-//! pure fallback to unbatched behavior. The exchange never outlives its
+//! probe locally — the reservation it already holds makes that a pure
+//! fallback to unbatched behavior. The exchange never outlives its
 //! sessions: registrations are RAII (one `BatchTicket` per attached
 //! debugger, for the debugger's lifetime), groups are removed when their
 //! last session leaves, and the per-round cell map is cleared at every
 //! flush. A session leaving mid-round re-checks the everyone-parked flush
 //! condition, so parked peers never wait on a session that is gone.
 //!
-//! Single-session traffic (fewer than [`BatchConfig::min_sessions`]
-//! *registered* sessions on the group) bypasses the exchange entirely — no
-//! lock, no parking, gauges untouched — so the uncontended fast path costs
-//! one atomic load per wave. Registration is session-lifetime rather than
-//! call-lifetime deliberately: real requests are often far shorter than the
-//! scheduling jitter between them, so "who is in a debug call *right now*"
-//! would almost never overlap — what predicts a mergeable peer is "who is
-//! attached and sending traffic". The price is that a wave parked while a
-//! registered peer sits idle waits out the window; [`BatchConfig::window_us`]
-//! is exactly that worst-case latency tax, and single-registration groups
-//! never pay it.
+//! A session parks a wave only while at least two sessions are *registered*
+//! on its group, checked once per wave before the wave is dispatched. A
+//! lone session therefore runs the unbatched path itself — same counters,
+//! same budget trip points — for the cost of one atomic load per wave.
+//! Registration is session-lifetime rather than call-lifetime deliberately:
+//! real requests are often far shorter than the scheduling jitter between
+//! them, so "who is in a debug call *right now*" would almost never
+//! overlap — what predicts a mergeable peer is "who is attached and sending
+//! traffic". The price is that a wave parked while a registered peer sits
+//! idle waits out the window; [`BatchConfig::window_us`] is exactly that
+//! worst-case latency tax, and single-registration groups never pay it.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use relengine::ExecStats;
-
 use crate::error::KwError;
 use crate::lattice::Lattice;
-use crate::oracle::{AlivenessOracle, Probe};
-use crate::parallel::{Completion, Job, PoolState};
+use crate::oracle::{Probe, ProbeCore};
+use crate::parallel::Executor;
 use crate::prune::PrunedLattice;
-use crate::traversal::Frontier;
+
+/// Registered sessions a `(db_id, epoch)` group needs before its waves
+/// park; a lone session bypasses the exchange and runs exactly as if
+/// batching were off.
+const MIN_SESSIONS: usize = 2;
 
 /// Tuning knobs for the cross-session wave exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,27 +79,20 @@ pub struct BatchConfig {
     /// Probe count at which a round flushes immediately, without waiting
     /// out the window.
     pub max_wave: usize,
-    /// Minimum registered sessions on a `(db_id, epoch)` group before waves
-    /// park at all; below this the exchange is bypassed and traffic behaves
-    /// exactly as if batching were off.
-    pub min_sessions: usize,
 }
 
 impl Default for BatchConfig {
     fn default() -> BatchConfig {
-        BatchConfig { window_us: 500, max_wave: 256, min_sessions: 2 }
+        BatchConfig { window_us: 500, max_wave: 256 }
     }
 }
 
 impl BatchConfig {
-    /// Validates the knobs (a zero `max_wave` or `min_sessions` would make
-    /// every round degenerate).
+    /// Validates the knobs (a zero `max_wave` would make every round
+    /// degenerate).
     pub fn validate(&self) -> Result<(), KwError> {
         if self.max_wave == 0 {
             return Err(KwError::BadConfig("batching max_wave must be at least 1".into()));
-        }
-        if self.min_sessions == 0 {
-            return Err(KwError::BadConfig("batching min_sessions must be at least 1".into()));
         }
         Ok(())
     }
@@ -335,14 +328,16 @@ impl BatchTicket {
         &self.exchange
     }
 
+    /// Whether this session's waves park: at least [`MIN_SESSIONS`]
+    /// sessions are registered on its group. The driver asks once per wave,
+    /// before dispatching it; a `false` costs one atomic load.
+    pub(crate) fn has_peers(&self) -> bool {
+        self.group.members.load(Ordering::Relaxed) >= MIN_SESSIONS
+    }
+
     /// Parks one wave's pending probes (canonical keys, in dispatch-slot
     /// order) in the current round and blocks until the round flushes.
-    /// Returns `None` — with nothing parked and no gauges touched — when
-    /// fewer than `min_sessions` sessions are registered on the group.
-    fn park(&self, keys: &[Vec<u8>]) -> Option<Vec<Role>> {
-        if self.group.members.load(Ordering::Relaxed) < self.exchange.config.min_sessions {
-            return None;
-        }
+    fn park(&self, keys: &[Vec<u8>]) -> Vec<Role> {
         let window = Duration::from_micros(self.exchange.config.window_us);
         let mut st = self.group.state.lock().unwrap();
         let round = st.round;
@@ -372,7 +367,82 @@ impl BatchTicket {
                 st = self.group.flushed.wait_timeout(st, deadline - now).unwrap().0;
             }
         }
-        Some(roles)
+        roles
+    }
+
+    /// Resolves one parked wave: `pending` holds the dense nodes whose
+    /// budget slots the driver reserved, in dispatch-slot order. Owned
+    /// probes execute on `exec` and publish each verdict as it lands, all
+    /// before any follower cell is awaited — which is what makes the
+    /// exchange deadlock-free. Followers then take the owner's verdict, or
+    /// re-execute locally on their still-reserved slot when the owner
+    /// orphaned the cell. Returns the outcomes in slot order.
+    pub(crate) fn resolve<'a>(
+        &self,
+        core: &ProbeCore<'a>,
+        lattice: &Lattice,
+        pruned: &PrunedLattice,
+        exec: &mut Executor<'_, 'a>,
+        pending: &[usize],
+    ) -> Vec<Probe> {
+        if pending.is_empty() {
+            return Vec::new();
+        }
+        let keys: Vec<Vec<u8>> = pending
+            .iter()
+            .map(|&dense| {
+                core.exchange_key(pruned.jnts(lattice, dense), &mut |kw| self.exchange.intern(kw))
+            })
+            .collect();
+        let roles = self.park(&keys);
+        core.metrics.batched_waves.incr();
+
+        // Take custody of every owned cell before the first execution, so
+        // an unwind mid-wave orphans the not-yet-published remainder.
+        let mut owned_slots = Vec::new();
+        let mut owned = OwnedCells(Vec::new());
+        for (slot, role) in roles.iter().enumerate() {
+            if let Role::Owner(cell) = role {
+                owned_slots.push(slot);
+                owned.0.push(Some(cell.clone()));
+            }
+        }
+        let mut probes: Vec<Option<Probe>> = pending.iter().map(|_| None).collect();
+        let jobs: Vec<usize> = owned_slots.iter().map(|&slot| pending[slot]).collect();
+        let done = exec.execute(core, lattice, pruned, &jobs, |i, probe| {
+            if let Some(cell) = owned.0[i].take() {
+                match probe {
+                    Probe::Verdict(alive) => cell.fulfill(*alive),
+                    // Faults, hard failures and budget trips are
+                    // session-local; followers re-execute on their own.
+                    _ => cell.orphan(),
+                }
+            }
+        });
+        for (&slot, probe) in owned_slots.iter().zip(done) {
+            probes[slot] = Some(probe);
+        }
+
+        let mut orphaned = Vec::new();
+        for (slot, role) in roles.iter().enumerate() {
+            let Role::Follower(cell) = role else { continue };
+            let dense = pending[slot];
+            match cell.wait() {
+                Some(alive) => {
+                    let jnts = pruned.jnts(lattice, dense);
+                    core.record_coalesced(pruned.lattice_id(dense), jnts, alive);
+                    self.exchange.coalesced.fetch_add(1, Ordering::Relaxed);
+                    probes[slot] = Some(Probe::Verdict(alive));
+                }
+                None => orphaned.push(slot),
+            }
+        }
+        let jobs: Vec<usize> = orphaned.iter().map(|&slot| pending[slot]).collect();
+        let redone = exec.execute(core, lattice, pruned, &jobs, |_, _| {});
+        for (&slot, probe) in orphaned.iter().zip(redone) {
+            probes[slot] = Some(probe);
+        }
+        probes.into_iter().map(|p| p.expect("every pending slot resolves")).collect()
     }
 }
 
@@ -394,394 +464,15 @@ impl Drop for BatchTicket {
 }
 
 /// RAII custody of the cells a session owns in one wave: any cell not yet
-/// published when the guard drops (hard failure, panic unwinding through
-/// the dispatcher) is orphaned so followers fall back to self-execution.
-struct OwnedCells {
-    cells: HashMap<usize, Arc<ProbeCell>>,
-}
-
-impl OwnedCells {
-    fn new() -> OwnedCells {
-        OwnedCells { cells: HashMap::new() }
-    }
-
-    fn insert(&mut self, slot: usize, cell: Arc<ProbeCell>) {
-        self.cells.insert(slot, cell);
-    }
-
-    fn take(&mut self, slot: usize) -> Option<Arc<ProbeCell>> {
-        self.cells.remove(&slot)
-    }
-}
+/// published when the guard drops (a panic unwinding through the driver)
+/// is orphaned so followers fall back to self-execution.
+struct OwnedCells(Vec<Option<Arc<ProbeCell>>>);
 
 impl Drop for OwnedCells {
     fn drop(&mut self) {
-        for cell in self.cells.values() {
+        for cell in self.0.iter().flatten() {
             cell.orphan();
         }
-    }
-}
-
-/// Runs a strategy's probe waves through the exchange: the batched twin of
-/// `crate::parallel::run_waves`, identical in classification, reservation
-/// and apply order, with the execution set partitioned across sessions by
-/// the exchange (see the module docs). Used for every worker count when a
-/// ticket is held — a one-worker pool is the sequential driver with the
-/// exchange spliced in.
-pub(crate) fn run_batched_waves(
-    lattice: &Lattice,
-    pruned: &PrunedLattice,
-    oracle: &mut AlivenessOracle<'_>,
-    frontier: &mut dyn Frontier,
-    workers: usize,
-    ticket: &BatchTicket,
-) -> Result<(), KwError> {
-    let workers = workers.max(1);
-    if workers == 1 {
-        // One worker means the pool buys nothing but a thread spawn per
-        // interpretation — run the same protocol inline instead, so a
-        // sequential session pays no overhead for the exchange it may never
-        // need (the uncontended-p50 half of the E20 contract).
-        return run_batched_waves_seq(lattice, pruned, oracle, frontier, ticket);
-    }
-    let core = oracle.core();
-    core.metrics.workers.add(workers as u64);
-
-    let pool = PoolState::new(workers);
-    let (done_tx, done_rx) = mpsc::channel::<Completion>();
-
-    let mut failure: Option<KwError> = None;
-    let worker_stats: Vec<ExecStats> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let pool = &pool;
-                let done = done_tx.clone();
-                scope.spawn(move || {
-                    let mut engine = core.make_engine(w as u64);
-                    while let Some(job) = pool.take(w, &core.metrics) {
-                        let node = pruned.lattice_id(job.dense);
-                        let jnts = pruned.jnts(lattice, job.dense);
-                        let probe = core.execute_reserved(&mut engine, node, jnts);
-                        if done
-                            .send(Completion { slot: job.slot, dense: job.dense, probe })
-                            .is_err()
-                        {
-                            break;
-                        }
-                    }
-                    engine.stats().clone()
-                })
-            })
-            .collect();
-        drop(done_tx);
-
-        let mut wave = Vec::new();
-        let mut next_worker = 0usize;
-        'traversal: loop {
-            wave.clear();
-            frontier.next_wave(&mut wave);
-            if wave.is_empty() {
-                break;
-            }
-            // Classify and reserve in sequential visit order — byte-for-byte
-            // the dispatch loop of `run_waves`, except that probes surviving
-            // to dispatch are *collected* (slot = dispatch position) instead
-            // of pushed to the pool immediately.
-            let mut pending: Vec<usize> = Vec::new();
-            let mut stop_after_wave = false;
-            for &dense in wave.iter() {
-                if !frontier.is_unknown(dense) {
-                    core.metrics.reuse_hits.incr();
-                    continue;
-                }
-                if let Some(alive) = core.verdict_if_known(pruned.lattice_id(dense)) {
-                    core.metrics.memo_hits.incr();
-                    frontier.apply(dense, alive, &core.metrics);
-                    continue;
-                }
-                if let Some(alive) =
-                    core.shortcut(pruned.lattice_id(dense), pruned.jnts(lattice, dense))
-                {
-                    frontier.apply(dense, alive, &core.metrics);
-                    continue;
-                }
-                if core.try_reserve().is_err() {
-                    stop_after_wave = true;
-                    break;
-                }
-                pending.push(dense);
-            }
-
-            // Park the wave. `None` = bypass (too few sessions): every probe
-            // is implicitly owned and the wave runs exactly like `run_waves`.
-            let roles = if pending.is_empty() {
-                None
-            } else {
-                let keys: Vec<Vec<u8>> = pending
-                    .iter()
-                    .map(|&dense| {
-                        core.exchange_key(pruned.jnts(lattice, dense), &mut |kw| {
-                            ticket.exchange.intern(kw)
-                        })
-                    })
-                    .collect();
-                let roles = ticket.park(&keys);
-                if roles.is_some() {
-                    core.metrics.batched_waves.incr();
-                }
-                roles
-            };
-
-            // Execute every probe this session owns on its own pool, then
-            // publish each verdict to its cell as it completes — all before
-            // waiting on any follower cell, which is what makes the
-            // exchange deadlock-free.
-            let mut outcomes: Vec<Option<(usize, Probe)>> = pending.iter().map(|_| None).collect();
-            let mut owned = OwnedCells::new();
-            let mut dispatched = 0usize;
-            for (slot, &dense) in pending.iter().enumerate() {
-                if let Some(r) = &roles {
-                    match &r[slot] {
-                        Role::Owner(cell) => owned.insert(slot, cell.clone()),
-                        Role::Follower(_) => continue,
-                    }
-                }
-                pool.push(next_worker, Job { slot, dense });
-                next_worker = (next_worker + 1) % workers;
-                dispatched += 1;
-            }
-            for _ in 0..dispatched {
-                let c = done_rx.recv().expect("worker pool hung up mid-wave");
-                if let Some(cell) = owned.take(c.slot) {
-                    match &c.probe {
-                        Probe::Verdict(alive) => cell.fulfill(*alive),
-                        // Faults, hard failures and budget trips are
-                        // session-local; followers re-execute on their own.
-                        _ => cell.orphan(),
-                    }
-                }
-                outcomes[c.slot] = Some((c.dense, c.probe));
-            }
-
-            // Collect follower verdicts; orphaned cells fall back to local
-            // execution (the budget slot reserved above still stands).
-            if let Some(roles) = &roles {
-                let mut redispatched = 0usize;
-                for (slot, role) in roles.iter().enumerate() {
-                    let Role::Follower(cell) = role else { continue };
-                    let dense = pending[slot];
-                    match cell.wait() {
-                        Some(alive) => {
-                            core.record_coalesced(
-                                pruned.lattice_id(dense),
-                                pruned.jnts(lattice, dense),
-                                alive,
-                            );
-                            ticket.exchange.coalesced.fetch_add(1, Ordering::Relaxed);
-                            outcomes[slot] = Some((dense, Probe::Verdict(alive)));
-                        }
-                        None => {
-                            pool.push(next_worker, Job { slot, dense });
-                            next_worker = (next_worker + 1) % workers;
-                            redispatched += 1;
-                        }
-                    }
-                }
-                for _ in 0..redispatched {
-                    let c = done_rx.recv().expect("worker pool hung up mid-wave");
-                    outcomes[c.slot] = Some((c.dense, c.probe));
-                }
-            }
-
-            // Apply in dispatch (= sequential visit) order — identical to
-            // `run_waves`.
-            for outcome in outcomes.into_iter() {
-                let (dense, probe) = outcome.expect("every pending slot completes");
-                match probe {
-                    Probe::Verdict(alive) => {
-                        if frontier.is_unknown(dense) {
-                            frontier.apply(dense, alive, &core.metrics);
-                        } else {
-                            core.metrics.inference_suppressed_probes.incr();
-                        }
-                    }
-                    Probe::NodeFailed(e) if e.is_fault() => frontier.abandon(dense),
-                    Probe::NodeFailed(e) => {
-                        failure = Some(e.into());
-                        break 'traversal;
-                    }
-                    Probe::Exhausted(_) => stop_after_wave = true,
-                }
-            }
-            if stop_after_wave {
-                frontier.exhaust();
-                break;
-            }
-        }
-        pool.shutdown();
-        handles.into_iter().map(|h| h.join().expect("probe worker panicked")).collect()
-    });
-
-    for stats in &worker_stats {
-        oracle.absorb_stats(stats);
-    }
-    match failure {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
-}
-
-/// The single-worker twin of [`run_batched_waves`]: the identical wave
-/// protocol (classify and reserve in visit order, park, register owned
-/// cells, execute owned probes publishing each verdict, collect followers,
-/// apply in slot order) with probes executed inline on the calling thread —
-/// no pool, no channels, no thread spawn. A solo session that bypasses
-/// every park therefore runs the same instruction path as the unbatched
-/// sequential driver plus one atomic load per wave.
-fn run_batched_waves_seq(
-    lattice: &Lattice,
-    pruned: &PrunedLattice,
-    oracle: &mut AlivenessOracle<'_>,
-    frontier: &mut dyn Frontier,
-    ticket: &BatchTicket,
-) -> Result<(), KwError> {
-    let core = oracle.core();
-    core.metrics.workers.add(1);
-    let mut engine = core.make_engine(0);
-
-    let mut failure: Option<KwError> = None;
-    let mut wave = Vec::new();
-    'traversal: loop {
-        wave.clear();
-        frontier.next_wave(&mut wave);
-        if wave.is_empty() {
-            break;
-        }
-        let mut pending: Vec<usize> = Vec::new();
-        let mut stop_after_wave = false;
-        for &dense in wave.iter() {
-            if !frontier.is_unknown(dense) {
-                core.metrics.reuse_hits.incr();
-                continue;
-            }
-            if let Some(alive) = core.verdict_if_known(pruned.lattice_id(dense)) {
-                core.metrics.memo_hits.incr();
-                frontier.apply(dense, alive, &core.metrics);
-                continue;
-            }
-            if let Some(alive) =
-                core.shortcut(pruned.lattice_id(dense), pruned.jnts(lattice, dense))
-            {
-                frontier.apply(dense, alive, &core.metrics);
-                continue;
-            }
-            if core.try_reserve().is_err() {
-                stop_after_wave = true;
-                break;
-            }
-            pending.push(dense);
-        }
-
-        let roles = if pending.is_empty() {
-            None
-        } else {
-            let keys: Vec<Vec<u8>> = pending
-                .iter()
-                .map(|&dense| {
-                    core.exchange_key(pruned.jnts(lattice, dense), &mut |kw| {
-                        ticket.exchange.intern(kw)
-                    })
-                })
-                .collect();
-            let roles = ticket.park(&keys);
-            if roles.is_some() {
-                core.metrics.batched_waves.incr();
-            }
-            roles
-        };
-
-        // Register every owned cell *before* the first execution, so an
-        // unwind mid-wave orphans the not-yet-published remainder (the same
-        // guarantee the pooled driver gets from dispatching first).
-        let mut owned = OwnedCells::new();
-        if let Some(r) = &roles {
-            for (slot, role) in r.iter().enumerate() {
-                if let Role::Owner(cell) = role {
-                    owned.insert(slot, cell.clone());
-                }
-            }
-        }
-        let mut outcomes: Vec<Option<(usize, Probe)>> = pending.iter().map(|_| None).collect();
-        for (slot, &dense) in pending.iter().enumerate() {
-            if matches!(&roles, Some(r) if matches!(&r[slot], Role::Follower(_))) {
-                continue;
-            }
-            let probe =
-                core.execute_reserved(&mut engine, pruned.lattice_id(dense), pruned.jnts(lattice, dense));
-            if let Some(cell) = owned.take(slot) {
-                match &probe {
-                    Probe::Verdict(alive) => cell.fulfill(*alive),
-                    _ => cell.orphan(),
-                }
-            }
-            outcomes[slot] = Some((dense, probe));
-        }
-
-        if let Some(roles) = &roles {
-            for (slot, role) in roles.iter().enumerate() {
-                let Role::Follower(cell) = role else { continue };
-                let dense = pending[slot];
-                match cell.wait() {
-                    Some(alive) => {
-                        core.record_coalesced(
-                            pruned.lattice_id(dense),
-                            pruned.jnts(lattice, dense),
-                            alive,
-                        );
-                        ticket.exchange.coalesced.fetch_add(1, Ordering::Relaxed);
-                        outcomes[slot] = Some((dense, Probe::Verdict(alive)));
-                    }
-                    None => {
-                        let probe = core.execute_reserved(
-                            &mut engine,
-                            pruned.lattice_id(dense),
-                            pruned.jnts(lattice, dense),
-                        );
-                        outcomes[slot] = Some((dense, probe));
-                    }
-                }
-            }
-        }
-
-        for outcome in outcomes.into_iter() {
-            let (dense, probe) = outcome.expect("every pending slot completes");
-            match probe {
-                Probe::Verdict(alive) => {
-                    if frontier.is_unknown(dense) {
-                        frontier.apply(dense, alive, &core.metrics);
-                    } else {
-                        core.metrics.inference_suppressed_probes.incr();
-                    }
-                }
-                Probe::NodeFailed(e) if e.is_fault() => frontier.abandon(dense),
-                Probe::NodeFailed(e) => {
-                    failure = Some(e.into());
-                    break 'traversal;
-                }
-                Probe::Exhausted(_) => stop_after_wave = true,
-            }
-        }
-        if stop_after_wave {
-            frontier.exhaust();
-            break;
-        }
-    }
-
-    let stats = engine.stats().clone();
-    oracle.absorb_stats(&stats);
-    match failure {
-        Some(e) => Err(e),
-        None => Ok(()),
     }
 }
 
@@ -824,8 +515,12 @@ mod tests {
     fn solo_sessions_bypass_the_exchange() {
         let ex = Arc::new(WaveExchange::new(BatchConfig::default()));
         let t = ex.register(7, 0);
-        assert!(t.park(&[vec![1, 2, 3]]).is_none(), "one session < min_sessions");
-        assert_eq!(ex.submitted_probes(), 0, "bypassed waves touch no gauge");
+        assert!(!t.has_peers(), "one session < MIN_SESSIONS");
+        let peer = ex.register(7, 0);
+        assert!(t.has_peers() && peer.has_peers());
+        drop(peer);
+        assert!(!t.has_peers(), "a departed peer ends parking");
+        assert_eq!(ex.submitted_probes(), 0, "deciding to bypass touches no gauge");
         assert_eq!(ex.pending_cells(), 0);
     }
 
@@ -839,8 +534,8 @@ mod tests {
         let b = ex.register(1, 0);
         let shared = vec![9, 9, 9];
         let roles = std::thread::scope(|s| {
-            let ra = s.spawn(|| a.park(std::slice::from_ref(&shared)).unwrap());
-            let rb = s.spawn(|| b.park(std::slice::from_ref(&shared)).unwrap());
+            let ra = s.spawn(|| a.park(std::slice::from_ref(&shared)));
+            let rb = s.spawn(|| b.park(std::slice::from_ref(&shared)));
             (ra.join().unwrap(), rb.join().unwrap())
         });
         let owners = usize::from(matches!(roles.0[0], Role::Owner(_)))
@@ -852,14 +547,12 @@ mod tests {
 
         // A session pinned to another epoch is alone on its group: bypass.
         let c = ex.register(1, 3);
-        assert!(c.park(std::slice::from_ref(&shared)).is_none());
-        assert_eq!(ex.submitted_probes(), 2);
+        assert!(!c.has_peers());
     }
 
     #[test]
     fn config_validation_rejects_degenerate_knobs() {
         assert!(BatchConfig::default().validate().is_ok());
         assert!(BatchConfig { max_wave: 0, ..BatchConfig::default() }.validate().is_err());
-        assert!(BatchConfig { min_sessions: 0, ..BatchConfig::default() }.validate().is_err());
     }
 }

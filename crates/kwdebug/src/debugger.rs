@@ -59,11 +59,13 @@ pub struct DebugConfig {
     /// Each interpretation's oracle wraps its executor in a
     /// [`relengine::ChaosExecutor`] with this schedule.
     pub chaos: Option<FaultConfig>,
-    /// Probe threads per traversal (see [`crate::parallel`]). `0` or `1` is
-    /// the sequential driver; any higher count fans each inference-frontier
-    /// wave over that many worker threads. The report is bit-identical
-    /// either way — workers only change wall-clock — so this is a pure
-    /// throughput knob for disk/remote-bound probe workloads.
+    /// Probe threads per traversal (see [`crate::parallel`]). `0` or `1`
+    /// probes inline on the calling thread; any higher count fans each
+    /// inference-frontier wave over that many worker threads. The report is
+    /// identical either way, except that a tuple or deadline cap may cut a
+    /// pooled run up to one wave later (DESIGN.md §8.2) — workers only
+    /// change wall-clock — so this is a pure throughput knob for
+    /// disk/remote-bound probe workloads.
     pub workers: usize,
     /// Share the session-scoped [`crate::evalcache::EvalCache`] across every
     /// probe of every debug call (extension; off by default like `memoize`).
@@ -327,7 +329,7 @@ pub struct NonAnswerDebugger {
     /// one was attached ([`NonAnswerDebugger::set_wave_exchange`]). Held for
     /// the debugger's lifetime so concurrent peers see the session as a
     /// merge candidate between debug calls, not only during them.
-    /// `None` (the default) keeps every debug call on the unbatched drivers.
+    /// `None` (the default) keeps every debug call on the unbatched path.
     ticket: Option<crate::batch::BatchTicket>,
 }
 

@@ -34,8 +34,8 @@
 //! | `verdict_cache_hits` | oracle/dispatcher, probes answered (Alive *or* Dead) from a cached whole-network verdict | beyond the paper (evaluation cache) |
 //! | `cache_bytes` | oracle, payload bytes resident in the session [`crate::evalcache::EvalCache`] | beyond the paper (evaluation cache) |
 //! | `delta_postings_merged` | oracle, bound plan nodes whose posting list was merged on read over pending index deltas | beyond the paper (mutable databases) |
-//! | `batched_waves` | batched dispatcher, waves this session parked in a [`crate::batch::WaveExchange`] | beyond the paper (cross-session batching) |
-//! | `coalesced_probes` | batched dispatcher, probes answered by another session's in-flight execution | beyond the paper (cross-session batching) |
+//! | `batched_waves` | wave driver, waves this session parked in a [`crate::batch::WaveExchange`] | beyond the paper (cross-session batching) |
+//! | `coalesced_probes` | wave driver, probes answered by another session's in-flight execution | beyond the paper (cross-session batching) |
 //! | `epoch` | debugger, gauge of the session's pinned database write epoch | beyond the paper (mutable databases) |
 //! | `entries_invalidated` | debugger, gauge of cache entries evicted by write-delta invalidation | beyond the paper (mutable databases) |
 //! | `compactions` | debugger, gauge of the index's delta-postings compactions | beyond the paper (mutable databases) |

@@ -187,7 +187,9 @@ impl<'a> ProbeEngine<'a> {
         }
     }
 
-    fn absorb_stats(&mut self, other: &ExecStats) {
+    /// Folds a pool worker's statistics into this engine, so the oracle's
+    /// `stats()`/`queries()` cover the whole pool after a pooled run.
+    pub(crate) fn absorb_stats(&mut self, other: &ExecStats) {
         match self {
             ProbeEngine::Plain(e) => e.absorb_stats(other),
             ProbeEngine::Chaos(c) => c.absorb_stats(other),
@@ -805,9 +807,10 @@ impl<'a> ProbeCore<'a> {
 /// Answers aliveness queries for lattice nodes, counting every execution.
 ///
 /// The thin sequential view over a `ProbeCore`: one shared-state core plus
-/// one private engine. [`crate::parallel`] borrows the core and fans probes
-/// over worker-owned engines; this type's public API is unchanged from the
-/// pre-split oracle and its sequential behavior is byte-identical.
+/// one private engine. The Phase-3 wave driver runs inline probes on that
+/// engine and, with `workers > 1`, fans them over worker-owned engines that
+/// share the core ([`crate::parallel`]); this type's public API is unchanged
+/// from the pre-split oracle and its sequential behavior is byte-identical.
 pub struct AlivenessOracle<'a> {
     core: ProbeCore<'a>,
     engine: ProbeEngine<'a>,
@@ -1028,15 +1031,10 @@ impl<'a> AlivenessOracle<'a> {
         self.core.db
     }
 
-    /// The shared probe backend, for the parallel scheduler.
-    pub(crate) fn core(&self) -> &ProbeCore<'a> {
-        &self.core
-    }
-
-    /// Folds a worker engine's statistics into this oracle's engine, so
-    /// `stats()`/`queries()` cover the whole pool after a parallel run.
-    pub(crate) fn absorb_stats(&mut self, stats: &ExecStats) {
-        self.engine.absorb_stats(stats);
+    /// The shared probe backend and this oracle's own engine, for the wave
+    /// driver: inline probes run on the engine, pool workers share the core.
+    pub(crate) fn split(&mut self) -> (&ProbeCore<'a>, &mut ProbeEngine<'a>) {
+        (&self.core, &mut self.engine)
     }
 }
 

@@ -1,38 +1,25 @@
-//! Work-stealing parallel probe scheduler with a shared concurrent memo.
+//! Work-stealing probe pool with a shared concurrent memo.
 //!
 //! EMBANKS probes are embarrassingly parallel *within* an inference
 //! frontier: two nodes on the same lattice level are never
 //! ancestor/descendant of each other, so neither's verdict can classify the
 //! other through rule R1 or R2 — their probes commute. This module exploits
-//! exactly that slack and nothing more: traversal strategies emit *waves* of
-//! independent nodes (the crate-internal `Frontier` trait in
-//! [`crate::traversal`]), the scheduler
-//! fans each wave over a fixed pool of worker threads, and all verdicts flow
-//! back to the dispatcher, which applies R1/R2 inference centrally. Between
-//! waves the world is sequential again, which is what makes the output —
-//! the [`crate::report::DebugReport`], every probe counter, even the probe
-//! *order-sensitive* counters like `memo_hits` — bit-identical to the
-//! sequential traversal on every seed.
-//!
-//! See DESIGN.md §8 ("Concurrency model") for the full invariant catalog;
-//! the short form:
-//!
-//! * **Wave independence** — a wave only ever contains nodes no verdict in
-//!   the same wave could classify. Strategies, not the scheduler, are
-//!   responsible for this (it is a property of their emission order).
-//! * **Deterministic accounting** — the dispatcher walks each wave in
-//!   sequential visit order, consulting the memo and reserving budget slots
-//!   *before* handing work to threads; workers only execute
-//!   already-reserved probes. Counter totals therefore match the sequential
-//!   run even when the budget runs dry mid-wave.
-//! * **Central inference** — workers never touch traversal state; the
-//!   dispatcher applies verdicts (and R1/R2 closure) after the wave drains.
-//!   A verdict that arrives for a node the memo meanwhile answered is
-//!   counted in `inference_suppressed_probes` rather than double-applied.
+//! exactly that slack and nothing more. The one Phase-3 wave driver (in
+//! [`crate::traversal`]) hands reserved probes to an `Executor`: inline on
+//! the oracle's own engine one at a time, or, with `workers > 1`, a whole
+//! reserved wave fanned over a fixed pool of worker threads here. Either
+//! way the driver applies every verdict, with its R1/R2 closure, centrally
+//! in dispatch-slot order; workers never touch traversal state. Between
+//! waves the world is sequential again: a pooled run reports what the
+//! inline run reports (a tuple or deadline cap aside, which may cut it up to
+//! one wave later), and without an evaluation cache or fault injection it
+//! matches every probe counter too, even the *order-sensitive* ones like
+//! `memo_hits`. DESIGN.md §8 states the full argument.
 //!
 //! The pool uses plain [`std::thread`] scoped threads — no dependencies —
-//! with one deque per worker: owners pop from the front, idle workers steal
-//! from the back of a victim's deque (counted in the `steals` metric).
+//! spawned once per traversal, with one deque per worker: owners pop from
+//! the front, idle workers steal from the back of a victim's deque (counted
+//! in the `steals` metric).
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -41,12 +28,10 @@ use std::sync::{Condvar, Mutex};
 
 use relengine::ExecStats;
 
-use crate::error::KwError;
 use crate::lattice::{Lattice, NodeId};
 use crate::metrics::Metrics;
-use crate::oracle::{AlivenessOracle, Probe};
+use crate::oracle::{AlivenessOracle, Probe, ProbeCore, ProbeEngine};
 use crate::prune::PrunedLattice;
-use crate::traversal::Frontier;
 
 /// Number of lock stripes in a [`ShardedMemo`]. Power of two so the shard
 /// of a node is a mask away; 16 stripes keeps contention negligible for any
@@ -103,20 +88,17 @@ impl Default for ShardedMemo {
     }
 }
 
-/// One probe handed to the pool: which wave slot it fills and which dense
+/// One probe handed to the pool: which job slot it fills and which dense
 /// node to execute. The budget slot is already reserved by the dispatcher.
-/// Shared with [`crate::batch`], whose driver dispatches the same way.
-pub(crate) struct Job {
-    /// Index into the wave's completion table (dispatch order).
-    pub(crate) slot: usize,
-    pub(crate) dense: usize,
+struct Job {
+    slot: usize,
+    dense: usize,
 }
 
 /// A worker's answer for one job.
 pub(crate) struct Completion {
-    pub(crate) slot: usize,
-    pub(crate) dense: usize,
-    pub(crate) probe: Probe,
+    slot: usize,
+    probe: Probe,
 }
 
 /// Shared pool state: per-worker job deques plus a pending/shutdown latch.
@@ -133,7 +115,7 @@ struct Latch {
 }
 
 impl PoolState {
-    pub(crate) fn new(workers: usize) -> PoolState {
+    fn new(workers: usize) -> PoolState {
         PoolState {
             queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             latch: Mutex::new(Latch { pending: 0, shutdown: false }),
@@ -142,7 +124,7 @@ impl PoolState {
     }
 
     /// Pushes a job onto worker `w`'s deque and wakes a sleeper.
-    pub(crate) fn push(&self, w: usize, job: Job) {
+    fn push(&self, w: usize, job: Job) {
         // Increment `pending` BEFORE the job becomes visible in a deque: a
         // worker that claims it decrements immediately, and claiming can
         // only happen after the push, so the counter can never underflow.
@@ -155,8 +137,8 @@ impl PoolState {
 
     /// Takes the next job for worker `w`: own deque front first, then steal
     /// from the back of another worker's deque, else sleep until work or
-    /// shutdown. Returns `(job, stolen)`; `None` means shutdown.
-    pub(crate) fn take(&self, w: usize, metrics: &Metrics) -> Option<Job> {
+    /// shutdown. `None` means shutdown.
+    fn take(&self, w: usize, metrics: &Metrics) -> Option<Job> {
         loop {
             if let Some(job) = self.queues[w].lock().unwrap().pop_front() {
                 self.decr_pending();
@@ -187,46 +169,86 @@ impl PoolState {
         latch.pending -= 1;
     }
 
-    pub(crate) fn shutdown(&self) {
+    fn shutdown(&self) {
         self.latch.lock().unwrap().shutdown = true;
         self.wake.notify_all();
     }
 }
 
-/// Runs a strategy's probe waves over `workers` threads, driving `frontier`
-/// exactly as the sequential driver would. Returns when the frontier is
-/// done or the budget trips; the caller converts the frontier into the
-/// classification.
-///
-/// The dispatcher (the calling thread) owns all traversal state. Per wave
-/// it walks the emitted nodes in sequential visit order and, per node:
-///
-/// 1. already classified → `reuse_hits` (same as sequential);
-/// 2. memoized verdict → `memo_hits` + immediate apply (same as sequential);
-/// 3. otherwise reserve a budget slot and enqueue the probe. A refusal ends
-///    the wave *and* the traversal at exactly the node where the sequential
-///    run would have stopped.
-///
-/// Verdicts are applied in dispatch order after the wave drains, so R1/R2
-/// inference (order-independent within a wave — each status cell flips away
-/// from `Unknown` at most once, and wave members classify only non-members)
-/// lands on identical state and identical counter totals.
-pub(crate) fn run_waves(
+/// Where the wave driver executes probes whose budget slots it already
+/// reserved.
+pub(crate) enum Executor<'e, 'a> {
+    /// One at a time on the calling thread, on the oracle's own engine.
+    Inline(&'e mut ProbeEngine<'a>),
+    /// Round-robin over the scoped work-stealing pool.
+    Pool { pool: &'e PoolState, done: &'e mpsc::Receiver<Completion>, next: usize },
+}
+
+impl<'a> Executor<'_, 'a> {
+    /// Whether probes run on the pool, in which case the driver reserves a
+    /// whole wave before any of it executes.
+    pub(crate) fn is_pool(&self) -> bool {
+        matches!(self, Executor::Pool { .. })
+    }
+
+    /// Executes the probes of dense nodes `jobs`, handing each outcome to
+    /// `completed` (with its index in `jobs`) as soon as it lands, and
+    /// returns every outcome in `jobs` order.
+    pub(crate) fn execute(
+        &mut self,
+        core: &ProbeCore<'a>,
+        lattice: &Lattice,
+        pruned: &PrunedLattice,
+        jobs: &[usize],
+        mut completed: impl FnMut(usize, &Probe),
+    ) -> Vec<Probe> {
+        match self {
+            Executor::Inline(engine) => jobs
+                .iter()
+                .enumerate()
+                .map(|(i, &dense)| {
+                    let jnts = pruned.jnts(lattice, dense);
+                    let probe = core.execute_reserved(engine, pruned.lattice_id(dense), jnts);
+                    completed(i, &probe);
+                    probe
+                })
+                .collect(),
+            Executor::Pool { pool, done, next } => {
+                for (slot, &dense) in jobs.iter().enumerate() {
+                    pool.push(*next, Job { slot, dense });
+                    *next = (*next + 1) % pool.queues.len();
+                }
+                let mut out: Vec<Option<Probe>> = jobs.iter().map(|_| None).collect();
+                for _ in jobs {
+                    let c = done.recv().expect("worker pool hung up mid-wave");
+                    completed(c.slot, &c.probe);
+                    out[c.slot] = Some(c.probe);
+                }
+                out.into_iter().map(|p| p.expect("every job completes")).collect()
+            }
+        }
+    }
+}
+
+/// Runs `drive` with the executor for `workers` probing threads: inline on
+/// the oracle's own engine when `workers <= 1`, otherwise on a scoped pool
+/// of per-worker engines (chaos seeds derived per worker) whose statistics
+/// are folded into the oracle's engine once `drive` returns.
+pub(crate) fn with_executor<'a, R>(
+    oracle: &mut AlivenessOracle<'a>,
     lattice: &Lattice,
     pruned: &PrunedLattice,
-    oracle: &mut AlivenessOracle<'_>,
-    frontier: &mut dyn Frontier,
     workers: usize,
-) -> Result<(), KwError> {
-    let workers = workers.max(1);
-    let core = oracle.core();
+    drive: impl FnOnce(&ProbeCore<'a>, &mut Executor<'_, 'a>) -> R,
+) -> R {
+    let (core, engine) = oracle.split();
+    if workers <= 1 {
+        return drive(core, &mut Executor::Inline(engine));
+    }
     core.metrics.workers.add(workers as u64);
-
     let pool = PoolState::new(workers);
     let (done_tx, done_rx) = mpsc::channel::<Completion>();
-
-    let mut failure: Option<KwError> = None;
-    let worker_stats: Vec<ExecStats> = std::thread::scope(|scope| {
+    let (result, worker_stats) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let pool = &pool;
@@ -237,10 +259,7 @@ pub(crate) fn run_waves(
                         let node = pruned.lattice_id(job.dense);
                         let jnts = pruned.jnts(lattice, job.dense);
                         let probe = core.execute_reserved(&mut engine, node, jnts);
-                        if done
-                            .send(Completion { slot: job.slot, dense: job.dense, probe })
-                            .is_err()
-                        {
+                        if done.send(Completion { slot: job.slot, probe }).is_err() {
                             break;
                         }
                     }
@@ -249,95 +268,16 @@ pub(crate) fn run_waves(
             })
             .collect();
         drop(done_tx);
-
-        let mut wave = Vec::new();
-        let mut next_worker = 0usize;
-        'traversal: loop {
-            wave.clear();
-            frontier.next_wave(&mut wave);
-            if wave.is_empty() {
-                break;
-            }
-            // Dispatch in sequential visit order; collect completions by slot.
-            let mut dispatched = 0usize;
-            let mut outcomes: Vec<Option<(usize, Probe)>> = Vec::with_capacity(wave.len());
-            let mut stop_after_wave = false;
-            for &dense in wave.iter() {
-                if !frontier.is_unknown(dense) {
-                    core.metrics.reuse_hits.incr();
-                    continue;
-                }
-                if let Some(alive) = core.verdict_if_known(pruned.lattice_id(dense)) {
-                    core.metrics.memo_hits.incr();
-                    frontier.apply(dense, alive, &core.metrics);
-                    continue;
-                }
-                // A cached whole-network verdict or an empty cached cut
-                // value-set answers the node right at dispatch, like a memo
-                // hit: no budget slot, no engine.
-                if let Some(alive) =
-                    core.shortcut(pruned.lattice_id(dense), pruned.jnts(lattice, dense))
-                {
-                    frontier.apply(dense, alive, &core.metrics);
-                    continue;
-                }
-                if core.try_reserve().is_err() {
-                    stop_after_wave = true;
-                    break;
-                }
-                let slot = outcomes.len();
-                outcomes.push(None);
-                pool.push(next_worker, Job { slot, dense });
-                next_worker = (next_worker + 1) % workers;
-                dispatched += 1;
-            }
-            for _ in 0..dispatched {
-                let c = done_rx.recv().expect("worker pool hung up mid-wave");
-                outcomes[c.slot] = Some((c.dense, c.probe));
-            }
-            // Apply in dispatch (= sequential visit) order.
-            for outcome in outcomes.into_iter() {
-                let (dense, probe) = outcome.expect("every dispatched slot completes");
-                match probe {
-                    Probe::Verdict(alive) => {
-                        if frontier.is_unknown(dense) {
-                            frontier.apply(dense, alive, &core.metrics);
-                        } else {
-                            // A verdict classified this node while its own
-                            // probe was in flight (possible only if a wave
-                            // breaks the independence invariant). The probe
-                            // executed — and was counted — anyway; record
-                            // the work inference would have saved.
-                            core.metrics.inference_suppressed_probes.incr();
-                        }
-                    }
-                    Probe::NodeFailed(e) if e.is_fault() => frontier.abandon(dense),
-                    Probe::NodeFailed(e) => {
-                        // An invalid plan is a bug, not degradation — it
-                        // propagates hard, exactly like the sequential
-                        // driver's probe() helper.
-                        failure = Some(e.into());
-                        break 'traversal;
-                    }
-                    Probe::Exhausted(_) => stop_after_wave = true,
-                }
-            }
-            if stop_after_wave {
-                frontier.exhaust();
-                break;
-            }
-        }
+        let result = drive(core, &mut Executor::Pool { pool: &pool, done: &done_rx, next: 0 });
         pool.shutdown();
-        handles.into_iter().map(|h| h.join().expect("probe worker panicked")).collect()
+        let stats: Vec<ExecStats> =
+            handles.into_iter().map(|h| h.join().expect("probe worker panicked")).collect();
+        (result, stats)
     });
-
     for stats in &worker_stats {
-        oracle.absorb_stats(stats);
+        engine.absorb_stats(stats);
     }
-    match failure {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    result
 }
 
 #[cfg(test)]

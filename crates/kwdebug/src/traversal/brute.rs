@@ -10,7 +10,7 @@
 //!
 //! As a [`Frontier`], brute force emits one single wave holding every dense
 //! node in order: with no inference rules, every node is independent of
-//! every other, making it the best-case workload for the parallel driver.
+//! every other, making it the best-case workload for the probe pool.
 //!
 //! Degraded mode: an abandoned node simply stays unknown; budget exhaustion
 //! stops the scan and everything unvisited stays unknown.

@@ -50,7 +50,7 @@
 //! On a complete run both `unknown_mtns` and every `possible_mpans` entry
 //! are empty and the outcome is exactly the happy-path one.
 //!
-//! ## Wave emission and the parallel scheduler
+//! ## Wave emission and the one driver
 //!
 //! Every strategy is implemented as a `Frontier`: a state machine that
 //! *emits* batches ("waves") of dense nodes to probe instead of probing
@@ -58,14 +58,14 @@
 //! the wave can classify another wave member through R1/R2 (for the
 //! order-based strategies this falls out of level structure: same-level
 //! nodes are never ancestor/descendant of each other). One driver loop
-//! walks each wave in the strategy's visit order and handles the per-node
-//! protocol (reuse check → memo check → budget → probe → apply); the
-//! sequential driver lives here ([`run`]), the multi-threaded one in
-//! [`crate::parallel`] ([`run_with_workers`] with `workers > 1`). Because
-//! both drivers share the per-node protocol and the wave order, the
-//! parallel traversal produces bit-identical classifications, MPAN sets
-//! *and probe counters* — strategies stay single-threaded state machines
-//! and never need locks.
+//! (`drive`) walks each wave in the strategy's visit order and handles the
+//! per-node protocol (reuse check → memo check → cache shortcut → budget →
+//! probe → apply) for every configuration: probes run inline on the
+//! oracle's own engine, on the [`crate::parallel`] pool when `workers > 1`,
+//! and through the [`crate::batch`] exchange when a session has a
+//! registered peer. Strategies stay single-threaded state machines and
+//! never need locks; DESIGN.md §8.2 argues why every configuration reports
+//! the same classification and MPAN sets.
 
 mod brute;
 mod bu;
@@ -78,11 +78,13 @@ use std::time::Duration;
 
 pub use sbh::DEFAULT_PA;
 
+use crate::batch::BatchTicket;
 use crate::budget::Exhausted;
 use crate::error::KwError;
 use crate::lattice::Lattice;
 use crate::metrics::{Metrics, ProbeCounters};
-use crate::oracle::{AlivenessOracle, Probe};
+use crate::oracle::{AlivenessOracle, Probe, ProbeCore};
+use crate::parallel::Executor;
 use crate::prune::PrunedLattice;
 
 /// Selects a Phase-3 traversal strategy.
@@ -208,30 +210,14 @@ pub fn run(
     oracle: &mut AlivenessOracle<'_>,
     pa: f64,
 ) -> Result<TraversalOutcome, KwError> {
-    run_with_workers(kind, lattice, pruned, oracle, pa, 1)
+    run_with_ticket(kind, lattice, pruned, oracle, pa, 1, None)
 }
 
-/// Runs a traversal strategy over a pruned lattice, fanning each probe wave
-/// over `workers` threads when `workers > 1` (see [`crate::parallel`]).
-/// `workers <= 1` is the sequential driver; either way the outcome —
-/// classification, MPAN sets, probe counters — is identical, only
-/// wall-clock changes.
-pub fn run_with_workers(
-    kind: StrategyKind,
-    lattice: &Lattice,
-    pruned: &PrunedLattice,
-    oracle: &mut AlivenessOracle<'_>,
-    pa: f64,
-    workers: usize,
-) -> Result<TraversalOutcome, KwError> {
-    run_with_ticket(kind, lattice, pruned, oracle, pa, workers, None)
-}
-
-/// [`run_with_workers`] with an optional cross-session batching ticket:
-/// when one is held, every wave goes through the batched driver
-/// (`crate::batch::run_batched_waves`) so overlapping probes of concurrent
-/// sessions coalesce in flight. The classification outcome is identical
-/// either way; see the `crate::batch` module docs for the argument.
+/// [`run`] over `workers` probing threads (`workers > 1` fans each wave
+/// over the [`crate::parallel`] pool) and with an optional cross-session
+/// batching ticket, whose waves park in the exchange while the session has
+/// a registered peer. Every combination goes through the one wave driver;
+/// see `drive` for what each one changes.
 pub(crate) fn run_with_ticket(
     kind: StrategyKind,
     lattice: &Lattice,
@@ -239,7 +225,7 @@ pub(crate) fn run_with_ticket(
     oracle: &mut AlivenessOracle<'_>,
     pa: f64,
     workers: usize,
-    ticket: Option<&crate::batch::BatchTicket>,
+    ticket: Option<&BatchTicket>,
 ) -> Result<TraversalOutcome, KwError> {
     let q0 = oracle.stats().queries;
     let t0 = oracle.stats().total_time;
@@ -252,13 +238,9 @@ pub(crate) fn run_with_ticket(
         StrategyKind::ScoreBasedHeuristic => Box::new(sbh::SbhFrontier::new(pruned, pa)),
         StrategyKind::BruteForce => Box::new(brute::BruteFrontier::new(pruned)),
     };
-    if let Some(ticket) = ticket {
-        crate::batch::run_batched_waves(lattice, pruned, oracle, frontier.as_mut(), workers, ticket)?;
-    } else if workers > 1 {
-        crate::parallel::run_waves(lattice, pruned, oracle, frontier.as_mut(), workers)?;
-    } else {
-        drive_sequential(lattice, pruned, oracle, frontier.as_mut())?;
-    }
+    crate::parallel::with_executor(oracle, lattice, pruned, workers, |core, exec| {
+        drive(lattice, pruned, core, exec, frontier.as_mut(), ticket)
+    })?;
     let classified = frontier.finish();
     Ok(TraversalOutcome {
         alive_mtns: classified.alive_mtns,
@@ -275,19 +257,20 @@ pub(crate) fn run_with_ticket(
 
 /// A traversal strategy as a wave-emitting state machine.
 ///
-/// The strategy owns its status bookkeeping and inference rules; a *driver*
-/// (sequential below, multi-threaded in [`crate::parallel`]) owns probing.
-/// Per wave the driver walks the emitted nodes **in emission order** and,
-/// for each node: already classified → count `reuse_hits`; memoized →
-/// count `memo_hits` and [`Frontier::apply`]; otherwise reserve a budget
-/// slot and probe, then [`Frontier::apply`] the verdict. A budget refusal
-/// calls [`Frontier::exhaust`] and ends the traversal.
+/// The strategy owns its status bookkeeping and inference rules; the
+/// driver (`drive`) owns probing. Per wave it walks the emitted nodes **in
+/// emission order** and, for each node: already classified → count
+/// `reuse_hits`; memoized → count `memo_hits` and [`Frontier::apply`];
+/// otherwise reserve a budget slot and probe, then [`Frontier::apply`] the
+/// verdict. A budget refusal calls [`Frontier::exhaust`] and ends the
+/// traversal.
 ///
 /// Implementations must uphold the **wave-independence invariant**: no
 /// verdict applied for one wave member may classify another member of the
 /// same wave (R1/R2 reach only other levels, so emitting runs of equal
-/// lattice level satisfies this). The drivers rely on it for `reuse_hits`
-/// determinism; DESIGN.md §8 states it formally.
+/// lattice level satisfies this). The driver relies on it for `reuse_hits`
+/// determinism when it reserves a wave ahead; DESIGN.md §8 states it
+/// formally.
 pub(crate) trait Frontier {
     /// Emits the next wave of nodes in visit order into `out` (cleared by
     /// the driver). An empty wave means the traversal is complete. Nodes
@@ -308,38 +291,72 @@ pub(crate) trait Frontier {
     fn finish(self: Box<Self>) -> Classified;
 }
 
-/// The sequential wave driver: one probe at a time through the oracle's own
-/// engine, per-node protocol identical to [`crate::parallel::run_waves`].
-fn drive_sequential(
+/// The one Phase-3 wave driver, for every strategy, worker count and
+/// batching mode; DESIGN.md §8.2 gives its determinism argument.
+///
+/// Per wave it walks the emitted nodes in visit order: already classified
+/// → `reuse_hits`; memoized → `memo_hits` and apply; answered by a cache
+/// shortcut → apply; otherwise reserve a budget slot — a refusal ends the
+/// traversal at this node — and dispatch the probe. How a wave dispatches
+/// is fixed before its first node:
+///
+/// * **inline** (one worker, wave not parked): each probe executes on the
+///   oracle's own engine right after its reservation and is applied before
+///   the next node is checked, so every budget cap trips within one probe;
+/// * **ahead** (a pool, or a wave parked in the exchange because a peer is
+///   registered): the whole wave is reserved first, then executed on the
+///   pool or resolved through `BatchTicket::resolve`, then applied in
+///   dispatch-slot order. A tuple or deadline cap can overshoot by up to
+///   that one wave.
+fn drive<'a>(
     lattice: &Lattice,
     pruned: &PrunedLattice,
-    oracle: &mut AlivenessOracle<'_>,
+    core: &ProbeCore<'a>,
+    exec: &mut Executor<'_, 'a>,
     frontier: &mut dyn Frontier,
+    ticket: Option<&BatchTicket>,
 ) -> Result<(), KwError> {
+    let metrics = &core.metrics;
     let mut wave = Vec::new();
+    let mut pending = Vec::new();
     loop {
         wave.clear();
         frontier.next_wave(&mut wave);
         if wave.is_empty() {
             return Ok(());
         }
+        let parked = ticket.filter(|t| t.has_peers());
+        let ahead = parked.is_some() || exec.is_pool();
         let mut stop = false;
-        for &n in &wave {
-            if !frontier.is_unknown(n) {
-                oracle.metrics().reuse_hits.incr();
+        for &dense in &wave {
+            if !frontier.is_unknown(dense) {
+                metrics.reuse_hits.incr();
                 continue;
             }
-            // probe() consults the memo before the budget, so memoized
-            // nodes are answered (and counted) even under a tripped cap.
-            match probe(lattice, pruned, oracle, n)? {
-                ProbeOutcome::Verdict(alive) => frontier.apply(n, alive, oracle.metrics()),
-                ProbeOutcome::Abandoned => frontier.abandon(n),
-                ProbeOutcome::Exhausted => {
-                    stop = true;
-                    break;
-                }
+            let (node, jnts) = (pruned.lattice_id(dense), pruned.jnts(lattice, dense));
+            if let Some(alive) = core.verdict_if_known(node) {
+                metrics.memo_hits.incr();
+                frontier.apply(dense, alive, metrics);
+                continue;
+            }
+            // A cached whole-network verdict or an empty cached cut
+            // value-set answers the node like a memo hit: no budget slot,
+            // no engine.
+            if let Some(alive) = core.shortcut(node, jnts) {
+                frontier.apply(dense, alive, metrics);
+                continue;
+            }
+            if core.try_reserve().is_err() {
+                stop = true;
+                break;
+            }
+            pending.push(dense);
+            if !ahead && dispatch(lattice, pruned, core, exec, frontier, None, &mut pending)? {
+                stop = true;
+                break;
             }
         }
+        stop |= dispatch(lattice, pruned, core, exec, frontier, parked, &mut pending)?;
         if stop {
             frontier.exhaust();
             return Ok(());
@@ -347,32 +364,41 @@ fn drive_sequential(
     }
 }
 
-/// The outcome of probing one dense node, as seen by a strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ProbeOutcome {
-    /// The node's aliveness is known.
-    Verdict(bool),
-    /// This node's probe failed permanently; skip it and keep traversing.
-    Abandoned,
-    /// The probe budget tripped; stop probing altogether.
-    Exhausted,
-}
-
-/// Probes the aliveness of dense node `n` through the oracle, translating
-/// degraded-mode outcomes for strategies. Injected faults degrade; any other
-/// engine error (an invalid plan — a bug) still propagates hard.
-pub(crate) fn probe(
+/// Executes the reserved probes of `pending` (through the exchange when the
+/// wave is `parked`), then drains `pending` applying each outcome in
+/// dispatch-slot order. Returns whether the budget tripped mid-execution.
+/// Injected faults abandon their node; any other engine error (an invalid
+/// plan — a bug) propagates hard.
+fn dispatch<'a>(
     lattice: &Lattice,
     pruned: &PrunedLattice,
-    oracle: &mut AlivenessOracle<'_>,
-    n: usize,
-) -> Result<ProbeOutcome, KwError> {
-    match oracle.probe(pruned.lattice_id(n), pruned.jnts(lattice, n)) {
-        Probe::Verdict(alive) => Ok(ProbeOutcome::Verdict(alive)),
-        Probe::NodeFailed(e) if e.is_fault() => Ok(ProbeOutcome::Abandoned),
-        Probe::NodeFailed(e) => Err(e.into()),
-        Probe::Exhausted(_) => Ok(ProbeOutcome::Exhausted),
+    core: &ProbeCore<'a>,
+    exec: &mut Executor<'_, 'a>,
+    frontier: &mut dyn Frontier,
+    parked: Option<&BatchTicket>,
+    pending: &mut Vec<usize>,
+) -> Result<bool, KwError> {
+    let probes = match parked {
+        Some(ticket) => ticket.resolve(core, lattice, pruned, exec, pending),
+        None => exec.execute(core, lattice, pruned, pending, |_, _| {}),
+    };
+    let mut exhausted = false;
+    for (dense, probe) in pending.drain(..).zip(probes) {
+        match probe {
+            Probe::Verdict(alive) if frontier.is_unknown(dense) => {
+                frontier.apply(dense, alive, &core.metrics)
+            }
+            // A verdict classified this node while its own probe was in
+            // flight (possible only if a wave breaks the independence
+            // invariant). The probe executed — and was counted — anyway;
+            // record the work inference would have saved.
+            Probe::Verdict(_) => core.metrics.inference_suppressed_probes.incr(),
+            Probe::NodeFailed(e) if e.is_fault() => frontier.abandon(dense),
+            Probe::NodeFailed(e) => return Err(e.into()),
+            Probe::Exhausted(_) => exhausted = true,
+        }
     }
+    Ok(exhausted)
 }
 
 /// MTN classification collected by a strategy, including degraded-mode

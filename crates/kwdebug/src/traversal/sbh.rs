@@ -29,7 +29,7 @@
 //!
 //! As a [`Frontier`], SBH emits singleton waves: each greedy pick depends on
 //! every verdict so far, so there is no independent batch to fan out — the
-//! parallel driver degenerates to sequential probing here (correct, just
+//! probe pool degenerates to sequential probing here (correct, just
 //! not faster), which is the honest reading of the heuristic.
 //!
 //! Metrics recorded (see [`crate::metrics`]): every node resolved alongside

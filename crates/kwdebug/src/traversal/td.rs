@@ -12,7 +12,7 @@
 //! MTN's cone walked in reverse (`Desc+(m)` descending = level-descending).
 //! Same-level nodes are never descendants of each other, so R1 from one
 //! wave member can never classify another — the wave-independence invariant
-//! the parallel driver needs.
+//! the wave driver needs.
 //!
 //! Metrics recorded (see [`crate::metrics`]): each skipped visit of an
 //! already-classified node is one `reuse_hits` (within-MTN only, counted by

@@ -151,9 +151,10 @@ pub struct ServeConfig {
     /// `window_us`, duplicate probes (same canonical network on the same
     /// `(db_id, epoch)` snapshot) are coalesced into a single execution, and
     /// verdicts fan back to every subscriber in its original dispatch-slot
-    /// order — reports stay byte-identical to unbatched runs. Single-session
-    /// traffic bypasses the exchange entirely (`min_sessions`), so the
-    /// uncontended p50 is untouched. See DESIGN.md §14 and SERVING.md.
+    /// order — reports stay byte-identical to unbatched runs. A session
+    /// alone on its snapshot bypasses the exchange entirely and runs the
+    /// unbatched path, so the uncontended p50 is untouched. See DESIGN.md
+    /// §14 and SERVING.md.
     pub batching: Option<BatchConfig>,
 }
 
@@ -1198,6 +1199,5 @@ mod tests {
         let bc = BatchConfig::default();
         assert!(bc.validate().is_ok(), "defaults are sane");
         assert!(BatchConfig { max_wave: 0, ..bc }.validate().is_err());
-        assert!(BatchConfig { min_sessions: 0, ..bc }.validate().is_err());
     }
 }

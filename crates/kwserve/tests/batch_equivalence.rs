@@ -86,7 +86,7 @@ fn canonical(mut report: DebugReport) -> Vec<u8> {
 fn batch_config() -> BatchConfig {
     // A short window bounds how long a wave stalls when a registered peer
     // is between queries (or finished early on a budget cut / hard fault).
-    BatchConfig { window_us: 5_000, max_wave: 256, min_sessions: 2 }
+    BatchConfig { window_us: 5_000, max_wave: 256 }
 }
 
 fn session_config(strategy: StrategyKind, workers: usize, cache: bool) -> DebugConfig {
@@ -366,6 +366,10 @@ fn server_batched_reports_match_unbatched_reference() {
 /// The single-session fast path: with batching configured but only one
 /// session live, the exchange is never entered — zero submitted probes, zero
 /// merged waves, and an uncontended request path identical to batching-off.
+/// At library level that identity is exact: a solo session decides per wave
+/// that it will not park, so every unscrubbed counter (wall-clock
+/// `probe_time_ns` and the pool-size gauge `workers` aside) and the probe
+/// where each tuple cap trips match a session without an exchange.
 #[test]
 fn a_solo_session_never_touches_the_exchange() {
     let config = session_config(StrategyKind::ScoreBasedHeuristic, 1, false);
@@ -395,4 +399,37 @@ fn a_solo_session_never_touches_the_exchange() {
     assert_eq!(exchange.submitted_probes(), 0, "solo session parked probes in the exchange");
     assert_eq!(exchange.merged_waves(), 0);
     server.shutdown();
+
+    // Library leg: exact counters under every tuple cap.
+    fn exact(mut report: DebugReport) -> (Vec<u8>, Vec<(u64, ProbeCounters)>) {
+        for i in &mut report.interpretations {
+            i.probes.probe_time_ns = 0;
+            i.probes.workers = 0;
+        }
+        let counters = report.interpretations.iter().map(|i| (i.sql_queries, i.probes)).collect();
+        (encode_report(&report), counters)
+    }
+    let queries: Vec<&str> = QUERIES.iter().copied().chain(["saffron scented candle"]).collect();
+    for max_tuples in [1u64, 2, 3, 5, 8] {
+        for strategy in STRATEGIES {
+            let config = DebugConfig {
+                sample_limit: 0,
+                budget: ProbeBudget::unlimited().with_max_tuples(max_tuples),
+                ..session_config(strategy, 1, false)
+            };
+            let system = NonAnswerDebugger::new(datagen::product_database(), config).unwrap();
+            let plain = NonAnswerDebugger::from_shared(system.shared_parts(), config).unwrap();
+            let mut solo = NonAnswerDebugger::from_shared(system.shared_parts(), config).unwrap();
+            let exchange = Arc::new(WaveExchange::new(batch_config()));
+            solo.set_wave_exchange(Some(Arc::clone(&exchange)));
+            for q in &queries {
+                let want = exact(plain.debug(q).expect("unbatched debug runs"));
+                let got = exact(solo.debug(q).expect("solo batched debug runs"));
+                assert_eq!(got, want, "{} max_tuples={max_tuples} on {q:?}", strategy.name());
+            }
+            drop(solo);
+            assert_eq!(exchange.submitted_probes(), 0, "solo session parked probes");
+            assert_eq!(exchange.active_sessions(), 0, "leaked exchange subscription");
+        }
+    }
 }
