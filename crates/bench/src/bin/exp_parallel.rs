@@ -17,8 +17,9 @@
 //!
 //! Usage: `exp_parallel [--scale S] [--max-level N] [--seed N]`
 //! (default level 7, i.e. L7 lattices). Emits one metrics record per
-//! (query, workers) to `results/BENCH_exp_parallel.json`; `phases.total_ns`
-//! carries the measured wall-clock of the debug call.
+//! (query, workers) to `results/BENCH_exp_parallel.json`; `phases` carries
+//! the report's phase timings, with `phases.total_ns` the measured
+//! wall-clock of the debug call.
 
 use std::time::{Duration, Instant};
 
@@ -103,7 +104,7 @@ fn main() {
                 interpretations: report.interpretations.len() as u64,
                 lattice_bytes: 0,
                 probes,
-                phases: Default::default(),
+                phases: report.timing,
                 prune: None,
                 levels: Vec::new(),
             };

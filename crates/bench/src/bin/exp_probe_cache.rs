@@ -27,8 +27,9 @@
 //!
 //! Usage: `exp_probe_cache [--scale S] [--max-level N] [--seed N]` (default
 //! scale small, level 5). Emits one record per (query, pass) to
-//! `results/BENCH_exp_probe_cache.json`; `phases.total_ns` carries the
-//! measured wall-clock of the debug call, `probes` the session counters.
+//! `results/BENCH_exp_probe_cache.json`; `phases` carries the report's phase
+//! timings, with `phases.total_ns` the measured wall-clock of the debug call,
+//! and `probes` the session counters.
 
 use std::time::Instant;
 
@@ -71,7 +72,7 @@ fn run_pass(
             interpretations: report.interpretations.len() as u64,
             lattice_bytes: 0,
             probes: report.probes(),
-            phases: Default::default(),
+            phases: report.timing,
             prune: None,
             levels: Vec::new(),
         };

@@ -987,10 +987,11 @@ impl<'a> AlivenessOracle<'a> {
         self.core.interp.keyword_for(ts).map(|i| self.core.keywords[i].as_str())
     }
 
-    /// The SQL text of a node under this interpretation.
+    /// The SQL text of a node under this interpretation. SQL rendering
+    /// never reads candidate rows, so the plan is built without the index.
     pub fn sql(&self, jnts: &Jnts) -> Result<String, KwError> {
         let core = &self.core;
-        let plan = build_plan(jnts, core.interp, core.db, core.index, core.keywords)?;
+        let plan = build_plan(jnts, core.interp, core.db, None, core.keywords)?;
         Ok(relengine::render_sql(&plan, core.db))
     }
 

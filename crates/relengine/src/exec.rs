@@ -1,11 +1,24 @@
 //! Join-tree execution: emptiness checks and bounded enumeration.
 //!
 //! Join networks are trees, so queries are acyclic and a single bottom-up
-//! semi-join pass (Yannakakis) decides emptiness exactly: after reducing every
-//! node against its children, a root row survives if and only if it extends to
-//! a full match of the whole tree. Enumeration then proceeds top-down over the
-//! reduced sets, with a result limit for early exit — aliveness only needs the
-//! first tuple.
+//! semi-join pass (Yannakakis) decides emptiness exactly, whichever node it
+//! is rooted at: after reducing every node against its children, a root row
+//! survives if and only if it extends to a full match of the whole tree. The
+//! pass is rooted where it does the fewest full-table semi-joins
+//! ([`Executor::exists`]), so a free chain hanging below a keyword node is
+//! reduced from its far end through the join-column indexes instead of by
+//! scanning each link.
+//!
+//! [`Executor::execute`] runs the same pass, semi-joins back along the path
+//! from its root to node 0, and then enumerates top-down from node 0 with a
+//! result limit for early exit. Every node is then reduced against its whole
+//! node-0 subtree, so each row the enumeration visits extends to a tuple.
+//! A node's rows for its parent's join value come straight from the
+//! table's index posting for that value, kept where they are live; no
+//! per-probe `value → rows` map is built unless the join column has no
+//! index. Postings ascend like every live set, so tuples come out in
+//! lexicographic row-id order over the node-0 pre-order (neighbours in
+//! edge order) — the order nested loops would give.
 //!
 //! Two cache-oriented extensions feed the cross-probe evaluation cache
 //! (`kwdebug`'s session cache): plan nodes may carry a pre-verified shared
@@ -15,11 +28,12 @@
 //! the sorted join-value set that survived that node's subtree reduction —
 //! exactly the set a later probe can reuse as a constraint.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::catalog::{Database, TableId};
+use crate::catalog::Database;
 use crate::error::EngineError;
 use crate::plan::{JoinTreePlan, PlanNode};
 use crate::sortedvals::{intersect_sorted, normalize, ValuePostings};
@@ -35,29 +49,16 @@ pub type MatchTuple = Vec<RowId>;
 /// `None` when the reduction never materialized it.
 pub type HarvestOut = Vec<Option<Vec<i64>>>;
 
-/// One enumeration step: `(node, parent, parent_col, join value → live rows)`.
-type EnumStep = (usize, usize, usize, ValueRows);
-
-/// A node's live rows grouped by join value, for enumeration: a map built by
-/// reading each live row once, the shared postings of a still-untouched
-/// cached selection, or — for a free unfiltered node — the table's own
-/// column index. The latter two group with zero row reads.
-enum ValueRows {
-    Map(HashMap<i64, Vec<RowId>>),
-    Postings(Arc<ValuePostings>),
-    Indexed(TableId, usize),
-}
-
-impl ValueRows {
-    fn rows_for<'a>(&'a self, db: &'a Database, v: i64) -> &'a [RowId] {
-        match self {
-            ValueRows::Map(m) => m.get(&v).map(Vec::as_slice).unwrap_or(&[]),
-            ValueRows::Postings(p) => p.rows_for(v),
-            ValueRows::Indexed(table, col) => {
-                db.table(*table).lookup_indexed(*col, v).unwrap_or(&[])
-            }
-        }
-    }
+/// One enumeration step: bind `node` to the rows joining its already-bound
+/// `parent` (`node.child_col = parent.parent_col`).
+struct EnumStep {
+    node: usize,
+    parent: usize,
+    parent_col: usize,
+    child_col: usize,
+    /// Join value → live rows, built only when `child_col` has no index;
+    /// otherwise candidates come from the index posting.
+    map: Option<HashMap<i64, Vec<RowId>>>,
 }
 
 /// The set of live rows at a plan node during reduction.
@@ -86,6 +87,21 @@ impl LiveSet {
             LiveSet::Rows(r) => r.is_empty(),
             LiveSet::Shared(r) => r.is_empty(),
             LiveSet::Deferred { vals, .. } => vals.is_empty(),
+        }
+    }
+
+    /// Whether live row `rid` of `table` is in the set. `All` admits every
+    /// row it is asked about: callers pass index postings, which hold live
+    /// rows only.
+    fn admits(&self, table: &Table, rid: RowId) -> bool {
+        match self {
+            LiveSet::All => true,
+            LiveSet::Rows(r) => r.binary_search(&rid).is_ok(),
+            LiveSet::Shared(r) => r.binary_search(&rid).is_ok(),
+            LiveSet::Deferred { sel, col, vals } => {
+                sel.binary_search(&rid).is_ok()
+                    && table.row(rid)[*col].as_int().is_some_and(|v| vals.binary_search(&v).is_ok())
+            }
         }
     }
 }
@@ -344,7 +360,7 @@ impl<'a> Executor<'a> {
         let start = Instant::now();
         let alive = match self.single_node_fast(plan) {
             Some(a) => a,
-            None => self.reduce(plan, None)?.is_some(),
+            None => self.reduce(plan, None, false)?.is_some(),
         };
         self.stats.record(start.elapsed());
         Ok(alive)
@@ -379,7 +395,7 @@ impl<'a> Executor<'a> {
         // so the no-row fast path composes with harvesting trivially.
         let alive = match self.single_node_fast(plan) {
             Some(a) => a,
-            None => self.reduce(plan, Some((harvest, &mut out)))?.is_some(),
+            None => self.reduce(plan, Some((harvest, &mut out)), false)?.is_some(),
         };
         self.stats.record(start.elapsed());
         Ok((alive, out))
@@ -388,7 +404,9 @@ impl<'a> Executor<'a> {
     /// Evaluates the query, returning up to `limit` result tuples.
     ///
     /// Each tuple maps plan-node index to the matched row id. `limit == 0`
-    /// means unlimited.
+    /// means unlimited. Tuples come in nested-loop order: ascending row ids,
+    /// node by node in the node-0 pre-order that takes neighbours in edge
+    /// order, so a limit of `k` returns the first `k` of the full result.
     pub fn execute(
         &mut self,
         plan: &JoinTreePlan,
@@ -396,9 +414,9 @@ impl<'a> Executor<'a> {
     ) -> Result<Vec<MatchTuple>, EngineError> {
         plan.validate(self.db)?;
         let start = Instant::now();
-        let result = match self.reduce(plan, None)? {
+        let result = match self.reduce(plan, None, true)? {
             None => Vec::new(),
-            Some(live) => self.enumerate(plan, live, limit),
+            Some(live) => self.enumerate(plan, &live, limit),
         };
         self.stats.record(start.elapsed());
         Ok(result)
@@ -409,25 +427,31 @@ impl<'a> Executor<'a> {
         Ok(self.execute(plan, cap)?.len())
     }
 
-    /// Bottom-up semi-join reduction rooted at node 0. Returns `None` as soon
-    /// as any live set empties (the query is dead), otherwise the fully
-    /// reduced live sets. When `harvest` is given, subtree value-sets for the
-    /// requested nodes are collected along the way (see
-    /// [`Executor::exists_harvesting`]).
+    /// Bottom-up semi-join reduction. Returns `None` as soon as any live set
+    /// empties (the query is dead), otherwise the reduced live sets.
+    ///
+    /// With `harvest`, the pass is rooted at node 0 (the harvest keys are
+    /// oriented from it) and subtree value-sets for the requested nodes are
+    /// collected along the way (see [`Executor::exists_harvesting`]).
+    /// Otherwise it is rooted at [`Executor::cheapest_root`]; any root decides
+    /// emptiness of an acyclic join exactly. With `full`, the pass then
+    /// semi-joins back along the path from that root to node 0, so every node
+    /// ends up reduced against its whole subtree in the tree rooted at node 0
+    /// — what [`Executor::enumerate`] needs to extend every row it visits.
     fn reduce(
         &mut self,
         plan: &JoinTreePlan,
         harvest: Option<(&[usize], &mut HarvestOut)>,
+        full: bool,
     ) -> Result<Option<Vec<LiveSet>>, EngineError> {
         let n = plan.node_count();
-        let order = plan.post_order(0);
         let mut harvester = harvest.map(|(requested, out)| {
             let mut req_pos = vec![usize::MAX; n];
             for (i, &node) in requested.iter().enumerate() {
                 req_pos[node] = i;
             }
             let mut parent_of = vec![usize::MAX; n];
-            for &(node, _, parent) in &order {
+            for (node, _, parent) in plan.post_order(0) {
                 parent_of[node] = parent;
             }
             Harvester { req_pos, parent_of, out }
@@ -567,273 +591,327 @@ impl<'a> Executor<'a> {
             live.push(set);
         }
 
+        let root = if harvester.is_some() { 0 } else { self.cheapest_root(plan, &live) };
+        let order = plan.post_order(root);
         // Children-before-parent semi-joins.
         for &(node, parent_edge, parent) in &order {
             if parent == usize::MAX {
                 continue; // root has no parent to reduce
             }
-            let edge = plan.edges()[parent_edge];
-            let (child_col, parent_col) = if edge.a == node {
-                (edge.a_col, edge.b_col)
-            } else {
-                (edge.b_col, edge.a_col)
-            };
-            let child_table = self.db.table(plan.nodes()[node].table);
-            let collect_sorted = |rows: &[RowId]| {
-                let mut vals = Vec::with_capacity(rows.len());
-                for &rid in rows {
-                    if let Some(v) = child_table.row(rid)[child_col].as_int() {
-                        vals.push(v);
-                    }
-                }
-                normalize(vals)
-            };
-            let node_plan = &plan.nodes()[node];
-            let precomputed = |col: usize| {
-                node_plan.col_postings.iter().find(|(c, _)| *c == col).map(|(_, p)| p.as_ref())
-            };
-            // A deferred child whose membership column differs from its
-            // constrained column needs real rows after all.
-            if matches!(&live[node], LiveSet::Deferred { col, .. } if *col != child_col) {
-                if let LiveSet::Deferred { sel, col, vals } =
-                    std::mem::replace(&mut live[node], LiveSet::All)
-                {
-                    live[node] = LiveSet::Rows(match precomputed(col) {
-                        Some(p) => postings_semijoin(p, &vals),
-                        None => {
-                            self.stats.rows_examined += sel.len() as u64;
-                            deferred_rows(child_table, &sel, col, &vals)
-                        }
-                    });
-                }
-            }
-            let membership = match &live[node] {
-                LiveSet::Rows(rows) => ValueMembership::Sorted(collect_sorted(rows)),
-                // `Shared` means the live set is still exactly the node's
-                // selection, so the plan's pre-extracted value list (when the
-                // builder supplied one) IS this membership set — no row reads.
-                LiveSet::Shared(rows) => match precomputed(child_col) {
-                    Some(p) => ValueMembership::SortedRef(p.values()),
-                    None => ValueMembership::Sorted(collect_sorted(rows)),
-                },
-                // Materialized above unless `col == child_col`, in which
-                // case the deferred value set IS the membership set.
-                LiveSet::Deferred { vals, .. } => ValueMembership::Sorted(vals.clone()),
-                LiveSet::All => {
-                    if child_table.has_index(child_col) {
-                        ValueMembership::Indexed(child_table, child_col)
-                    } else {
-                        let mut vals = Vec::new();
-                        for (_, row) in child_table.iter() {
-                            self.stats.rows_examined += 1;
-                            if let Some(v) = row[child_col].as_int() {
-                                vals.push(v);
-                            }
-                        }
-                        ValueMembership::Sorted(normalize(vals))
-                    }
-                }
-            };
-            // The materialized set is the node's complete subtree value-set
-            // (its own children were already folded in), so it can be
-            // harvested before the parent filter decides life or death.
-            if let (Some(h), Some(vals)) = (harvester.as_mut(), membership.as_sorted()) {
-                h.record(node, vals);
-            }
-            let parent_table = self.db.table(plan.nodes()[parent].table);
-            let parent_plan = &plan.nodes()[parent];
-            let parent_postings = |col: usize| {
-                parent_plan.col_postings.iter().find(|(c, _)| *c == col).map(|(_, p)| p.as_ref())
-            };
-            let (filtered, rows_read): (Vec<RowId>, u64) = match &live[parent] {
-                // An unfiltered parent semi-joined against a sorted value-set
-                // is the union of the index postings of those values when the
-                // join column is indexed — groups are disjoint, so a sort
-                // restores row order and no parent row is ever read.
-                LiveSet::All => match membership.as_sorted() {
-                    Some(mvals) if parent_table.has_index(parent_col) => {
-                        let mut rows: Vec<RowId> = Vec::new();
-                        for &v in mvals {
-                            if let Some(r) = parent_table.lookup_indexed(parent_col, v) {
-                                rows.extend_from_slice(r);
-                            }
-                        }
-                        rows.sort_unstable();
-                        (rows, 0)
-                    }
-                    _ => (
-                        parent_table
-                            .iter()
-                            .filter(|(_, row)| {
-                                row[parent_col].as_int().is_some_and(|v| membership.contains(v))
-                            })
-                            .map(|(rid, _)| rid)
-                            .collect(),
-                        parent_table.live_rows() as u64,
-                    ),
-                },
-                LiveSet::Rows(rows) => (filter_rows(parent_table, rows, parent_col, &membership), rows.len() as u64),
-                // A shared live set is still exactly the node's selection, so
-                // when the plan carries that selection's postings for the join
-                // column the semi-join is answered entirely from them — no
-                // parent row is read. (NULL rows are absent from postings and
-                // rejected by the row-wise check alike.)
-                LiveSet::Shared(rows) => {
-                    match (parent_postings(parent_col), membership.as_sorted()) {
-                        (Some(pp), Some(mvals)) => (postings_semijoin(pp, mvals), 0),
-                        _ => (
-                            filter_rows(parent_table, rows, parent_col, &membership),
-                            rows.len() as u64,
-                        ),
-                    }
-                }
-                // Deferred selection: with postings for both the constrained
-                // column and the join column, each filter becomes a postings
-                // semi-join and the row set is their intersection — again no
-                // row reads. Otherwise one fused pass over the selection.
-                LiveSet::Deferred { sel, col, vals } => {
-                    match (parent_postings(*col), parent_postings(parent_col), membership.as_sorted())
-                    {
-                        (Some(dp), Some(pp), Some(mvals)) => (
-                            intersect_rows(
-                                &postings_semijoin(dp, vals),
-                                &postings_semijoin(pp, mvals),
-                            ),
-                            0,
-                        ),
-                        _ => (
-                            sel.iter()
-                                .copied()
-                                .filter(|&rid| {
-                                    let row = parent_table.row(rid);
-                                    row[*col]
-                                        .as_int()
-                                        .is_some_and(|v| vals.binary_search(&v).is_ok())
-                                        && row[parent_col]
-                                            .as_int()
-                                            .is_some_and(|v| membership.contains(v))
-                                })
-                                .collect(),
-                            sel.len() as u64,
-                        ),
-                    }
-                }
-            };
-            // Every parent row was read to test its join value, so all of
-            // them count — not just the survivors (the old behaviour, which
-            // under-counted scans on the indexed-child fast path too).
-            self.stats.rows_examined += rows_read;
-            if filtered.is_empty() {
-                if let Some(h) = harvester.as_mut() {
-                    h.mark_dead(parent);
-                }
+            if !self.semijoin(plan, &mut live, node, parent, parent_edge, harvester.as_mut()) {
                 return Ok(None);
             }
-            live[parent] = LiveSet::Rows(filtered);
+        }
+        if full && root != 0 {
+            // Walk node 0's ancestors (in the tree rooted at `root`) back
+            // down from the root: each step reduces the next node toward
+            // node 0 against the fully reduced one before it.
+            let mut up = vec![(usize::MAX, usize::MAX); n];
+            for &(node, parent_edge, parent) in &order {
+                up[node] = (parent_edge, parent);
+            }
+            let mut path = vec![0];
+            let mut node = 0;
+            while up[node].1 != usize::MAX {
+                node = up[node].1;
+                path.push(node);
+            }
+            for pair in path.windows(2).rev() {
+                let (into, from) = (pair[0], pair[1]);
+                if !self.semijoin(plan, &mut live, from, into, up[into].0, None) {
+                    return Ok(None);
+                }
+            }
         }
         Ok(Some(live))
     }
 
-    /// Top-down enumeration over reduced live sets, rooted at node 0.
+    /// The root whose bottom-up pass does the least full-table semi-join
+    /// work; node 0 on a tie. A full-table semi-join reduces an unfiltered
+    /// ([`LiveSet::All`]) parent by an unfiltered child: the child offers
+    /// no value-set, only its column index, so every live parent row is read.
+    /// Any other semi-join reads only already-filtered rows or resolves
+    /// through the parent's join-column index (`Database::finalize` indexes
+    /// every FK endpoint). A free chain hanging below a keyword node costs a
+    /// full scan per link rooted at node 0 but none rooted at the chain's
+    /// far end. Plans have at most `maxJoins + 1` nodes, so every root is
+    /// tried.
+    fn cheapest_root(&self, plan: &JoinTreePlan, live: &[LiveSet]) -> usize {
+        let cost = |root: usize| {
+            let mut unfiltered: Vec<bool> =
+                live.iter().map(|s| matches!(s, LiveSet::All)).collect();
+            let mut rows = 0u64;
+            for (node, _, parent) in plan.post_order(root) {
+                if parent == usize::MAX {
+                    continue;
+                }
+                if unfiltered[node] && unfiltered[parent] {
+                    rows += self.db.table(plan.nodes()[parent].table).live_rows() as u64;
+                }
+                unfiltered[parent] = false;
+            }
+            rows
+        };
+        let mut best = (cost(0), 0);
+        for root in 1..plan.node_count() {
+            if best.0 == 0 {
+                break;
+            }
+            let c = cost(root);
+            if c < best.0 {
+                best = (c, root);
+            }
+        }
+        best.1
+    }
+
+    /// Reduces `live[into]` to the rows whose join value (across plan edge
+    /// `edge`) some row of `live[from]` carries. Returns `false` when
+    /// `live[into]` empties. `from`'s value-set is harvested when requested.
+    /// Below, `from` is the semi-join's child and `into` its parent.
+    fn semijoin(
+        &mut self,
+        plan: &JoinTreePlan,
+        live: &mut [LiveSet],
+        from: usize,
+        into: usize,
+        edge: usize,
+        mut harvester: Option<&mut Harvester<'_>>,
+    ) -> bool {
+        let edge = plan.edges()[edge];
+        let (child_col, parent_col) =
+            if edge.a == from { (edge.a_col, edge.b_col) } else { (edge.b_col, edge.a_col) };
+        let child_table = self.db.table(plan.nodes()[from].table);
+        let collect_sorted = |rows: &[RowId]| {
+            let mut vals = Vec::with_capacity(rows.len());
+            for &rid in rows {
+                if let Some(v) = child_table.row(rid)[child_col].as_int() {
+                    vals.push(v);
+                }
+            }
+            normalize(vals)
+        };
+        let child_plan = &plan.nodes()[from];
+        let precomputed = |col: usize| {
+            child_plan.col_postings.iter().find(|(c, _)| *c == col).map(|(_, p)| p.as_ref())
+        };
+        // A deferred child whose membership column differs from its
+        // constrained column needs real rows after all.
+        if matches!(&live[from], LiveSet::Deferred { col, .. } if *col != child_col) {
+            if let LiveSet::Deferred { sel, col, vals } =
+                std::mem::replace(&mut live[from], LiveSet::All)
+            {
+                live[from] = LiveSet::Rows(match precomputed(col) {
+                    Some(p) => postings_semijoin(p, &vals),
+                    None => {
+                        self.stats.rows_examined += sel.len() as u64;
+                        deferred_rows(child_table, &sel, col, &vals)
+                    }
+                });
+            }
+        }
+        let membership = match &live[from] {
+            LiveSet::Rows(rows) => ValueMembership::Sorted(collect_sorted(rows)),
+            // `Shared` means the live set is still exactly the node's
+            // selection, so the plan's pre-extracted value list (when the
+            // builder supplied one) IS this membership set — no row reads.
+            LiveSet::Shared(rows) => match precomputed(child_col) {
+                Some(p) => ValueMembership::SortedRef(p.values()),
+                None => ValueMembership::Sorted(collect_sorted(rows)),
+            },
+            // Materialized above unless `col == child_col`, in which
+            // case the deferred value set IS the membership set.
+            LiveSet::Deferred { vals, .. } => ValueMembership::Sorted(vals.clone()),
+            LiveSet::All => {
+                if child_table.has_index(child_col) {
+                    ValueMembership::Indexed(child_table, child_col)
+                } else {
+                    let mut vals = Vec::new();
+                    for (_, row) in child_table.iter() {
+                        self.stats.rows_examined += 1;
+                        if let Some(v) = row[child_col].as_int() {
+                            vals.push(v);
+                        }
+                    }
+                    ValueMembership::Sorted(normalize(vals))
+                }
+            }
+        };
+        // The materialized set is the node's complete subtree value-set
+        // (its own children were already folded in), so it can be
+        // harvested before the parent filter decides life or death.
+        if let (Some(h), Some(vals)) = (harvester.as_mut(), membership.as_sorted()) {
+            h.record(from, vals);
+        }
+        let parent_table = self.db.table(plan.nodes()[into].table);
+        let parent_plan = &plan.nodes()[into];
+        let parent_postings = |col: usize| {
+            parent_plan.col_postings.iter().find(|(c, _)| *c == col).map(|(_, p)| p.as_ref())
+        };
+        let (filtered, rows_read): (Vec<RowId>, u64) = match &live[into] {
+            // An unfiltered parent semi-joined against a sorted value-set
+            // is the union of the index postings of those values when the
+            // join column is indexed — groups are disjoint, so a sort
+            // restores row order and no parent row is ever read.
+            LiveSet::All => match membership.as_sorted() {
+                Some(mvals) if parent_table.has_index(parent_col) => {
+                    let mut rows: Vec<RowId> = Vec::new();
+                    for &v in mvals {
+                        if let Some(r) = parent_table.lookup_indexed(parent_col, v) {
+                            rows.extend_from_slice(r);
+                        }
+                    }
+                    rows.sort_unstable();
+                    (rows, 0)
+                }
+                _ => (
+                    parent_table
+                        .iter()
+                        .filter(|(_, row)| {
+                            row[parent_col].as_int().is_some_and(|v| membership.contains(v))
+                        })
+                        .map(|(rid, _)| rid)
+                        .collect(),
+                    parent_table.live_rows() as u64,
+                ),
+            },
+            LiveSet::Rows(rows) => {
+                (filter_rows(parent_table, rows, parent_col, &membership), rows.len() as u64)
+            }
+            // A shared live set is still exactly the node's selection, so
+            // when the plan carries that selection's postings for the join
+            // column the semi-join is answered entirely from them — no
+            // parent row is read. (NULL rows are absent from postings and
+            // rejected by the row-wise check alike.)
+            LiveSet::Shared(rows) => match (parent_postings(parent_col), membership.as_sorted()) {
+                (Some(pp), Some(mvals)) => (postings_semijoin(pp, mvals), 0),
+                _ => (filter_rows(parent_table, rows, parent_col, &membership), rows.len() as u64),
+            },
+            // Deferred selection: with postings for both the constrained
+            // column and the join column, each filter becomes a postings
+            // semi-join and the row set is their intersection — again no
+            // row reads. Otherwise one fused pass over the selection.
+            LiveSet::Deferred { sel, col, vals } => {
+                match (parent_postings(*col), parent_postings(parent_col), membership.as_sorted()) {
+                    (Some(dp), Some(pp), Some(mvals)) => (
+                        intersect_rows(&postings_semijoin(dp, vals), &postings_semijoin(pp, mvals)),
+                        0,
+                    ),
+                    _ => (
+                        sel.iter()
+                            .copied()
+                            .filter(|&rid| {
+                                let row = parent_table.row(rid);
+                                row[*col].as_int().is_some_and(|v| vals.binary_search(&v).is_ok())
+                                    && row[parent_col]
+                                        .as_int()
+                                        .is_some_and(|v| membership.contains(v))
+                            })
+                            .collect(),
+                        sel.len() as u64,
+                    ),
+                }
+            }
+        };
+        // Every parent row was read to test its join value, so all of
+        // them count — not just the survivors.
+        self.stats.rows_examined += rows_read;
+        if filtered.is_empty() {
+            if let Some(h) = harvester {
+                h.mark_dead(into);
+            }
+            return false;
+        }
+        live[into] = LiveSet::Rows(filtered);
+        true
+    }
+
+    /// Top-down enumeration from node 0 over fully reduced live sets (see
+    /// [`Executor::reduce`]'s `full`), with no per-probe grouping.
     ///
     /// Nodes are assigned in pre-order (parent before child), so the only
-    /// constraint on a node — the equi-join with its already-assigned parent —
-    /// can be satisfied from a per-node `join value → live rows` map, and
-    /// plain backtracking enumerates exactly the join results.
-    fn enumerate(&mut self, plan: &JoinTreePlan, live: Vec<LiveSet>, limit: usize) -> Vec<MatchTuple> {
-        let n = plan.node_count();
-        let mut live: Vec<Option<LiveSet>> = live.into_iter().map(Some).collect();
-        let root_set = live[0].take().expect("root live set present");
-        let root_rows = self.materialize_rows(plan, 0, root_set);
-
-        // Pre-order = reversed post-order; each entry groups the node's live
-        // rows by its own join column. A still-shared selection whose plan
-        // node carries postings for that column reuses them directly.
-        let mut post = plan.post_order(0);
-        post.reverse();
+    /// constraint on a node is the equi-join with its already-assigned
+    /// parent. Its candidates for the parent's value are the table's index
+    /// posting for that value on the node's join column, kept where the
+    /// node's live set admits them. Postings are ascending, exactly like
+    /// the live rows, so the tuples come out in the same order a per-node
+    /// `value → live rows` map would give — the fallback kept only for a
+    /// join column without an index. Every visited row extends to a full
+    /// tuple, so a `limit` of `k` stops after `k` extensions.
+    fn enumerate(
+        &mut self,
+        plan: &JoinTreePlan,
+        live: &[LiveSet],
+        limit: usize,
+    ) -> Vec<MatchTuple> {
+        let mut pre = plan.post_order(0);
+        pre.reverse();
         let mut steps: Vec<EnumStep> = Vec::new();
-        for &(node, parent_edge, parent) in &post {
+        for &(node, parent_edge, parent) in &pre {
             if parent == usize::MAX {
                 continue;
             }
             let edge = plan.edges()[parent_edge];
-            let (child_col, parent_col) = if edge.a == node {
-                (edge.a_col, edge.b_col)
-            } else {
-                (edge.b_col, edge.a_col)
-            };
-            let set = live[node].take().expect("every node appears once in post-order");
-            let grouped = match &set {
-                LiveSet::Shared(_) => plan.nodes()[node]
-                    .col_postings
-                    .iter()
-                    .find(|(c, _)| *c == child_col)
-                    .map(|(_, p)| ValueRows::Postings(Arc::clone(p))),
-                // A leaf that was never filtered: the table's column index
-                // (when present) already groups every row by join value.
-                LiveSet::All => {
-                    let tid = plan.nodes()[node].table;
-                    self.db
-                        .table(tid)
-                        .has_index(child_col)
-                        .then_some(ValueRows::Indexed(tid, child_col))
-                }
-                _ => None,
-            };
-            let value_rows = match grouped {
-                Some(vr) => vr,
-                None => {
-                    let rows = self.materialize_rows(plan, node, set);
-                    let table = self.db.table(plan.nodes()[node].table);
-                    let mut map: HashMap<i64, Vec<RowId>> = HashMap::new();
-                    for &rid in &rows {
-                        if let Some(v) = table.row(rid)[child_col].as_int() {
-                            map.entry(v).or_default().push(rid);
-                        }
+            let (child_col, parent_col) =
+                if edge.a == node { (edge.a_col, edge.b_col) } else { (edge.b_col, edge.a_col) };
+            let table = self.db.table(plan.nodes()[node].table);
+            let map = (!table.has_index(child_col)).then(|| {
+                let mut map: HashMap<i64, Vec<RowId>> = HashMap::new();
+                for &rid in self.materialize_rows(plan, node, &live[node]).iter() {
+                    if let Some(v) = table.row(rid)[child_col].as_int() {
+                        map.entry(v).or_default().push(rid);
                     }
-                    ValueRows::Map(map)
                 }
-            };
-            steps.push((node, parent, parent_col, value_rows));
+                map
+            });
+            steps.push(EnumStep { node, parent, parent_col, child_col, map });
         }
 
         let mut results = Vec::new();
-        let mut assignment: Vec<RowId> = vec![0; n];
-        for &root_row in &root_rows {
+        let mut assignment: Vec<RowId> = vec![0; plan.node_count()];
+        for &root_row in self.materialize_rows(plan, 0, &live[0]).iter() {
             assignment[0] = root_row;
-            if !self.backtrack(plan, &steps, 0, &mut assignment, &mut results, limit) {
+            if !self.backtrack(plan, live, &steps, 0, &mut assignment, &mut results, limit) {
                 break;
             }
         }
         results
     }
 
-    /// Turns a reduced live set into a plain row list for enumeration.
-    fn materialize_rows(&mut self, plan: &JoinTreePlan, node: usize, set: LiveSet) -> Vec<RowId> {
+    /// A reduced live set as a plain ascending row list, borrowed when it
+    /// already is one.
+    fn materialize_rows<'s>(
+        &mut self,
+        plan: &JoinTreePlan,
+        node: usize,
+        set: &'s LiveSet,
+    ) -> Cow<'s, [RowId]> {
         match set {
-            LiveSet::Rows(r) => r,
-            LiveSet::Shared(r) => r.as_ref().clone(),
+            LiveSet::Rows(r) => Cow::Borrowed(r),
+            LiveSet::Shared(r) => Cow::Borrowed(r.as_slice()),
             LiveSet::All => {
                 let t = self.db.table(plan.nodes()[node].table);
-                t.iter().map(|(rid, _)| rid).collect()
+                Cow::Owned(t.iter().map(|(rid, _)| rid).collect())
             }
             LiveSet::Deferred { sel, col, vals } => {
-                match plan.nodes()[node].col_postings.iter().find(|(c, _)| *c == col) {
-                    Some((_, p)) => postings_semijoin(p, &vals),
+                Cow::Owned(match plan.nodes()[node].col_postings.iter().find(|(c, _)| c == col) {
+                    Some((_, p)) => postings_semijoin(p, vals),
                     None => {
                         self.stats.rows_examined += sel.len() as u64;
-                        deferred_rows(self.db.table(plan.nodes()[node].table), &sel, col, &vals)
+                        deferred_rows(self.db.table(plan.nodes()[node].table), sel, *col, vals)
                     }
-                }
+                })
             }
         }
     }
 
     /// Assigns `steps[pos..]` in order; returns `false` once `limit` results
     /// have been collected.
+    #[allow(clippy::too_many_arguments)]
     fn backtrack(
         &self,
         plan: &JoinTreePlan,
+        live: &[LiveSet],
         steps: &[EnumStep],
         pos: usize,
         assignment: &mut Vec<RowId>,
@@ -844,14 +922,22 @@ impl<'a> Executor<'a> {
             results.push(assignment.clone());
             return limit == 0 || results.len() < limit;
         }
-        let (node, parent, parent_col, ref value_rows) = steps[pos];
-        let table = self.db.table(plan.nodes()[parent].table);
-        let Some(v) = table.row(assignment[parent])[parent_col].as_int() else {
+        let step = &steps[pos];
+        let parent_table = self.db.table(plan.nodes()[step.parent].table);
+        let Some(v) = parent_table.row(assignment[step.parent])[step.parent_col].as_int() else {
             return true; // null join value: no extension on this branch
         };
-        for &rid in value_rows.rows_for(self.db, v) {
-            assignment[node] = rid;
-            if !self.backtrack(plan, steps, pos + 1, assignment, results, limit) {
+        let table = self.db.table(plan.nodes()[step.node].table);
+        let rows = match &step.map {
+            Some(map) => map.get(&v).map_or(&[][..], Vec::as_slice),
+            None => table.lookup_indexed(step.child_col, v).unwrap_or(&[]),
+        };
+        for &rid in rows {
+            if step.map.is_none() && !live[step.node].admits(table, rid) {
+                continue;
+            }
+            assignment[step.node] = rid;
+            if !self.backtrack(plan, live, steps, pos + 1, assignment, results, limit) {
                 return false;
             }
         }
@@ -1270,6 +1356,38 @@ mod tests {
         .unwrap();
         assert!(ex.exists(&plan).unwrap());
         assert_eq!(ex.stats().rows_examined, 3);
+    }
+
+    #[test]
+    fn free_chain_below_keyword_node_is_not_scanned() {
+        let db = db();
+        let mut ex = Executor::new(&db);
+        let color = db.table_id("color").unwrap();
+        let item = db.table_id("item").unwrap();
+        let tag = db.table_id("tag").unwrap();
+        // color[yellow] ⋈ item ⋈ tag, the free chain hanging below the
+        // keyword node. Rooted at node 0, `tag` would reduce `item` while
+        // both are unfiltered: a full scan of `item`. Rooted at `tag`, the
+        // keyword rows flow down the chain through the FK indexes.
+        let plan = JoinTreePlan::new(
+            vec![
+                PlanNode::new(color, Predicate::any_text_contains("yellow")),
+                PlanNode::free(item),
+                PlanNode::free(tag),
+            ],
+            vec![
+                PlanEdge { a: 1, a_col: 2, b: 0, b_col: 0 },
+                PlanEdge { a: 2, a_col: 1, b: 1, b_col: 0 },
+            ],
+        )
+        .unwrap();
+        assert!(ex.exists(&plan).unwrap());
+        let free_rows = (db.table(item).live_rows() + db.table(tag).live_rows()) as u64;
+        // Only the keyword scan of the 3 colors reads rows.
+        assert_eq!(ex.stats().rows_examined, 3);
+        assert!(ex.stats().rows_examined < free_rows);
+        // Yellow item 2 carries two tags, enumerated in tag row order.
+        assert_eq!(ex.execute(&plan, 0).unwrap(), vec![vec![1, 1, 1], vec![1, 1, 2]]);
     }
 
     #[test]

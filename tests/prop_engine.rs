@@ -3,7 +3,10 @@
 //! The semi-join-reduction executor is checked against a brute-force
 //! nested-loop reference on randomized data: same emptiness verdict, same
 //! result multiset, limits respected; and the keyword predicate is checked
-//! against the obvious lowercase-contains reference.
+//! against the obvious lowercase-contains reference. Random join trees of
+//! 2–5 nodes (module `trees`) also pin the tuple *order*: `execute(plan, k)`
+//! must return the first `k` tuples of the nested-loop enumeration in
+//! node-0 pre-order.
 //!
 //! Cases are drawn from a seeded [`SplitMix64`] stream (the registry-free
 //! stand-in for proptest), so failures replay deterministically.
@@ -256,6 +259,307 @@ mod star {
             want.sort_unstable();
             assert_eq!(&got, &want, "case {case}");
             assert_eq!(exec.exists(&plan).expect("runs"), !want.is_empty(), "case {case}");
+        }
+    }
+}
+
+/// Random join trees of 2–5 nodes over venue ← paper ← writes → person, with
+/// a self-FK on person and one undeclared (so unindexed) join column. Data
+/// carries NULL FKs and tombstoned rows; nodes are free, keyword-filtered,
+/// candidate-backed, selection-backed (with or without postings) and
+/// optionally constrained, so every live-set shape reaches both the
+/// reduction and the enumeration.
+mod trees {
+    use super::*;
+    use relengine::sortedvals::{normalize, ValuePostings};
+    use relengine::{ColId, RowId};
+    use std::sync::Arc;
+
+    const VENUE: usize = 0;
+    const PERSON: usize = 1;
+    const PAPER: usize = 2;
+    const WRITES: usize = 3;
+
+    /// Joinable column pairs `(table, col, table, col)`: the four declared
+    /// foreign keys, then person.fav_venue = venue.id, declared as none, so
+    /// person.fav_venue carries no index.
+    const LINKS: [(usize, ColId, usize, ColId); 5] = [
+        (PERSON, 2, PERSON, 0),
+        (PAPER, 2, VENUE, 0),
+        (WRITES, 0, PERSON, 0),
+        (WRITES, 1, PAPER, 0),
+        (PERSON, 3, VENUE, 0),
+    ];
+
+    fn key(rng: &mut SplitMix64) -> Value {
+        Value::Int(rng.gen_range(0i64..4))
+    }
+
+    /// A foreign-key value: NULL one time in four.
+    fn fk(rng: &mut SplitMix64) -> Value {
+        if rng.gen_ratio(1, 4) {
+            Value::Null
+        } else {
+            key(rng)
+        }
+    }
+
+    fn random_db(rng: &mut SplitMix64) -> Database {
+        let mut b = DatabaseBuilder::new();
+        b.table("venue").column("id", DataType::Int).column("name", DataType::Text);
+        b.table("person")
+            .column("id", DataType::Int)
+            .column("name", DataType::Text)
+            .column("mentor_id", DataType::Int)
+            .column("fav_venue", DataType::Int);
+        b.table("paper")
+            .column("id", DataType::Int)
+            .column("title", DataType::Text)
+            .column("venue_id", DataType::Int);
+        b.table("writes")
+            .column("person_id", DataType::Int)
+            .column("paper_id", DataType::Int)
+            .column("role", DataType::Text);
+        b.foreign_key("person", "mentor_id", "person", "id").expect("static");
+        b.foreign_key("paper", "venue_id", "venue", "id").expect("static");
+        b.foreign_key("writes", "person_id", "person", "id").expect("static");
+        b.foreign_key("writes", "paper_id", "paper", "id").expect("static");
+        let mut db = b.finish().expect("static");
+        for _ in 0..rng.gen_range(1..5usize) {
+            let row = vec![key(rng), Value::text(word(rng))];
+            db.insert_values("venue", row).expect("typed row");
+        }
+        for _ in 0..rng.gen_range(2..8usize) {
+            let row = vec![key(rng), Value::text(word(rng)), fk(rng), fk(rng)];
+            db.insert_values("person", row).expect("typed row");
+        }
+        for _ in 0..rng.gen_range(2..8usize) {
+            let row = vec![key(rng), Value::text(word(rng)), fk(rng)];
+            db.insert_values("paper", row).expect("typed row");
+        }
+        for _ in 0..rng.gen_range(2..12usize) {
+            let row = vec![fk(rng), fk(rng), Value::text(word(rng))];
+            db.insert_values("writes", row).expect("typed row");
+        }
+        db.finalize();
+        // Tombstone about one row in six, after the indexes exist.
+        for t in 0..4 {
+            for rid in 0..db.table(t).len() as RowId {
+                if rng.gen_ratio(1, 6) {
+                    db.delete_row(t, rid).expect("live row");
+                }
+            }
+        }
+        db
+    }
+
+    /// Live rows of `table` some text column of which contains `kw`.
+    fn matching(db: &Database, table: usize, kw: &str) -> Vec<RowId> {
+        db.table(table)
+            .iter()
+            .filter(|(_, row)| row.iter().any(|v| v.contains_ci(kw)))
+            .map(|(rid, _)| rid)
+            .collect()
+    }
+
+    /// A random node over `table` and the rows it admits (ascending).
+    fn random_node(
+        rng: &mut SplitMix64,
+        db: &Database,
+        table: usize,
+        join_cols: &[ColId],
+    ) -> (PlanNode, Vec<RowId>) {
+        let t = db.table(table);
+        // Short needles, so that keyword nodes keep some rows.
+        let kw: String =
+            (0..rng.gen_range(0..=2usize)).map(|_| (b'a' + rng.below(4) as u8) as char).collect();
+        let pred = Predicate::any_text_contains(kw.clone());
+        let (mut node, mut admit) = match rng.below(6) {
+            0..=2 => (PlanNode::free(table), t.iter().map(|(rid, _)| rid).collect()),
+            3 => (PlanNode::new(table, pred), matching(db, table, &kw)),
+            4 => {
+                let cands: Vec<RowId> =
+                    t.iter().map(|(rid, _)| rid).filter(|_| rng.gen_ratio(2, 3)).collect();
+                let admit =
+                    matching(db, table, &kw).into_iter().filter(|r| cands.contains(r)).collect();
+                (PlanNode::new(table, pred).with_candidates(cands), admit)
+            }
+            _ => {
+                let sel = matching(db, table, &kw);
+                let mut node = PlanNode::new(table, pred).with_selection(Arc::new(sel.clone()));
+                for &c in join_cols {
+                    if rng.gen_ratio(1, 2) {
+                        let pairs = sel
+                            .iter()
+                            .filter_map(|&r| t.row(r)[c].as_int().map(|v| (v, r)))
+                            .collect();
+                        node = node.with_col_postings(c, Arc::new(ValuePostings::build(pairs)));
+                    }
+                }
+                (node, sel)
+            }
+        };
+        if rng.gen_ratio(1, 4) {
+            let col = join_cols[rng.gen_range(0..join_cols.len())];
+            let vals =
+                normalize((0..rng.gen_range(0..4usize)).map(|_| rng.gen_range(0i64..4)).collect());
+            admit.retain(|&r| t.row(r)[col].as_int().is_some_and(|v| vals.contains(&v)));
+            node = node.with_constraint(col, Arc::new(vals));
+        }
+        (node, admit)
+    }
+
+    /// Whether `node` is free: no filter of any kind.
+    fn is_free(node: &PlanNode) -> bool {
+        node.predicate.is_true()
+            && node.candidates.is_none()
+            && node.selection.is_none()
+            && node.constraints.is_empty()
+    }
+
+    /// A random tree of 2–5 nodes whose edges follow [`LINKS`], with each
+    /// node's admitted rows.
+    fn random_tree(rng: &mut SplitMix64, db: &Database) -> (JoinTreePlan, Vec<Vec<RowId>>) {
+        let n = rng.gen_range(2..=5usize);
+        let mut tables = vec![rng.gen_range(0..4usize)];
+        let mut edges = Vec::new();
+        while tables.len() < n {
+            let p = rng.gen_range(0..tables.len());
+            let options: Vec<(ColId, usize, ColId)> = LINKS
+                .iter()
+                .flat_map(|&(ta, ca, tb, cb)| {
+                    let fwd = (ta == tables[p]).then_some((ca, tb, cb));
+                    let back = (tb == tables[p]).then_some((cb, ta, ca));
+                    fwd.into_iter().chain(back)
+                })
+                .collect();
+            let (pcol, table, ccol) = options[rng.gen_range(0..options.len())];
+            let child = tables.len();
+            tables.push(table);
+            edges.push(if rng.gen_ratio(1, 2) {
+                PlanEdge { a: p, a_col: pcol, b: child, b_col: ccol }
+            } else {
+                PlanEdge { a: child, a_col: ccol, b: p, b_col: pcol }
+            });
+        }
+        // Edge order decides the pre-order; shuffle it (Fisher–Yates).
+        for i in (1..edges.len()).rev() {
+            edges.swap(i, rng.gen_range(0..=i));
+        }
+        let mut nodes = Vec::new();
+        let mut admit = Vec::new();
+        for (i, &table) in tables.iter().enumerate() {
+            let join_cols: Vec<ColId> = edges
+                .iter()
+                .flat_map(|e| {
+                    let a = (e.a == i).then_some(e.a_col);
+                    let b = (e.b == i).then_some(e.b_col);
+                    a.into_iter().chain(b)
+                })
+                .collect();
+            let (node, rows) = random_node(rng, db, table, &join_cols);
+            nodes.push(node);
+            admit.push(rows);
+        }
+        (JoinTreePlan::new(nodes, edges).expect("valid tree"), admit)
+    }
+
+    /// A node with its link to the parent, `(parent, parent_col, own_col)`.
+    type Visit = (usize, Option<(usize, ColId, ColId)>);
+
+    /// Node-0 pre-order, neighbours taken in edge order.
+    fn pre_order(plan: &JoinTreePlan) -> Vec<Visit> {
+        fn visit(
+            plan: &JoinTreePlan,
+            node: usize,
+            link: Option<(usize, ColId, ColId)>,
+            out: &mut Vec<Visit>,
+        ) {
+            out.push((node, link));
+            let parent = link.map(|l| l.0);
+            for e in plan.edges() {
+                if e.a == node && Some(e.b) != parent {
+                    visit(plan, e.b, Some((node, e.a_col, e.b_col)), out);
+                } else if e.b == node && Some(e.a) != parent {
+                    visit(plan, e.a, Some((node, e.b_col, e.a_col)), out);
+                }
+            }
+        }
+        let mut out = Vec::new();
+        visit(plan, 0, None, &mut out);
+        out
+    }
+
+    /// Every result tuple, by nested loops over the admitted rows in node-0
+    /// pre-order: lexicographic in that order.
+    fn nested_loops(db: &Database, plan: &JoinTreePlan, admit: &[Vec<RowId>]) -> Vec<Vec<RowId>> {
+        fn extend(
+            db: &Database,
+            plan: &JoinTreePlan,
+            admit: &[Vec<RowId>],
+            order: &[Visit],
+            tuple: &mut Vec<RowId>,
+            out: &mut Vec<Vec<RowId>>,
+        ) {
+            let Some(&(node, link)) = order.first() else {
+                out.push(tuple.clone());
+                return;
+            };
+            let row_of = |n: usize, rid: RowId| db.table(plan.nodes()[n].table).row(rid);
+            for &rid in &admit[node] {
+                if let Some((parent, pcol, col)) = link {
+                    let want = row_of(parent, tuple[parent])[pcol].as_int();
+                    if want.is_none() || row_of(node, rid)[col].as_int() != want {
+                        continue;
+                    }
+                }
+                tuple[node] = rid;
+                extend(db, plan, admit, &order[1..], tuple, out);
+            }
+        }
+        let mut out = Vec::new();
+        let mut tuple = vec![0; plan.node_count()];
+        extend(db, plan, admit, &pre_order(plan), &mut tuple, &mut out);
+        out
+    }
+
+    #[test]
+    fn random_trees_match_nested_loops_in_order() {
+        let mut rng = SplitMix64::seed_from_u64(0xE705);
+        let (mut free_chains, mut null_fks, mut tombstones, mut several) = (0, 0, 0, 0);
+        for case in 0..600 {
+            let db = random_db(&mut rng);
+            let (plan, admit) = random_tree(&mut rng, &db);
+            let want = nested_loops(&db, &plan, &admit);
+            let mut exec = Executor::new(&db);
+            assert_eq!(exec.exists(&plan).expect("runs"), !want.is_empty(), "case {case}");
+            let harvest: Vec<usize> = (1..plan.node_count()).collect();
+            let (harvested_alive, _) = exec.exists_harvesting(&plan, &harvest).expect("runs");
+            assert_eq!(harvested_alive, !want.is_empty(), "case {case}");
+            assert_eq!(exec.execute(&plan, 0).expect("runs"), want, "case {case}");
+            for k in 1..=3 {
+                let got = exec.execute(&plan, k).expect("runs");
+                assert_eq!(got, want[..want.len().min(k)], "case {case}, limit {k}");
+            }
+
+            let nodes = plan.nodes();
+            free_chains += usize::from(
+                plan.edges().iter().any(|e| is_free(&nodes[e.a]) && is_free(&nodes[e.b])),
+            );
+            null_fks += usize::from((0..4).any(|t| {
+                db.table(t).iter().any(|(_, row)| row.iter().any(Value::is_null))
+            }));
+            tombstones += usize::from((0..4).any(|t| db.table(t).live_rows() < db.table(t).len()));
+            several += usize::from(want.len() > 1);
+        }
+        // The generator must keep reaching the shapes this test exists for.
+        for (what, count) in [
+            ("free chains", free_chains),
+            ("NULL FKs", null_fks),
+            ("tombstones", tombstones),
+            ("several result tuples", several),
+        ] {
+            assert!(count >= 60, "only {count} of 600 cases had {what}");
         }
     }
 }

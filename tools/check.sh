@@ -25,6 +25,9 @@ echo "==> parallel scheduler (sequential-equivalence + chaos smoke, single-threa
 cargo test --workspace -q --test parallel_equivalence
 cargo test --workspace -q --test parallel_equivalence --test chaos_soundness -- --test-threads=1
 
+echo "==> engine differential (random join trees vs nested loops: verdicts and tuple order)"
+cargo test --workspace --release -q --test prop_engine
+
 echo "==> prune substrate differential (compact vs naive reference)"
 cargo test --workspace --release -q --test prune_equivalence
 
