@@ -2,20 +2,19 @@
 //!
 //! A debug session asks many structurally overlapping probes: every probe of
 //! an interpretation re-selects the same `(relation, keyword)` tuple sets,
-//! and sibling networks share whole bound subtrees. The session-scoped
-//! `kwdebug::evalcache` amortizes both — keyword selections are filtered
-//! once and shared, and reduced cut value-sets from completed Yannakakis
-//! passes let later probes prune (or dead-shortcut) shared subtrees.
+//! and repeated queries re-ask whole bound networks. The session-scoped
+//! `kwdebug::evalcache` amortizes both — keyword selections (with their
+//! join-column postings) are filtered once and shared, and completed
+//! whole-network verdicts answer repeated probes without the engine.
 //!
 //! Three passes over the same workload measure the cache's life cycle:
 //!
 //! * `off`  — baseline, cache disabled;
 //! * `cold` — cache enabled, empty: pays population on top of probing;
-//! * `warm` — same session again: selections and value-sets all hit.
+//! * `warm` — same session again: selections and verdicts all hit.
 //!
 //! Probe throughput is *verdicts per probing second*:
-//! `(probes_executed + subtree_cache_dead_shortcuts + verdict_cache_hits) /
-//! probe_time`. The numerator is pass-invariant (the equivalence contract —
+//! `(probes_executed + verdict_cache_hits) / probe_time`. The numerator is pass-invariant (the equivalence contract —
 //! see `tests/probe_cache_equivalence.rs`), so the ratio isolates the
 //! probing work the cache removes. Target: warm ≥ 3× cold.
 //!
@@ -87,11 +86,7 @@ fn run_pass(
 fn throughput(rows: &[Row]) -> f64 {
     let verdicts: u64 = rows
         .iter()
-        .map(|r| {
-            r.rec.probes.probes_executed
-                + r.rec.probes.subtree_cache_dead_shortcuts
-                + r.rec.probes.verdict_cache_hits
-        })
+        .map(|r| r.rec.probes.probes_executed + r.rec.probes.verdict_cache_hits)
         .sum();
     let ns: u64 = rows.iter().map(|r| r.rec.probes.probe_time_ns).sum();
     if ns == 0 {
@@ -134,9 +129,9 @@ fn main() {
     let (t_off, t_cold, t_warm) = (throughput(&off), throughput(&cold), throughput(&warm));
     let cache = system.eval_cache();
     println!(
-        "session cache: {} selection entries, {} subtree entries, {} verdicts, {} keywords, {} payload bytes\n",
+        "session cache: {} selection entries, {} postings, {} verdicts, {} keywords, {} payload bytes\n",
         cache.selection_entries(),
-        cache.subtree_entries(),
+        cache.postings_entries(),
         cache.verdict_entries(),
         cache.interned_keywords(),
         cache.bytes()
@@ -148,12 +143,9 @@ fn main() {
         table.push(vec![
             r.query.clone(),
             r.pass.to_string(),
-            (p.probes_executed + p.subtree_cache_dead_shortcuts + p.verdict_cache_hits)
-                .to_string(),
-            p.subtree_cache_dead_shortcuts.to_string(),
+            (p.probes_executed + p.verdict_cache_hits).to_string(),
             p.verdict_cache_hits.to_string(),
             p.selection_cache_hits.to_string(),
-            p.subtree_cache_hits.to_string(),
             p.tuples_scanned.to_string(),
             format!("{:.2}", p.probe_time_ns as f64 / 1e6),
             format!("{:.2}", r.rec.phases.total.as_secs_f64() * 1e3),
@@ -161,8 +153,7 @@ fn main() {
     }
     print_table(
         &[
-            "query", "pass", "verdicts", "dead-sc", "vc-hit", "sel-hit", "sub-hit", "scanned",
-            "probe ms", "wall ms",
+            "query", "pass", "verdicts", "vc-hit", "sel-hit", "scanned", "probe ms", "wall ms",
         ],
         &table,
     );

@@ -29,7 +29,7 @@
 //! and warm for every later tenant: once without a shared cache (each
 //! request pays full probing), once with [`kwserve::ServeConfig::
 //! shared_cache`] enabled (the process-wide store turns co-tenant repeats
-//! into selection hits and dead shortcuts), and once with a deliberately
+//! into selection and verdict hits), and once with a deliberately
 //! tiny byte budget (eviction pressure: the run must keep
 //! `cache_bytes <= budget` while the eviction counter climbs). Rows record
 //! aggregate QPS, server-counted probes per served request, and the
@@ -392,7 +392,7 @@ struct WarmPoint {
 
 /// Blanks the per-interpretation query count and wall clock of rendered
 /// report lines — `(12 SQL queries, 1.3ms)` → `(q SQL queries, t)` — the
-/// same scrub the cache-equivalence suites use: dead shortcuts legitimately
+/// same scrub the cache-equivalence suites use: cached verdicts legitimately
 /// shrink the executed-query count, everything else must match.
 fn scrub(s: &str) -> String {
     s.lines()

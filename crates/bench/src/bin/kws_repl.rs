@@ -291,10 +291,10 @@ fn show_metrics(system: &NonAnswerDebugger, last: &LastRun, args: &ReplArgs, max
 fn show_cache(system: &NonAnswerDebugger, enabled: bool, last: Option<&LastRun>) {
     let cache = system.eval_cache();
     println!(
-        "evaluation cache: {} ({} selection entries, {} subtree value-sets, {} verdicts, {} keywords, {} payload bytes)",
+        "evaluation cache: {} ({} selection entries, {} postings, {} verdicts, {} keywords, {} payload bytes)",
         if enabled { "on" } else { "off" },
         cache.selection_entries(),
-        cache.subtree_entries(),
+        cache.postings_entries(),
         cache.verdict_entries(),
         cache.interned_keywords(),
         cache.bytes()
@@ -302,10 +302,8 @@ fn show_cache(system: &NonAnswerDebugger, enabled: bool, last: Option<&LastRun>)
     if let Some(run) = last {
         let p = run.report.probes();
         println!(
-            "last query: {} selection hits, {} subtree hits, {} dead shortcuts, {} verdict hits, {} bytes added",
+            "last query: {} selection hits, {} verdict hits, {} bytes added",
             p.selection_cache_hits,
-            p.subtree_cache_hits,
-            p.subtree_cache_dead_shortcuts,
             p.verdict_cache_hits,
             p.cache_bytes
         );

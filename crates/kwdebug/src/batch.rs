@@ -1,7 +1,7 @@
 //! Cross-session batched probing: merge concurrent sessions' frontiers into
 //! shared dispatch waves.
 //!
-//! The process-wide [`crate::evalcache::SharedEvalCache`] deduplicates
+//! The process-wide [`crate::evalcache::EvalCache`] deduplicates
 //! overlapping probes *after* the first session has paid for the execution.
 //! This module removes the other half of the redundancy: probes that are
 //! simultaneously **in flight** across sessions. Concurrent sessions on the
@@ -391,7 +391,7 @@ impl BatchTicket {
         let keys: Vec<Vec<u8>> = pending
             .iter()
             .map(|&dense| {
-                core.exchange_key(pruned.jnts(lattice, dense), &mut |kw| self.exchange.intern(kw))
+                core.binding_key(pruned.jnts(lattice, dense), &mut |kw| self.exchange.intern(kw))
             })
             .collect();
         let roles = self.park(&keys);

@@ -12,7 +12,7 @@ use crate::binding::{map_keywords, Interpretation, KeywordQuery};
 use crate::budget::{ProbeBudget, RetryPolicy};
 use crate::error::KwError;
 use crate::estimate::OnlinePa;
-use crate::evalcache::{EvalCache, SharedEvalCache};
+use crate::evalcache::EvalCache;
 use crate::jnts::Jnts;
 use crate::lattice::Lattice;
 use crate::metrics::PhaseTiming;
@@ -69,10 +69,11 @@ pub struct DebugConfig {
     pub workers: usize,
     /// Share the session-scoped [`crate::evalcache::EvalCache`] across every
     /// probe of every debug call (extension; off by default like `memoize`).
-    /// Keyword selections are evaluated once per session and subtree
-    /// semi-join value-sets are reused across probes, queries and parallel
-    /// workers. Reports are bit-identical with the cache on or off (the
-    /// differential suite pins this down); only probe work shrinks. Caveat:
+    /// Keyword selections and their join-column postings are evaluated once
+    /// per session, and completed whole-network verdicts answer repeated
+    /// probes across queries and parallel workers. Reports are bit-identical
+    /// with the cache on or off (the differential suite pins this down); only
+    /// probe work shrinks. Caveat:
     /// with a *limited* [`DebugConfig::budget`] the cache can change which
     /// probe trips the cap, so partial reports may differ.
     pub eval_cache: bool,
@@ -136,10 +137,10 @@ impl DebugConfig {
 ///
 /// Two pieces of *cross-session learning* ride along (DESIGN.md §12):
 ///
-/// * an optional [`SharedEvalCache`] — attach one with
+/// * an optional shared [`EvalCache`] — attach one with
 ///   [`SharedParts::share_eval_cache`] and every session built from this
-///   handle via [`NonAnswerDebugger::from_shared`] reuses one keyword-
-///   selection/subtree store instead of a private one;
+///   handle via [`NonAnswerDebugger::from_shared`] reuses one selection and
+///   verdict store instead of a private one;
 /// * the [`OnlinePa`] estimator, always present — sessions with
 ///   [`DebugConfig::online_pa`] feed it and read it, so observed verdicts
 ///   sharpen SBH priors across the whole process.
@@ -151,7 +152,7 @@ pub struct SharedParts {
     lattice: Arc<Lattice>,
     /// The process-wide evaluation cache sessions attach to, when sharing is
     /// enabled (`None` = each session gets a private cache).
-    shared_cache: Option<SharedEvalCache>,
+    shared_cache: Option<Arc<EvalCache>>,
     /// Cross-session online `p_a` estimator (inert until a session enables
     /// [`DebugConfig::online_pa`]).
     pa_stats: Arc<OnlinePa>,
@@ -201,7 +202,7 @@ impl SharedParts {
 
     /// The process-wide evaluation cache sessions of this handle attach to,
     /// if sharing is enabled.
-    pub fn shared_cache(&self) -> Option<&SharedEvalCache> {
+    pub fn shared_cache(&self) -> Option<&Arc<EvalCache>> {
         self.shared_cache.as_ref()
     }
 
@@ -211,28 +212,29 @@ impl SharedParts {
         &self.pa_stats
     }
 
-    /// Creates a process-wide [`SharedEvalCache`] stamped with this
+    /// Creates a process-wide [`EvalCache`] stamped with this
     /// substrate's `(db_id, epoch)` identity, bounded by `budget_bytes`
     /// payload bytes (`None` = unbounded), and attaches it: every session
     /// subsequently built from this handle (or its clones) shares the one
     /// store. Returns the cache for metrics/monitoring. Replaces any
     /// previously attached store.
-    pub fn share_eval_cache(&mut self, budget_bytes: Option<u64>) -> SharedEvalCache {
-        let cache = SharedEvalCache::new(self.db.db_id(), self.db.epoch(), budget_bytes);
-        self.shared_cache = Some(cache.clone());
+    pub fn share_eval_cache(&mut self, budget_bytes: Option<u64>) -> Arc<EvalCache> {
+        let cache =
+            Arc::new(EvalCache::with_identity(self.db.db_id(), self.db.epoch(), budget_bytes));
+        self.shared_cache = Some(Arc::clone(&cache));
         cache
     }
 
-    /// Attaches an existing [`SharedEvalCache`] — e.g. one created by another
+    /// Attaches an existing shared [`EvalCache`] — e.g. one created by another
     /// `SharedParts` clone of the same substrate. Rejected with
     /// [`KwError::BadConfig`] when the cache was stamped for a different
     /// database (`db_id` mismatch — entries from another build must never
     /// serve this one) or when the cache's epoch is *ahead* of this
     /// snapshot (its entries absorbed writes this snapshot has not seen).
     /// A cache *behind* this snapshot is caught up through
-    /// [`SharedEvalCache::invalidate`] on attach — the CACHING.md epoch
+    /// [`EvalCache::invalidate`] on attach — the CACHING.md epoch
     /// contract.
-    pub fn adopt_eval_cache(&mut self, cache: SharedEvalCache) -> Result<(), KwError> {
+    pub fn adopt_eval_cache(&mut self, cache: Arc<EvalCache>) -> Result<(), KwError> {
         if cache.db_id() != self.db.db_id() {
             return Err(KwError::BadConfig(format!(
                 "shared cache was stamped for database #{}, substrate is database #{}",
@@ -267,7 +269,7 @@ impl SharedParts {
         index: Arc<InvertedIndex>,
         graph: Arc<SchemaGraph>,
         lattice: Arc<Lattice>,
-        shared_cache: Option<SharedEvalCache>,
+        shared_cache: Option<Arc<EvalCache>>,
         pa_stats: Arc<OnlinePa>,
     ) -> SharedParts {
         SharedParts { db, index, graph, lattice, shared_cache, pa_stats }
@@ -313,18 +315,19 @@ pub struct NonAnswerDebugger {
     /// The evaluation cache probes consult when [`DebugConfig::eval_cache`]
     /// is on: session-private by default (stamped with this snapshot's
     /// `(db_id, epoch)` identity — the snapshot never changes under a
-    /// debugger, so lifetime *is* invalidation), or a handle onto the
-    /// process-wide [`SharedEvalCache`] when this session was built from
-    /// [`SharedParts`] with one attached (there, writes on the owning
-    /// [`crate::mutable::MutableDatabase`] invalidate selectively).
+    /// debugger, so lifetime *is* invalidation), or the process-wide store
+    /// when this session was built from [`SharedParts`] with one attached
+    /// (there, writes on the owning [`crate::mutable::MutableDatabase`]
+    /// invalidate selectively).
     cache: Arc<EvalCache>,
+    /// Whether `cache` is the process-wide store of the [`SharedParts`] this
+    /// session was built from (re-exported by
+    /// [`NonAnswerDebugger::shared_parts`] so sibling sessions keep sharing).
+    shared: bool,
     /// Online `p_a` estimator fed by executed probes when
     /// [`DebugConfig::online_pa`] is on — shared with sibling sessions when
     /// built [`NonAnswerDebugger::from_shared`].
     pa_stats: Arc<OnlinePa>,
-    /// The shared store this session attached to, if any (re-exported by
-    /// [`NonAnswerDebugger::shared_parts`] so sibling sessions keep sharing).
-    shared_cache: Option<SharedEvalCache>,
     /// This session's registration on the cross-session wave exchange, if
     /// one was attached ([`NonAnswerDebugger::set_wave_exchange`]). Held for
     /// the debugger's lifetime so concurrent peers see the session as a
@@ -351,8 +354,8 @@ impl NonAnswerDebugger {
             config,
             workspaces: WorkspacePool::new(),
             cache: Arc::new(cache),
+            shared: false,
             pa_stats: Arc::new(OnlinePa::new()),
-            shared_cache: None,
             ticket: None,
         })
     }
@@ -366,7 +369,7 @@ impl NonAnswerDebugger {
             index: Arc::clone(&self.index),
             graph: Arc::clone(&self.graph),
             lattice: Arc::clone(&self.lattice),
-            shared_cache: self.shared_cache.clone(),
+            shared_cache: self.shared.then(|| Arc::clone(&self.cache)),
             pa_stats: Arc::clone(&self.pa_stats),
         }
     }
@@ -379,7 +382,7 @@ impl NonAnswerDebugger {
     /// is what makes per-connection sessions viable in the serving layer.
     /// `config.max_joins` must match the lattice.
     ///
-    /// When `parts` carries a [`SharedEvalCache`]
+    /// When `parts` carries a shared [`EvalCache`]
     /// ([`SharedParts::share_eval_cache`]) the session attaches to that
     /// process-wide store instead of a private [`EvalCache`]; the online
     /// `p_a` estimator is always the substrate's shared one.
@@ -392,12 +395,10 @@ impl NonAnswerDebugger {
                 config.max_joins
             )));
         }
-        let cache = match &parts.shared_cache {
-            Some(shared) => shared.handle(),
-            None => {
-                Arc::new(EvalCache::with_identity(parts.db.db_id(), parts.db.epoch(), None))
-            }
-        };
+        let shared = parts.shared_cache.is_some();
+        let cache = parts.shared_cache.unwrap_or_else(|| {
+            Arc::new(EvalCache::with_identity(parts.db.db_id(), parts.db.epoch(), None))
+        });
         Ok(NonAnswerDebugger {
             db: parts.db,
             index: parts.index,
@@ -406,8 +407,8 @@ impl NonAnswerDebugger {
             config,
             workspaces: WorkspacePool::new(),
             cache,
+            shared,
             pa_stats: parts.pa_stats,
-            shared_cache: parts.shared_cache,
             ticket: None,
         })
     }
@@ -461,8 +462,8 @@ impl NonAnswerDebugger {
             config,
             workspaces: WorkspacePool::new(),
             cache: Arc::new(cache),
+            shared: false,
             pa_stats: Arc::new(OnlinePa::new()),
-            shared_cache: None,
             ticket: None,
         })
     }
@@ -551,18 +552,18 @@ impl NonAnswerDebugger {
         &self.cache
     }
 
-    /// Drops every cached selection and subtree value-set, returning the
+    /// Drops every cached selection, postings list and verdict, returning the
     /// session to a cold cache. Entries are otherwise valid for the
     /// debugger's whole lifetime (the database is immutable), so this exists
     /// for memory pressure in long sessions and for benchmarking cold-start
-    /// behaviour repeatably. A session attached to a [`SharedEvalCache`]
+    /// behaviour repeatably. A session attached to a shared store
     /// *detaches* onto a private cold cache instead (the shared store belongs
     /// to every session; one session must not be able to dump it) — not
     /// reachable over the serving wire.
     pub fn reset_eval_cache(&mut self) {
         self.cache =
             Arc::new(EvalCache::with_identity(self.db.db_id(), self.db.epoch(), None));
-        self.shared_cache = None;
+        self.shared = false;
     }
 
     /// Process-unique id of the database build this debugger reads (stamped
@@ -586,8 +587,8 @@ impl NonAnswerDebugger {
 
     /// The process-wide store this session attached to, if it was built over
     /// [`SharedParts`] carrying one.
-    pub fn shared_cache(&self) -> Option<&SharedEvalCache> {
-        self.shared_cache.as_ref()
+    pub fn shared_cache(&self) -> Option<&Arc<EvalCache>> {
+        self.shared.then_some(&self.cache)
     }
 
     /// Debugs a keyword query end to end (Phases 1–3).

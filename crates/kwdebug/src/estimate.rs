@@ -121,7 +121,7 @@ const PA_LEVELS: usize = 16;
 ///
 /// Lock-free: two `AtomicU64` counters per network level (level = node
 /// count), updated by [`OnlinePa::record`] from every *executed* probe —
-/// memo hits, R1/R2 inferences and dead shortcuts are derived facts, not
+/// memo hits, R1/R2 inferences and cached verdicts are derived facts, not
 /// fresh observations, so they don't count. The per-level rate is
 /// Laplace-smoothed, `(alive + 1) / (total + 2)`: with no observations it is
 /// exactly `0.5`, the paper's fixed prior, so an unwarmed estimator is

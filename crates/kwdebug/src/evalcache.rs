@@ -1,5 +1,5 @@
-//! Cross-probe evaluation cache: session-scoped by default, optionally
-//! promoted to a process-wide [`SharedEvalCache`].
+//! Cross-probe evaluation cache: one [`EvalCache`] behind an `Arc`, held by
+//! a single session or shared by every session of a process.
 //!
 //! Every aliveness probe of a debug session runs against one epoch-stamped
 //! snapshot of the database, and the probed networks are subtrees of the same
@@ -7,23 +7,21 @@
 //! This module caches that work at three levels, below the node-id
 //! memo/R1/R2 reuse:
 //!
-//! * **Selection cache** — `(table, keyword)` → the sorted row ids satisfying
-//!   the keyword's containment predicate. Computed once per epoch; every
-//!   later probe attaches the shared selection to its plan node and the
-//!   executor skips predicate evaluation for that node entirely.
-//! * **Subtree semi-join cache** — canonical *binding* label of a cut subtree
-//!   (vertices labeled `table + bound keyword`, so copy numbers don't split
-//!   entries) plus the subtree's outgoing join column → the sorted set of
-//!   join values surviving that subtree's Yannakakis reduction. A parent
-//!   probe semi-joins against the cached value-set instead of re-reducing the
-//!   subtree; an *empty* cached set proves any network joining through that
-//!   cut dead without touching the engine at all.
-//! * **Verdict cache** — canonical binding key of a *whole* network
-//!   ([`network_key`]) → its completed semi-join verdict. The memo answers
-//!   repeats by lattice node id within one traversal; this layer answers
-//!   them structurally, across traversals and (shared) across sessions: a
-//!   probe whose exact bound network was ever fully reduced is answered —
-//!   alive or dead — without touching the engine
+//! * **Selection cache** (layer 1) — `(table, keyword)` → the sorted row ids
+//!   satisfying the keyword's containment predicate. Computed once per
+//!   epoch; every later probe attaches the shared selection to its plan node
+//!   and the executor skips predicate evaluation for that node entirely.
+//! * **Selection postings** (layer 1.5) — `(selection, join column)` → the
+//!   selection's rows grouped by their value in that column, attached to
+//!   plans as `PlanNode::col_postings` so the executor answers a
+//!   selection's semi-joins without re-reading rows.
+//! * **Verdict cache** (layer 3) — canonical binding key of a *whole*
+//!   network ([`network_key`]; vertices labeled `table + bound keyword`, so
+//!   copy numbers don't split entries) → its completed semi-join verdict.
+//!   The memo answers repeats by lattice node id within one traversal; this
+//!   layer answers them structurally, across traversals and (shared) across
+//!   sessions: a probe whose exact bound network was ever fully reduced is
+//!   answered — alive or dead — without touching the engine
 //!   (`verdict_cache_hits`).
 //!
 //! All maps are lock-striped like `parallel::ShardedMemo` so the parallel
@@ -52,8 +50,8 @@
 //!    intervening [`relengine::EpochDelta`]s can have changed: selections
 //!    whose keyword occurs (as a case-insensitive substring, matching the
 //!    predicate) in any touched text value of their table; postings whose
-//!    selection is dirty or whose column was written; subtree value-sets and
-//!    verdicts whose `tables_mask` intersects a written table (re-validation
+//!    selection is dirty or whose column was written; verdicts whose
+//!    `tables_mask` intersects a written table (re-validation
 //!    by recomputation — a dead network can come alive after an append, so a
 //!    cached verdict over a written table proves nothing). Surviving entries
 //!    keep their stamps and stay valid for both old-pin and new-pin readers.
@@ -65,9 +63,10 @@
 //!
 //! Under the serving layer most redundant probe work is *across* sessions —
 //! tenants hitting overlapping keywords recompute each other's selections
-//! and subtree reductions. [`SharedEvalCache`] promotes one `EvalCache` to a
-//! process-wide store handed to every session through
-//! [`crate::debugger::SharedParts`], bounded by a **byte-budget LRU** so one
+//! and re-ask each other's networks. The `Arc<EvalCache>` a session would
+//! hold privately becomes a process-wide store when
+//! [`crate::debugger::SharedParts::share_eval_cache`] hands it to every
+//! session, bounded by a **byte-budget LRU** so one
 //! tenant's working set cannot blow out process memory for all. Every lookup
 //! stamps the entry with a logical clock; when an insert pushes
 //! [`EvalCache::bytes`] past the budget, least-recently-used entries are
@@ -143,21 +142,20 @@ fn shard_of<K: Hash>(key: &K) -> usize {
 enum Victim {
     Selection(SelectionKey),
     Postings((SelectionKey, ColId)),
-    Subtree(Vec<u8>),
     Verdict(Vec<u8>),
 }
 
 /// The cross-probe evaluation cache shared by all probes (and all parallel
-/// workers) of one debug session — or, wrapped in a [`SharedEvalCache`], by
-/// every session of a serving process. See the module docs for the layers,
-/// the epoch contract and the LRU byte budget.
+/// workers) of one debug session — or, handed out through
+/// [`crate::debugger::SharedParts`], by every session of a serving process.
+/// See the module docs for the layers, the epoch contract and the LRU byte
+/// budget.
 pub struct EvalCache {
     selections: Striped<SelectionKey, Vec<RowId>>,
     /// Per-column value→rows postings of a cached selection — the derived
     /// sets probes attach as `PlanNode::col_postings`, extracted once per
     /// (selection, column) per epoch.
     sel_postings: Striped<(SelectionKey, ColId), ValuePostings>,
-    subtrees: Striped<Vec<u8>, Vec<i64>>,
     /// Completed whole-network verdicts by canonical binding key (see
     /// [`network_key`]); `true` = alive.
     verdicts: Striped<Vec<u8>, bool>,
@@ -172,8 +170,7 @@ pub struct EvalCache {
     /// insert pushes `bytes` past it, least-recently-stamped entries are
     /// evicted until the store fits.
     budget: Option<u64>,
-    /// [`Database::db_id`] this cache was built for (0 = session-private
-    /// caches built before the substrate existed; real builds always stamp).
+    /// [`Database::db_id`] this cache was built for.
     db_id: u64,
     /// Database epoch the resident entries are valid at. Advanced by
     /// [`EvalCache::invalidate`] *before* the eviction scan, so stale-pinned
@@ -191,20 +188,12 @@ pub struct EvalCache {
 }
 
 impl EvalCache {
-    /// Creates an empty, unbounded cache with the null identity
-    /// `(db_id 0, epoch 0)` — fine for session-private use against an
-    /// unwritten database.
-    pub fn new() -> EvalCache {
-        EvalCache::with_identity(0, 0, None)
-    }
-
     /// Creates an empty cache for database `db_id` at write epoch `epoch`,
     /// bounded by `budget` payload bytes (`None` = unbounded).
     pub fn with_identity(db_id: u64, epoch: u64, budget: Option<u64>) -> EvalCache {
         EvalCache {
             selections: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             sel_postings: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            subtrees: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             verdicts: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             interner: Mutex::new(HashMap::new()),
             bytes: AtomicU64::new(0),
@@ -376,54 +365,6 @@ impl EvalCache {
         (arc, bytes)
     }
 
-    /// Looks up a cached subtree value-set by its binding key as seen from
-    /// epoch `pin`, stamping it most-recently-used.
-    pub fn subtree(&self, pin: u64, key: &[u8]) -> Option<Arc<Vec<i64>>> {
-        let mut shard = self.subtrees[shard_of(&key)].lock().expect("subtree shard poisoned");
-        match shard.get_mut(key) {
-            Some(entry) if Self::visible(entry.epoch, pin) => {
-                entry.stamp = self.tick();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&entry.value))
-            }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Inserts a subtree value-set computed at epoch `pin` over the tables in
-    /// `tables_mask`, keeping the existing entry on a race and dropping
-    /// fenced-out writes. Returns the bytes newly added to the cache (0 when
-    /// it lost the race or was fenced).
-    pub fn insert_subtree(
-        &self,
-        pin: u64,
-        key: Vec<u8>,
-        tables_mask: u64,
-        values: Vec<i64>,
-    ) -> u64 {
-        let stamp = self.tick();
-        let shard = shard_of(&key.as_slice());
-        let mut map = self.subtrees[shard].lock().expect("subtree shard poisoned");
-        if !self.admissible(pin) {
-            return 0;
-        }
-        if map.contains_key(key.as_slice()) {
-            return 0;
-        }
-        let bytes = (key.len() + std::mem::size_of_val(values.as_slice())) as u64;
-        map.insert(
-            key,
-            Entry { value: Arc::new(values), bytes, stamp, epoch: pin, mask: tables_mask },
-        );
-        drop(map);
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.maybe_evict();
-        bytes
-    }
-
     /// Looks up a completed whole-network verdict by canonical binding key as
     /// seen from epoch `pin`, stamping it most-recently-used.
     pub fn verdict(&self, pin: u64, key: &[u8]) -> Option<bool> {
@@ -497,8 +438,7 @@ impl EvalCache {
 
         // Per-table dirt gathered from the deltas: the changed text values
         // (ASCII-lowercased, matching the containment predicate), the set of
-        // written columns, and the union bitmask for subtree/verdict
-        // reachability.
+        // written columns, and the union bitmask for verdict reachability.
         let mut dirty_text: HashMap<TableId, Vec<String>> = HashMap::new();
         let mut dirty_cols: HashMap<TableId, HashSet<ColId>> = HashMap::new();
         let mut dirty_mask = 0u64;
@@ -602,17 +542,6 @@ impl EvalCache {
                 !dirty
             });
         }
-        for shard in &self.subtrees {
-            let mut map = shard.lock().expect("subtree shard poisoned");
-            map.retain(|_, e| {
-                let dirty = e.mask & dirty_mask != 0;
-                if dirty {
-                    freed += e.bytes;
-                    removed += 1;
-                }
-                !dirty
-            });
-        }
         for shard in &self.verdicts {
             let mut map = shard.lock().expect("verdict shard poisoned");
             map.retain(|_, e| {
@@ -645,11 +574,6 @@ impl EvalCache {
         }
         for shard in &self.sel_postings {
             let mut map = shard.lock().expect("selection-postings shard poisoned");
-            drain(&mut freed, &mut removed, map.values().map(|e| e.bytes).sum(), map.len());
-            map.clear();
-        }
-        for shard in &self.subtrees {
-            let mut map = shard.lock().expect("subtree shard poisoned");
             drain(&mut freed, &mut removed, map.values().map(|e| e.bytes).sum(), map.len());
             map.clear();
         }
@@ -694,13 +618,6 @@ impl EvalCache {
                     }
                 }
             }
-            for shard in &self.subtrees {
-                for (k, e) in shard.lock().expect("subtree shard poisoned").iter() {
-                    if better(&best, e.stamp) {
-                        best = Some((e.stamp, Victim::Subtree(k.clone())));
-                    }
-                }
-            }
             for shard in &self.verdicts {
                 for (k, e) in shard.lock().expect("verdict shard poisoned").iter() {
                     if better(&best, e.stamp) {
@@ -720,11 +637,6 @@ impl EvalCache {
                     .expect("selection-postings shard poisoned")
                     .remove(&k)
                     .map(|e| e.bytes),
-                Victim::Subtree(k) => self.subtrees[shard_of(&k.as_slice())]
-                    .lock()
-                    .expect("subtree shard poisoned")
-                    .remove(k.as_slice())
-                    .map(|e| e.bytes),
                 Victim::Verdict(k) => self.verdicts[shard_of(&k.as_slice())]
                     .lock()
                     .expect("verdict shard poisoned")
@@ -739,7 +651,7 @@ impl EvalCache {
     }
 
     /// Total payload bytes currently resident (selections + postings +
-    /// subtree sets + verdicts). Decremented on eviction and invalidation;
+    /// verdicts). Decremented on eviction and invalidation;
     /// always equals [`EvalCache::accounted_bytes`].
     pub fn bytes(&self) -> u64 {
         self.bytes.load(Ordering::Relaxed)
@@ -767,13 +679,6 @@ impl EvalCache {
                     .sum::<u64>()
             })
             .sum();
-        let sub: u64 = self
-            .subtrees
-            .iter()
-            .map(|s| {
-                s.lock().expect("subtree shard poisoned").values().map(|e| e.bytes).sum::<u64>()
-            })
-            .sum();
         let ver: u64 = self
             .verdicts
             .iter()
@@ -781,7 +686,7 @@ impl EvalCache {
                 s.lock().expect("verdict shard poisoned").values().map(|e| e.bytes).sum::<u64>()
             })
             .sum();
-        sel + post + sub + ver
+        sel + post + ver
     }
 
     /// The byte budget, if this cache is bounded.
@@ -799,12 +704,12 @@ impl EvalCache {
         self.epoch.load(Ordering::SeqCst)
     }
 
-    /// Lookups answered from the cache (all three layers).
+    /// Lookups answered from the cache (every layer).
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that found nothing (all three layers).
+    /// Lookups that found nothing (every layer).
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -832,11 +737,6 @@ impl EvalCache {
             .sum()
     }
 
-    /// Number of cached subtree value-sets.
-    pub fn subtree_entries(&self) -> usize {
-        self.subtrees.iter().map(|s| s.lock().expect("subtree shard poisoned").len()).sum()
-    }
-
     /// Number of cached whole-network verdicts.
     pub fn verdict_entries(&self) -> usize {
         self.verdicts.iter().map(|s| s.lock().expect("verdict shard poisoned").len()).sum()
@@ -848,218 +748,16 @@ impl EvalCache {
     }
 }
 
-impl Default for EvalCache {
-    fn default() -> Self {
-        EvalCache::new()
-    }
-}
-
-/// A process-wide evaluation cache handle, shared by every session of a
-/// serving process (DESIGN.md §12–§13, CACHING.md).
-///
-/// Wraps one [`EvalCache`] keyed by **database identity** `(db_id, epoch)`
-/// and bounded by a **byte-budget LRU**: sessions built over the same
-/// [`crate::debugger::SharedParts`] reuse each other's keyword selections and
-/// subtree semi-join value-sets, so a keyword one tenant warmed is free for
-/// the next. Cloning shares the store (reference-count bump). Attach with
-/// [`crate::debugger::SharedParts::share_eval_cache`] (which stamps the
-/// matching identity) or [`crate::debugger::SharedParts::adopt_eval_cache`]
-/// (which validates it); the serving layer's `ServeConfig::shared_cache` knob
-/// does this per server. After writes, [`SharedEvalCache::invalidate`]
-/// advances the store to the database's new epoch in place — sessions pinned
-/// at older epochs keep reading their entries through the epoch fence.
-#[derive(Clone)]
-pub struct SharedEvalCache {
-    inner: Arc<EvalCache>,
-}
-
-impl SharedEvalCache {
-    /// Creates a process-wide store for database `db_id` at write epoch
-    /// `epoch`, bounded by `budget_bytes` (`None` = unbounded).
-    pub fn new(db_id: u64, epoch: u64, budget_bytes: Option<u64>) -> SharedEvalCache {
-        SharedEvalCache { inner: Arc::new(EvalCache::with_identity(db_id, epoch, budget_bytes)) }
-    }
-
-    /// The shared store, in the form sessions attach to their oracles.
-    pub fn handle(&self) -> Arc<EvalCache> {
-        Arc::clone(&self.inner)
-    }
-
-    /// [`Database::db_id`] the store was built for.
-    pub fn db_id(&self) -> u64 {
-        self.inner.db_id()
-    }
-
-    /// Database epoch the store currently serves.
-    pub fn epoch(&self) -> u64 {
-        self.inner.epoch()
-    }
-
-    /// Advances the store to `db`'s current epoch, selectively evicting
-    /// entries the intervening write deltas dirtied. Returns the number of
-    /// entries invalidated. See [`EvalCache::invalidate`].
-    pub fn invalidate(&self, db: &Database) -> u64 {
-        self.inner.invalidate(db)
-    }
-
-    /// The byte budget (`None` = unbounded).
-    pub fn budget(&self) -> Option<u64> {
-        self.inner.budget()
-    }
-
-    /// Resident payload bytes (≤ budget after any insert returns).
-    pub fn bytes(&self) -> u64 {
-        self.inner.bytes()
-    }
-
-    /// Lookups answered from the store, across all sessions and layers.
-    pub fn hits(&self) -> u64 {
-        self.inner.hits()
-    }
-
-    /// Lookups that found nothing.
-    pub fn misses(&self) -> u64 {
-        self.inner.misses()
-    }
-
-    /// Entries evicted by the LRU byte budget.
-    pub fn evictions(&self) -> u64 {
-        self.inner.evictions()
-    }
-
-    /// Entries evicted by write-delta invalidation.
-    pub fn invalidated(&self) -> u64 {
-        self.inner.invalidated()
-    }
-
-    /// Number of resident selections (dashboards; see `kws_repl :cache`).
-    pub fn selection_entries(&self) -> usize {
-        self.inner.selection_entries()
-    }
-
-    /// Number of resident subtree value-sets.
-    pub fn subtree_entries(&self) -> usize {
-        self.inner.subtree_entries()
-    }
-
-    /// Number of resident whole-network verdicts.
-    pub fn verdict_entries(&self) -> usize {
-        self.inner.verdict_entries()
-    }
-}
-
-impl std::fmt::Debug for SharedEvalCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharedEvalCache")
-            .field("db_id", &self.db_id())
-            .field("epoch", &self.epoch())
-            .field("bytes", &self.bytes())
-            .field("budget", &self.budget())
-            .field("evictions", &self.evictions())
-            .field("invalidated", &self.invalidated())
-            .finish()
-    }
-}
-
-/// One cut subtree of a network, as seen from the tree rooted at vertex 0:
-/// removing the edge `parent — vertex` leaves the component containing
-/// `vertex`, whose canonical binding key (plus the component's outgoing join
-/// column) addresses the subtree cache.
-pub struct SubtreeRef {
-    /// Root of the cut component (jnts vertex index).
-    pub vertex: usize,
-    /// The vertex on the root-0 side of the cut edge.
-    pub parent: usize,
-    /// `vertex`-side join column of the cut edge — the column the cached
-    /// value-set is projected on.
-    pub child_col: ColId,
-    /// `parent`-side join column of the cut edge — the column a reusing probe
-    /// constrains.
-    pub parent_col: ColId,
-    /// Cache key: rooted binding key of the component ++ `child_col`.
-    pub key: Vec<u8>,
-    /// Union of [`table_mask_bit`]s of the component's tables — stamped on
-    /// the cache entry so invalidation can evict subtrees reachable from
-    /// written tables.
-    pub tables_mask: u64,
-}
-
 /// Canonical binding key of a *whole* network: the rooted byte code of the
-/// full tree (rooted at vertex 0, matching the executor's reduction root),
-/// with vertices labeled by binding like the cut-subtree keys. Two probes
-/// with this key equal ask the engine the exact same question, so the
-/// verdict-cache layer ([`EvalCache::verdict`]) answers the second from the
-/// first's completed reduction — within a session or, through
-/// [`SharedEvalCache`], across every session of the epoch.
+/// full tree (rooted at vertex 0), with vertices labeled by binding — table
+/// plus bound keyword, no copy numbers (see
+/// [`crate::oracle::AlivenessOracle::with_eval_cache`]). Two probes with this
+/// key equal ask the engine the exact same question, so the verdict-cache
+/// layer ([`EvalCache::verdict`]) answers the second from the first's
+/// completed reduction — within a session or, through a shared store,
+/// across every session of the epoch.
 pub fn network_key(j: &Jnts, vid: &dyn Fn(usize) -> u64) -> Vec<u8> {
     rooted_subtree_key(0, usize::MAX, &direction_aware_adjacency(j), vid)
-}
-
-/// Computes the [`SubtreeRef`] of every non-root vertex of `j` (rooted at
-/// vertex 0, matching the executor's reduction root), in DFS pre-order.
-/// `vid` labels vertices by binding — see
-/// [`crate::oracle::AlivenessOracle::with_eval_cache`] for how labels are
-/// built from an interpretation.
-pub fn subtree_refs(j: &Jnts, db: &Database, vid: &dyn Fn(usize) -> u64) -> Vec<SubtreeRef> {
-    let n = j.node_count();
-    let dadj = direction_aware_adjacency(j);
-    // Plain adjacency with edge indices, for join columns.
-    let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-    for (ei, e) in j.edges().iter().enumerate() {
-        adj[e.a as usize].push((ei, e.b as usize));
-        adj[e.b as usize].push((ei, e.a as usize));
-    }
-    let mut out = Vec::with_capacity(n.saturating_sub(1));
-    let mut stack = vec![(0usize, usize::MAX)];
-    let mut visited = vec![false; n];
-    while let Some((u, parent)) = stack.pop() {
-        if visited[u] {
-            continue;
-        }
-        visited[u] = true;
-        for &(ei, v) in &adj[u] {
-            if v == parent || visited[v] {
-                continue;
-            }
-            let e = &j.edges()[ei];
-            let fk = db.foreign_key(e.fk);
-            let (a_col, b_col) = if e.a_is_from {
-                (fk.from_col, fk.to_col)
-            } else {
-                (fk.to_col, fk.from_col)
-            };
-            let (child_col, parent_col) =
-                if e.a as usize == v { (a_col, b_col) } else { (b_col, a_col) };
-            let mut key = rooted_subtree_key(v, u, &dadj, vid);
-            key.extend_from_slice(&(child_col as u64).to_le_bytes());
-            let tables_mask = component_mask(j, &adj, v, u);
-            out.push(SubtreeRef { vertex: v, parent: u, child_col, parent_col, key, tables_mask });
-            stack.push((v, u));
-        }
-    }
-    out
-}
-
-/// Union of table bits of the component containing `root` after cutting the
-/// edge to `banned` (the networks are tiny trees, so a fresh DFS per cut is
-/// cheaper than bookkeeping).
-fn component_mask(j: &Jnts, adj: &[Vec<(usize, usize)>], root: usize, banned: usize) -> u64 {
-    let mut mask = 0u64;
-    let mut stack = vec![(root, banned)];
-    let mut visited = vec![false; j.node_count()];
-    while let Some((u, parent)) = stack.pop() {
-        if visited[u] {
-            continue;
-        }
-        visited[u] = true;
-        mask |= table_mask_bit(j.nodes()[u].table);
-        for &(_, v) in &adj[u] {
-            if v != parent && !visited[v] {
-                stack.push((v, u));
-            }
-        }
-    }
-    mask
 }
 
 #[cfg(test)]
@@ -1069,7 +767,7 @@ mod tests {
 
     #[test]
     fn interner_is_stable() {
-        let c = EvalCache::new();
+        let c = EvalCache::with_identity(0, 0, None);
         let a = c.intern("saffron");
         let b = c.intern("candle");
         assert_ne!(a, b);
@@ -1079,7 +777,7 @@ mod tests {
 
     #[test]
     fn selection_roundtrip_and_race() {
-        let c = EvalCache::new();
+        let c = EvalCache::with_identity(0, 0, None);
         assert!(c.selection(0, 0, 1, true).is_none());
         let (first, added) = c.insert_selection(0, 0, 1, true, vec![3, 5, 8]);
         assert_eq!(*first, vec![3, 5, 8]);
@@ -1097,30 +795,15 @@ mod tests {
     }
 
     #[test]
-    fn subtree_roundtrip_and_race() {
-        let c = EvalCache::new();
-        assert!(c.subtree(0, b"k1").is_none());
-        let added = c.insert_subtree(0, b"k1".to_vec(), 1, vec![7, 9]);
-        assert!(added > 0);
-        assert_eq!(*c.subtree(0, b"k1").unwrap(), vec![7, 9]);
-        assert_eq!(c.insert_subtree(0, b"k1".to_vec(), 1, vec![1]), 0);
-        assert_eq!(*c.subtree(0, b"k1").unwrap(), vec![7, 9]);
-        assert_eq!(c.subtree_entries(), 1);
-        // Empty sets are legitimate entries (dead-subtree proofs).
-        c.insert_subtree(0, b"k2".to_vec(), 1, vec![]);
-        assert_eq!(*c.subtree(0, b"k2").unwrap(), Vec::<i64>::new());
-    }
-
-    #[test]
     fn hit_miss_counters_track_all_layers() {
-        let c = EvalCache::new();
+        let c = EvalCache::with_identity(0, 0, None);
         assert!(c.selection(0, 0, 0, true).is_none());
-        assert!(c.subtree(0, b"nope").is_none());
+        assert!(c.verdict(0, b"nope").is_none());
         assert_eq!((c.hits(), c.misses()), (0, 2));
         c.insert_selection(0, 0, 0, true, vec![1]);
-        c.insert_subtree(0, b"yes".to_vec(), 1, vec![4]);
+        c.insert_verdict(0, b"yes".to_vec(), 1, true);
         assert!(c.selection(0, 0, 0, true).is_some());
-        assert!(c.subtree(0, b"yes").is_some());
+        assert_eq!(c.verdict(0, b"yes"), Some(true));
         assert_eq!((c.hits(), c.misses()), (2, 2));
     }
 
@@ -1145,30 +828,30 @@ mod tests {
 
     #[test]
     fn eviction_spans_layers_and_keeps_identity() {
-        let c = EvalCache::with_identity(1, 0, Some(48));
-        c.insert_subtree(0, b"old-subtree-key".to_vec(), 1, vec![1, 2]);
+        let c = EvalCache::with_identity(1, 0, Some(40));
+        c.insert_verdict(0, b"old-verdict-key".to_vec(), 1, true);
         c.insert_selection(0, 0, 0, true, vec![1, 2, 3, 4]);
         c.insert_selection(0, 1, 1, true, vec![1, 2, 3, 4]);
-        // 15+16 key/value + 16 + 16 = 63 > 48: the oldest (subtree) goes.
+        // 15+1 key/value + 16 + 16 = 48 > 40: the oldest (verdict) goes.
         assert!(c.evictions() > 0);
-        assert!(c.subtree(0, b"old-subtree-key").is_none(), "oldest layer-2 entry evicted");
-        assert!(c.bytes() <= 48);
+        assert!(c.verdict(0, b"old-verdict-key").is_none(), "oldest layer-3 entry evicted");
+        assert!(c.bytes() <= 40);
         assert_eq!(c.bytes(), c.accounted_bytes());
     }
 
     #[test]
     fn shared_handle_is_one_store() {
-        let shared = SharedEvalCache::new(3, 0, Some(1 << 20));
-        let a = shared.handle();
-        let b = shared.handle();
-        a.insert_subtree(0, b"k".to_vec(), 1, vec![1]);
-        assert!(b.subtree(0, b"k").is_some(), "handles alias one store");
+        let shared = Arc::new(EvalCache::with_identity(3, 0, Some(1 << 20)));
+        let a = Arc::clone(&shared);
+        let b = Arc::clone(&shared);
+        a.insert_verdict(0, b"k".to_vec(), 1, true);
+        assert!(b.verdict(0, b"k").is_some(), "handles alias one store");
         assert_eq!(shared.db_id(), 3);
         assert_eq!(shared.epoch(), 0);
         assert_eq!(shared.budget(), Some(1 << 20));
         assert!(shared.bytes() > 0);
         assert_eq!(shared.hits(), 1);
-        assert_eq!(shared.subtree_entries(), 1);
+        assert_eq!(shared.verdict_entries(), 1);
     }
 
     /// A two-table db (color ← item) used by the invalidation tests.
@@ -1222,7 +905,6 @@ mod tests {
         assert_eq!(added, 0, "stale insert fenced out");
         assert_eq!(*arc, vec![1], "caller still gets a usable value");
         assert_eq!(c.selection_entries(), 0);
-        assert_eq!(c.insert_subtree(0, b"k".to_vec(), 1, vec![1]), 0);
         assert_eq!(c.insert_verdict(0, b"k".to_vec(), 1, true), 0);
         assert_eq!(c.bytes(), 0);
         // Current-epoch inserts land normally.
@@ -1238,13 +920,13 @@ mod tests {
         let c = EvalCache::with_identity(db.db_id(), db.epoch(), None);
         let red = c.intern("red");
         let candle = c.intern("candle");
-        // Selections on both tables, both keywords; one subtree per table.
+        // Selections on both tables, both keywords; one verdict per table.
         c.insert_selection(0, color, red, true, vec![0]);
         c.insert_selection(0, color, candle, true, vec![]);
         c.insert_selection(0, item, red, true, vec![0]);
         c.insert_selection(0, item, candle, true, vec![0]);
-        c.insert_subtree(0, b"color-side".to_vec(), table_mask_bit(color), vec![1]);
-        c.insert_subtree(0, b"item-side".to_vec(), table_mask_bit(item), vec![10]);
+        c.insert_verdict(0, b"color-side".to_vec(), table_mask_bit(color), false);
+        c.insert_verdict(0, b"item-side".to_vec(), table_mask_bit(item), true);
         c.insert_verdict(
             0,
             b"net".to_vec(),
@@ -1267,8 +949,8 @@ mod tests {
         );
         assert!(c.selection(pin, item, red, true).is_some(), "item selections untouched");
         assert!(c.selection(pin, item, candle, true).is_some());
-        assert!(c.subtree(pin, b"color-side").is_none(), "color-reachable subtree evicted");
-        assert!(c.subtree(pin, b"item-side").is_some(), "item-only subtree survives");
+        assert!(c.verdict(pin, b"color-side").is_none(), "color-only verdict evicted");
+        assert!(c.verdict(pin, b"item-side").is_some(), "item-only verdict survives");
         assert!(c.verdict(pin, b"net").is_none(), "verdict spanning the written table evicted");
         assert_eq!(removed, 3);
         assert_eq!(c.invalidated(), 3);
@@ -1346,13 +1028,13 @@ mod tests {
         let color = db.table_id("color").expect("table");
         let c = EvalCache::with_identity(db.db_id(), db.epoch(), None);
         c.insert_selection(0, color, 0, true, vec![0]);
-        c.insert_subtree(0, b"s".to_vec(), table_mask_bit(1), vec![1]);
+        c.insert_verdict(0, b"s".to_vec(), table_mask_bit(1), true);
         db.append_rows(color, vec![vec![Value::Int(3), Value::text("green")]]).expect("write");
         db.truncate_deltas(db.epoch());
         let removed = c.invalidate(&db);
         assert_eq!(removed, 2, "unauditable gap: everything goes");
         assert_eq!(c.bytes(), 0);
-        assert_eq!(c.selection_entries() + c.subtree_entries(), 0);
+        assert_eq!(c.selection_entries() + c.verdict_entries(), 0);
     }
 
     #[test]

@@ -52,7 +52,7 @@
 //! | Probe budgets / retries (extension) | caps, deadlines, backoff, degraded mode | [`budget`] |
 //! | Fault injection (extension) | deterministic chaos harness for probes | [`relengine::chaos`] |
 //! | Parallel probe scheduling (extension) | work-stealing wave scheduler, sharded memo | [`parallel`] |
-//! | Cross-probe evaluation cache (extension) | shared keyword selections, subtree semi-join value-sets | [`evalcache`] |
+//! | Cross-probe evaluation cache (extension) | shared keyword selections and their join-column postings, whole-network verdicts | [`evalcache`] |
 //! | Pooled traversal scratch (extension) | reusable per-query workspaces, zero steady-state allocation | [`workspace`] |
 //! | Multi-tenant serving (extension) | shared substrate ([`SharedParts`]), per-session debuggers over TCP | [`debugger`], `kwserve` |
 //! | Mutable databases (extension) | epoch-stamped writes, incremental index deltas, layered invalidation | [`mutable`], [`evalcache`] |
@@ -129,7 +129,7 @@ pub use debugger::{DebugConfig, NonAnswerDebugger, SharedParts};
 pub use mutable::MutableDatabase;
 pub use error::KwError;
 pub use estimate::OnlinePa;
-pub use evalcache::SharedEvalCache;
+pub use evalcache::EvalCache;
 pub use jnts::{CopyIdx, Jnts, TupleSet};
 pub use report::DebugReport;
 pub use schema_graph::SchemaGraph;

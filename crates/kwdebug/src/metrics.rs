@@ -29,8 +29,6 @@
 //! | `phase1_nodes_touched` | debugger, posting-list entries scanned by Phase 1 (DESIGN.md §9) | beyond the paper (compact substrate) |
 //! | `workspace_reuses` | debugger, `PrunedLattice` builds served from the pooled [`crate::workspace::QueryWorkspace`] | beyond the paper (compact substrate) |
 //! | `selection_cache_hits` | oracle, plan nodes served a shared keyword selection by [`crate::evalcache`] | beyond the paper (evaluation cache) |
-//! | `subtree_cache_hits` | oracle, probe subtrees replaced by a cached semi-join value-set | beyond the paper (evaluation cache) |
-//! | `subtree_cache_dead_shortcuts` | oracle/dispatcher, probes answered Dead from an empty cached value-set | beyond the paper (evaluation cache) |
 //! | `verdict_cache_hits` | oracle/dispatcher, probes answered (Alive *or* Dead) from a cached whole-network verdict | beyond the paper (evaluation cache) |
 //! | `cache_bytes` | oracle, payload bytes resident in the session [`crate::evalcache::EvalCache`] | beyond the paper (evaluation cache) |
 //! | `delta_postings_merged` | oracle, bound plan nodes whose posting list was merged on read over pending index deltas | beyond the paper (mutable databases) |
@@ -193,16 +191,10 @@ pub struct Metrics {
     /// [`crate::evalcache::EvalCache`] instead of re-evaluating the
     /// containment predicate (population-order-dependent in parallel runs).
     pub selection_cache_hits: Counter,
-    /// Probe subtrees pruned because a cached semi-join value-set stood in
-    /// for their reduction (population-order-dependent in parallel runs).
-    pub subtree_cache_hits: Counter,
-    /// Probes answered Dead without touching the engine because a cached cut
-    /// value-set was empty; counted like an inference, never as a probe.
-    pub subtree_cache_dead_shortcuts: Counter,
     /// Probes answered without touching the engine because the evaluation
     /// cache held a completed verdict for the network's canonical binding key
-    /// ([`crate::evalcache::network_key`]); unlike dead shortcuts this layer
-    /// answers *alive* repeats too.
+    /// ([`crate::evalcache::network_key`]), alive or dead; counted like an
+    /// inference, never as a probe.
     pub verdict_cache_hits: Counter,
     /// Payload bytes this oracle newly added to the session evaluation
     /// cache; summed across a session the counter equals the cache's
@@ -257,8 +249,6 @@ impl Metrics {
             phase1_nodes_touched: Counter::new(),
             workspace_reuses: Counter::new(),
             selection_cache_hits: Counter::new(),
-            subtree_cache_hits: Counter::new(),
-            subtree_cache_dead_shortcuts: Counter::new(),
             verdict_cache_hits: Counter::new(),
             cache_bytes: Counter::new(),
             delta_postings_merged: Counter::new(),
@@ -290,8 +280,6 @@ impl Metrics {
             phase1_nodes_touched: self.phase1_nodes_touched.get(),
             workspace_reuses: self.workspace_reuses.get(),
             selection_cache_hits: self.selection_cache_hits.get(),
-            subtree_cache_hits: self.subtree_cache_hits.get(),
-            subtree_cache_dead_shortcuts: self.subtree_cache_dead_shortcuts.get(),
             verdict_cache_hits: self.verdict_cache_hits.get(),
             cache_bytes: self.cache_bytes.get(),
             delta_postings_merged: self.delta_postings_merged.get(),
@@ -322,8 +310,6 @@ impl Metrics {
         self.phase1_nodes_touched.reset();
         self.workspace_reuses.reset();
         self.selection_cache_hits.reset();
-        self.subtree_cache_hits.reset();
-        self.subtree_cache_dead_shortcuts.reset();
         self.verdict_cache_hits.reset();
         self.cache_bytes.reset();
         self.delta_postings_merged.reset();
@@ -378,10 +364,6 @@ pub struct ProbeCounters {
     pub workspace_reuses: u64,
     /// Plan nodes served a shared keyword selection by the evaluation cache.
     pub selection_cache_hits: u64,
-    /// Probe subtrees replaced by a cached semi-join value-set.
-    pub subtree_cache_hits: u64,
-    /// Probes answered Dead from an empty cached value-set (no execution).
-    pub subtree_cache_dead_shortcuts: u64,
     /// Probes answered from a cached whole-network verdict (no execution).
     pub verdict_cache_hits: u64,
     /// Payload bytes newly added to the session evaluation cache.
@@ -428,9 +410,6 @@ impl ProbeCounters {
             phase1_nodes_touched: self.phase1_nodes_touched - baseline.phase1_nodes_touched,
             workspace_reuses: self.workspace_reuses - baseline.workspace_reuses,
             selection_cache_hits: self.selection_cache_hits - baseline.selection_cache_hits,
-            subtree_cache_hits: self.subtree_cache_hits - baseline.subtree_cache_hits,
-            subtree_cache_dead_shortcuts: self.subtree_cache_dead_shortcuts
-                - baseline.subtree_cache_dead_shortcuts,
             verdict_cache_hits: self.verdict_cache_hits - baseline.verdict_cache_hits,
             cache_bytes: self.cache_bytes - baseline.cache_bytes,
             delta_postings_merged: self.delta_postings_merged - baseline.delta_postings_merged,
@@ -464,8 +443,6 @@ impl ProbeCounters {
         self.phase1_nodes_touched += other.phase1_nodes_touched;
         self.workspace_reuses += other.workspace_reuses;
         self.selection_cache_hits += other.selection_cache_hits;
-        self.subtree_cache_hits += other.subtree_cache_hits;
-        self.subtree_cache_dead_shortcuts += other.subtree_cache_dead_shortcuts;
         self.verdict_cache_hits += other.verdict_cache_hits;
         self.cache_bytes += other.cache_bytes;
         self.delta_postings_merged += other.delta_postings_merged;
@@ -605,7 +582,7 @@ impl MetricsSnapshot {
              \"probes_abandoned\":{},\
              \"r1_inferences\":{},\"r2_inferences\":{},\"retries\":{},\"reuse_hits\":{},\
              \"selection_cache_hits\":{},\
-             \"steals\":{},\"subtree_cache_dead_shortcuts\":{},\"subtree_cache_hits\":{},\
+             \"steals\":{},\
              \"time_ns\":{},\"tuples_scanned\":{},\"verdict_cache_hits\":{},\"workers\":{},\
              \"workspace_reuses\":{}}}",
             p.batched_waves,
@@ -628,8 +605,6 @@ impl MetricsSnapshot {
             p.reuse_hits,
             p.selection_cache_hits,
             p.steals,
-            p.subtree_cache_dead_shortcuts,
-            p.subtree_cache_hits,
             p.probe_time_ns,
             p.tuples_scanned,
             p.verdict_cache_hits,
@@ -788,8 +763,6 @@ mod tests {
                 phase1_nodes_touched: 42,
                 workspace_reuses: 1,
                 selection_cache_hits: 13,
-                subtree_cache_hits: 6,
-                subtree_cache_dead_shortcuts: 2,
                 verdict_cache_hits: 8,
                 cache_bytes: 512,
                 delta_postings_merged: 3,
@@ -839,7 +812,7 @@ mod tests {
              \"probes_abandoned\":1,\
              \"r1_inferences\":4,\"r2_inferences\":9,\"retries\":2,\"reuse_hits\":3,\
              \"selection_cache_hits\":13,\
-             \"steals\":7,\"subtree_cache_dead_shortcuts\":2,\"subtree_cache_hits\":6,\
+             \"steals\":7,\
              \"time_ns\":345,\"tuples_scanned\":678,\"verdict_cache_hits\":8,\"workers\":4,\
              \"workspace_reuses\":1},\
              \"phases\":{\"mapping_ns\":1,\"pruning_ns\":2,\"traversal_ns\":3,\

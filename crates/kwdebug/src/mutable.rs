@@ -12,7 +12,7 @@
 //!    [`relengine::EpochDelta`] dirty set),
 //! 2. through [`InvertedIndex::apply_deltas`] (incremental delta postings,
 //!    threshold compaction — never a drop-and-rebuild),
-//! 3. through [`SharedEvalCache::invalidate`] (selective eviction of exactly
+//! 3. through [`EvalCache::invalidate`] (selective eviction of exactly
 //!    the entries the delta's dirty sets can have changed).
 //!
 //! Readers never observe a torn state because the coordinator only mutates
@@ -37,7 +37,7 @@ use textindex::InvertedIndex;
 use crate::debugger::{DebugConfig, NonAnswerDebugger, SharedParts};
 use crate::error::KwError;
 use crate::estimate::OnlinePa;
-use crate::evalcache::SharedEvalCache;
+use crate::evalcache::EvalCache;
 use crate::lattice::Lattice;
 use crate::schema_graph::SchemaGraph;
 
@@ -55,7 +55,7 @@ pub struct MutableDatabase {
     /// The process-wide evaluation cache kept epoch-current by the write
     /// path, when sharing is enabled (`None` = sessions get private caches,
     /// each stamped at its snapshot's epoch).
-    shared_cache: Option<SharedEvalCache>,
+    shared_cache: Option<Arc<EvalCache>>,
     /// Cross-epoch online `p_a` estimator. Verdict statistics survive writes
     /// deliberately: they only ever tune the score-based heuristic's probe
     /// order, never its output, so slightly-stale priors are harmless.
@@ -110,18 +110,19 @@ impl MutableDatabase {
         self.db.table_id(name)
     }
 
-    /// Creates and attaches a [`SharedEvalCache`] stamped with the current
+    /// Creates and attaches a shared [`EvalCache`] stamped with the current
     /// `(db_id, epoch)` identity, bounded by `budget_bytes` payload bytes
     /// (`None` = unbounded). The write path keeps it epoch-current from then
     /// on; sessions built from later [`MutableDatabase::parts`] share it.
-    pub fn share_eval_cache(&mut self, budget_bytes: Option<u64>) -> SharedEvalCache {
-        let cache = SharedEvalCache::new(self.db.db_id(), self.db.epoch(), budget_bytes);
-        self.shared_cache = Some(cache.clone());
+    pub fn share_eval_cache(&mut self, budget_bytes: Option<u64>) -> Arc<EvalCache> {
+        let cache =
+            Arc::new(EvalCache::with_identity(self.db.db_id(), self.db.epoch(), budget_bytes));
+        self.shared_cache = Some(Arc::clone(&cache));
         cache
     }
 
     /// The attached shared cache, if any.
-    pub fn shared_cache(&self) -> Option<&SharedEvalCache> {
+    pub fn shared_cache(&self) -> Option<&Arc<EvalCache>> {
         self.shared_cache.as_ref()
     }
 

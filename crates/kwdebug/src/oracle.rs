@@ -73,14 +73,14 @@ use std::time::Instant;
 use relengine::sortedvals::ValuePostings;
 use relengine::{
     ChaosExecutor, ColId, Database, EngineError, ExecStats, Executor, FaultConfig, FaultStats,
-    HarvestOut, JoinTreePlan, MatchTuple, PlanEdge, PlanNode, Predicate, RowId, TableId,
+    JoinTreePlan, MatchTuple, PlanEdge, PlanNode, Predicate, RowId, TableId,
 };
 use textindex::InvertedIndex;
 
 use crate::binding::Interpretation;
 use crate::budget::{BudgetGate, Exhausted, ProbeBudget, RetryPolicy};
 use crate::error::KwError;
-use crate::evalcache::{network_key, network_mask, subtree_refs, EvalCache};
+use crate::evalcache::{network_key, network_mask, EvalCache};
 use crate::jnts::Jnts;
 use crate::lattice::NodeId;
 use crate::metrics::Metrics;
@@ -151,17 +151,6 @@ impl<'a> ProbeEngine<'a> {
         }
     }
 
-    fn exists_harvesting(
-        &mut self,
-        plan: &JoinTreePlan,
-        harvest: &[usize],
-    ) -> Result<(bool, HarvestOut), EngineError> {
-        match self {
-            ProbeEngine::Plain(e) => e.exists_harvesting(plan, harvest),
-            ProbeEngine::Chaos(c) => c.exists_harvesting(plan, harvest),
-        }
-    }
-
     fn execute(
         &mut self,
         plan: &JoinTreePlan,
@@ -201,16 +190,6 @@ impl<'a> ProbeEngine<'a> {
 enum ProbeFail {
     Node(EngineError),
     Exhausted(Exhausted),
-}
-
-/// A cache-aware probe plan: the (possibly pruned) executable plan plus the
-/// subtree-cache keys to populate from this probe's reduction, as
-/// `(plan node index, cache key, tables mask)` triples aligned with the
-/// executor's harvest output. The mask travels with the key so the cache
-/// can later invalidate the entry when any of its tables is written.
-struct CachedPlan {
-    plan: JoinTreePlan,
-    harvest: Vec<(usize, Vec<u8>, u64)>,
 }
 
 /// The `Send + Sync` probe backend shared by every probing thread.
@@ -299,22 +278,43 @@ impl<'a> ProbeCore<'a> {
         self.memo.as_ref().and_then(|m| m.get(node))
     }
 
-    /// Binding label of every jnts vertex for the subtree cache: the table id
-    /// in the high 32 bits and, for bound copies, the session-interned
-    /// keyword id + 1 in the low bits (0 = free copy). Copy numbers are
-    /// deliberately absent, so structurally identical subtrees of different
-    /// networks share cache entries.
-    fn binding_labels(&self, jnts: &Jnts, cache: &EvalCache) -> Vec<u64> {
-        jnts.nodes()
+    /// The canonical identity of a probe: [`crate::evalcache::network_key`]
+    /// over binding labels — the table id in the high 32 bits and, for
+    /// bound copies, the keyword's id from `intern` + 1 in the low bits
+    /// (0 = free copy). Copy numbers are deliberately absent, so
+    /// structurally identical networks of different lattice nodes share one
+    /// key. The verdict cache interns through the cache, the
+    /// [`crate::batch::WaveExchange`] through its own interner; either way
+    /// two sessions on the same `(db_id, epoch)` produce equal keys exactly
+    /// when their probes are the same ground-truth query.
+    pub(crate) fn binding_key(
+        &self,
+        jnts: &Jnts,
+        intern: &mut dyn FnMut(&str) -> u64,
+    ) -> Vec<u8> {
+        let labels: Vec<u64> = jnts
+            .nodes()
             .iter()
             .map(|&ts| {
                 let base = (ts.table as u64) << 32;
                 match self.interp.keyword_for(ts) {
                     None => base,
-                    Some(k) => base | (cache.intern(&self.keywords[k]) + 1),
+                    Some(k) => base | (intern(&self.keywords[k]) + 1),
                 }
             })
-            .collect()
+            .collect();
+        network_key(jnts, &|i| labels[i])
+    }
+
+    /// Publishes a completed verdict to the verdict cache, if one is
+    /// attached, counting the bytes it adds.
+    fn publish_verdict(&self, jnts: &Jnts, alive: bool) {
+        if let Some(cache) = &self.cache {
+            let key = self.binding_key(jnts, &mut |kw| cache.intern(kw));
+            self.metrics
+                .cache_bytes
+                .add(cache.insert_verdict(self.db.epoch(), key, network_mask(jnts), alive));
+        }
     }
 
     /// The exact rows the uncached probe path would keep for a bound copy of
@@ -368,8 +368,8 @@ impl<'a> ProbeCore<'a> {
     /// The sorted distinct join values a shared selection holds in `col`:
     /// cache hit, or extracted once from the selection's rows and published.
     /// Attached to plans as [`PlanNode::col_postings`], letting the executor
-    /// answer untouched-selection membership, parent-side semi-joins and
-    /// whole single-node probes without re-reading rows. Counts `cache_bytes`
+    /// answer untouched-selection membership and parent-side semi-joins
+    /// without re-reading rows. Counts `cache_bytes`
     /// only — it is derived state of an already-counted selection hit.
     fn shared_selection_postings(
         &self,
@@ -395,163 +395,29 @@ impl<'a> ProbeCore<'a> {
         postings
     }
 
-    /// Answers a probe Dead without touching the engine when any cached cut
-    /// value-set of the network is empty: the component on the far side of
-    /// that cut is unsatisfiable (or joins on an all-NULL column), so no
-    /// assignment of the whole network can exist either way. Counted like an
-    /// inference (`subtree_cache_dead_shortcuts`), never as a probe; the
-    /// verdict is ground truth, so it also feeds the memo.
-    pub(crate) fn dead_shortcut(&self, node: NodeId, jnts: &Jnts) -> bool {
-        let Some(cache) = &self.cache else { return false };
-        if jnts.join_count() == 0 {
-            return false;
-        }
-        let labels = self.binding_labels(jnts, cache);
-        let vid = |i: usize| labels[i];
-        for r in subtree_refs(jnts, self.db, &vid) {
-            if cache.subtree(self.db.epoch(), &r.key).is_some_and(|set| set.is_empty()) {
-                self.metrics.subtree_cache_dead_shortcuts.incr();
-                if let Some(memo) = &self.memo {
-                    memo.insert(node, false);
-                }
-                return true;
-            }
-        }
-        false
-    }
-
     /// Answers a probe without touching the engine when the evaluation cache
-    /// already knows the outcome — first from a completed whole-network
-    /// verdict under the network's canonical binding key
-    /// ([`crate::evalcache::network_key`]; `verdict_cache_hits`), then from
-    /// an empty cached cut value-set ([`ProbeCore::dead_shortcut`]). The
-    /// verdict layer answers *alive* repeats too, which is what makes warm
-    /// shared-cache sessions probe-free on repeated workloads. Both answers
-    /// are ground truth, so they also feed the memo.
+    /// holds a completed whole-network verdict under the network's canonical
+    /// binding key ([`crate::evalcache::network_key`]; `verdict_cache_hits`).
+    /// The layer answers alive and dead repeats alike, which is what makes
+    /// warm shared-cache sessions probe-free on repeated workloads. The
+    /// answer is ground truth, so it also feeds the memo.
     pub(crate) fn shortcut(&self, node: NodeId, jnts: &Jnts) -> Option<bool> {
-        if let Some(cache) = &self.cache {
-            let labels = self.binding_labels(jnts, cache);
-            if let Some(alive) =
-                cache.verdict(self.db.epoch(), &network_key(jnts, &|i| labels[i]))
-            {
-                self.metrics.verdict_cache_hits.incr();
-                if let Some(memo) = &self.memo {
-                    memo.insert(node, alive);
-                }
-                return Some(alive);
-            }
+        let cache = self.cache.as_ref()?;
+        let key = self.binding_key(jnts, &mut |kw| cache.intern(kw));
+        let alive = cache.verdict(self.db.epoch(), &key)?;
+        self.metrics.verdict_cache_hits.incr();
+        if let Some(memo) = &self.memo {
+            memo.insert(node, alive);
         }
-        if self.dead_shortcut(node, jnts) {
-            return Some(false);
-        }
-        None
+        Some(alive)
     }
 
-    /// Builds a cache-aware probe plan rooted (like the executor's reduction)
-    /// at vertex 0:
-    ///
-    /// * every branch whose cut-subtree value-set is already cached is
-    ///   pruned from the plan, replaced by a sorted-membership constraint on
-    ///   its ex-parent (`subtree_cache_hits`);
-    /// * every bound copy that stays gets the shared keyword selection;
-    /// * every kept non-root vertex whose value-set is *not* cached is
-    ///   scheduled for harvesting, so this probe's reduction populates it.
-    fn build_plan_cached(
-        &self,
-        jnts: &Jnts,
-        cache: &EvalCache,
-    ) -> Result<CachedPlan, EngineError> {
-        let labels = self.binding_labels(jnts, cache);
-        let vid = |i: usize| labels[i];
-        let refs = subtree_refs(jnts, self.db, &vid);
-        let n = jnts.node_count();
-        // Prune cached branches. `refs` is in DFS pre-order from vertex 0, so
-        // a vertex's parent is always decided first; a branch inside an
-        // already-pruned branch is skipped without counting a hit.
-        let mut keep = vec![false; n];
-        keep[0] = true;
-        let mut cons_by_vertex: Vec<Vec<(ColId, Arc<Vec<i64>>)>> = vec![Vec::new(); n];
-        for r in &refs {
-            if !keep[r.parent] {
-                continue;
-            }
-            if let Some(set) = cache.subtree(self.db.epoch(), &r.key) {
-                self.metrics.subtree_cache_hits.incr();
-                cons_by_vertex[r.parent].push((r.parent_col, set));
-            } else {
-                keep[r.vertex] = true;
-            }
-        }
-        // Each vertex's join columns in the *full* network — kept edges and
-        // the constraint columns of pruned branches alike — so bound nodes
-        // can carry the pre-extracted selection values for every membership
-        // question the reduction might ask about them.
-        let mut join_cols: Vec<Vec<ColId>> = vec![Vec::new(); n];
-        for e in jnts.edges() {
-            let fk = self.db.foreign_key(e.fk);
-            let (a_col, b_col) =
-                if e.a_is_from { (fk.from_col, fk.to_col) } else { (fk.to_col, fk.from_col) };
-            for (v, col) in [(e.a as usize, a_col), (e.b as usize, b_col)] {
-                if !join_cols[v].contains(&col) {
-                    join_cols[v].push(col);
-                }
-            }
-        }
-        let mut plan_idx = vec![usize::MAX; n];
-        let mut nodes = Vec::new();
-        for (i, &ts) in jnts.nodes().iter().enumerate() {
-            if !keep[i] {
-                continue;
-            }
-            plan_idx[i] = nodes.len();
-            let table_name = &self.db.table(ts.table).schema().name;
-            let alias = format!("{}{}", table_name, ts.copy);
-            let mut node = match self.interp.keyword_for(ts) {
-                None => PlanNode::free(ts.table).with_alias(alias),
-                Some(kw_idx) => {
-                    let kw = &self.keywords[kw_idx];
-                    let sel = self.shared_selection(cache, ts.table, kw);
-                    let mut node = PlanNode::new(ts.table, Predicate::any_text_contains(kw.clone()))
-                        .with_alias(alias)
-                        .with_selection(Arc::clone(&sel));
-                    for &col in &join_cols[i] {
-                        node = node.with_col_postings(
-                            col,
-                            self.shared_selection_postings(cache, ts.table, kw, col, &sel),
-                        );
-                    }
-                    node
-                }
-            };
-            for (col, set) in cons_by_vertex[i].drain(..) {
-                node = node.with_constraint(col, set);
-            }
-            nodes.push(node);
-        }
-        let mut edges = Vec::new();
-        for e in jnts.edges() {
-            let (a, b) = (plan_idx[e.a as usize], plan_idx[e.b as usize]);
-            if a == usize::MAX || b == usize::MAX {
-                continue;
-            }
-            let fk = self.db.foreign_key(e.fk);
-            let (a_col, b_col) =
-                if e.a_is_from { (fk.from_col, fk.to_col) } else { (fk.to_col, fk.from_col) };
-            edges.push(PlanEdge { a, a_col, b, b_col });
-        }
-        let harvest = refs
-            .into_iter()
-            .filter(|r| keep[r.vertex])
-            .map(|r| (plan_idx[r.vertex], r.key, r.tables_mask))
-            .collect();
-        Ok(CachedPlan { plan: JoinTreePlan::new(nodes, edges)?, harvest })
-    }
-
-    /// The full (unpruned) plan used for report samples: identical to
-    /// [`build_plan`], except bound copies reuse the shared keyword
-    /// selections when the session has an [`EvalCache`]. Samples enumerate
-    /// one row per copy of the network, so subtree pruning never applies.
-    fn build_sample_plan(&self, jnts: &Jnts) -> Result<JoinTreePlan, EngineError> {
+    /// The plan probes and report samples execute: identical to
+    /// [`build_plan`], except that with an [`EvalCache`] every bound copy
+    /// reuses the shared keyword selection plus its postings in each of the
+    /// copy's join columns, so the executor neither re-evaluates the
+    /// predicate nor re-reads selection rows.
+    fn build_probe_plan(&self, jnts: &Jnts) -> Result<JoinTreePlan, EngineError> {
         let Some(cache) = &self.cache else {
             return build_plan(jnts, self.interp, self.db, self.index, self.keywords);
         };
@@ -658,53 +524,30 @@ impl<'a> ProbeCore<'a> {
         node: NodeId,
         jnts: &Jnts,
     ) -> Probe {
-        let cached = match &self.cache {
-            None => None,
-            Some(cache) => match self.build_plan_cached(jnts, cache) {
-                Ok(c) => Some(c),
-                Err(e) => {
-                    self.gate.release();
-                    self.metrics.probes_abandoned.incr();
-                    return Probe::NodeFailed(e);
-                }
-            },
-        };
-        let plain = match &cached {
-            Some(_) => None,
-            None => match build_plan(jnts, self.interp, self.db, self.index, self.keywords) {
-                Ok(p) => Some(p),
-                Err(e) => {
-                    self.gate.release();
-                    self.metrics.probes_abandoned.incr();
-                    return Probe::NodeFailed(e);
-                }
-            },
+        let plan = match self.build_probe_plan(jnts) {
+            Ok(p) => p,
+            Err(e) => {
+                self.gate.release();
+                self.metrics.probes_abandoned.incr();
+                return Probe::NodeFailed(e);
+            }
         };
         // The uncached planner merges delta postings inside `rows_containing`
         // (the cached path counts inside `compute_selection`): one merge per
         // bound copy whose term is currently dirtied.
-        if plain.is_some() {
-            if let Some(idx) = self.index {
-                for &ts in jnts.nodes() {
-                    if let Some(k) = self.interp.keyword_for(ts) {
-                        if idx.has_delta(ts.table, &self.keywords[k]) {
-                            self.metrics.delta_postings_merged.incr();
-                        }
+        if let (None, Some(idx)) = (&self.cache, self.index) {
+            for &ts in jnts.nodes() {
+                if let Some(k) = self.interp.keyword_for(ts) {
+                    if idx.has_delta(ts.table, &self.keywords[k]) {
+                        self.metrics.delta_postings_merged.incr();
                     }
                 }
             }
         }
-        let harvest_idx: Vec<usize> =
-            cached.as_ref().map_or_else(Vec::new, |c| c.harvest.iter().map(|h| h.0).collect());
         let rows_before = engine.stats().rows_examined;
         let start = Instant::now();
-        let outcome = self.execute_with_retry(engine, |eng| match (&cached, &plain) {
-            (Some(c), _) => eng.exists_harvesting(&c.plan, &harvest_idx),
-            (None, Some(p)) => eng.exists(p).map(|alive| (alive, Vec::new())),
-            (None, None) => unreachable!("one of the plans is always built"),
-        });
-        match outcome {
-            Ok((alive, harvested)) => {
+        match self.execute_with_retry(engine, |eng| eng.exists(&plan)) {
+            Ok(alive) => {
                 self.metrics.probes_executed.incr();
                 self.metrics.probe_time.add(start.elapsed());
                 self.metrics
@@ -714,30 +557,15 @@ impl<'a> ProbeCore<'a> {
                     memo.insert(node, alive);
                 }
                 // Executed verdicts (and only those — memo hits, inferences
-                // and dead shortcuts are derived facts) feed the online p_a
+                // and cached verdicts are derived facts) feed the online p_a
                 // estimator.
                 if let Some(stats) = &self.pa_stats {
                     stats.record(jnts.node_count(), alive);
                 }
                 // Only a *completed* reduction reaches this point (a chaos
-                // fault aborts before execution), so every harvested
-                // value-set — and the whole-network verdict itself — is a
-                // sound cache entry.
-                if let (Some(c), Some(cache)) = (cached, &self.cache) {
-                    let pin = self.db.epoch();
-                    for ((_, key, mask), values) in c.harvest.into_iter().zip(harvested) {
-                        if let Some(values) = values {
-                            self.metrics
-                                .cache_bytes
-                                .add(cache.insert_subtree(pin, key, mask, values));
-                        }
-                    }
-                    let labels = self.binding_labels(jnts, cache);
-                    let key = network_key(jnts, &|i| labels[i]);
-                    self.metrics
-                        .cache_bytes
-                        .add(cache.insert_verdict(pin, key, network_mask(jnts), alive));
-                }
+                // fault aborts before execution), so the whole-network
+                // verdict is a sound cache entry.
+                self.publish_verdict(jnts, alive);
                 Probe::Verdict(alive)
             }
             Err(ProbeFail::Node(e)) => {
@@ -749,32 +577,6 @@ impl<'a> ProbeCore<'a> {
                 Probe::Exhausted(why)
             }
         }
-    }
-
-    /// The canonical cross-session identity of a probe: the same
-    /// [`crate::evalcache::network_key`] the layer-3 verdict cache uses, but
-    /// with keyword ids drawn from a caller-supplied interner (the
-    /// [`crate::batch::WaveExchange`]'s own) instead of the session cache's.
-    /// Two sessions on the same `(db_id, epoch)` produce equal keys exactly
-    /// when their probes are the same ground-truth query, whether or not
-    /// either session has an evaluation cache attached.
-    pub(crate) fn exchange_key(
-        &self,
-        jnts: &Jnts,
-        intern: &mut dyn FnMut(&str) -> u64,
-    ) -> Vec<u8> {
-        let labels: Vec<u64> = jnts
-            .nodes()
-            .iter()
-            .map(|&ts| {
-                let base = (ts.table as u64) << 32;
-                match self.interp.keyword_for(ts) {
-                    None => base,
-                    Some(k) => base | (intern(&self.keywords[k]) + 1),
-                }
-            })
-            .collect();
-        network_key(jnts, &|i| labels[i])
     }
 
     /// Books a verdict another session executed for this session's probe in
@@ -794,13 +596,7 @@ impl<'a> ProbeCore<'a> {
         if let Some(stats) = &self.pa_stats {
             stats.record(jnts.node_count(), alive);
         }
-        if let Some(cache) = &self.cache {
-            let labels = self.binding_labels(jnts, cache);
-            let key = network_key(jnts, &|i| labels[i]);
-            self.metrics
-                .cache_bytes
-                .add(cache.insert_verdict(self.db.epoch(), key, network_mask(jnts), alive));
-        }
+        self.publish_verdict(jnts, alive);
     }
 }
 
@@ -861,12 +657,14 @@ impl<'a> AlivenessOracle<'a> {
         self
     }
 
-    /// Attaches a session-scoped [`EvalCache`] shared with other oracles of
-    /// the same debug session (and all parallel workers). Probes then reuse
-    /// cached keyword selections, prune subtrees whose semi-join value-sets
-    /// are cached, answer probes Dead from empty cached cuts without
-    /// executing, and harvest their own reductions into the cache. Verdicts
-    /// and reports are unchanged; only the work to reach them shrinks.
+    /// Attaches an [`EvalCache`] shared with other oracles of the same debug
+    /// session (and all parallel workers), or of every session holding the
+    /// same store. Probes then run selection-backed plans (cached keyword
+    /// selections plus their join-column postings), answer repeated networks
+    /// from cached whole-network verdicts without executing, and publish
+    /// their own verdicts. Cache keys label each vertex by table and bound
+    /// keyword, never by copy number. Verdicts and reports are unchanged;
+    /// only the work to reach them shrinks.
     pub fn with_eval_cache(mut self, cache: Arc<EvalCache>) -> Self {
         self.core.cache = Some(cache);
         self
@@ -953,7 +751,7 @@ impl<'a> AlivenessOracle<'a> {
             return Err(KwError::BudgetExhausted(why));
         }
         let core = &self.core;
-        let plan = match core.build_sample_plan(jnts) {
+        let plan = match core.build_probe_plan(jnts) {
             Ok(p) => p,
             Err(e) => {
                 core.gate.release();
@@ -1389,21 +1187,20 @@ mod tests {
         let db = db();
         let idx = InvertedIndex::build(&db);
         // glowy binds item, saffron binds color; the glowy item is red, so
-        // the item–color cut dies mid-reduction and proves the cut dead.
+        // the network is dead.
         let q = KeywordQuery::parse("glowy saffron").unwrap();
         let m = map_keywords(&q, &idx);
         let interp = &m.interpretations[0];
         let j = Jnts::single(TupleSet::new(0, 0))
             .extend(0, inc(0, 1, false), 1)
             .extend(1, inc(1, 2, true), 1);
-        let cache = Arc::new(crate::evalcache::EvalCache::new());
+        let cache = Arc::new(crate::evalcache::EvalCache::with_identity(db.db_id(), db.epoch(), None));
         let mut plain = AlivenessOracle::new(&db, Some(&idx), interp, &m.keywords, false);
         let mut o1 = AlivenessOracle::new(&db, Some(&idx), interp, &m.keywords, false)
             .with_eval_cache(Arc::clone(&cache));
         assert!(!plain.is_alive(0, &j).unwrap(), "no saffron glowy item");
         assert!(!o1.is_alive(0, &j).unwrap(), "cached oracle agrees");
         assert_eq!(o1.queries(), 1, "cold probe executes");
-        assert!(cache.subtree_entries() > 0, "the reduction was harvested");
         assert!(cache.selection_entries() > 0, "keyword selections published");
         assert!(cache.bytes() > 0);
 
@@ -1417,20 +1214,17 @@ mod tests {
         assert_eq!(snap.verdict_cache_hits, 1);
         assert_eq!(snap.probes_executed, 0);
 
-        // A *larger* network was never probed whole, so no verdict exists for
-        // it — but it contains the cached-empty cut, so the dead shortcut
-        // still answers without the engine.
-        let j3 = j.extend(0, inc(0, 1, false), 2);
-        assert!(!o2.is_alive(2, &j3).unwrap());
-        let snap = o2.metrics().snapshot();
-        assert_eq!(snap.subtree_cache_dead_shortcuts, 1);
-        assert_eq!(snap.probes_executed, 0);
-
         // A different network reusing the saffron binding hits the shared
         // selection instead of re-evaluating the predicate.
         let single = Jnts::single(TupleSet::new(2, 1));
         assert!(o2.is_alive(1, &single).unwrap(), "saffron colors exist");
         assert_eq!(o2.metrics().snapshot().selection_cache_hits, 1);
+
+        // A *larger* network was never probed whole, so no verdict exists for
+        // it: it executes, and agrees with the plain oracle.
+        let j3 = j.extend(0, inc(0, 1, false), 2);
+        assert!(!plain.is_alive(2, &j3).unwrap());
+        assert!(!o2.is_alive(2, &j3).unwrap());
     }
 
     #[test]
@@ -1441,7 +1235,7 @@ mod tests {
         let m = map_keywords(&q, &idx);
         let interp = &m.interpretations[0];
         let j = mtn_jnts();
-        let cache = Arc::new(crate::evalcache::EvalCache::new());
+        let cache = Arc::new(crate::evalcache::EvalCache::with_identity(db.db_id(), db.epoch(), None));
         let mut plain = AlivenessOracle::new(&db, Some(&idx), interp, &m.keywords, false);
         let mut warm = AlivenessOracle::new(&db, Some(&idx), interp, &m.keywords, false)
             .with_eval_cache(Arc::clone(&cache));
@@ -1453,10 +1247,9 @@ mod tests {
         assert_eq!(o.metrics().snapshot().verdict_cache_hits, 1, "warm repeat skips the engine");
         assert_eq!(plain.sample(&j, 5).unwrap(), o.sample(&j, 5).unwrap(), "same tuples");
         // A larger network sharing the warmed item–color branch has no cached
-        // verdict, but its probe prunes the branch from the plan.
+        // verdict, so its probe executes — with the same verdict.
         let j2 = j.extend(0, inc(0, 1, false), 2);
         assert_eq!(plain.is_alive(1, &j2).unwrap(), o.is_alive(1, &j2).unwrap());
-        assert!(o.metrics().snapshot().subtree_cache_hits > 0, "warm probe pruned subtrees");
         assert_eq!(o.sql(&j).unwrap(), plain.sql(&j).unwrap(), "SQL text is cache-blind");
     }
 

@@ -45,7 +45,8 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"KWSV");
 /// [`ErrorCode::UnsupportedVersion`] rather than guessing. Version 2 added
 /// the database epoch to `Welcome`, the optional `pin_epoch` to `Hello`,
 /// and the four epoch/invalidation counters to the report probes block.
-pub const VERSION: u16 = 2;
+/// Version 3 dropped the two subtree-cache counters from the probes block.
+pub const VERSION: u16 = 3;
 
 /// Upper bound on one frame's payload (32 MiB). Reports over DBLife at paper
 /// scale are well under 1 MiB; anything larger than this is a corrupt or
@@ -680,8 +681,6 @@ fn put_probes(out: &mut Vec<u8>, p: &ProbeCounters) {
     put_u64(out, p.phase1_nodes_touched);
     put_u64(out, p.workspace_reuses);
     put_u64(out, p.selection_cache_hits);
-    put_u64(out, p.subtree_cache_hits);
-    put_u64(out, p.subtree_cache_dead_shortcuts);
     put_u64(out, p.verdict_cache_hits);
     put_u64(out, p.cache_bytes);
     put_u64(out, p.delta_postings_merged);
@@ -709,8 +708,6 @@ fn read_probes(rd: &mut Rd<'_>) -> Result<ProbeCounters, WireError> {
         phase1_nodes_touched: rd.u64()?,
         workspace_reuses: rd.u64()?,
         selection_cache_hits: rd.u64()?,
-        subtree_cache_hits: rd.u64()?,
-        subtree_cache_dead_shortcuts: rd.u64()?,
         verdict_cache_hits: rd.u64()?,
         cache_bytes: rd.u64()?,
         delta_postings_merged: rd.u64()?,

@@ -50,10 +50,10 @@
 //! tenant's budget, over the one shared immutable database/index/lattice.
 //! The evaluation cache is private per session by default; with
 //! [`ServeConfig::shared_cache`] set, sessions instead attach to one
-//! process-wide [`SharedEvalCache`] keyed by the substrate's database
+//! process-wide [`EvalCache`] keyed by the substrate's database
 //! identity `(db_id, epoch)` and bounded by a byte-budget LRU, so
 //! overlapping-keyword
-//! tenants reuse each other's selections and subtree reductions (DESIGN.md
+//! tenants reuse each other's selections and verdicts (DESIGN.md
 //! §12, CACHING.md; tenants opt out via `TenantPolicy::private_cache`).
 //! Session construction is O(1), so a connection costs no Phase-0 work.
 //! Under pressure, a configured
@@ -82,7 +82,7 @@ use std::time::{Duration, Instant};
 use kwdebug::batch::{BatchConfig, WaveExchange};
 use kwdebug::budget::ProbeBudget;
 use kwdebug::debugger::{DebugConfig, NonAnswerDebugger, SharedParts};
-use kwdebug::evalcache::SharedEvalCache;
+use kwdebug::evalcache::EvalCache;
 use kwdebug::metrics::{MetricsSnapshot, PhaseTiming, ProbeCounters};
 use kwdebug::KwError;
 
@@ -137,7 +137,7 @@ pub struct ServeConfig {
     /// Process-wide evaluation cache shared across every session of every
     /// tenant (`None`, the default, keeps the PR 5 behavior: one private
     /// cache per session). When set, the server creates one
-    /// [`SharedEvalCache`] stamped with the substrate's database identity
+    /// [`EvalCache`] stamped with the substrate's database identity
     /// `(db_id, epoch)`, forces
     /// `debug.eval_cache` on, and hands the store to each admitted session —
     /// so a keyword one tenant warmed is free for the next. The byte-budget
@@ -383,7 +383,7 @@ struct Shared {
     config: ServeConfig,
     /// The process-wide evaluation cache, when [`ServeConfig::shared_cache`]
     /// is set (also attached inside `parts`; kept here for metrics refresh).
-    shared_cache: Option<SharedEvalCache>,
+    shared_cache: Option<Arc<EvalCache>>,
     /// The cross-session wave exchange, when [`ServeConfig::batching`] is
     /// set. Cloned into every admitted session's debugger.
     exchange: Option<Arc<WaveExchange>>,
@@ -512,7 +512,7 @@ impl Server {
 
     /// The process-wide evaluation cache, when the server was started with
     /// [`ServeConfig::shared_cache`] (live counters for benches/dashboards).
-    pub fn shared_cache(&self) -> Option<&SharedEvalCache> {
+    pub fn shared_cache(&self) -> Option<&Arc<EvalCache>> {
         self.shared.shared_cache.as_ref()
     }
 

@@ -42,7 +42,7 @@ pub struct TenantPolicy {
     /// queued — while the session stays open.
     pub max_inflight_requests: usize,
     /// Opt this tenant out of the server's process-wide
-    /// [`kwdebug::evalcache::SharedEvalCache`] (when `ServeConfig::
+    /// [`kwdebug::evalcache::EvalCache`] (when `ServeConfig::
     /// shared_cache` is enabled): its sessions get private, session-scoped
     /// caches instead. Isolation knob for tenants whose query mix would
     /// thrash the shared LRU, or whose workload must not influence (or be

@@ -106,9 +106,7 @@ fn assert_answers_match(off: &DebugReport, on: &DebugReport, ctx: &str, check_id
         assert_eq!(a.unknown, b.unknown, "{ctx}: unknown");
         if check_identity {
             assert_eq!(
-                a.probes.probes_executed
-                    + a.probes.subtree_cache_dead_shortcuts
-                    + a.probes.verdict_cache_hits,
+                a.probes.probes_executed + a.probes.verdict_cache_hits,
                 b.probes.probes_executed,
                 "{ctx}: every skipped probe is a cache shortcut"
             );
@@ -216,7 +214,7 @@ fn soak_round(seed: u64, workers: usize) -> u64 {
     );
     assert_eq!(
         store.bytes(),
-        store.handle().accounted_bytes(),
+        store.accounted_bytes(),
         "cache_bytes accounting identity after chaos churn (seed {seed}, workers {workers})"
     );
 
@@ -320,7 +318,7 @@ fn shared_reports_match_uncached_server_for_every_tenant() {
     );
     let store = on.shared_cache().expect("configured").clone();
     assert!(store.hits() > 0, "cross-tenant reuse must register on the store");
-    assert_eq!(store.bytes(), store.handle().accounted_bytes(), "accounting identity");
+    assert_eq!(store.bytes(), store.accounted_bytes(), "accounting identity");
     on.shutdown();
     off.shutdown();
 }

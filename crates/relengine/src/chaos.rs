@@ -226,18 +226,6 @@ impl<'a> ChaosExecutor<'a> {
         self.inner.exists(plan)
     }
 
-    /// [`Executor::exists_harvesting`] behind the injector: a faulted attempt
-    /// fails *before* execution and therefore yields no harvest at all — the
-    /// caller only ever caches value-sets from completed reductions.
-    pub fn exists_harvesting(
-        &mut self,
-        plan: &JoinTreePlan,
-        harvest: &[usize],
-    ) -> Result<(bool, crate::exec::HarvestOut), EngineError> {
-        self.injector.guard()?;
-        self.inner.exists_harvesting(plan, harvest)
-    }
-
     /// Evaluates the query, returning up to `limit` tuples. May fail by
     /// injection.
     pub fn execute(

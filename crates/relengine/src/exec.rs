@@ -20,13 +20,11 @@
 //! lexicographic row-id order over the node-0 pre-order (neighbours in
 //! edge order) — the order nested loops would give.
 //!
-//! Two cache-oriented extensions feed the cross-probe evaluation cache
-//! (`kwdebug`'s session cache): plan nodes may carry a pre-verified shared
-//! *selection* (the executor then skips predicate evaluation for that node)
-//! and sorted join-value *constraints* standing in for pruned child subtrees;
-//! [`Executor::exists_harvesting`] additionally reports, per requested node,
-//! the sorted join-value set that survived that node's subtree reduction —
-//! exactly the set a later probe can reuse as a constraint.
+//! Plan nodes may carry a pre-verified shared *selection* from the
+//! cross-probe evaluation cache (`kwdebug`'s session cache), optionally with
+//! its value→rows postings per join column: the executor then skips
+//! predicate evaluation for that node and answers its semi-joins from the
+//! postings without re-reading rows.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -35,19 +33,13 @@ use std::time::Instant;
 
 use crate::catalog::Database;
 use crate::error::EngineError;
-use crate::plan::{JoinTreePlan, PlanNode};
-use crate::sortedvals::{intersect_sorted, normalize, ValuePostings};
+use crate::plan::JoinTreePlan;
+use crate::sortedvals::{normalize, ValuePostings};
 use crate::stats::ExecStats;
-use crate::table::{Row, RowId, Table};
+use crate::table::{RowId, Table};
 
 /// One result tuple: for each plan node (by index), the matched row id.
 pub type MatchTuple = Vec<RowId>;
-
-/// Per-requested-node harvest output of [`Executor::exists_harvesting`]:
-/// `Some(values)` when the subtree's surviving join-value set is known
-/// (including the empty set when the subtree is known unsatisfiable),
-/// `None` when the reduction never materialized it.
-pub type HarvestOut = Vec<Option<Vec<i64>>>;
 
 /// One enumeration step: bind `node` to the rows joining its already-bound
 /// `parent` (`node.child_col = parent.parent_col`).
@@ -71,13 +63,6 @@ enum LiveSet {
     /// Exactly these rows are live, borrowed from a shared pre-verified
     /// selection — no copy is made until a semi-join actually filters it.
     Shared(Arc<Vec<RowId>>),
-    /// Exactly the rows of `sel` whose value in `col` lies in the sorted
-    /// `vals`. Built when a selection's only constrained column carries
-    /// pre-extracted values ([`PlanNode::col_postings`]): `vals` is then the
-    /// constraint ∩ the selection's distinct values, so every element is
-    /// witnessed by a row and the set is empty iff no row survives. Rows are
-    /// materialized only when a later step genuinely needs them.
-    Deferred { sel: Arc<Vec<RowId>>, col: usize, vals: Vec<i64> },
 }
 
 impl LiveSet {
@@ -86,35 +71,18 @@ impl LiveSet {
             LiveSet::All => table.is_empty(),
             LiveSet::Rows(r) => r.is_empty(),
             LiveSet::Shared(r) => r.is_empty(),
-            LiveSet::Deferred { vals, .. } => vals.is_empty(),
         }
     }
 
-    /// Whether live row `rid` of `table` is in the set. `All` admits every
-    /// row it is asked about: callers pass index postings, which hold live
-    /// rows only.
-    fn admits(&self, table: &Table, rid: RowId) -> bool {
+    /// Whether live row `rid` is in the set. `All` admits every row it is
+    /// asked about: callers pass index postings, which hold live rows only.
+    fn admits(&self, rid: RowId) -> bool {
         match self {
             LiveSet::All => true,
             LiveSet::Rows(r) => r.binary_search(&rid).is_ok(),
             LiveSet::Shared(r) => r.binary_search(&rid).is_ok(),
-            LiveSet::Deferred { sel, col, vals } => {
-                sel.binary_search(&rid).is_ok()
-                    && table.row(rid)[*col].as_int().is_some_and(|v| vals.binary_search(&v).is_ok())
-            }
         }
     }
-}
-
-/// The rows of `sel` whose `col` value is in sorted `vals` — materializing a
-/// [`LiveSet::Deferred`]. Reads every selection row once.
-fn deferred_rows(table: &Table, sel: &[RowId], col: usize, vals: &[i64]) -> Vec<RowId> {
-    sel.iter()
-        .copied()
-        .filter(|&rid| {
-            table.row(rid)[col].as_int().is_some_and(|v| vals.binary_search(&v).is_ok())
-        })
-        .collect()
 }
 
 /// Membership test for "does the child have a live row with this join value".
@@ -144,35 +112,6 @@ impl ValueMembership<'_> {
             ValueMembership::SortedRef(s) => Some(s),
         }
     }
-}
-
-/// A node's merged join-value constraints: same-column sets are intersected
-/// once (galloping) before the row loop, so each row pays one binary search
-/// per distinct constrained column.
-enum ConstraintSet<'p> {
-    Borrowed(&'p [i64]),
-    Owned(Vec<i64>),
-}
-
-impl ConstraintSet<'_> {
-    fn as_slice(&self) -> &[i64] {
-        match self {
-            ConstraintSet::Borrowed(s) => s,
-            ConstraintSet::Owned(v) => v,
-        }
-    }
-}
-
-fn merged_constraints(node: &PlanNode) -> Vec<(usize, ConstraintSet<'_>)> {
-    let mut out: Vec<(usize, ConstraintSet<'_>)> = Vec::new();
-    for (col, vals) in &node.constraints {
-        if let Some(existing) = out.iter_mut().find(|(c, _)| c == col) {
-            existing.1 = ConstraintSet::Owned(intersect_sorted(existing.1.as_slice(), vals));
-        } else {
-            out.push((*col, ConstraintSet::Borrowed(vals)));
-        }
-    }
-    out
 }
 
 fn filter_rows(
@@ -206,63 +145,6 @@ fn postings_semijoin(p: &ValuePostings, vals: &[i64]) -> Vec<RowId> {
     }
     out.sort_unstable();
     out
-}
-
-/// Two-pointer intersection of ascending row-id slices.
-fn intersect_rows(a: &[RowId], b: &[RowId]) -> Vec<RowId> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
-fn row_passes(row: &Row, cons: &[(usize, ConstraintSet<'_>)]) -> bool {
-    cons.iter().all(|(col, set)| {
-        row.get(*col)
-            .and_then(|v| v.as_int())
-            .is_some_and(|v| set.as_slice().binary_search(&v).is_ok())
-    })
-}
-
-/// Collects subtree value-sets during a harvesting reduction and attributes
-/// deaths: when a node's live set empties, every enclosing subtree (the node
-/// and its ancestors toward the root) is known unsatisfiable, so their
-/// harvests are the empty set.
-struct Harvester<'h> {
-    /// `req_pos[node]` = index into `out`, or `usize::MAX` if not requested.
-    req_pos: Vec<usize>,
-    /// Rooted parent links (`usize::MAX` at the root).
-    parent_of: Vec<usize>,
-    out: &'h mut HarvestOut,
-}
-
-impl Harvester<'_> {
-    fn record(&mut self, node: usize, values: &[i64]) {
-        let p = self.req_pos[node];
-        if p != usize::MAX {
-            self.out[p] = Some(values.to_vec());
-        }
-    }
-
-    fn mark_dead(&mut self, mut node: usize) {
-        while node != usize::MAX {
-            let p = self.req_pos[node];
-            if p != usize::MAX {
-                self.out[p] = Some(Vec::new());
-            }
-            node = self.parent_of[node];
-        }
-    }
 }
 
 /// Executes join-tree plans against a database, counting every execution.
@@ -301,104 +183,13 @@ impl<'a> Executor<'a> {
         self.db
     }
 
-    /// Answers a single-node plan without reading any rows, when the shape
-    /// allows it: every constraint sits on one column `c`, and either
-    ///
-    /// * the node is selection-backed and the plan carries the selection's
-    ///   distinct values in `c` ([`PlanNode::col_postings`]) — liveness is
-    ///   `values(c) ∩ every constraint ≠ ∅`, a pure galloping intersection; or
-    /// * the node is free (no predicate, no candidates) and `c` is indexed —
-    ///   liveness is "some constrained value has an index posting".
-    ///
-    /// NULL join values are absent from value lists, constraint sets and
-    /// index postings alike, matching the row-wise check (which rejects NULL
-    /// too). `None` means the shape doesn't apply and the caller runs the
-    /// normal reduction.
-    fn single_node_fast(&self, plan: &JoinTreePlan) -> Option<bool> {
-        if plan.node_count() != 1 {
-            return None;
-        }
-        let node = &plan.nodes()[0];
-        let (first, rest) = node.constraints.split_first()?;
-        let col = first.0;
-        if rest.iter().any(|(c, _)| *c != col) {
-            return None;
-        }
-        let merged = || {
-            let mut acc = ConstraintSet::Borrowed(&first.1);
-            for (_, set) in rest {
-                if acc.as_slice().is_empty() {
-                    break;
-                }
-                acc = ConstraintSet::Owned(intersect_sorted(acc.as_slice(), set));
-            }
-            acc
-        };
-        if let Some(sel) = &node.selection {
-            let vals =
-                node.col_postings.iter().find(|(c, _)| *c == col).map(|(_, p)| p.values())?;
-            if sel.is_empty() {
-                return Some(false);
-            }
-            return Some(!intersect_sorted(vals, merged().as_slice()).is_empty());
-        }
-        if node.candidates.is_none() && node.predicate.is_true() {
-            let table = self.db.table(node.table);
-            if table.has_index(col) {
-                let acc = merged();
-                return Some(acc.as_slice().iter().any(|&v| {
-                    table.lookup_indexed(col, v).is_some_and(|rows| !rows.is_empty())
-                }));
-            }
-        }
-        None
-    }
-
     /// Does the query return at least one tuple? (The paper's aliveness test.)
     pub fn exists(&mut self, plan: &JoinTreePlan) -> Result<bool, EngineError> {
         plan.validate(self.db)?;
         let start = Instant::now();
-        let alive = match self.single_node_fast(plan) {
-            Some(a) => a,
-            None => self.reduce(plan, None, false)?.is_some(),
-        };
+        let alive = self.reduce(plan, false)?.is_some();
         self.stats.record(start.elapsed());
         Ok(alive)
-    }
-
-    /// [`Executor::exists`] that additionally harvests, for each plan node
-    /// listed in `harvest`, the sorted set of distinct join values (on that
-    /// node's column toward its parent in the tree rooted at node 0) whose
-    /// rows survive the node's entire subtree reduction — the value-set a
-    /// parent-side semi-join sees, and exactly what the cross-probe subtree
-    /// cache stores. Output slots are `None` when the reduction never
-    /// materialized the set (dead before reaching the node, or the node
-    /// stayed unfiltered behind a column index); a `Some(empty)` slot is a
-    /// proof that the subtree is unsatisfiable. Counts as one query in
-    /// [`ExecStats`], identically to `exists`.
-    pub fn exists_harvesting(
-        &mut self,
-        plan: &JoinTreePlan,
-        harvest: &[usize],
-    ) -> Result<(bool, HarvestOut), EngineError> {
-        plan.validate(self.db)?;
-        for &node in harvest {
-            if node >= plan.node_count() || node == 0 {
-                return Err(EngineError::InvalidPlan(format!(
-                    "harvest node #{node} is out of range or the root"
-                )));
-            }
-        }
-        let start = Instant::now();
-        let mut out: HarvestOut = vec![None; harvest.len()];
-        // A single-node plan has nothing harvestable (the root never is),
-        // so the no-row fast path composes with harvesting trivially.
-        let alive = match self.single_node_fast(plan) {
-            Some(a) => a,
-            None => self.reduce(plan, Some((harvest, &mut out)), false)?.is_some(),
-        };
-        self.stats.record(start.elapsed());
-        Ok((alive, out))
     }
 
     /// Evaluates the query, returning up to `limit` result tuples.
@@ -414,7 +205,7 @@ impl<'a> Executor<'a> {
     ) -> Result<Vec<MatchTuple>, EngineError> {
         plan.validate(self.db)?;
         let start = Instant::now();
-        let result = match self.reduce(plan, None, true)? {
+        let result = match self.reduce(plan, true)? {
             None => Vec::new(),
             Some(live) => self.enumerate(plan, &live, limit),
         };
@@ -430,10 +221,7 @@ impl<'a> Executor<'a> {
     /// Bottom-up semi-join reduction. Returns `None` as soon as any live set
     /// empties (the query is dead), otherwise the reduced live sets.
     ///
-    /// With `harvest`, the pass is rooted at node 0 (the harvest keys are
-    /// oriented from it) and subtree value-sets for the requested nodes are
-    /// collected along the way (see [`Executor::exists_harvesting`]).
-    /// Otherwise it is rooted at [`Executor::cheapest_root`]; any root decides
+    /// The pass is rooted at [`Executor::cheapest_root`]; any root decides
     /// emptiness of an acyclic join exactly. With `full`, the pass then
     /// semi-joins back along the path from that root to node 0, so every node
     /// ends up reduced against its whole subtree in the tree rooted at node 0
@@ -441,28 +229,14 @@ impl<'a> Executor<'a> {
     fn reduce(
         &mut self,
         plan: &JoinTreePlan,
-        harvest: Option<(&[usize], &mut HarvestOut)>,
         full: bool,
     ) -> Result<Option<Vec<LiveSet>>, EngineError> {
         let n = plan.node_count();
-        let mut harvester = harvest.map(|(requested, out)| {
-            let mut req_pos = vec![usize::MAX; n];
-            for (i, &node) in requested.iter().enumerate() {
-                req_pos[node] = i;
-            }
-            let mut parent_of = vec![usize::MAX; n];
-            for (node, _, parent) in plan.post_order(0) {
-                parent_of[node] = parent;
-            }
-            Harvester { req_pos, parent_of, out }
-        });
-
         let mut live: Vec<LiveSet> = Vec::with_capacity(n);
         // Initial per-node filtering: selection (pre-verified, predicate
-        // skipped) or candidates ∩ predicate, then join-value constraints.
-        for (i, node) in plan.nodes().iter().enumerate() {
+        // skipped) or candidates ∩ predicate.
+        for node in plan.nodes() {
             let table = self.db.table(node.table);
-            let cons = merged_constraints(node);
             let set = if let Some(sel) = &node.selection {
                 if let Some(&last) = sel.last() {
                     if (last as usize) >= table.len() {
@@ -472,89 +246,19 @@ impl<'a> Executor<'a> {
                         )));
                     }
                 }
-                let deferrable = match &cons[..] {
-                    // A single constrained column whose distinct selection
-                    // values ride on the plan: the filter collapses to a
-                    // value intersection, and the row set stays symbolic.
-                    [(col, set)] => node
-                        .col_postings
-                        .iter()
-                        .find(|(c, _)| c == col)
-                        .map(|(_, p)| (*col, intersect_sorted(p.values(), set.as_slice()))),
-                    _ => None,
-                };
-                let postings_of = |col: usize| {
-                    node.col_postings.iter().find(|(c, _)| *c == col).map(|(_, p)| p.as_ref())
-                };
-                if cons.is_empty() {
-                    // Cache-backed node: no rows are read at all here.
-                    LiveSet::Shared(Arc::clone(sel))
-                } else if let Some((col, vals)) = deferrable {
-                    LiveSet::Deferred { sel: Arc::clone(sel), col, vals }
-                } else if cons.iter().all(|(c, _)| postings_of(*c).is_some()) {
-                    // Several constrained columns, each with postings: every
-                    // per-column filter is a postings semi-join and the live
-                    // set is their intersection — still no rows read.
-                    let mut rows: Option<Vec<RowId>> = None;
-                    for (col, set) in &cons {
-                        let p = postings_of(*col).expect("checked above");
-                        let r = postings_semijoin(p, set.as_slice());
-                        rows = Some(match rows {
-                            None => r,
-                            Some(prev) => intersect_rows(&prev, &r),
-                        });
-                        if rows.as_ref().is_some_and(Vec::is_empty) {
-                            break;
-                        }
-                    }
-                    LiveSet::Rows(rows.unwrap_or_default())
-                } else {
-                    let mut rows = Vec::with_capacity(sel.len());
-                    for &rid in sel.iter() {
-                        self.stats.rows_examined += 1;
-                        if row_passes(table.row(rid), &cons) {
-                            rows.push(rid);
-                        }
-                    }
-                    LiveSet::Rows(rows)
-                }
+                // Cache-backed node: no rows are read at all here.
+                LiveSet::Shared(Arc::clone(sel))
             } else {
                 // Compile once per node so substring needles are lowercased
                 // outside the row loop.
                 let compiled = (!node.predicate.is_true()).then(|| node.predicate.compile());
                 match (&node.candidates, &compiled) {
-                    (None, None) if cons.is_empty() => LiveSet::All,
-                    // Free node whose constrained columns are all indexed:
-                    // each constraint set resolves to a union of index
-                    // postings (disjoint per value, so a sort restores row
-                    // order), intersected across columns — no scan.
-                    (None, None) if cons.iter().all(|(c, _)| table.has_index(*c)) => {
-                        let mut rows: Option<Vec<RowId>> = None;
-                        for (col, set) in &cons {
-                            let mut r: Vec<RowId> = Vec::new();
-                            for &v in set.as_slice() {
-                                if let Some(p) = table.lookup_indexed(*col, v) {
-                                    r.extend_from_slice(p);
-                                }
-                            }
-                            r.sort_unstable();
-                            rows = Some(match rows {
-                                None => r,
-                                Some(prev) => intersect_rows(&prev, &r),
-                            });
-                            if rows.as_ref().is_some_and(Vec::is_empty) {
-                                break;
-                            }
-                        }
-                        LiveSet::Rows(rows.unwrap_or_default())
-                    }
-                    (None, _) => {
+                    (None, None) => LiveSet::All,
+                    (None, Some(pred)) => {
                         let mut rows = Vec::new();
                         for (rid, row) in table.iter() {
                             self.stats.rows_examined += 1;
-                            if compiled.as_ref().is_none_or(|p| p.eval(table.schema(), row))
-                                && row_passes(row, &cons)
-                            {
+                            if pred.eval(table.schema(), row) {
                                 rows.push(rid);
                             }
                         }
@@ -573,7 +277,6 @@ impl<'a> Executor<'a> {
                             if compiled
                                 .as_ref()
                                 .is_none_or(|p| p.eval(table.schema(), table.row(rid)))
-                                && row_passes(table.row(rid), &cons)
                             {
                                 rows.push(rid);
                             }
@@ -583,22 +286,19 @@ impl<'a> Executor<'a> {
                 }
             };
             if set.is_empty(table) {
-                if let Some(h) = harvester.as_mut() {
-                    h.mark_dead(i);
-                }
                 return Ok(None);
             }
             live.push(set);
         }
 
-        let root = if harvester.is_some() { 0 } else { self.cheapest_root(plan, &live) };
+        let root = self.cheapest_root(plan, &live);
         let order = plan.post_order(root);
         // Children-before-parent semi-joins.
         for &(node, parent_edge, parent) in &order {
             if parent == usize::MAX {
                 continue; // root has no parent to reduce
             }
-            if !self.semijoin(plan, &mut live, node, parent, parent_edge, harvester.as_mut()) {
+            if !self.semijoin(plan, &mut live, node, parent, parent_edge) {
                 return Ok(None);
             }
         }
@@ -618,7 +318,7 @@ impl<'a> Executor<'a> {
             }
             for pair in path.windows(2).rev() {
                 let (into, from) = (pair[0], pair[1]);
-                if !self.semijoin(plan, &mut live, from, into, up[into].0, None) {
+                if !self.semijoin(plan, &mut live, from, into, up[into].0) {
                     return Ok(None);
                 }
             }
@@ -667,8 +367,8 @@ impl<'a> Executor<'a> {
 
     /// Reduces `live[into]` to the rows whose join value (across plan edge
     /// `edge`) some row of `live[from]` carries. Returns `false` when
-    /// `live[into]` empties. `from`'s value-set is harvested when requested.
-    /// Below, `from` is the semi-join's child and `into` its parent.
+    /// `live[into]` empties. Below, `from` is the semi-join's child and
+    /// `into` its parent.
     fn semijoin(
         &mut self,
         plan: &JoinTreePlan,
@@ -676,7 +376,6 @@ impl<'a> Executor<'a> {
         from: usize,
         into: usize,
         edge: usize,
-        mut harvester: Option<&mut Harvester<'_>>,
     ) -> bool {
         let edge = plan.edges()[edge];
         let (child_col, parent_col) =
@@ -691,37 +390,15 @@ impl<'a> Executor<'a> {
             }
             normalize(vals)
         };
-        let child_plan = &plan.nodes()[from];
-        let precomputed = |col: usize| {
-            child_plan.col_postings.iter().find(|(c, _)| *c == col).map(|(_, p)| p.as_ref())
-        };
-        // A deferred child whose membership column differs from its
-        // constrained column needs real rows after all.
-        if matches!(&live[from], LiveSet::Deferred { col, .. } if *col != child_col) {
-            if let LiveSet::Deferred { sel, col, vals } =
-                std::mem::replace(&mut live[from], LiveSet::All)
-            {
-                live[from] = LiveSet::Rows(match precomputed(col) {
-                    Some(p) => postings_semijoin(p, &vals),
-                    None => {
-                        self.stats.rows_examined += sel.len() as u64;
-                        deferred_rows(child_table, &sel, col, &vals)
-                    }
-                });
-            }
-        }
         let membership = match &live[from] {
             LiveSet::Rows(rows) => ValueMembership::Sorted(collect_sorted(rows)),
             // `Shared` means the live set is still exactly the node's
             // selection, so the plan's pre-extracted value list (when the
             // builder supplied one) IS this membership set — no row reads.
-            LiveSet::Shared(rows) => match precomputed(child_col) {
+            LiveSet::Shared(rows) => match plan.nodes()[from].postings(child_col) {
                 Some(p) => ValueMembership::SortedRef(p.values()),
                 None => ValueMembership::Sorted(collect_sorted(rows)),
             },
-            // Materialized above unless `col == child_col`, in which
-            // case the deferred value set IS the membership set.
-            LiveSet::Deferred { vals, .. } => ValueMembership::Sorted(vals.clone()),
             LiveSet::All => {
                 if child_table.has_index(child_col) {
                     ValueMembership::Indexed(child_table, child_col)
@@ -737,17 +414,7 @@ impl<'a> Executor<'a> {
                 }
             }
         };
-        // The materialized set is the node's complete subtree value-set
-        // (its own children were already folded in), so it can be
-        // harvested before the parent filter decides life or death.
-        if let (Some(h), Some(vals)) = (harvester.as_mut(), membership.as_sorted()) {
-            h.record(from, vals);
-        }
         let parent_table = self.db.table(plan.nodes()[into].table);
-        let parent_plan = &plan.nodes()[into];
-        let parent_postings = |col: usize| {
-            parent_plan.col_postings.iter().find(|(c, _)| *c == col).map(|(_, p)| p.as_ref())
-        };
         let (filtered, rows_read): (Vec<RowId>, u64) = match &live[into] {
             // An unfiltered parent semi-joined against a sorted value-set
             // is the union of the index postings of those values when the
@@ -783,32 +450,12 @@ impl<'a> Executor<'a> {
             // column the semi-join is answered entirely from them — no
             // parent row is read. (NULL rows are absent from postings and
             // rejected by the row-wise check alike.)
-            LiveSet::Shared(rows) => match (parent_postings(parent_col), membership.as_sorted()) {
-                (Some(pp), Some(mvals)) => (postings_semijoin(pp, mvals), 0),
-                _ => (filter_rows(parent_table, rows, parent_col, &membership), rows.len() as u64),
-            },
-            // Deferred selection: with postings for both the constrained
-            // column and the join column, each filter becomes a postings
-            // semi-join and the row set is their intersection — again no
-            // row reads. Otherwise one fused pass over the selection.
-            LiveSet::Deferred { sel, col, vals } => {
-                match (parent_postings(*col), parent_postings(parent_col), membership.as_sorted()) {
-                    (Some(dp), Some(pp), Some(mvals)) => (
-                        intersect_rows(&postings_semijoin(dp, vals), &postings_semijoin(pp, mvals)),
-                        0,
-                    ),
+            LiveSet::Shared(rows) => {
+                match (plan.nodes()[into].postings(parent_col), membership.as_sorted()) {
+                    (Some(pp), Some(mvals)) => (postings_semijoin(pp, mvals), 0),
                     _ => (
-                        sel.iter()
-                            .copied()
-                            .filter(|&rid| {
-                                let row = parent_table.row(rid);
-                                row[*col].as_int().is_some_and(|v| vals.binary_search(&v).is_ok())
-                                    && row[parent_col]
-                                        .as_int()
-                                        .is_some_and(|v| membership.contains(v))
-                            })
-                            .collect(),
-                        sel.len() as u64,
+                        filter_rows(parent_table, rows, parent_col, &membership),
+                        rows.len() as u64,
                     ),
                 }
             }
@@ -817,9 +464,6 @@ impl<'a> Executor<'a> {
         // them count — not just the survivors.
         self.stats.rows_examined += rows_read;
         if filtered.is_empty() {
-            if let Some(h) = harvester {
-                h.mark_dead(into);
-            }
             return false;
         }
         live[into] = LiveSet::Rows(filtered);
@@ -881,7 +525,7 @@ impl<'a> Executor<'a> {
     /// A reduced live set as a plain ascending row list, borrowed when it
     /// already is one.
     fn materialize_rows<'s>(
-        &mut self,
+        &self,
         plan: &JoinTreePlan,
         node: usize,
         set: &'s LiveSet,
@@ -892,15 +536,6 @@ impl<'a> Executor<'a> {
             LiveSet::All => {
                 let t = self.db.table(plan.nodes()[node].table);
                 Cow::Owned(t.iter().map(|(rid, _)| rid).collect())
-            }
-            LiveSet::Deferred { sel, col, vals } => {
-                Cow::Owned(match plan.nodes()[node].col_postings.iter().find(|(c, _)| c == col) {
-                    Some((_, p)) => postings_semijoin(p, vals),
-                    None => {
-                        self.stats.rows_examined += sel.len() as u64;
-                        deferred_rows(self.db.table(plan.nodes()[node].table), sel, *col, vals)
-                    }
-                })
             }
         }
     }
@@ -933,7 +568,7 @@ impl<'a> Executor<'a> {
             None => table.lookup_indexed(step.child_col, v).unwrap_or(&[]),
         };
         for &rid in rows {
-            if step.map.is_none() && !live[step.node].admits(table, rid) {
+            if step.map.is_none() && !live[step.node].admits(rid) {
                 continue;
             }
             assignment[step.node] = rid;
@@ -1218,111 +853,18 @@ mod tests {
     }
 
     #[test]
-    fn constraints_stand_in_for_pruned_subtree() {
-        let db = db();
-        let mut ex = Executor::new(&db);
-        let item = db.table_id("item").unwrap();
-        // Full plan: item ⋈ color[yellow]. Constrained plan: item alone, with
-        // the yellow color ids (color id 2) as a constraint on item.color_id.
-        let full = plan2(&db, "candle", "yellow");
-        let constrained = JoinTreePlan::new(
-            vec![PlanNode::new(item, Predicate::any_text_contains("candle"))
-                .with_constraint(2, Arc::new(vec![2]))],
-            vec![],
-        )
-        .unwrap();
-        assert_eq!(ex.exists(&full).unwrap(), ex.exists(&constrained).unwrap());
-        // Empty constraint set kills the plan outright.
-        let dead = JoinTreePlan::new(
-            vec![PlanNode::free(item).with_constraint(2, Arc::new(vec![]))],
-            vec![],
-        )
-        .unwrap();
-        assert!(!ex.exists(&dead).unwrap());
-        // Two same-column constraints intersect: {1,2} ∩ {2,3} = {2}.
-        let both = JoinTreePlan::new(
-            vec![PlanNode::free(item)
-                .with_constraint(2, Arc::new(vec![1, 2]))
-                .with_constraint(2, Arc::new(vec![2, 3]))],
-            vec![],
-        )
-        .unwrap();
-        let tuples = ex.execute(&both, 0).unwrap();
-        assert_eq!(tuples.len(), 1); // only item row 1 (color_id 2)
-        assert_eq!(tuples[0][0], 1);
-    }
-
-    #[test]
-    fn constraint_on_text_column_is_invalid() {
+    fn col_postings_on_text_column_is_invalid() {
         let db = db();
         let mut ex = Executor::new(&db);
         let item = db.table_id("item").unwrap();
         let p = JoinTreePlan::new(
-            vec![PlanNode::free(item).with_constraint(1, Arc::new(vec![1]))],
+            vec![PlanNode::free(item)
+                .with_selection(Arc::new(vec![0]))
+                .with_col_postings(1, Arc::new(ValuePostings::build(vec![(1, 0)])))],
             vec![],
         )
         .unwrap();
         assert!(ex.exists(&p).is_err());
-    }
-
-    #[test]
-    fn harvest_returns_subtree_value_sets() {
-        let db = db();
-        let mut ex = Executor::new(&db);
-        // item[scented] (root) ⋈ color[any]: the color subtree's surviving
-        // id set is all three color ids — but colors joined from item are
-        // what the membership sees, so harvest node 1 = color ids {1,2,3}.
-        let item = db.table_id("item").unwrap();
-        let color = db.table_id("color").unwrap();
-        let plan = JoinTreePlan::new(
-            vec![
-                PlanNode::new(item, Predicate::any_text_contains("scented")),
-                PlanNode::new(color, Predicate::any_text_contains("saffron")),
-            ],
-            vec![PlanEdge { a: 0, a_col: 2, b: 1, b_col: 0 }],
-        )
-        .unwrap();
-        let (alive, sets) = ex.exists_harvesting(&plan, &[1]).unwrap();
-        assert!(alive); // scented oil is saffron
-        assert_eq!(sets, vec![Some(vec![3])]); // saffron = color id 3
-    }
-
-    #[test]
-    fn harvest_marks_dead_subtrees_empty() {
-        let db = db();
-        let mut ex = Executor::new(&db);
-        let item = db.table_id("item").unwrap();
-        let color = db.table_id("color").unwrap();
-        let tag = db.table_id("tag").unwrap();
-        // Chain rooted at tag: tag ⋈ item[no such kw] ⋈ color. The item
-        // node's initial filter empties, which proves both the item subtree
-        // and (transitively) nothing about the untouched color leaf — the
-        // color set is never materialized, the item set is proven empty.
-        let plan = JoinTreePlan::new(
-            vec![
-                PlanNode::free(tag),
-                PlanNode::new(item, Predicate::any_text_contains("no-such-item")),
-                PlanNode::free(color),
-            ],
-            vec![
-                PlanEdge { a: 1, a_col: 0, b: 0, b_col: 1 },
-                PlanEdge { a: 1, a_col: 2, b: 2, b_col: 0 },
-            ],
-        )
-        .unwrap();
-        let (alive, sets) = ex.exists_harvesting(&plan, &[1, 2]).unwrap();
-        assert!(!alive);
-        assert_eq!(sets[0], Some(vec![])); // item subtree proven unsatisfiable
-        assert_eq!(sets[1], None); // color leaf never reached
-    }
-
-    #[test]
-    fn harvest_rejects_root_and_out_of_range() {
-        let db = db();
-        let mut ex = Executor::new(&db);
-        let plan = plan2(&db, "scented", "yellow");
-        assert!(ex.exists_harvesting(&plan, &[0]).is_err());
-        assert!(ex.exists_harvesting(&plan, &[5]).is_err());
     }
 
     #[test]

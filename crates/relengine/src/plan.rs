@@ -34,11 +34,6 @@ pub struct PlanNode {
     /// `candidates` and the predicate — the executor uses these rows as-is
     /// and skips `Predicate::eval` entirely.
     pub selection: Option<Arc<Vec<RowId>>>,
-    /// Join-value constraints `(column, allowed values)`: a row survives the
-    /// initial filter only if its integer value in `column` appears in the
-    /// sorted set. Used by the subtree semi-join cache to stand in for a
-    /// pruned child subtree; an empty set kills the node (and the plan).
-    pub constraints: Vec<(ColId, Arc<Vec<i64>>)>,
     /// Pre-extracted value→rows postings of `selection`: for each listed
     /// column, `selection`'s rows grouped by their non-NULL integer value in
     /// it ([`ValuePostings`]). The executor trusts them (like `selection`
@@ -58,7 +53,6 @@ impl PlanNode {
             predicate,
             candidates: None,
             selection: None,
-            constraints: Vec::new(),
             col_postings: Vec::new(),
             alias: None,
         }
@@ -84,14 +78,6 @@ impl PlanNode {
         self
     }
 
-    /// Adds a join-value constraint on `col` (values must be sorted and
-    /// deduplicated, as produced by [`crate::sortedvals::normalize`]).
-    pub fn with_constraint(mut self, col: ColId, values: Arc<Vec<i64>>) -> Self {
-        debug_assert!(values.windows(2).all(|w| w[0] < w[1]));
-        self.constraints.push((col, values));
-        self
-    }
-
     /// Attaches the pre-extracted value→rows postings of the node's
     /// selection in `col` (must group exactly the selection's rows by their
     /// value in `col` — the executor trusts it).
@@ -99,6 +85,11 @@ impl PlanNode {
         debug_assert!(postings.values().windows(2).all(|w| w[0] < w[1]));
         self.col_postings.push((col, postings));
         self
+    }
+
+    /// The attached postings of the selection in `col`, if any.
+    pub(crate) fn postings(&self, col: ColId) -> Option<&ValuePostings> {
+        self.col_postings.iter().find(|(c, _)| *c == col).map(|(_, p)| p.as_ref())
     }
 
     /// Sets the display alias.
@@ -189,20 +180,18 @@ impl JoinTreePlan {
                     n.table
                 )));
             }
-            let constrained = n.constraints.iter().map(|&(c, _)| ("constraint", c));
-            let postings = n.col_postings.iter().map(|&(c, _)| ("col_postings", c));
-            for (kind, col) in constrained.chain(postings) {
+            for &(col, _) in &n.col_postings {
                 let table = db.table(n.table);
                 match table.schema().columns.get(col) {
                     None => {
                         return Err(EngineError::InvalidPlan(format!(
-                            "{kind} column #{col} out of range for table `{}`",
+                            "col_postings column #{col} out of range for table `{}`",
                             table.schema().name
                         )))
                     }
                     Some(c) if c.ty != DataType::Int => {
                         return Err(EngineError::InvalidPlan(format!(
-                            "{kind} column `{}`.`{}` is not INT",
+                            "col_postings column `{}`.`{}` is not INT",
                             table.schema().name, c.name
                         )))
                     }

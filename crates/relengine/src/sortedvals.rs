@@ -5,8 +5,8 @@
 //! of hash sets: construction is one sort over a scanned column, membership
 //! is a binary search, and combining two sets is a galloping (exponential
 //! search) intersection that costs `O(small · log(large/small))` — the same
-//! representation either side of the cache boundary, so cached subtree
-//! value-sets plug straight into a running reduction.
+//! representation either side of the cache boundary, so a cached
+//! selection's [`ValuePostings`] plug straight into a running reduction.
 
 /// First index `i >= lo` with `s[i] >= v`, or `s.len()` if none, found by
 /// galloping (doubling steps) from `lo` followed by a binary search inside

@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("(probes == SQL queries executed; R1/R2 = statuses inferred by the rules)");
 
     // Same shootout with the session-scoped evaluation cache on: keyword
-    // selections and reduced subtree value-sets carry across probes (and
+    // selections and whole-network verdicts carry across probes (and
     // across strategies — the session warms as the loop runs). The verdicts
     // are identical; the cache columns show where the probing work went.
     let db = generate_dblife(&DblifeConfig::small());
@@ -70,8 +70,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     println!("\nwith the cross-probe evaluation cache (one warming session):\n");
     println!(
-        "{:<8} {:>7} {:>8} {:>7} {:>8} {:>8} {:>9} {:>10}",
-        "strategy", "probes", "dead-sc", "vc-hit", "sel-hit", "sub-hit", "scanned", "time"
+        "{:<8} {:>7} {:>7} {:>8} {:>9} {:>10}",
+        "strategy", "probes", "vc-hit", "sel-hit", "scanned", "time"
     );
     for (i, kind) in StrategyKind::ALL.into_iter().enumerate() {
         let report = cached.debug_with_strategy(query, kind)?;
@@ -80,31 +80,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         assert_eq!(reference, Some(signature), "{kind}: cache changed the output");
         let p = report.probes();
         assert_eq!(
-            p.probes_executed + p.subtree_cache_dead_shortcuts + p.verdict_cache_hits,
+            p.probes_executed + p.verdict_cache_hits,
             baseline_probes[i],
             "{kind}: every skipped probe must be a cache shortcut"
         );
         println!(
-            "{:<8} {:>7} {:>8} {:>7} {:>8} {:>8} {:>9} {:>10}",
+            "{:<8} {:>7} {:>7} {:>8} {:>9} {:>10}",
             kind.name(),
             p.probes_executed,
-            p.subtree_cache_dead_shortcuts,
             p.verdict_cache_hits,
             p.selection_cache_hits,
-            p.subtree_cache_hits,
             p.tuples_scanned,
             format!("{:.2?}", report.sql_time()),
         );
     }
     let cache = cached.eval_cache();
     println!(
-        "\nsame answers, fewer scans: {} selections + {} subtree value-sets + {} verdicts cached ({} bytes)",
+        "\nsame answers, fewer scans: {} selections + {} postings + {} verdicts cached ({} bytes)",
         cache.selection_entries(),
-        cache.subtree_entries(),
+        cache.postings_entries(),
         cache.verdict_entries(),
         cache.bytes()
     );
-    println!("(dead-sc = probes answered from an empty cached cut value-set; vc-hit = probes answered from a cached whole-network verdict; no SQL issued for either)");
+    println!("(vc-hit = probes answered from a cached whole-network verdict; no SQL issued)");
 
     // Same shootout with two concurrent sessions merging their probe waves
     // through a cross-session exchange (kwdebug::batch): every pending probe

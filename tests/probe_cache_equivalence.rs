@@ -9,13 +9,11 @@
 //! Probe counts obey the documented identity
 //!
 //! ```text
-//! probes_executed(cache on) + subtree_cache_dead_shortcuts + verdict_cache_hits
-//!     == probes_executed(cache off)
+//! probes_executed(cache on) + verdict_cache_hits == probes_executed(cache off)
 //! ```
 //!
-//! — every probe the cache skips is one answered Dead from an empty cached
-//! cut value-set or answered (either way) from a cached whole-network
-//! verdict. `tuples_scanned`, `probe_time_ns` and the cache-hit
+//! — every probe the cache skips is one answered (alive or dead) from a
+//! cached whole-network verdict. `tuples_scanned`, `probe_time_ns` and the cache-hit
 //! counters legitimately differ (that is the point of the cache) and are
 //! scrubbed before comparison. Budgets stay unlimited here: a limited budget
 //! composed with the cache can change *which* probe trips the cap, which is
@@ -39,7 +37,7 @@ const ALL_SIX: [StrategyKind; 6] = [
 
 /// Blanks the per-interpretation query count and wall clock of rendered
 /// report lines — `(12 SQL queries, 1.3ms)` → `(q SQL queries, t)` — since
-/// dead shortcuts legitimately shrink the executed-query count.
+/// cached verdicts legitimately shrink the executed-query count.
 fn scrub(s: &str) -> String {
     s.lines()
         .map(|l| match l.find(" SQL queries, ") {
@@ -55,14 +53,12 @@ fn scrub(s: &str) -> String {
 
 /// Drops the counters that legitimately vary with the cache (and with
 /// parallel scheduling). `probes_executed` is excluded here because it is
-/// checked exactly through the dead-shortcut identity instead.
+/// checked exactly through the verdict-cache identity instead.
 fn comparable(mut p: ProbeCounters) -> ProbeCounters {
     p.probe_time_ns = 0;
     p.tuples_scanned = 0;
     p.probes_executed = 0;
     p.selection_cache_hits = 0;
-    p.subtree_cache_hits = 0;
-    p.subtree_cache_dead_shortcuts = 0;
     p.verdict_cache_hits = 0;
     p.cache_bytes = 0;
     p.workers = 0;
@@ -71,7 +67,7 @@ fn comparable(mut p: ProbeCounters) -> ProbeCounters {
 }
 
 /// Asserts a cache-enabled report is observably identical to the uncached
-/// baseline, probe counts included (via the dead-shortcut identity).
+/// baseline, probe counts included (via the verdict-cache identity).
 fn assert_cache_equivalent(off: &DebugReport, on: &DebugReport, ctx: &str) {
     assert_eq!(scrub(&on.to_string()), scrub(&off.to_string()), "{ctx}: rendered report");
     assert_eq!(on.interpretations.len(), off.interpretations.len(), "{ctx}");
@@ -82,14 +78,12 @@ fn assert_cache_equivalent(off: &DebugReport, on: &DebugReport, ctx: &str) {
         assert_eq!(a.budget_exhausted, b.budget_exhausted, "{ctx}: exhaustion cause");
         assert_eq!(comparable(a.probes), comparable(b.probes), "{ctx}: probe counters");
         assert_eq!(
-            a.probes.probes_executed
-                + a.probes.subtree_cache_dead_shortcuts
-                + a.probes.verdict_cache_hits,
+            a.probes.probes_executed + a.probes.verdict_cache_hits,
             b.probes.probes_executed,
             "{ctx}: every skipped probe is accounted as a shortcut"
         );
         assert_eq!(
-            a.sql_queries + a.probes.subtree_cache_dead_shortcuts + a.probes.verdict_cache_hits,
+            a.sql_queries + a.probes.verdict_cache_hits,
             b.sql_queries,
             "{ctx}: traversal query counts obey the same identity"
         );
@@ -162,8 +156,8 @@ fn dblife_reports_match_uncached_across_seeds_and_workers() {
 }
 
 /// A warm session must answer the same query with the same report and
-/// strictly less engine work: selections and subtree value-sets from the
-/// first pass serve the second.
+/// strictly less engine work: selections and verdicts from the first pass
+/// serve the second.
 #[test]
 fn warm_session_repeats_identically_with_less_work() {
     let sys = NonAnswerDebugger::new(
@@ -178,11 +172,7 @@ fn warm_session_repeats_identically_with_less_work() {
         let w = warm.probes();
         if cold.probes().probes_executed > 0 {
             assert!(
-                w.selection_cache_hits
-                    + w.subtree_cache_hits
-                    + w.subtree_cache_dead_shortcuts
-                    + w.verdict_cache_hits
-                    > 0,
+                w.selection_cache_hits + w.verdict_cache_hits > 0,
                 "{}: warm run reuses session state",
                 q.id
             );
@@ -223,5 +213,35 @@ fn failed_probes_never_poison_the_cache() {
         let base = clean.debug(q.text).expect("clean run");
         let cached = sys.debug(q.text).expect("post-chaos run");
         assert_cache_equivalent(&base, &cached, &format!("{} post-chaos", q.id));
+    }
+}
+
+/// A cold cache must never make probing scan more tuples than no cache: the
+/// cached planner roots each reduction at the same cheapest node as the
+/// uncached one, and its selection-backed nodes answer semi-joins from the
+/// cached postings instead of re-reading rows.
+#[test]
+fn cold_cache_scans_no_more_than_uncached() {
+    let config = DebugConfig { max_joins: 4, sample_limit: 0, ..DebugConfig::default() };
+    let off = NonAnswerDebugger::new(generate_dblife(&DblifeConfig::tiny()), config)
+        .expect("system builds");
+    let mut on = NonAnswerDebugger::new(
+        generate_dblife(&DblifeConfig::tiny()),
+        DebugConfig { eval_cache: true, ..config },
+    )
+    .expect("system builds");
+    let sbh = StrategyKind::ScoreBasedHeuristic;
+    for q in paper_queries().iter().take(4) {
+        on.reset_eval_cache();
+        let base = off.debug_with_strategy(q.text, sbh).expect("runs");
+        let cold = on.debug_with_strategy(q.text, sbh).expect("runs");
+        assert_cache_equivalent(&base, &cold, &format!("{} cold", q.id));
+        assert!(
+            cold.probes().tuples_scanned <= base.probes().tuples_scanned,
+            "{}: cold cache scanned {} tuples, uncached {}",
+            q.id,
+            cold.probes().tuples_scanned,
+            base.probes().tuples_scanned
+        );
     }
 }

@@ -1,15 +1,14 @@
 //! Integration: the process-wide shared evaluation cache is observably
 //! identical to uncached probing, across sessions.
 //!
-//! `kwdebug::evalcache::SharedEvalCache` extends the session-scoped cache
+//! A shared `kwdebug::evalcache::EvalCache` extends the session-scoped cache
 //! contract (see `probe_cache_equivalence.rs`) across sessions: any number
 //! of debuggers built over one [`SharedParts`] with a shared store attached
 //! must produce reports bit-identical to an uncached baseline, while probe
 //! counts obey the shortcut identity
 //!
 //! ```text
-//! probes_executed(shared) + subtree_cache_dead_shortcuts + verdict_cache_hits
-//!     == probes_executed(off)
+//! probes_executed(shared) + verdict_cache_hits == probes_executed(off)
 //! ```
 //!
 //! On top of equivalence this suite pins the shared store's own contracts:
@@ -75,8 +74,6 @@ fn comparable(mut p: ProbeCounters) -> ProbeCounters {
     p.tuples_scanned = 0;
     p.probes_executed = 0;
     p.selection_cache_hits = 0;
-    p.subtree_cache_hits = 0;
-    p.subtree_cache_dead_shortcuts = 0;
     p.verdict_cache_hits = 0;
     p.cache_bytes = 0;
     p.workers = 0;
@@ -96,14 +93,12 @@ fn assert_shared_equivalent(off: &DebugReport, on: &DebugReport, ctx: &str) {
         assert_eq!(a.budget_exhausted, b.budget_exhausted, "{ctx}: exhaustion cause");
         assert_eq!(comparable(a.probes), comparable(b.probes), "{ctx}: probe counters");
         assert_eq!(
-            a.probes.probes_executed
-                + a.probes.subtree_cache_dead_shortcuts
-                + a.probes.verdict_cache_hits,
+            a.probes.probes_executed + a.probes.verdict_cache_hits,
             b.probes.probes_executed,
             "{ctx}: every skipped probe is accounted as a shortcut"
         );
         assert_eq!(
-            a.sql_queries + a.probes.subtree_cache_dead_shortcuts + a.probes.verdict_cache_hits,
+            a.sql_queries + a.probes.verdict_cache_hits,
             b.sql_queries,
             "{ctx}: traversal query counts obey the same identity"
         );
@@ -147,7 +142,7 @@ fn shared_sessions_match_uncached_baseline() {
     assert!(shared.bytes() > 0, "the shared store was populated");
     assert_eq!(
         shared.bytes(),
-        shared.handle().accounted_bytes(),
+        shared.accounted_bytes(),
         "cache_bytes gauge must equal a full recount over every shard"
     );
 }
@@ -176,7 +171,7 @@ fn byte_budget_evicts_without_changing_answers() {
         );
         assert_eq!(
             shared.bytes(),
-            shared.handle().accounted_bytes(),
+            shared.accounted_bytes(),
             "{}: accounting identity must survive eviction churn",
             q.id
         );

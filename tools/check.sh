@@ -15,6 +15,9 @@ fast=0
 echo "==> cargo build --release (workspace, all targets)"
 cargo build --workspace --release --bins --examples --benches --tests
 
+echo "==> cargo build --release (perfbench: the benchmark must compile against the library)"
+cargo build --release --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q (workspace)"
 cargo test --workspace -q
 
