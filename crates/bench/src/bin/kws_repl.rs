@@ -35,9 +35,9 @@
 //!   shuts down gracefully and prints the final server counters;
 //!   `--shared-cache` turns on the process-wide evaluation cache
 //!   ([`kwserve::SharedCacheConfig::default`]: 64 MiB budget, online `p_a`);
-//!   `--batch-window-us N` / `--batch-max-wave N` turn on cross-session
-//!   probe batching ([`kwdebug::batch`]) with the given window/wave cap
-//!   (the unset knob keeps its [`kwdebug::BatchConfig`] default).
+//!   `--batch` turns on cross-session single-flight probing
+//!   ([`kwdebug::batch`]): a probe another session is already executing is
+//!   waited on instead of executed again.
 //! * `kws_repl --connect HOST:PORT [--tenant NAME]` skips the local build
 //!   entirely and runs the REPL as one [`ResilientClient`] session against a
 //!   running server: queries and `:strategy` work as usual (the strategy
@@ -81,8 +81,7 @@ struct ReplArgs {
     listen: Option<SocketAddr>,
     workers: usize,
     shared_cache: bool,
-    batch_window_us: Option<u64>,
-    batch_max_wave: Option<usize>,
+    batch: bool,
 }
 
 fn parse_args() -> ReplArgs {
@@ -95,8 +94,7 @@ fn parse_args() -> ReplArgs {
         listen: None,
         workers: 4,
         shared_cache: false,
-        batch_window_us: None,
-        batch_max_wave: None,
+        batch: false,
     };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -141,28 +139,21 @@ fn parse_args() -> ReplArgs {
             "--connect" => out.connect = Some(addr(i)),
             "--listen" => out.listen = Some(addr(i)),
             "--tenant" => out.tenant = value(i).to_owned(),
-            "--batch-window-us" => {
-                out.batch_window_us = Some(value(i).parse().unwrap_or_else(|_| {
-                    eprintln!("--batch-window-us expects microseconds");
-                    std::process::exit(2);
-                }));
-            }
-            "--batch-max-wave" => {
-                out.batch_max_wave = Some(value(i).parse().unwrap_or_else(|_| {
-                    eprintln!("--batch-max-wave expects a number");
-                    std::process::exit(2);
-                }));
-            }
             "--shared-cache" => {
                 out.shared_cache = true;
+                i += 1;
+                continue;
+            }
+            "--batch" => {
+                out.batch = true;
                 i += 1;
                 continue;
             }
             "--help" | "-h" => {
                 eprintln!(
                     "options: --scale tiny|small|medium|paper  --max-level N  --seed N\n\
-                     modes:   --listen HOST:PORT [--workers N] [--shared-cache]\n\
-                     \x20                [--batch-window-us N] [--batch-max-wave N]   serve over TCP\n\
+                     modes:   --listen HOST:PORT [--workers N] [--shared-cache] [--batch]\n\
+                     \x20                                               serve over TCP\n\
                      \x20        --connect HOST:PORT [--tenant NAME]   client session"
                 );
                 std::process::exit(0);
@@ -438,24 +429,12 @@ fn show_epoch(mdb: &MutableDatabase) {
 fn serve_mode(args: &ReplArgs, addr: SocketAddr, max_level: usize) {
     eprintln!("building system (scale {:?}, level {max_level})...", args.scale);
     let system = build_system(args.scale, args.seed, max_level);
-    // Either batch flag opts the server into cross-session wave batching;
-    // the unset knob keeps its kwdebug default.
-    let batching = (args.batch_window_us.is_some() || args.batch_max_wave.is_some()).then(|| {
-        let mut bc = BatchConfig::default();
-        if let Some(us) = args.batch_window_us {
-            bc.window_us = us;
-        }
-        if let Some(n) = args.batch_max_wave {
-            bc.max_wave = n;
-        }
-        bc
-    });
     let config = ServeConfig {
         addr,
         workers: args.workers,
         debug: *system.config(),
         shared_cache: args.shared_cache.then(SharedCacheConfig::default),
-        batching,
+        batching: args.batch.then_some(BatchConfig),
         ..ServeConfig::default()
     };
     let server = Server::start(
@@ -536,13 +515,13 @@ fn show_batching(json: &str) {
     let ratio = field("batch_coalesce_ratio");
     if merged == 0 && ratio == 0 {
         println!(
-            "batching: no merged waves (server runs without `batching`, or traffic \
-             never overlapped)"
+            "batching: no in-flight waits (server runs without `batching`, or no two \
+             sessions ever ran the same probe at once)"
         );
         return;
     }
     println!(
-        "batching: {merged} merged waves, {:.1}% of submitted probes coalesced away",
+        "batching: {merged} in-flight waits, {:.1}% of looked-up probes coalesced",
         ratio as f64 / 10.0
     );
     println!("(process-wide across every tenant; the gauges refresh on each :metrics/:batch)");

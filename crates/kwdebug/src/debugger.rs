@@ -328,12 +328,10 @@ pub struct NonAnswerDebugger {
     /// [`DebugConfig::online_pa`] is on — shared with sibling sessions when
     /// built [`NonAnswerDebugger::from_shared`].
     pa_stats: Arc<OnlinePa>,
-    /// This session's registration on the cross-session wave exchange, if
-    /// one was attached ([`NonAnswerDebugger::set_wave_exchange`]). Held for
-    /// the debugger's lifetime so concurrent peers see the session as a
-    /// merge candidate between debug calls, not only during them.
-    /// `None` (the default) keeps every debug call on the unbatched path.
-    ticket: Option<crate::batch::BatchTicket>,
+    /// The cross-session single-flight exchange, if one was attached
+    /// ([`NonAnswerDebugger::set_wave_exchange`]). `None` (the default)
+    /// keeps every debug call off the in-flight table.
+    exchange: Option<Arc<crate::batch::WaveExchange>>,
 }
 
 impl NonAnswerDebugger {
@@ -356,7 +354,7 @@ impl NonAnswerDebugger {
             cache: Arc::new(cache),
             shared: false,
             pa_stats: Arc::new(OnlinePa::new()),
-            ticket: None,
+            exchange: None,
         })
     }
 
@@ -409,7 +407,7 @@ impl NonAnswerDebugger {
             cache,
             shared,
             pa_stats: parts.pa_stats,
-            ticket: None,
+            exchange: None,
         })
     }
 
@@ -464,7 +462,7 @@ impl NonAnswerDebugger {
             cache: Arc::new(cache),
             shared: false,
             pa_stats: Arc::new(OnlinePa::new()),
-            ticket: None,
+            exchange: None,
         })
     }
 
@@ -522,20 +520,19 @@ impl NonAnswerDebugger {
         self.config.workers = workers;
     }
 
-    /// Attaches a cross-session [`crate::batch::WaveExchange`]: the session
-    /// registers on the exchange's `(db_id, epoch)` group for its lifetime,
-    /// and subsequent debug calls merge their probe waves with concurrently
-    /// registered sessions (see the [`crate::batch`] module docs — reports
-    /// are identical to unbatched runs). Sessions pinned to different epochs
-    /// land in different groups and never share a wave. `None` detaches
-    /// (deregistering immediately).
+    /// Attaches a cross-session [`crate::batch::WaveExchange`]: subsequent
+    /// debug calls wait on a probe another session is already executing
+    /// instead of executing it again (see the [`crate::batch`] module docs —
+    /// reports are identical to runs without an exchange). Probes of
+    /// sessions pinned to different epochs never share a cell. `None`
+    /// detaches.
     pub fn set_wave_exchange(&mut self, exchange: Option<Arc<crate::batch::WaveExchange>>) {
-        self.ticket = exchange.map(|ex| ex.register(self.db.db_id(), self.db.epoch()));
+        self.exchange = exchange;
     }
 
     /// The attached cross-session wave exchange, if any.
     pub fn wave_exchange(&self) -> Option<&Arc<crate::batch::WaveExchange>> {
-        self.ticket.as_ref().map(|t| t.exchange())
+        self.exchange.as_ref()
     }
 
     /// Enables or disables the session evaluation cache for subsequent debug
@@ -610,14 +607,14 @@ impl NonAnswerDebugger {
         let mapping = map_keywords(&query, &self.index);
         let mapping_time = map_start.elapsed();
 
-        let ticket = self.ticket.as_ref();
+        let exchange = self.exchange.as_deref();
         let mut interpretations = Vec::with_capacity(mapping.interpretations.len());
         for interp in &mapping.interpretations {
             interpretations.push(self.debug_interpretation(
                 interp,
                 &mapping.keywords,
                 strategy,
-                ticket,
+                exchange,
             )?);
         }
         let mut timing = PhaseTiming { mapping: mapping_time, ..PhaseTiming::default() };
@@ -641,7 +638,7 @@ impl NonAnswerDebugger {
         interp: &Interpretation,
         keywords: &[String],
         strategy: StrategyKind,
-        ticket: Option<&crate::batch::BatchTicket>,
+        exchange: Option<&crate::batch::WaveExchange>,
     ) -> Result<InterpretationOutcome, KwError> {
         let prune_start = Instant::now();
         let (mut ws, _reused) = self.workspaces.acquire();
@@ -675,14 +672,14 @@ impl NonAnswerDebugger {
             self.config.pa
         };
         let traversal_start = Instant::now();
-        let mut outcome = traversal::run_with_ticket(
+        let mut outcome = traversal::run_with(
             strategy,
             &self.lattice,
             &pruned,
             &mut oracle,
             pa,
             self.config.workers,
-            ticket,
+            exchange,
         )?;
         let traversal_time = traversal_start.elapsed();
         // Phase-1 substrate accounting rides along in the probe counters so

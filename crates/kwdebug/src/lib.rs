@@ -56,7 +56,7 @@
 //! | Pooled traversal scratch (extension) | reusable per-query workspaces, zero steady-state allocation | [`workspace`] |
 //! | Multi-tenant serving (extension) | shared substrate ([`SharedParts`]), per-session debuggers over TCP | [`debugger`], `kwserve` |
 //! | Mutable databases (extension) | epoch-stamped writes, incremental index deltas, layered invalidation | [`mutable`], [`evalcache`] |
-//! | Cross-session batched probing (extension) | merged dispatch waves, in-flight probe coalescing | [`batch`] |
+//! | Cross-session single-flight probing (extension) | in-flight probe coalescing | [`batch`] |
 //!
 //! ## Observability
 //!

@@ -32,8 +32,7 @@
 //! | `verdict_cache_hits` | oracle/dispatcher, probes answered (Alive *or* Dead) from a cached whole-network verdict | beyond the paper (evaluation cache) |
 //! | `cache_bytes` | oracle, payload bytes resident in the session [`crate::evalcache::EvalCache`] | beyond the paper (evaluation cache) |
 //! | `delta_postings_merged` | oracle, bound plan nodes whose posting list was merged on read over pending index deltas | beyond the paper (mutable databases) |
-//! | `batched_waves` | wave driver, waves this session parked in a [`crate::batch::WaveExchange`] | beyond the paper (cross-session batching) |
-//! | `coalesced_probes` | wave driver, probes answered by another session's in-flight execution | beyond the paper (cross-session batching) |
+//! | `coalesced_probes` | wave driver, probes answered by another session's in-flight execution through a [`crate::batch::WaveExchange`] | beyond the paper (cross-session single-flight) |
 //! | `epoch` | debugger, gauge of the session's pinned database write epoch | beyond the paper (mutable databases) |
 //! | `entries_invalidated` | debugger, gauge of cache entries evicted by write-delta invalidation | beyond the paper (mutable databases) |
 //! | `compactions` | debugger, gauge of the index's delta-postings compactions | beyond the paper (mutable databases) |
@@ -205,12 +204,9 @@ pub struct Metrics {
     /// ([`textindex::InvertedIndex::rows_containing`] returning an owned
     /// union) instead of a borrowed base list. 0 on fully-compacted indexes.
     pub delta_postings_merged: Counter,
-    /// Waves this session parked in a cross-session
-    /// [`crate::batch::WaveExchange`] instead of executing alone; 0 when
-    /// batching is off or the exchange was bypassed (single-session traffic).
-    pub batched_waves: Counter,
     /// Probes answered by another session's in-flight execution of the same
-    /// canonical network in a merged wave — counted like an inference (never
+    /// canonical network, waited on through a cross-session
+    /// [`crate::batch::WaveExchange`] — counted like an inference (never
     /// as `probes_executed`), mirroring the memo-hit accounting. The probe
     /// still charges this session's budget gate at its original dispatch
     /// slot, so budget-cut partials match unbatched runs.
@@ -252,7 +248,6 @@ impl Metrics {
             verdict_cache_hits: Counter::new(),
             cache_bytes: Counter::new(),
             delta_postings_merged: Counter::new(),
-            batched_waves: Counter::new(),
             coalesced_probes: Counter::new(),
             epoch: Counter::new(),
             entries_invalidated: Counter::new(),
@@ -283,7 +278,6 @@ impl Metrics {
             verdict_cache_hits: self.verdict_cache_hits.get(),
             cache_bytes: self.cache_bytes.get(),
             delta_postings_merged: self.delta_postings_merged.get(),
-            batched_waves: self.batched_waves.get(),
             coalesced_probes: self.coalesced_probes.get(),
             epoch: self.epoch.get(),
             entries_invalidated: self.entries_invalidated.get(),
@@ -313,7 +307,6 @@ impl Metrics {
         self.verdict_cache_hits.reset();
         self.cache_bytes.reset();
         self.delta_postings_merged.reset();
-        self.batched_waves.reset();
         self.coalesced_probes.reset();
         self.epoch.reset();
         self.entries_invalidated.reset();
@@ -371,11 +364,8 @@ pub struct ProbeCounters {
     /// Bound plan nodes whose posting list was merged on read over pending
     /// index write deltas.
     pub delta_postings_merged: u64,
-    /// Waves parked in a cross-session exchange (0 when batching is off or
-    /// bypassed).
-    pub batched_waves: u64,
-    /// Probes answered by another session's in-flight execution in a merged
-    /// wave (never counted as `probes_executed`).
+    /// Probes answered by another session's in-flight execution (never
+    /// counted as `probes_executed`).
     pub coalesced_probes: u64,
     /// Gauge: database write epoch the session is pinned at.
     pub epoch: u64,
@@ -413,7 +403,6 @@ impl ProbeCounters {
             verdict_cache_hits: self.verdict_cache_hits - baseline.verdict_cache_hits,
             cache_bytes: self.cache_bytes - baseline.cache_bytes,
             delta_postings_merged: self.delta_postings_merged - baseline.delta_postings_merged,
-            batched_waves: self.batched_waves - baseline.batched_waves,
             coalesced_probes: self.coalesced_probes - baseline.coalesced_probes,
             epoch: self.epoch,
             entries_invalidated: self.entries_invalidated,
@@ -446,7 +435,6 @@ impl ProbeCounters {
         self.verdict_cache_hits += other.verdict_cache_hits;
         self.cache_bytes += other.cache_bytes;
         self.delta_postings_merged += other.delta_postings_merged;
-        self.batched_waves += other.batched_waves;
         self.coalesced_probes += other.coalesced_probes;
         self.epoch = self.epoch.max(other.epoch);
         self.entries_invalidated = self.entries_invalidated.max(other.entries_invalidated);
@@ -573,7 +561,7 @@ impl MetricsSnapshot {
         let p = &self.probes;
         let _ = write!(
             j,
-            ",\"probes\":{{\"batched_waves\":{},\"budget_exhausted\":{},\"cache_bytes\":{},\
+            ",\"probes\":{{\"budget_exhausted\":{},\"cache_bytes\":{},\
              \"coalesced_probes\":{},\"compactions\":{},\
              \"delta_postings_merged\":{},\"entries_invalidated\":{},\"epoch\":{},\
              \"executed\":{},\
@@ -585,7 +573,6 @@ impl MetricsSnapshot {
              \"steals\":{},\
              \"time_ns\":{},\"tuples_scanned\":{},\"verdict_cache_hits\":{},\"workers\":{},\
              \"workspace_reuses\":{}}}",
-            p.batched_waves,
             p.budget_exhausted,
             p.cache_bytes,
             p.coalesced_probes,
@@ -766,7 +753,6 @@ mod tests {
                 verdict_cache_hits: 8,
                 cache_bytes: 512,
                 delta_postings_merged: 3,
-                batched_waves: 3,
                 coalesced_probes: 4,
                 epoch: 11,
                 entries_invalidated: 7,
@@ -803,7 +789,7 @@ mod tests {
              \"variant\":\"fault_pm=50\",\
              \"scale\":\"small\",\"max_level\":5,\"interpretations\":1,\
              \"lattice_bytes\":4096,\
-             \"probes\":{\"batched_waves\":3,\"budget_exhausted\":1,\"cache_bytes\":512,\
+             \"probes\":{\"budget_exhausted\":1,\"cache_bytes\":512,\
              \"coalesced_probes\":4,\"compactions\":2,\
              \"delta_postings_merged\":3,\"entries_invalidated\":7,\"epoch\":11,\
              \"executed\":12,\

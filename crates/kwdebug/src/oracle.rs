@@ -278,6 +278,11 @@ impl<'a> ProbeCore<'a> {
         self.memo.as_ref().and_then(|m| m.get(node))
     }
 
+    /// The `(db_id, epoch)` snapshot every probe of this core reads.
+    pub(crate) fn snapshot(&self) -> (u64, u64) {
+        (self.db.db_id(), self.db.epoch())
+    }
+
     /// The canonical identity of a probe: [`crate::evalcache::network_key`]
     /// over binding labels — the table id in the high 32 bits and, for
     /// bound copies, the keyword's id from `intern` + 1 in the low bits
@@ -579,12 +584,13 @@ impl<'a> ProbeCore<'a> {
         }
     }
 
-    /// Books a verdict another session executed for this session's probe in
-    /// a merged wave. Mirrors the non-execution bookkeeping of
-    /// [`ProbeCore::execute_reserved`]'s success path — memo insert, online
-    /// `p_a`, verdict-cache publish — but counts `coalesced_probes` instead
-    /// of `probes_executed` (the accounting twin of a memo hit), keeping the
-    /// `probes_executed == ExecStats::queries` invariant intact. The budget
+    /// Books a verdict another session executed for this session's probe,
+    /// waited on through the single-flight table. Mirrors the non-execution
+    /// bookkeeping of [`ProbeCore::execute_reserved`]'s success path — memo
+    /// insert, online `p_a`, verdict-cache publish — but counts
+    /// `coalesced_probes` instead of `probes_executed` (the accounting twin
+    /// of a memo hit), keeping the `probes_executed == ExecStats::queries`
+    /// invariant intact. The budget
     /// slot the dispatcher reserved for this probe stays consumed, exactly
     /// as if the probe had executed, so budget-cut partials match unbatched
     /// runs.

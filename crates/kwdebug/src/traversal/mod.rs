@@ -62,8 +62,8 @@
 //! per-node protocol (reuse check → memo check → cache shortcut → budget →
 //! probe → apply) for every configuration: probes run inline on the
 //! oracle's own engine, on the [`crate::parallel`] pool when `workers > 1`,
-//! and through the [`crate::batch`] exchange when a session has a
-//! registered peer. Strategies stay single-threaded state machines and
+//! and through the [`crate::batch`] single-flight table when an exchange is
+//! attached. Strategies stay single-threaded state machines and
 //! never need locks; DESIGN.md §8.2 argues why every configuration reports
 //! the same classification and MPAN sets.
 
@@ -78,7 +78,7 @@ use std::time::Duration;
 
 pub use sbh::DEFAULT_PA;
 
-use crate::batch::BatchTicket;
+use crate::batch::WaveExchange;
 use crate::budget::Exhausted;
 use crate::error::KwError;
 use crate::lattice::Lattice;
@@ -210,22 +210,21 @@ pub fn run(
     oracle: &mut AlivenessOracle<'_>,
     pa: f64,
 ) -> Result<TraversalOutcome, KwError> {
-    run_with_ticket(kind, lattice, pruned, oracle, pa, 1, None)
+    run_with(kind, lattice, pruned, oracle, pa, 1, None)
 }
 
 /// [`run`] over `workers` probing threads (`workers > 1` fans each wave
 /// over the [`crate::parallel`] pool) and with an optional cross-session
-/// batching ticket, whose waves park in the exchange while the session has
-/// a registered peer. Every combination goes through the one wave driver;
-/// see `drive` for what each one changes.
-pub(crate) fn run_with_ticket(
+/// single-flight exchange. Every combination goes through the one wave
+/// driver; see `drive` for what each one changes.
+pub(crate) fn run_with(
     kind: StrategyKind,
     lattice: &Lattice,
     pruned: &PrunedLattice,
     oracle: &mut AlivenessOracle<'_>,
     pa: f64,
     workers: usize,
-    ticket: Option<&BatchTicket>,
+    exchange: Option<&WaveExchange>,
 ) -> Result<TraversalOutcome, KwError> {
     let q0 = oracle.stats().queries;
     let t0 = oracle.stats().total_time;
@@ -239,7 +238,7 @@ pub(crate) fn run_with_ticket(
         StrategyKind::BruteForce => Box::new(brute::BruteFrontier::new(pruned)),
     };
     crate::parallel::with_executor(oracle, lattice, pruned, workers, |core, exec| {
-        drive(lattice, pruned, core, exec, frontier.as_mut(), ticket)
+        drive(lattice, pruned, core, exec, frontier.as_mut(), exchange)
     })?;
     let classified = frontier.finish();
     Ok(TraversalOutcome {
@@ -269,7 +268,7 @@ pub(crate) fn run_with_ticket(
 /// verdict applied for one wave member may classify another member of the
 /// same wave (R1/R2 reach only other levels, so emitting runs of equal
 /// lattice level satisfies this). The driver relies on it for `reuse_hits`
-/// determinism when it reserves a wave ahead; DESIGN.md §8 states it
+/// determinism when it reserves a pool wave ahead; DESIGN.md §8 states it
 /// formally.
 pub(crate) trait Frontier {
     /// Emits the next wave of nodes in visit order into `out` (cleared by
@@ -292,41 +291,39 @@ pub(crate) trait Frontier {
 }
 
 /// The one Phase-3 wave driver, for every strategy, worker count and
-/// batching mode; DESIGN.md §8.2 gives its determinism argument.
+/// exchange; DESIGN.md §8.2 gives its determinism argument.
 ///
 /// Per wave it walks the emitted nodes in visit order: already classified
 /// → `reuse_hits`; memoized → `memo_hits` and apply; answered by a cache
 /// shortcut → apply; otherwise reserve a budget slot — a refusal ends the
-/// traversal at this node — and dispatch the probe. How a wave dispatches
-/// is fixed before its first node:
+/// traversal at this node — and dispatch the probe, through the exchange's
+/// single-flight table when one is attached. How a wave dispatches depends
+/// only on the executor:
 ///
-/// * **inline** (one worker, wave not parked): each probe executes on the
-///   oracle's own engine right after its reservation and is applied before
-///   the next node is checked, so every budget cap trips within one probe;
-/// * **ahead** (a pool, or a wave parked in the exchange because a peer is
-///   registered): the whole wave is reserved first, then executed on the
-///   pool or resolved through `BatchTicket::resolve`, then applied in
-///   dispatch-slot order. A tuple or deadline cap can overshoot by up to
-///   that one wave.
+/// * **inline** (one worker): each probe executes on the oracle's own
+///   engine right after its reservation and is applied before the next node
+///   is checked, so every budget cap trips within one probe;
+/// * **ahead** (a pool): the whole wave is reserved first, then executed on
+///   the pool, then applied in dispatch-slot order. A tuple or deadline cap
+///   can overshoot by up to that one wave.
 fn drive<'a>(
     lattice: &Lattice,
     pruned: &PrunedLattice,
     core: &ProbeCore<'a>,
     exec: &mut Executor<'_, 'a>,
     frontier: &mut dyn Frontier,
-    ticket: Option<&BatchTicket>,
+    exchange: Option<&WaveExchange>,
 ) -> Result<(), KwError> {
     let metrics = &core.metrics;
     let mut wave = Vec::new();
     let mut pending = Vec::new();
+    let ahead = exec.is_pool();
     loop {
         wave.clear();
         frontier.next_wave(&mut wave);
         if wave.is_empty() {
             return Ok(());
         }
-        let parked = ticket.filter(|t| t.has_peers());
-        let ahead = parked.is_some() || exec.is_pool();
         let mut stop = false;
         for &dense in &wave {
             if !frontier.is_unknown(dense) {
@@ -351,12 +348,12 @@ fn drive<'a>(
                 break;
             }
             pending.push(dense);
-            if !ahead && dispatch(lattice, pruned, core, exec, frontier, None, &mut pending)? {
+            if !ahead && dispatch(lattice, pruned, core, exec, frontier, exchange, &mut pending)? {
                 stop = true;
                 break;
             }
         }
-        stop |= dispatch(lattice, pruned, core, exec, frontier, parked, &mut pending)?;
+        stop |= dispatch(lattice, pruned, core, exec, frontier, exchange, &mut pending)?;
         if stop {
             frontier.exhaust();
             return Ok(());
@@ -364,9 +361,9 @@ fn drive<'a>(
     }
 }
 
-/// Executes the reserved probes of `pending` (through the exchange when the
-/// wave is `parked`), then drains `pending` applying each outcome in
-/// dispatch-slot order. Returns whether the budget tripped mid-execution.
+/// Executes the reserved probes of `pending` (through the single-flight
+/// table when an exchange is attached), then drains `pending` applying each
+/// outcome in dispatch-slot order. Returns whether the budget tripped mid-execution.
 /// Injected faults abandon their node; any other engine error (an invalid
 /// plan — a bug) propagates hard.
 fn dispatch<'a>(
@@ -375,11 +372,11 @@ fn dispatch<'a>(
     core: &ProbeCore<'a>,
     exec: &mut Executor<'_, 'a>,
     frontier: &mut dyn Frontier,
-    parked: Option<&BatchTicket>,
+    exchange: Option<&WaveExchange>,
     pending: &mut Vec<usize>,
 ) -> Result<bool, KwError> {
-    let probes = match parked {
-        Some(ticket) => ticket.resolve(core, lattice, pruned, exec, pending),
+    let probes = match exchange {
+        Some(exchange) => exchange.resolve(core, lattice, pruned, exec, pending),
         None => exec.execute(core, lattice, pruned, pending, |_, _| {}),
     };
     let mut exhausted = false;

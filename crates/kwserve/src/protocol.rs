@@ -711,10 +711,9 @@ fn read_probes(rd: &mut Rd<'_>) -> Result<ProbeCounters, WireError> {
         verdict_cache_hits: rd.u64()?,
         cache_bytes: rd.u64()?,
         delta_postings_merged: rd.u64()?,
-        // batched_waves / coalesced_probes depend on which sessions happened
-        // to overlap in flight — cross-session scheduling noise, excluded
-        // from the canonical payload like `steals`.
-        batched_waves: 0,
+        // coalesced_probes depends on which sessions happened to overlap in
+        // flight — cross-session scheduling noise, excluded from the
+        // canonical payload like `steals`.
         coalesced_probes: 0,
         epoch: rd.u64()?,
         entries_invalidated: rd.u64()?,

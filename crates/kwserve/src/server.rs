@@ -144,17 +144,15 @@ pub struct ServeConfig {
     /// LRU bounds residency; tenants can opt out per policy
     /// (`TenantPolicy::private_cache`). See CACHING.md and SERVING.md §7.
     pub shared_cache: Option<SharedCacheConfig>,
-    /// Cross-session batched probing (`None`, the default, keeps every
-    /// session dispatching its own waves). When set, the server creates one
+    /// Cross-session single-flight probing (`None`, the default, keeps every
+    /// session executing its own probes). When set, the server creates one
     /// [`WaveExchange`] and attaches it to each admitted session's debugger:
-    /// concurrent sessions park each probe wave for up to
-    /// `window_us`, duplicate probes (same canonical network on the same
-    /// `(db_id, epoch)` snapshot) are coalesced into a single execution, and
-    /// verdicts fan back to every subscriber in its original dispatch-slot
-    /// order — reports stay byte-identical to unbatched runs. A session
-    /// alone on its snapshot bypasses the exchange entirely and runs the
-    /// unbatched path, so the uncontended p50 is untouched. See DESIGN.md
-    /// §14 and SERVING.md.
+    /// a probe whose canonical network on the same `(db_id, epoch)` snapshot
+    /// another session is executing *right now* waits on that execution
+    /// instead of running again. Nothing ever waits for a peer to arrive, so
+    /// uncontended requests pay only a table lookup per probe, and reports
+    /// stay byte-identical to runs without an exchange. See DESIGN.md §14
+    /// and SERVING.md.
     pub batching: Option<BatchConfig>,
 }
 
@@ -221,12 +219,12 @@ impl ServeConfig {
 /// `sessions_admitted == sessions_closed`.
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
-    /// Dispatch waves the exchange merged across ≥ 2 parked sessions (gauge,
+    /// Follower waits on another session's in-flight probe (gauge,
     /// refreshed at every Metrics read; 0 when batching is off).
     pub batch_merged_waves: AtomicU64,
-    /// Per-mille share of parked probes answered by another session's
+    /// Per-mille share of looked-up probes answered by another session's
     /// in-flight execution: `coalesced * 1000 / submitted` (gauge; 0 when
-    /// batching is off or nothing has been parked).
+    /// batching is off or nothing has been looked up).
     pub batch_coalesce_ratio: AtomicU64,
     /// Connections accepted by the acceptor (excludes the shutdown wake-up).
     pub connections_accepted: AtomicU64,
@@ -443,18 +441,9 @@ impl Server {
             }
             parts.share_eval_cache(sc.budget_bytes)
         });
-        // The batching knob: one process-wide exchange; handed to every
-        // session at admission. Validate the knobs up front — a degenerate
-        // wave cap should not take a single connection down later.
-        let exchange = match &config.batching {
-            None => None,
-            Some(bc) => {
-                bc.validate().map_err(|e| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string())
-                })?;
-                Some(Arc::new(WaveExchange::new(*bc)))
-            }
-        };
+        // The batching knob: one process-wide exchange, handed to every
+        // session at admission.
+        let exchange = config.batching.map(|_| Arc::new(WaveExchange::default()));
         // Surface config/lattice mismatches now, not per connection.
         NonAnswerDebugger::from_shared(parts.clone(), config.debug)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e.to_string()))?;
@@ -1048,9 +1037,9 @@ fn admit(shared: &Shared, tenant: &str) -> Result<Session, Response> {
     };
     let mut debugger = NonAnswerDebugger::from_shared(parts, config)
         .map_err(|e| Response::error(ErrorCode::Internal, e.to_string()))?;
-    // Batching: every session of every tenant shares one exchange. The
-    // exchange groups by `(db_id, epoch)`, so even if sessions over distinct
-    // snapshots ever shared a process, their waves could never merge; on
+    // Batching: every session of every tenant shares one exchange. Its
+    // cells are keyed by `(db_id, epoch)`, so even if sessions over distinct
+    // snapshots ever shared a process, their probes could never coalesce; on
     // this server Hello.pin_epoch mismatches are refused before admission.
     debugger.set_wave_exchange(shared.exchange.clone());
     Ok(Session {
@@ -1194,10 +1183,7 @@ mod tests {
     }
 
     #[test]
-    fn batching_knob_is_opt_in_and_validated_at_start() {
+    fn batching_knob_is_opt_in() {
         assert!(ServeConfig::default().batching.is_none(), "knob is opt-in");
-        let bc = BatchConfig::default();
-        assert!(bc.validate().is_ok(), "defaults are sane");
-        assert!(BatchConfig { max_wave: 0, ..bc }.validate().is_err());
     }
 }

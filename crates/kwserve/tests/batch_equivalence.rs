@@ -1,8 +1,9 @@
-//! Differential suite for cross-session batched probing (DESIGN.md §14).
+//! Differential suite for cross-session single-flight probing (DESIGN.md
+//! §14).
 //!
 //! The contract under test: attaching a [`WaveExchange`] to any set of
-//! concurrent sessions changes *which session executes* each probe and
-//! *when*, but never what any session reports. Every session's canonical
+//! concurrent sessions changes *which session executes* each probe, but
+//! never what any session reports. Every session's canonical
 //! report bytes (probe-work counters scrubbed — batching moves work between
 //! sessions by design) must be identical to an unbatched run of the same
 //! session config. Across every traversal strategy, sequential and parallel
@@ -11,7 +12,7 @@
 //! misrouted, double-charged, or fabricated.
 
 use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use kwdebug::batch::BatchConfig;
 use kwdebug::budget::ProbeBudget;
@@ -83,12 +84,6 @@ fn canonical(mut report: DebugReport) -> Vec<u8> {
     encode_report(&report)
 }
 
-fn batch_config() -> BatchConfig {
-    // A short window bounds how long a wave stalls when a registered peer
-    // is between queries (or finished early on a budget cut / hard fault).
-    BatchConfig { window_us: 5_000, max_wave: 256 }
-}
-
 fn session_config(strategy: StrategyKind, workers: usize, cache: bool) -> DebugConfig {
     DebugConfig { max_joins: 2, strategy, workers, eval_cache: cache, ..DebugConfig::default() }
 }
@@ -121,7 +116,6 @@ fn run_batched_matrix_cell(
             });
         }
     });
-    assert_eq!(exchange.active_sessions(), 0, "{ctx}: leaked exchange subscription");
     assert_eq!(exchange.pending_cells(), 0, "{ctx}: leaked probe cell");
 }
 
@@ -147,7 +141,7 @@ fn batched_reports_match_unbatched_across_the_matrix() {
                         canonical(s.debug(q).expect("unbatched debug runs"))
                     })
                     .collect();
-                let exchange = Arc::new(WaveExchange::new(batch_config()));
+                let exchange = Arc::new(WaveExchange::default());
                 let ctx = format!("{} workers={workers} cache={cache}", strategy.name());
                 run_batched_matrix_cell(&system, config, &truth, 3, &exchange, &ctx);
                 merged_total += exchange.merged_waves();
@@ -155,15 +149,16 @@ fn batched_reports_match_unbatched_across_the_matrix() {
             }
         }
     }
-    // The suite must actually exercise merging, not just bypass everywhere.
-    assert!(merged_total > 0, "no wave was ever merged across the whole matrix");
+    // The suite must actually exercise followers, not just owners everywhere.
+    assert!(merged_total > 0, "no lookup ever waited on an in-flight cell across the matrix");
     assert!(coalesced_total > 0, "no probe was ever coalesced across the whole matrix");
 }
 
 /// Budget-cut partials: followers reserve their own budget slot at their
-/// original dispatch position before parking, so a `max_probes` cut lands on
-/// exactly the same probe batched as unbatched — the `Unknown` frontier of a
-/// degraded report is part of the equivalence contract.
+/// original dispatch position before looking the probe up, so a
+/// `max_probes` cut lands on exactly the same probe batched as unbatched —
+/// the `Unknown` frontier of a degraded report is part of the equivalence
+/// contract.
 #[test]
 fn budget_partials_stay_identical_when_batched() {
     let db = store_db();
@@ -181,7 +176,7 @@ fn budget_partials_stay_identical_when_batched() {
                     canonical(s.debug(q).expect("budgeted debug runs"))
                 })
                 .collect();
-            let exchange = Arc::new(WaveExchange::new(batch_config()));
+            let exchange = Arc::new(WaveExchange::default());
             let ctx = format!("max_probes={max_probes} workers={workers}");
             run_batched_matrix_cell(&system, config, &truth, 3, &exchange, &ctx);
         }
@@ -206,7 +201,7 @@ fn transient_chaos_changes_no_batched_report() {
         .collect();
     for seed in [7u64, 8] {
         let faulted = DebugConfig { chaos: Some(FaultConfig::transient(seed, 250)), ..clean };
-        let exchange = Arc::new(WaveExchange::new(batch_config()));
+        let exchange = Arc::new(WaveExchange::default());
         run_batched_matrix_cell(
             &system,
             faulted,
@@ -245,7 +240,7 @@ fn a_session_dying_mid_wave_never_corrupts_its_peers() {
         }),
         ..clean
     };
-    let exchange = Arc::new(WaveExchange::new(batch_config()));
+    let exchange = Arc::new(WaveExchange::default());
     let barrier = Barrier::new(3);
     let system = &system;
     std::thread::scope(|s| {
@@ -281,18 +276,26 @@ fn a_session_dying_mid_wave_never_corrupts_its_peers() {
             });
         }
     });
-    assert_eq!(exchange.active_sessions(), 0, "dying session leaked its subscription");
     assert_eq!(exchange.pending_cells(), 0, "dying session leaked unresolved cells");
 }
 
 /// End-to-end over TCP: a batching server's wire reports match an offline
 /// unbatched reference for every concurrent tenant, the batch gauges cross
-/// the wire, abrupt disconnects (no Bye) leak nothing, and merging really
-/// happened.
+/// the wire, abrupt disconnects (no Bye) leak nothing, and coalescing really
+/// happened. Every probe sleeps 1 ms (a latency-only fault schedule), so
+/// the aligned tenants' probes are genuinely in flight together.
 #[test]
 fn server_batched_reports_match_unbatched_reference() {
     let config = session_config(StrategyKind::ScoreBasedHeuristic, 1, false);
     let system = NonAnswerDebugger::new(store_db(), config).unwrap();
+    let slow = DebugConfig {
+        chaos: Some(FaultConfig {
+            latency_per_mille: 1000,
+            latency: Duration::from_millis(1),
+            ..FaultConfig::quiet(5)
+        }),
+        ..config
+    };
     let truth: Vec<Vec<u8>> = QUERIES
         .iter()
         .map(|q| {
@@ -306,8 +309,8 @@ fn server_batched_reports_match_unbatched_reference() {
         ServeConfig {
             workers: 4,
             poll_interval: Duration::from_millis(10),
-            debug: config,
-            batching: Some(batch_config()),
+            debug: slow,
+            batching: Some(BatchConfig),
             ..ServeConfig::default()
         },
     )
@@ -324,8 +327,8 @@ fn server_batched_reports_match_unbatched_reference() {
                     DebugClient::connect(addr, &format!("tenant-{t}")).expect("connect");
                 for pass in 0..2 {
                     for (qi, q) in QUERIES.iter().enumerate() {
-                        // Align all four tenants per query so their waves
-                        // genuinely overlap in the exchange.
+                        // Align all four tenants per query so their probes
+                        // genuinely overlap in flight.
                         barrier.wait();
                         let wire = client.debug(q).expect("batched server answers");
                         assert_eq!(
@@ -342,16 +345,8 @@ fn server_batched_reports_match_unbatched_reference() {
     });
 
     let exchange = server.wave_exchange().expect("batching is configured").clone();
-    assert!(exchange.merged_waves() > 0, "concurrent tenants never merged a wave");
+    assert!(exchange.merged_waves() > 0, "concurrent tenants never waited on an in-flight probe");
     assert!(exchange.coalesced_probes() > 0, "identical workloads never coalesced a probe");
-    // Registrations live for the server session, which outlasts the client
-    // socket by up to a poll interval — wait for teardown before the leak
-    // check.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while exchange.active_sessions() > 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert_eq!(exchange.active_sessions(), 0, "abrupt disconnects leaked subscriptions");
     assert_eq!(exchange.pending_cells(), 0, "abrupt disconnects leaked cells");
 
     // The gauges cross the wire, sorted and non-zero.
@@ -363,13 +358,14 @@ fn server_batched_reports_match_unbatched_reference() {
     server.shutdown();
 }
 
-/// The single-session fast path: with batching configured but only one
-/// session live, the exchange is never entered — zero submitted probes, zero
-/// merged waves, and an uncontended request path identical to batching-off.
-/// At library level that identity is exact: a solo session decides per wave
-/// that it will not park, so every unscrubbed counter (wall-clock
-/// `probe_time_ns` and the pool-size gauge `workers` aside) and the probe
-/// where each tuple cap trips match a session without an exchange.
+/// The uncontended path: with batching configured but only one session
+/// live, no probe ever waits on another execution — zero in-flight waits,
+/// zero coalesced probes. At library level the identity is exact: a session
+/// looks every probe up, owns every cell and executes it at once, so every
+/// unscrubbed counter (wall-clock `probe_time_ns` and the pool-size gauge
+/// `workers` aside) and the probe where each tuple cap trips match a session
+/// without an exchange — even with a second, idle session attached to the
+/// same exchange.
 #[test]
 fn a_solo_session_never_touches_the_exchange() {
     let config = session_config(StrategyKind::ScoreBasedHeuristic, 1, false);
@@ -381,7 +377,7 @@ fn a_solo_session_never_touches_the_exchange() {
             workers: 2,
             poll_interval: Duration::from_millis(10),
             debug: config,
-            batching: Some(batch_config()),
+            batching: Some(BatchConfig),
             ..ServeConfig::default()
         },
     )
@@ -392,15 +388,18 @@ fn a_solo_session_never_touches_the_exchange() {
         assert!(!wire.canonical.is_empty());
     }
     let json = client.metrics_json().unwrap();
-    assert!(json.contains("\"batch_merged_waves\":0"), "solo traffic merged a wave: {json}");
+    assert!(json.contains("\"batch_merged_waves\":0"), "solo traffic waited in flight: {json}");
     assert!(json.contains("\"batch_coalesce_ratio\":0"), "solo traffic coalesced: {json}");
     client.bye().unwrap();
     let exchange = server.wave_exchange().unwrap().clone();
-    assert_eq!(exchange.submitted_probes(), 0, "solo session parked probes in the exchange");
-    assert_eq!(exchange.merged_waves(), 0);
+    assert!(
+        exchange.merged_waves() == 0 && exchange.coalesced_probes() == 0,
+        "a solo session waited on an in-flight probe"
+    );
     server.shutdown();
 
-    // Library leg: exact counters under every tuple cap.
+    // Library legs: exact counters under every tuple cap, for a session
+    // alone on the exchange and for one with an idle peer attached.
     fn exact(mut report: DebugReport) -> (Vec<u8>, Vec<(u64, ProbeCounters)>) {
         for i in &mut report.interpretations {
             i.probes.probe_time_ns = 0;
@@ -419,17 +418,33 @@ fn a_solo_session_never_touches_the_exchange() {
             };
             let system = NonAnswerDebugger::new(datagen::product_database(), config).unwrap();
             let plain = NonAnswerDebugger::from_shared(system.shared_parts(), config).unwrap();
-            let mut solo = NonAnswerDebugger::from_shared(system.shared_parts(), config).unwrap();
-            let exchange = Arc::new(WaveExchange::new(batch_config()));
-            solo.set_wave_exchange(Some(Arc::clone(&exchange)));
-            for q in &queries {
-                let want = exact(plain.debug(q).expect("unbatched debug runs"));
-                let got = exact(solo.debug(q).expect("solo batched debug runs"));
-                assert_eq!(got, want, "{} max_tuples={max_tuples} on {q:?}", strategy.name());
+            for idle_peer in [false, true] {
+                let exchange = Arc::new(WaveExchange::default());
+                let mut solo =
+                    NonAnswerDebugger::from_shared(system.shared_parts(), config).unwrap();
+                solo.set_wave_exchange(Some(Arc::clone(&exchange)));
+                let mut peer =
+                    NonAnswerDebugger::from_shared(system.shared_parts(), config).unwrap();
+                if idle_peer {
+                    peer.set_wave_exchange(Some(Arc::clone(&exchange)));
+                }
+                for q in &queries {
+                    let want = exact(plain.debug(q).expect("unbatched debug runs"));
+                    let got = exact(solo.debug(q).expect("solo batched debug runs"));
+                    assert_eq!(
+                        got,
+                        want,
+                        "{} max_tuples={max_tuples} idle_peer={idle_peer} on {q:?}",
+                        strategy.name()
+                    );
+                }
+                drop((solo, peer));
+                assert!(
+                    exchange.merged_waves() == 0 && exchange.coalesced_probes() == 0,
+                    "a solo session waited on an in-flight probe"
+                );
+                assert_eq!(exchange.pending_cells(), 0, "leaked probe cell");
             }
-            drop(solo);
-            assert_eq!(exchange.submitted_probes(), 0, "solo session parked probes");
-            assert_eq!(exchange.active_sessions(), 0, "leaked exchange subscription");
         }
     }
 }

@@ -1,54 +1,14 @@
-//! Sorted integer value-sets: galloping membership and intersection.
+//! Sorted integer value-sets.
 //!
-//! The executor's semi-join reduction and the cross-probe evaluation cache
-//! both represent join-value sets as sorted, deduplicated `Vec<i64>` instead
-//! of hash sets: construction is one sort over a scanned column, membership
-//! is a binary search, and combining two sets is a galloping (exponential
-//! search) intersection that costs `O(small · log(large/small))` — the same
-//! representation either side of the cache boundary, so a cached
-//! selection's [`ValuePostings`] plug straight into a running reduction.
-
-/// First index `i >= lo` with `s[i] >= v`, or `s.len()` if none, found by
-/// galloping (doubling steps) from `lo` followed by a binary search inside
-/// the final gallop window. Fast when successive probes advance locally.
-pub(crate) fn gallop_gte(s: &[i64], mut lo: usize, v: i64) -> usize {
-    let mut step = 1usize;
-    let mut hi = lo;
-    while hi < s.len() && s[hi] < v {
-        lo = hi + 1;
-        hi += step;
-        step <<= 1;
-    }
-    let hi = hi.min(s.len());
-    lo + s[lo..hi].partition_point(|&x| x < v)
-}
-
-/// Whether sorted slice `s` contains `v` (binary search).
-pub fn contains_sorted(s: &[i64], v: i64) -> bool {
-    s.binary_search(&v).is_ok()
-}
-
-/// Intersection of two sorted, deduplicated slices, galloping through the
-/// larger one. Returns a sorted, deduplicated vector.
-pub fn intersect_sorted(a: &[i64], b: &[i64]) -> Vec<i64> {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let mut out = Vec::with_capacity(small.len());
-    let mut pos = 0usize;
-    for &v in small {
-        pos = gallop_gte(large, pos, v);
-        if pos >= large.len() {
-            break;
-        }
-        if large[pos] == v {
-            out.push(v);
-            pos += 1;
-        }
-    }
-    out
-}
+//! The executor and the cross-probe evaluation cache represent join-value
+//! sets as sorted, deduplicated `Vec<i64>` instead of hash sets:
+//! construction is one sort over a scanned column and membership is a binary
+//! search. A cached selection's [`ValuePostings`] groups its rows by join
+//! value in that same order, so the executor can walk values and rows for a
+//! value without re-reading a single row.
 
 /// Sorts and deduplicates a value list in place, returning it — the
-/// normal-form constructor for the sets the functions above consume.
+/// normal form of every value-set in this module.
 pub fn normalize(mut values: Vec<i64>) -> Vec<i64> {
     values.sort_unstable();
     values.dedup();
@@ -119,44 +79,6 @@ impl ValuePostings {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gallop_finds_first_geq() {
-        let s = [2, 4, 6, 8, 10, 12, 14];
-        assert_eq!(gallop_gte(&s, 0, 1), 0);
-        assert_eq!(gallop_gte(&s, 0, 2), 0);
-        assert_eq!(gallop_gte(&s, 0, 5), 2);
-        assert_eq!(gallop_gte(&s, 0, 14), 6);
-        assert_eq!(gallop_gte(&s, 0, 15), 7);
-        assert_eq!(gallop_gte(&s, 3, 9), 4);
-        assert_eq!(gallop_gte(&s, 7, 1), 7);
-        assert_eq!(gallop_gte(&[], 0, 0), 0);
-    }
-
-    #[test]
-    fn membership() {
-        let s = [1, 3, 5];
-        assert!(contains_sorted(&s, 1));
-        assert!(contains_sorted(&s, 5));
-        assert!(!contains_sorted(&s, 2));
-        assert!(!contains_sorted(&[], 0));
-    }
-
-    #[test]
-    fn intersection_matches_naive() {
-        let cases: &[(&[i64], &[i64], &[i64])] = &[
-            (&[], &[1, 2], &[]),
-            (&[1, 2, 3], &[2, 3, 4], &[2, 3]),
-            (&[1, 5, 9], &[2, 6, 10], &[]),
-            (&[1, 2, 3], &[1, 2, 3], &[1, 2, 3]),
-            (&[7], &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12], &[7]),
-            (&[-3, 0, 3], &[-5, -3, 3, 8], &[-3, 3]),
-        ];
-        for (a, b, want) in cases {
-            assert_eq!(intersect_sorted(a, b), *want);
-            assert_eq!(intersect_sorted(b, a), *want);
-        }
-    }
 
     #[test]
     fn normalize_sorts_and_dedups() {

@@ -13,7 +13,7 @@ use kws_nonanswer_debug::datagen::{generate_dblife, DblifeConfig};
 use kws_nonanswer_debug::kwdebug::debugger::{DebugConfig, NonAnswerDebugger};
 use kws_nonanswer_debug::kwdebug::mutable::MutableDatabase;
 use kws_nonanswer_debug::kwdebug::traversal::StrategyKind;
-use kws_nonanswer_debug::kwdebug::{BatchConfig, WaveExchange};
+use kws_nonanswer_debug::kwdebug::WaveExchange;
 use kws_nonanswer_debug::relengine::Value;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -104,19 +104,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("(vc-hit = probes answered from a cached whole-network verdict; no SQL issued)");
 
-    // Same shootout with two concurrent sessions merging their probe waves
-    // through a cross-session exchange (kwdebug::batch): every pending probe
-    // is executed by one session and coalesced away by the other, so the
-    // per-session probe + coalesced columns must add back up to the
-    // unbatched baseline — and the reports stay identical.
-    let exchange = std::sync::Arc::new(WaveExchange::new(BatchConfig {
-        window_us: 5_000,
-        ..BatchConfig::default()
-    }));
-    println!("\nwith two sessions batching through one wave exchange:\n");
+    // Same shootout with two concurrent sessions sharing a cross-session
+    // single-flight exchange (kwdebug::batch): a probe one session is
+    // executing while the other needs it is waited on, not run twice. How
+    // many overlap depends on timing, but each session's probe + coalesced
+    // columns must add back up to the unbatched baseline — and the reports
+    // stay identical.
+    let exchange = std::sync::Arc::new(WaveExchange::default());
+    println!("\nwith two sessions sharing one single-flight exchange:\n");
     println!(
-        "{:<8} {:>9} {:>9} {:>7} {:>11} {:>11}",
-        "strategy", "s1-probes", "s2-probes", "waves", "s1-coalesce", "s2-coalesce"
+        "{:<8} {:>9} {:>9} {:>11} {:>11}",
+        "strategy", "s1-probes", "s2-probes", "s1-coalesce", "s2-coalesce"
     );
     for (i, kind) in StrategyKind::ALL.into_iter().enumerate() {
         let barrier = std::sync::Barrier::new(2);
@@ -158,17 +156,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         let (p1, p2) = (reports[0].probes(), reports[1].probes());
         println!(
-            "{:<8} {:>9} {:>9} {:>7} {:>11} {:>11}",
+            "{:<8} {:>9} {:>9} {:>11} {:>11}",
             kind.name(),
             p1.probes_executed,
             p2.probes_executed,
-            p1.batched_waves + p2.batched_waves,
             p1.coalesced_probes,
             p2.coalesced_probes,
         );
     }
     println!(
-        "\n{} waves merged, {} of {} submitted probes answered by a peer's execution",
+        "\n{} in-flight waits, {} of {} looked-up probes answered by a peer's execution",
         exchange.merged_waves(),
         exchange.coalesced_probes(),
         exchange.submitted_probes()
