@@ -1,11 +1,13 @@
 //! Extension experiment — cross-probe evaluation cache (EXPERIMENTS.md E15).
 //!
-//! A debug session asks many structurally overlapping probes: every probe of
-//! an interpretation re-selects the same `(relation, keyword)` tuple sets,
-//! and repeated queries re-ask whole bound networks. The session-scoped
-//! `kwdebug::evalcache` amortizes both — keyword selections (with their
-//! join-column postings) are filtered once and shared, and completed
-//! whole-network verdicts answer repeated probes without the engine.
+//! A debug session asks many structurally overlapping probes: its
+//! interpretations re-select the same `(relation, keyword)` tuple sets, and
+//! repeated queries re-ask whole bound networks. Within one interpretation
+//! the oracle already builds each keyword selection once; the
+//! session-scoped `kwdebug::evalcache` shares selections (with their
+//! join-column postings) across interpretations and queries, and its
+//! completed whole-network verdicts answer repeated probes without the
+//! engine.
 //!
 //! Three passes over the same workload measure the cache's life cycle:
 //!

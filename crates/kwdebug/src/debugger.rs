@@ -1,5 +1,6 @@
 //! The end-to-end system: offline setup + the four-phase debug pipeline.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -70,8 +71,9 @@ pub struct DebugConfig {
     /// Share the session-scoped [`crate::evalcache::EvalCache`] across every
     /// probe of every debug call (extension; off by default like `memoize`).
     /// Keyword selections and their join-column postings are evaluated once
-    /// per session, and completed whole-network verdicts answer repeated
-    /// probes across queries and parallel workers. Reports are bit-identical
+    /// per session instead of once per interpretation, and completed
+    /// whole-network verdicts answer repeated probes across queries and
+    /// parallel workers. Reports are bit-identical
     /// with the cache on or off (the differential suite pins this down); only
     /// probe work shrinks. Caveat:
     /// with a *limited* [`DebugConfig::budget`] the cache can change which
@@ -703,22 +705,30 @@ impl NonAnswerDebugger {
             .map(|(k, &t)| (k.clone(), self.db.table(t).schema().name.clone()))
             .collect();
 
+        // An MPAN shared by several dead MTNs is sampled once.
+        let mut samples = HashMap::new();
         let mut answers = Vec::with_capacity(outcome.alive_mtns.len());
         for &m in &outcome.alive_mtns {
-            answers.push(self.query_info(&pruned, m, &mut oracle, true)?);
+            answers.push(self.query_info(&pruned, m, &mut oracle, &mut samples, true)?);
         }
         let mut non_answers = Vec::with_capacity(outcome.dead_mtns.len());
         for ((&m, mpans), possible) in
             outcome.dead_mtns.iter().zip(&outcome.mpans).zip(&outcome.possible_mpans)
         {
-            let query = self.query_info(&pruned, m, &mut oracle, false)?;
+            let query = self.query_info(&pruned, m, &mut oracle, &mut samples, false)?;
             let mut infos = Vec::with_capacity(mpans.len());
             for &p in mpans {
-                infos.push(self.query_info(&pruned, p, &mut oracle, true)?);
+                infos.push(self.query_info(&pruned, p, &mut oracle, &mut samples, true)?);
             }
             let mut possible_infos = Vec::with_capacity(possible.len());
             for &p in possible {
-                possible_infos.push(self.query_info(&pruned, p, &mut oracle, true)?);
+                possible_infos.push(self.query_info(
+                    &pruned,
+                    p,
+                    &mut oracle,
+                    &mut samples,
+                    true,
+                )?);
             }
             non_answers.push(NonAnswerInfo {
                 query,
@@ -728,7 +738,7 @@ impl NonAnswerDebugger {
         }
         let mut unknown = Vec::with_capacity(outcome.unknown_mtns.len());
         for &m in &outcome.unknown_mtns {
-            unknown.push(self.query_info(&pruned, m, &mut oracle, false)?);
+            unknown.push(self.query_info(&pruned, m, &mut oracle, &mut samples, false)?);
         }
         let reporting = report_start.elapsed();
 
@@ -753,29 +763,38 @@ impl NonAnswerDebugger {
     }
 
     /// Renders one pruned-lattice node for the report, sampling tuples if the
-    /// node is alive and sampling is enabled. Sampling degrades gracefully: a
-    /// tripped budget or an injected fault yields an empty sample rather than
-    /// failing the whole report.
+    /// node is alive and sampling is enabled. `samples` holds the rendered
+    /// tuples of every node of the interpretation sampled so far, so a node
+    /// rendered twice (an MPAN shared by several dead MTNs) executes one
+    /// sample. Sampling degrades gracefully: a tripped budget or an injected
+    /// fault yields an empty sample, not remembered, rather than failing the
+    /// whole report.
     fn query_info(
         &self,
         pruned: &PrunedLattice,
         dense: usize,
         oracle: &mut AlivenessOracle<'_>,
+        samples: &mut HashMap<usize, Vec<String>>,
         alive: bool,
     ) -> Result<QueryInfo, KwError> {
         let jnts = pruned.jnts(&self.lattice, dense);
         let sql = oracle.sql(jnts)?;
-        let sample_tuples = if alive && self.config.sample_limit > 0 {
+        let sample_tuples = if !alive || self.config.sample_limit == 0 {
+            Vec::new()
+        } else if let Some(tuples) = samples.get(&dense) {
+            tuples.clone()
+        } else {
             match oracle.sample(jnts, self.config.sample_limit) {
                 Ok(tuples) => {
-                    tuples.into_iter().map(|t| render_tuple(&self.db, jnts, &t)).collect()
+                    let rendered: Vec<String> =
+                        tuples.iter().map(|t| render_tuple(&self.db, jnts, t)).collect();
+                    samples.insert(dense, rendered.clone());
+                    rendered
                 }
                 Err(KwError::BudgetExhausted(_)) => Vec::new(),
                 Err(KwError::Engine(e)) if e.is_fault() => Vec::new(),
                 Err(e) => return Err(e),
             }
-        } else {
-            Vec::new()
         };
         Ok(QueryInfo { sql, level: pruned.level(dense), sample_tuples })
     }

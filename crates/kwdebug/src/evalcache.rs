@@ -99,7 +99,7 @@ const SHARDS: usize = 16;
 
 /// Key of one cached selection: table, interned keyword id, and whether the
 /// session restricts candidates through the inverted index (the cached rows
-/// must equal what the uncached path would have produced, and that path
+/// must equal the selection an uncached oracle builds, and that build
 /// differs with index availability).
 type SelectionKey = (TableId, u64, bool);
 

@@ -14,7 +14,7 @@
 //! |---|---|---|
 //! | `probes_executed` | oracle, per `is_alive`/`sample` execution | "# of SQL queries" (Figs. 11, 14; Table 4) |
 //! | `probe_time` | oracle, wall clock of each execution | "SQL time" (Figs. 12, 15) |
-//! | `tuples_scanned` | oracle, engine rows examined per probe | cost model behind §3.4 |
+//! | `tuples_scanned` | oracle, engine rows examined per probe, plus uncached selection builds (once per interpretation) | cost model behind §3.4 |
 //! | `memo_hits` | oracle, memoized verdict reuse (ablation knob) | beyond the paper (re-execution baseline) |
 //! | `r1_inferences` | traversals, nodes classified alive by rule R1 | §2.4 rule 1 |
 //! | `r2_inferences` | traversals, nodes classified dead by rule R2 | §2.4 rule 2 |
@@ -31,7 +31,7 @@
 //! | `selection_cache_hits` | oracle, plan nodes served a shared keyword selection by [`crate::evalcache`] | beyond the paper (evaluation cache) |
 //! | `verdict_cache_hits` | oracle/dispatcher, probes answered (Alive *or* Dead) from a cached whole-network verdict | beyond the paper (evaluation cache) |
 //! | `cache_bytes` | oracle, payload bytes resident in the session [`crate::evalcache::EvalCache`] | beyond the paper (evaluation cache) |
-//! | `delta_postings_merged` | oracle, bound plan nodes whose posting list was merged on read over pending index deltas | beyond the paper (mutable databases) |
+//! | `delta_postings_merged` | oracle, keyword selection builds whose posting list was merged on read over pending index deltas | beyond the paper (mutable databases) |
 //! | `coalesced_probes` | wave driver, probes answered by another session's in-flight execution through a [`crate::batch::WaveExchange`] | beyond the paper (cross-session single-flight) |
 //! | `epoch` | debugger, gauge of the session's pinned database write epoch | beyond the paper (mutable databases) |
 //! | `entries_invalidated` | debugger, gauge of cache entries evicted by write-delta invalidation | beyond the paper (mutable databases) |
@@ -139,7 +139,9 @@ pub struct Metrics {
     pub probes_executed: Counter,
     /// Wall-clock time spent inside probe executions.
     pub probe_time: TimeCounter,
-    /// Engine rows examined across all probes.
+    /// Engine rows examined across all probes, plus — without an
+    /// evaluation cache — the rows read once per interpretation to build
+    /// each bound keyword's selection.
     pub tuples_scanned: Counter,
     /// `is_alive` calls answered from the memo table without executing.
     pub memo_hits: Counter,
@@ -199,8 +201,9 @@ pub struct Metrics {
     /// cache; summed across a session the counter equals the cache's
     /// resident size (warm runs that add nothing report 0).
     pub cache_bytes: Counter,
-    /// Bound plan nodes whose inverted-index posting list was assembled by a
-    /// merge-on-read over pending write deltas
+    /// Keyword selection builds (once per interpretation without a cache,
+    /// once per cache miss with one) whose inverted-index posting list was
+    /// assembled by a merge-on-read over pending write deltas
     /// ([`textindex::InvertedIndex::rows_containing`] returning an owned
     /// union) instead of a borrowed base list. 0 on fully-compacted indexes.
     pub delta_postings_merged: Counter,

@@ -2,12 +2,26 @@
 //!
 //! Phase 3 asks one question of a node — *is it alive* (does its SQL query
 //! return at least one tuple)? The oracle instantiates a node's network into
-//! a [`relengine::JoinTreePlan`] under the current interpretation (keyword
-//! copies get their keyword's containment predicate plus the inverted-index
-//! posting list as candidates; free copies are unconstrained) and runs the
-//! engine's emptiness check. Every call is one "SQL query executed" in the
-//! paper's metrics; an optional memo table (off by default, an ablation knob)
-//! caches results per lattice node across calls.
+//! a [`relengine::JoinTreePlan`] under the current interpretation and runs
+//! the engine's emptiness check. Every call is one "SQL query executed" in
+//! the paper's metrics; an optional memo table (off by default, an ablation
+//! knob) caches results per lattice node across calls.
+//!
+//! ## Selection-backed plans
+//!
+//! An interpretation binds each keyword to exactly one relation, so the rows
+//! of a bound copy — the `LIKE '%kw%'` selection, read through the inverted
+//! index's posting list — are the same in every probe and sample of the
+//! interpretation. Every plan the oracle executes therefore carries each
+//! bound copy's selection pre-verified, plus that selection's `value → rows`
+//! postings for each of the copy's join columns: the engine neither
+//! re-evaluates the predicate nor re-reads selection rows. Without an
+//! [`EvalCache`] a selection (and each of its postings) is built at most once
+//! per interpretation and its row reads are counted into `tuples_scanned`
+//! when it is built; with a cache the same values come from the cache, which
+//! adds only cross-interpretation and cross-request reuse plus whole-network
+//! verdicts. [`build_plan`] stays the plain, predicate-only form that SQL
+//! rendering uses.
 //!
 //! ## Architecture: shareable core, thin view
 //!
@@ -55,6 +69,7 @@
 //! | event | counters touched | paper counterpart |
 //! |---|---|---|
 //! | `is_alive` cache miss | `probes_executed`, `probe_time`, `tuples_scanned` | one "SQL query" (Figs. 11–12) |
+//! | selection built (no cache) | `tuples_scanned` (its rows read, once per interpretation) | part of the first probe that binds the keyword |
 //! | `is_alive` memo hit | `memo_hits` | beyond the paper (§3 re-executes) |
 //! | `sample` for a report | `probes_executed`, `probe_time`, `tuples_scanned` | §2.1 sample tuples of `A(K)`/`M(K)` |
 //! | transient fault retried | `retries`, `faults_injected` | beyond the paper (degraded mode) |
@@ -67,13 +82,13 @@
 //! side of that equation. A failed attempt also returns its reserved budget
 //! slot ([`BudgetGate::release`]), so the budget only ever counts executions.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use relengine::sortedvals::ValuePostings;
 use relengine::{
     ChaosExecutor, ColId, Database, EngineError, ExecStats, Executor, FaultConfig, FaultStats,
-    JoinTreePlan, MatchTuple, PlanEdge, PlanNode, Predicate, RowId, TableId,
+    JoinTreePlan, MatchTuple, PlanEdge, PlanNode, Predicate, RowId, Table, TableId,
 };
 use textindex::InvertedIndex;
 
@@ -86,7 +101,11 @@ use crate::lattice::NodeId;
 use crate::metrics::Metrics;
 use crate::parallel::ShardedMemo;
 
-/// Builds the executable plan of a network under an interpretation.
+/// Builds the plain plan of a network under an interpretation: keyword
+/// copies get their keyword's containment predicate (plus the inverted-index
+/// posting list as candidates when `index` is given), free copies are
+/// unconstrained. The oracle executes selection-backed plans instead (see
+/// the module docs); this form renders SQL.
 pub fn build_plan(
     jnts: &Jnts,
     interp: &Interpretation,
@@ -186,6 +205,23 @@ impl<'a> ProbeEngine<'a> {
     }
 }
 
+/// One bound keyword's rows under an interpretation without an
+/// [`EvalCache`]: its selection and the selection's postings in each column
+/// of the keyword's relation, each built at most once — by whichever probing
+/// thread needs it first.
+struct KeywordRows {
+    selection: OnceLock<Arc<Vec<RowId>>>,
+    /// `postings[col]`: the selection grouped by its values in `col`.
+    postings: Box<[OnceLock<Arc<ValuePostings>>]>,
+}
+
+/// The rows of `sel` grouped by their values in `col`.
+fn selection_postings(t: &Table, col: ColId, sel: &[RowId]) -> ValuePostings {
+    ValuePostings::build(
+        sel.iter().filter_map(|&rid| t.row(rid)[col].as_int().map(|v| (v, rid))).collect(),
+    )
+}
+
 /// Internal failure of a budgeted, retried execution attempt.
 enum ProbeFail {
     Node(EngineError),
@@ -216,9 +252,13 @@ pub(crate) struct ProbeCore<'a> {
     /// The fault schedule, kept so per-worker engines can derive their own
     /// deterministic streams (`None` = plain engines).
     chaos: Option<FaultConfig>,
-    /// The session-scoped evaluation cache (`None` = plain planning). Shared
-    /// across interpretations and parallel workers; see [`crate::evalcache`].
+    /// The session-scoped evaluation cache (`None` = per-interpretation
+    /// selections in `local`). Shared across interpretations and parallel
+    /// workers; see [`crate::evalcache`].
     cache: Option<Arc<EvalCache>>,
+    /// `local[k]`: keyword `k`'s selection and postings when no cache is
+    /// attached, keyed by keyword and then by column.
+    local: Vec<KeywordRows>,
     /// Online `p_a` observer (`None` = off). Every *executed* probe reports
     /// its `(level, verdict)` here; see [`crate::estimate::OnlinePa`].
     pa_stats: Option<Arc<crate::estimate::OnlinePa>>,
@@ -250,6 +290,14 @@ impl<'a> ProbeCore<'a> {
             retry: RetryPolicy::default(),
             chaos: None,
             cache: None,
+            local: interp
+                .tables()
+                .iter()
+                .map(|&t| KeywordRows {
+                    selection: OnceLock::new(),
+                    postings: (0..db.table(t).schema().arity()).map(|_| OnceLock::new()).collect(),
+                })
+                .collect(),
             pa_stats: None,
         }
     }
@@ -322,12 +370,15 @@ impl<'a> ProbeCore<'a> {
         }
     }
 
-    /// The exact rows the uncached probe path would keep for a bound copy of
-    /// `table`: index posting list (when the session has one) filtered by the
-    /// containment predicate, in ascending row order. Computed oracle-side —
-    /// never through a (possibly chaos-wrapped) engine — so a cached
-    /// selection can never be poisoned by a fault.
-    fn compute_selection(&self, table: TableId, kw: &str) -> Vec<RowId> {
+    /// The rows of `table` that satisfy `kw`'s containment predicate, in
+    /// ascending row order, plus how many rows were read to find them: the
+    /// index posting list (when the session has one) filtered by the
+    /// predicate, else a scan of the live rows — exactly the rows the
+    /// engine would keep for a `LIKE '%kw%'` plan node. Computed
+    /// oracle-side — never through a (possibly chaos-wrapped) engine — so a
+    /// selection can never be poisoned by a fault. Counts one
+    /// `delta_postings_merged` when the posting list had pending deltas.
+    fn compute_selection(&self, table: TableId, kw: &str) -> (Vec<RowId>, u64) {
         let pred = Predicate::any_text_contains(kw.to_owned()).compile();
         let t = self.db.table(table);
         let schema = t.schema();
@@ -337,11 +388,47 @@ impl<'a> ProbeCore<'a> {
                 if matches!(rows, std::borrow::Cow::Owned(_)) {
                     self.metrics.delta_postings_merged.incr();
                 }
-                rows.iter().copied().filter(|&rid| pred.eval(schema, t.row(rid))).collect()
+                let sel = rows.iter().copied().filter(|&rid| pred.eval(schema, t.row(rid)));
+                (sel.collect(), rows.len() as u64)
             }
-            None => (0..t.len() as RowId)
-                .filter(|&rid| !t.is_deleted(rid) && pred.eval(schema, t.row(rid)))
-                .collect(),
+            None => {
+                let sel = t.iter().filter(|(_, row)| pred.eval(schema, row)).map(|(rid, _)| rid);
+                (sel.collect(), t.live_rows() as u64)
+            }
+        }
+    }
+
+    /// Keyword `k`'s selection, bound to `table`: from the cache when one is
+    /// attached, else built once for this interpretation, counting the rows
+    /// the build reads into `tuples_scanned`.
+    fn selection(&self, k: usize, table: TableId) -> Arc<Vec<RowId>> {
+        let kw = &self.keywords[k];
+        match &self.cache {
+            Some(cache) => self.shared_selection(cache, table, kw),
+            None => Arc::clone(self.local[k].selection.get_or_init(|| {
+                let (sel, read) = self.compute_selection(table, kw);
+                self.metrics.tuples_scanned.add(read);
+                Arc::new(sel)
+            })),
+        }
+    }
+
+    /// Keyword `k`'s selection grouped by its values in `col`: from the cache
+    /// when one is attached, else built once for this interpretation.
+    fn postings(
+        &self,
+        k: usize,
+        table: TableId,
+        col: ColId,
+        sel: &Arc<Vec<RowId>>,
+    ) -> Arc<ValuePostings> {
+        let kw = &self.keywords[k];
+        match &self.cache {
+            Some(cache) => self.shared_selection_postings(cache, table, kw, col, sel),
+            None => Arc::clone(
+                self.local[k].postings[col]
+                    .get_or_init(|| Arc::new(selection_postings(self.db.table(table), col, sel))),
+            ),
         }
     }
 
@@ -362,7 +449,7 @@ impl<'a> ProbeCore<'a> {
                     table,
                     kid,
                     indexed,
-                    self.compute_selection(table, kw),
+                    self.compute_selection(table, kw).0,
                 );
                 self.metrics.cache_bytes.add(added);
                 sel
@@ -390,10 +477,7 @@ impl<'a> ProbeCore<'a> {
         if let Some(postings) = cache.selection_postings(pin, table, kid, indexed, col) {
             return postings;
         }
-        let t = self.db.table(table);
-        let postings = ValuePostings::build(
-            sel.iter().filter_map(|&rid| t.row(rid)[col].as_int().map(|v| (v, rid))).collect(),
-        );
+        let postings = selection_postings(self.db.table(table), col, sel);
         let (postings, added) =
             cache.insert_selection_postings(pin, table, kid, indexed, col, postings);
         self.metrics.cache_bytes.add(added);
@@ -417,15 +501,12 @@ impl<'a> ProbeCore<'a> {
         Some(alive)
     }
 
-    /// The plan probes and report samples execute: identical to
-    /// [`build_plan`], except that with an [`EvalCache`] every bound copy
-    /// reuses the shared keyword selection plus its postings in each of the
-    /// copy's join columns, so the executor neither re-evaluates the
-    /// predicate nor re-reads selection rows.
+    /// The plan probes and report samples execute: [`build_plan`]'s
+    /// network, except that every bound copy carries its keyword's selection
+    /// plus the selection's postings in each of the copy's join columns, so
+    /// the executor neither re-evaluates the predicate nor re-reads selection
+    /// rows (see the module docs).
     fn build_probe_plan(&self, jnts: &Jnts) -> Result<JoinTreePlan, EngineError> {
-        let Some(cache) = &self.cache else {
-            return build_plan(jnts, self.interp, self.db, self.index, self.keywords);
-        };
         let mut edges = Vec::with_capacity(jnts.join_count());
         let mut join_cols: Vec<Vec<ColId>> = vec![Vec::new(); jnts.node_count()];
         for e in jnts.edges() {
@@ -445,17 +526,14 @@ impl<'a> ProbeCore<'a> {
             let alias = format!("{}{}", table_name, ts.copy);
             let node = match self.interp.keyword_for(ts) {
                 None => PlanNode::free(ts.table).with_alias(alias),
-                Some(kw_idx) => {
-                    let kw = &self.keywords[kw_idx];
-                    let sel = self.shared_selection(cache, ts.table, kw);
-                    let mut node = PlanNode::new(ts.table, Predicate::any_text_contains(kw.clone()))
+                Some(k) => {
+                    let sel = self.selection(k, ts.table);
+                    let pred = Predicate::any_text_contains(self.keywords[k].clone());
+                    let mut node = PlanNode::new(ts.table, pred)
                         .with_alias(alias)
                         .with_selection(Arc::clone(&sel));
                     for &col in &join_cols[i] {
-                        node = node.with_col_postings(
-                            col,
-                            self.shared_selection_postings(cache, ts.table, kw, col, &sel),
-                        );
+                        node = node.with_col_postings(col, self.postings(k, ts.table, col, &sel));
                     }
                     node
                 }
@@ -537,18 +615,6 @@ impl<'a> ProbeCore<'a> {
                 return Probe::NodeFailed(e);
             }
         };
-        // The uncached planner merges delta postings inside `rows_containing`
-        // (the cached path counts inside `compute_selection`): one merge per
-        // bound copy whose term is currently dirtied.
-        if let (None, Some(idx)) = (&self.cache, self.index) {
-            for &ts in jnts.nodes() {
-                if let Some(k) = self.interp.keyword_for(ts) {
-                    if idx.has_delta(ts.table, &self.keywords[k]) {
-                        self.metrics.delta_postings_merged.incr();
-                    }
-                }
-            }
-        }
         let rows_before = engine.stats().rows_examined;
         let start = Instant::now();
         match self.execute_with_retry(engine, |eng| eng.exists(&plan)) {
@@ -665,10 +731,10 @@ impl<'a> AlivenessOracle<'a> {
 
     /// Attaches an [`EvalCache`] shared with other oracles of the same debug
     /// session (and all parallel workers), or of every session holding the
-    /// same store. Probes then run selection-backed plans (cached keyword
-    /// selections plus their join-column postings), answer repeated networks
-    /// from cached whole-network verdicts without executing, and publish
-    /// their own verdicts. Cache keys label each vertex by table and bound
+    /// same store. Probes then take their keyword selections and join-column
+    /// postings from the cache instead of building them for this
+    /// interpretation, answer repeated networks from cached whole-network
+    /// verdicts without executing, and publish their own verdicts. Cache keys label each vertex by table and bound
     /// keyword, never by copy number. Verdicts and reports are unchanged;
     /// only the work to reach them shrinks.
     pub fn with_eval_cache(mut self, cache: Arc<EvalCache>) -> Self {
@@ -1186,6 +1252,54 @@ mod tests {
         let j = mtn_jnts();
         assert!(matches!(oracle.probe(0, &j), Probe::Verdict(_)), "first probe runs");
         assert!(matches!(oracle.probe(1, &j), Probe::Exhausted(Exhausted::Tuples)));
+    }
+
+    /// Without a cache, every probe and sample of one interpretation shares
+    /// one selection per bound keyword: a dirtied term merges its delta
+    /// postings once, and the selection's rows are scanned once, however
+    /// many probes bind the keyword.
+    #[test]
+    fn uncached_selections_are_built_once_per_interpretation() {
+        let mut db = db();
+        let mut idx = InvertedIndex::build(&db);
+        // A second candle type, appended after the index was built, leaves
+        // "candle" with pending delta postings in ptype.
+        let ptype = db.table_id("ptype").unwrap();
+        db.append_rows(ptype, vec![vec![Value::Int(3), Value::text("candle stub")]]).unwrap();
+        idx.apply_deltas(&db);
+        let q = KeywordQuery::parse("candle red").unwrap();
+        let m = map_keywords(&q, &idx);
+        let interp = &m.interpretations[0];
+        let j = mtn_jnts();
+
+        // One probe: its engine rows plus both selections' rows — candle's
+        // two posting rows (ptype 0 and 2) and red's one (color 0).
+        let mut once = AlivenessOracle::new(&db, Some(&idx), interp, &m.keywords, false);
+        assert!(once.is_alive(0, &j).unwrap());
+        let one = once.metrics().snapshot();
+        assert_eq!(one.delta_postings_merged, 1, "only candle's postings are dirty");
+        let selection_rows = one.tuples_scanned - once.stats().rows_examined;
+        assert_eq!(selection_rows, 3);
+
+        // Four probes and a sample of networks binding both keywords.
+        let mut many = AlivenessOracle::new(&db, Some(&idx), interp, &m.keywords, false);
+        for node in 0..4 {
+            assert!(many.is_alive(node, &j).unwrap());
+        }
+        assert!(many.is_alive(4, &Jnts::single(TupleSet::new(ptype, 1))).unwrap());
+        assert_eq!(many.sample(&j, 5).unwrap().len(), 1);
+        let snap = many.metrics().snapshot();
+        assert_eq!(snap.probes_executed, 6);
+        assert_eq!(snap.probes_executed, many.queries());
+        assert_eq!(
+            snap.delta_postings_merged, 1,
+            "one merge per dirty bound keyword per interpretation, not one per probe"
+        );
+        assert_eq!(
+            snap.tuples_scanned,
+            many.stats().rows_examined + selection_rows,
+            "each selection's rows are counted once"
+        );
     }
 
     #[test]

@@ -20,14 +20,18 @@
 //! lexicographic row-id order over the node-0 pre-order (neighbours in
 //! edge order) — the order nested loops would give.
 //!
-//! Plan nodes may carry a pre-verified shared *selection* from the
-//! cross-probe evaluation cache (`kwdebug`'s session cache), optionally with
+//! Plan nodes may carry a pre-verified shared *selection*, optionally with
 //! its value→rows postings per join column: the executor then skips
 //! predicate evaluation for that node and answers its semi-joins from the
-//! postings without re-reading rows.
+//! postings without re-reading rows. `kwdebug`'s oracle attaches one to
+//! every keyword node it executes — built once per interpretation, or taken
+//! from its evaluation cache, which adds only reuse across interpretations
+//! and requests.
+//!
+//! Index lookups and the unindexed `value → rows` fallback hash join values
+//! with the table module's fixed integer hasher (see its module docs).
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -36,7 +40,7 @@ use crate::error::EngineError;
 use crate::plan::JoinTreePlan;
 use crate::sortedvals::{normalize, ValuePostings};
 use crate::stats::ExecStats;
-use crate::table::{RowId, Table};
+use crate::table::{IntMap, RowId, Table};
 
 /// One result tuple: for each plan node (by index), the matched row id.
 pub type MatchTuple = Vec<RowId>;
@@ -50,7 +54,7 @@ struct EnumStep {
     child_col: usize,
     /// Join value → live rows, built only when `child_col` has no index;
     /// otherwise candidates come from the index posting.
-    map: Option<HashMap<i64, Vec<RowId>>>,
+    map: Option<IntMap<Vec<RowId>>>,
 }
 
 /// The set of live rows at a plan node during reduction.
@@ -500,7 +504,7 @@ impl<'a> Executor<'a> {
                 if edge.a == node { (edge.a_col, edge.b_col) } else { (edge.b_col, edge.a_col) };
             let table = self.db.table(plan.nodes()[node].table);
             let map = (!table.has_index(child_col)).then(|| {
-                let mut map: HashMap<i64, Vec<RowId>> = HashMap::new();
+                let mut map = IntMap::<Vec<RowId>>::default();
                 for &rid in self.materialize_rows(plan, node, &live[node]).iter() {
                     if let Some(v) = table.row(rid)[child_col].as_int() {
                         map.entry(v).or_default().push(rid);

@@ -5,8 +5,28 @@
 //! indexes, postings, and caches never shift. Equality indexes are
 //! maintained incrementally by [`Table::insert`], [`Table::update`], and
 //! [`Table::delete`] — a write never drops an index wholesale.
+//!
+//! ## Index hashing
+//!
+//! Every join-index lookup hashes one `i64` column value, and probes do
+//! several per semi-join and per enumeration step, so the index maps use a
+//! fixed multiply-and-fold hasher ([`IntHasher`]) instead of the keyed
+//! SipHash default. It folds the key's 32-bit halves and then its 16-bit
+//! quarters onto the low bits before one odd multiply, so high key bits
+//! reach the low bits hashbrown picks buckets with, and dense keys (row ids,
+//! sequential primary keys) spread without collisions. The multiply only
+//! carries bits upward, so keys whose folded values agree in the bucket
+//! bits still share a bucket — for example multiples of 1,024 below 65,536
+//! in a 1,024-bucket table; join values here are ids, not such strides.
+//! The hasher is unkeyed: a caller who picks the stored values can pick
+//! colliding ones. That is acceptable only because every indexed value is
+//! stored column data written through the library API — no network client
+//! supplies keys today. Accepting writes from remote clients must revisit
+//! this choice (for example by salting the fold with a per-process random
+//! key).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::error::EngineError;
 use crate::schema::{ColId, TableSchema};
@@ -17,6 +37,41 @@ pub type RowId = u32;
 
 /// A stored row. Values are in schema column order.
 pub type Row = Box<[Value]>;
+
+/// A std-only hasher for integer keys: folds the key onto its low bits,
+/// then multiplies by an odd constant (see the module docs for why it is
+/// unkeyed). Only `i64`/`u64` keys are hashed on the hot path; other writes
+/// fold byte by byte.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct IntHasher(u64);
+
+/// 2^64 / φ, odd: the Fibonacci-hashing multiplier.
+const FOLD_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        let v = v ^ (v >> 32);
+        self.0 = (v ^ (v >> 16)).wrapping_mul(FOLD_MUL);
+    }
+
+    fn write_i64(&mut self, v: i64) {
+        self.write_u64(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// An `i64`-keyed map hashed by [`IntHasher`]: the join indexes and the
+/// executor's per-probe `value → rows` fallback.
+pub(crate) type IntMap<V> = HashMap<i64, V, BuildHasherDefault<IntHasher>>;
 
 /// One table: schema, rows, and lazily built equality indexes on integer
 /// columns (used to execute the key/foreign-key joins).
@@ -29,13 +84,14 @@ pub struct Table {
     deleted: Vec<bool>,
     /// Number of tombstoned rows.
     dead: usize,
-    /// `indexes[col]` maps an integer value to the sorted live row ids
-    /// holding it. Built by [`Table::build_index`]; nulls are not indexed.
-    indexes: HashMap<ColId, HashMap<i64, Vec<RowId>>>,
+    /// `indexes[col]`, when built, maps an integer value to the sorted live
+    /// row ids holding it. One slot per column; built by
+    /// [`Table::build_index`]; nulls are not indexed.
+    indexes: Vec<Option<IntMap<Vec<RowId>>>>,
 }
 
 /// Inserts `rid` into a sorted posting list (no-op if already present).
-fn index_add(idx: &mut HashMap<i64, Vec<RowId>>, value: i64, rid: RowId) {
+fn index_add(idx: &mut IntMap<Vec<RowId>>, value: i64, rid: RowId) {
     let list = idx.entry(value).or_default();
     if let Err(pos) = list.binary_search(&rid) {
         list.insert(pos, rid);
@@ -43,7 +99,7 @@ fn index_add(idx: &mut HashMap<i64, Vec<RowId>>, value: i64, rid: RowId) {
 }
 
 /// Removes `rid` from a sorted posting list, dropping empty lists.
-fn index_remove(idx: &mut HashMap<i64, Vec<RowId>>, value: i64, rid: RowId) {
+fn index_remove(idx: &mut IntMap<Vec<RowId>>, value: i64, rid: RowId) {
     if let Some(list) = idx.get_mut(&value) {
         if let Ok(pos) = list.binary_search(&rid) {
             list.remove(pos);
@@ -57,13 +113,8 @@ fn index_remove(idx: &mut HashMap<i64, Vec<RowId>>, value: i64, rid: RowId) {
 impl Table {
     /// Creates an empty table with the given schema.
     pub fn new(schema: TableSchema) -> Self {
-        Table {
-            schema,
-            rows: Vec::new(),
-            deleted: Vec::new(),
-            dead: 0,
-            indexes: HashMap::new(),
-        }
+        let arity = schema.arity();
+        Table { schema, rows: Vec::new(), deleted: Vec::new(), dead: 0, indexes: vec![None; arity] }
     }
 
     /// The table schema.
@@ -154,7 +205,7 @@ impl Table {
         self.validate_row(&values)?;
         let id = self.rows.len() as RowId;
         let row = values.into_boxed_slice();
-        for (&col, idx) in self.indexes.iter_mut() {
+        for (col, idx) in self.built_indexes_mut() {
             if let Some(v) = row[col].as_int() {
                 // The new id is the maximum, so pushing keeps lists sorted.
                 idx.entry(v).or_default().push(id);
@@ -179,8 +230,10 @@ impl Table {
         self.validate_row(&values)?;
         let new = values.into_boxed_slice();
         let old = std::mem::replace(&mut self.rows[id as usize], new);
-        for (&col, idx) in self.indexes.iter_mut() {
-            let (was, now) = (old[col].as_int(), self.rows[id as usize][col].as_int());
+        let now_row = &self.rows[id as usize];
+        for (col, idx) in self.indexes.iter_mut().enumerate() {
+            let Some(idx) = idx else { continue };
+            let (was, now) = (old[col].as_int(), now_row[col].as_int());
             if was != now {
                 if let Some(v) = was {
                     index_remove(idx, v, id);
@@ -206,7 +259,7 @@ impl Table {
         self.deleted[id as usize] = true;
         self.dead += 1;
         let row = self.rows[id as usize].clone();
-        for (&col, idx) in self.indexes.iter_mut() {
+        for (col, idx) in self.built_indexes_mut() {
             if let Some(v) = row[col].as_int() {
                 index_remove(idx, v, id);
             }
@@ -229,25 +282,35 @@ impl Table {
                 column: self.schema.columns[col].name.clone(),
             });
         }
-        let mut idx: HashMap<i64, Vec<RowId>> = HashMap::new();
+        let mut idx = IntMap::<Vec<RowId>>::default();
         for (rid, row) in self.iter() {
             if let Some(v) = row[col].as_int() {
                 idx.entry(v).or_default().push(rid);
             }
         }
-        self.indexes.insert(col, idx);
+        self.indexes[col] = Some(idx);
         Ok(())
+    }
+
+    /// The built index on `col`, if any.
+    fn index(&self, col: ColId) -> Option<&IntMap<Vec<RowId>>> {
+        self.indexes.get(col).and_then(Option::as_ref)
+    }
+
+    /// `(column, index)` for every built index.
+    fn built_indexes_mut(&mut self) -> impl Iterator<Item = (ColId, &mut IntMap<Vec<RowId>>)> {
+        self.indexes.iter_mut().enumerate().filter_map(|(col, idx)| Some((col, idx.as_mut()?)))
     }
 
     /// Whether an index exists on `col`.
     pub fn has_index(&self, col: ColId) -> bool {
-        self.indexes.contains_key(&col)
+        self.index(col).is_some()
     }
 
     /// Live row ids whose `col` equals `value`, using the index if present
     /// and a scan otherwise. Result is in ascending row-id order either way.
     pub fn lookup(&self, col: ColId, value: i64) -> Vec<RowId> {
-        if let Some(idx) = self.indexes.get(&col) {
+        if let Some(idx) = self.index(col) {
             return idx.get(&value).cloned().unwrap_or_default();
         }
         self.iter()
@@ -258,16 +321,14 @@ impl Table {
 
     /// Indexed lookup returning a borrowed slice; `None` if no index on `col`.
     pub fn lookup_indexed(&self, col: ColId, value: i64) -> Option<&[RowId]> {
-        self.indexes
-            .get(&col)
-            .map(|idx| idx.get(&value).map_or(&[][..], |v| v.as_slice()))
+        self.index(col).map(|idx| idx.get(&value).map_or(&[][..], |v| v.as_slice()))
     }
 
     /// Number of distinct non-null integer values in `col` over live rows,
     /// using the index if one exists and a scan otherwise. Used by
     /// cardinality estimation.
     pub fn distinct_ints(&self, col: ColId) -> usize {
-        if let Some(idx) = self.indexes.get(&col) {
+        if let Some(idx) = self.index(col) {
             return idx.len();
         }
         let mut seen: Vec<i64> = self
@@ -362,6 +423,53 @@ mod tests {
         assert_eq!(t.lookup_indexed(2, 10).unwrap(), &[0, 1]);
         assert_eq!(t.lookup_indexed(2, 999).unwrap(), &[] as &[RowId]);
         assert!(t.lookup_indexed(0, 1).is_none());
+
+        // After a mix of writes, the maintained index still equals both a
+        // scan of the same table and a freshly built index, for every key.
+        let mut plain = t.clone();
+        plain.indexes[2] = None;
+        let writes: [(&str, RowId, i64); 6] =
+            [("insert", 3, 20), ("insert", 4, 10), ("update", 1, 20), ("delete", 0, 0),
+             ("update", 3, 1 << 32), ("insert", 5, -7)];
+        for (op, rid, v) in writes {
+            let row = vec![Value::Int(i64::from(rid) + 1), Value::text("w"), Value::Int(v)];
+            for table in [&mut t, &mut plain] {
+                match op {
+                    "insert" => assert_eq!(table.insert(row.clone()).unwrap(), rid),
+                    "update" => drop(table.update(rid, row.clone()).unwrap()),
+                    _ => drop(table.delete(rid).unwrap()),
+                }
+            }
+            let mut rebuilt = plain.clone();
+            rebuilt.build_index(2).unwrap();
+            for key in [-7, 1, 10, 20, 1 << 32, 999] {
+                let scanned = plain.lookup(2, key);
+                assert_eq!(t.lookup(2, key), scanned, "after {op} {rid}: key {key}");
+                assert_eq!(t.lookup_indexed(2, key).unwrap(), scanned.as_slice());
+                assert_eq!(rebuilt.lookup_indexed(2, key).unwrap(), scanned.as_slice());
+            }
+            assert_eq!(t.distinct_ints(2), plain.distinct_ints(2), "after {op} {rid}");
+        }
+    }
+
+    /// How many of the 1,024 values of the hash's low 10 bits — the
+    /// bucket bits of a 1,024-slot table — `keys` reach.
+    fn low_bit_coverage(keys: impl Iterator<Item = i64>) -> usize {
+        let mut seen = [false; 1024];
+        for k in keys {
+            let mut h = IntHasher::default();
+            h.write_i64(k);
+            seen[(h.finish() & 1023) as usize] = true;
+        }
+        seen.iter().filter(|&&s| s).count()
+    }
+
+    #[test]
+    fn int_hasher_spreads_dense_and_high_bit_keys() {
+        let sequential = low_bit_coverage(0..1024);
+        assert!(sequential >= 900, "sequential keys reach {sequential} of 1024 buckets");
+        let high = low_bit_coverage((0..1024).map(|i| i << 32));
+        assert!(high >= 900, "keys differing only in high bits reach {high} of 1024 buckets");
     }
 
     #[test]

@@ -269,16 +269,6 @@ impl InvertedIndex {
         self.pending
     }
 
-    /// Whether `(term, table)` has pending (uncompacted) delta postings —
-    /// i.e. a [`InvertedIndex::rows_containing`] call would merge on read.
-    pub fn has_delta(&self, table: TableId, term: &str) -> bool {
-        let needle = normalize(term);
-        let hit = |m: &HashMap<String, HashMap<TableId, Vec<RowId>>>| {
-            m.get(&needle).is_some_and(|by_table| by_table.contains_key(&table))
-        };
-        hit(&self.delta_adds) || hit(&self.delta_removes)
-    }
-
     /// Base posting list for a normalized term and table (no delta merge).
     fn base_rows(&self, needle: &str, table: TableId) -> &[RowId] {
         self.postings

@@ -9,11 +9,13 @@
 use datagen::{generate_dblife, paper_queries, DblifeConfig};
 use kwdebug::binding::{map_keywords, KeywordQuery};
 use kwdebug::baseline::run_return_everything;
+use kwdebug::budget::ProbeBudget;
 use kwdebug::debugger::{DebugConfig, NonAnswerDebugger};
 use kwdebug::oracle::{build_plan, AlivenessOracle};
 use kwdebug::prune::PrunedLattice;
 use kwdebug::traversal::{self, StrategyKind};
 use relengine::Executor;
+use std::collections::HashSet;
 
 fn system(max_joins: usize) -> NonAnswerDebugger {
     NonAnswerDebugger::new(
@@ -223,4 +225,43 @@ fn results_are_seed_robust() {
             assert_eq!(r.mpan_count(), reference.mpan_count(), "{} {kind}", q.id);
         }
     }
+}
+
+/// Report assembly samples each distinct alive node of an interpretation
+/// once, however many dead MTNs share it as an MPAN: a probe budget that
+/// covers the traversal plus one sample per distinct node reproduces the
+/// unlimited report, samples included, and one probe less does not.
+#[test]
+fn shared_mpans_are_sampled_once() {
+    let mut sys = NonAnswerDebugger::new(
+        generate_dblife(&DblifeConfig::tiny()),
+        DebugConfig { max_joins: 4, sample_limit: 3, ..DebugConfig::default() },
+    )
+    .expect("system builds");
+    let mut shared = 0;
+    for q in paper_queries() {
+        sys.set_budget(ProbeBudget::default());
+        let full = sys.debug(q.text).expect("runs");
+        let [interp] = full.interpretations.as_slice() else { continue };
+        let alive: Vec<&str> = interp
+            .answers
+            .iter()
+            .chain(interp.non_answers.iter().flat_map(|n| n.mpans.iter().chain(&n.possible_mpans)))
+            .map(|info| info.sql.as_str())
+            .collect();
+        let distinct: HashSet<&str> = alive.iter().copied().collect();
+        if distinct.len() == alive.len() {
+            continue;
+        }
+        shared += 1;
+        let exact = interp.sql_queries + distinct.len() as u64;
+        sys.set_budget(ProbeBudget::probes(exact));
+        let tight = sys.debug(q.text).expect("runs");
+        assert_eq!(tight.interpretations[0].answers, interp.answers, "{}", q.id);
+        assert_eq!(tight.interpretations[0].non_answers, interp.non_answers, "{}", q.id);
+        sys.set_budget(ProbeBudget::probes(exact - 1));
+        let short = sys.debug(q.text).expect("runs");
+        assert_ne!(short.interpretations[0].non_answers, interp.non_answers, "{}", q.id);
+    }
+    assert!(shared > 0, "some Table 2 query shares an MPAN between dead MTNs");
 }

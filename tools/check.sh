@@ -18,6 +18,9 @@ cargo build --workspace --release --bins --examples --benches --tests
 echo "==> cargo build --release (perfbench: the benchmark must compile against the library)"
 cargo build --release --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench self-tests (same-seed lib-cold counts repeat; traced spans add up to latency)"
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q (workspace)"
 cargo test --workspace -q
 
