@@ -44,7 +44,7 @@
 //! so concurrent sessions need the same probes at about the same time —
 //! once with batching off (every tenant executes every probe) and once with
 //! the exchange on (a probe another tenant is executing is waited on, not
-//! run again). The gated pair models remote probes the way E13 does, with a
+//! run again). The gated pair models remote probes with a
 //! latency-only fault schedule (every probe sleeps 1 ms); an ungated pair
 //! repeats it at zero latency, where µs-scale probes rarely overlap in
 //! flight. Rows record probes per served request, in-flight waits
@@ -512,7 +512,7 @@ struct BatchPoint {
 /// *aligned per request* (a barrier before every query), so concurrent
 /// sessions need the same probes at about the same time — the workload
 /// shape single-flight exists for. A nonzero `probe_latency` makes every
-/// probe sleep that long (a latency-only fault schedule, as in E13).
+/// probe sleep that long (a latency-only fault schedule).
 /// Latencies are server-observed service times, the same clock as E17.
 /// Shared cache stays off: batching must earn its probe savings alone, on a
 /// cold store.
@@ -892,7 +892,7 @@ fn main() {
         // overlap, so the service capacity matches the tenant count.
         let workers = args.workers.unwrap_or(tenants).max(1);
         let on_knob = Some(BatchConfig);
-        // E13's remote-probe model: every probe sleeps 1 ms.
+        // A remote-probe model: every probe sleeps 1 ms.
         let lat = Duration::from_millis(1);
         let zero = Duration::ZERO;
         eprintln!("batch protocol: {tenants} tenants x {bq} aligned queries, {workers} workers");

@@ -6,9 +6,8 @@
 //! invalidation — a debug session over the mutated coordinator produces a
 //! report **bit-identical** (canonical encoding, wall-clock and cache/epoch
 //! telemetry scrubbed) to a debugger built from scratch over a copy of the
-//! same data. Across every traversal strategy, sequential and parallel
-//! drivers, shared evaluation cache on and off, and under injected probe
-//! faults. Any divergence means a layer served stale state.
+//! same data. Across every traversal strategy, shared evaluation cache on
+//! and off, and under injected probe faults. Any divergence means a layer served stale state.
 
 use bench::{build_mutable_system, mutable_session_config, DataScale};
 use kwdebug::debugger::{DebugConfig, NonAnswerDebugger};
@@ -96,10 +95,9 @@ fn apply_mutation_script(m: &mut MutableDatabase) -> u64 {
     m.epoch() - before
 }
 
-fn session_config(strategy: StrategyKind, workers: usize, cache: bool) -> DebugConfig {
+fn session_config(strategy: StrategyKind, cache: bool) -> DebugConfig {
     DebugConfig {
         strategy,
-        workers,
         eval_cache: cache,
         ..mutable_session_config(MAX_LEVEL)
     }
@@ -117,7 +115,7 @@ fn mutated_reports_match_fresh_rebuild_across_the_matrix() {
     // Warm the shared store at epoch 0, and keep the pre-mutation outcomes
     // to prove the script actually changes reports.
     let baseline: Vec<Vec<u8>> = {
-        let s = m.session(session_config(StrategyKind::ScoreBasedHeuristic, 1, true)).unwrap();
+        let s = m.session(session_config(StrategyKind::ScoreBasedHeuristic, true)).unwrap();
         QUERIES.iter().map(|q| canonical(s.debug(q).unwrap())).collect()
     };
 
@@ -141,19 +139,16 @@ fn mutated_reports_match_fresh_rebuild_across_the_matrix() {
             changed += 1;
         }
         for strategy in STRATEGIES {
-            for workers in [1usize, 4] {
-                for cache in [false, true] {
-                    let s = m.session(session_config(strategy, workers, cache)).unwrap();
-                    let got = canonical(s.debug(q).unwrap());
-                    assert_eq!(
-                        got,
-                        canonical(fresh.debug_with_strategy(q, strategy).unwrap()),
-                        "{q} under {} workers={workers} cache={cache} \
-                         diverged from the fresh rebuild",
-                        strategy.name()
-                    );
-                    drop(s);
-                }
+            for cache in [false, true] {
+                let s = m.session(session_config(strategy, cache)).unwrap();
+                let got = canonical(s.debug(q).unwrap());
+                assert_eq!(
+                    got,
+                    canonical(fresh.debug_with_strategy(q, strategy).unwrap()),
+                    "{q} under {} cache={cache} diverged from the fresh rebuild",
+                    strategy.name()
+                );
+                drop(s);
             }
         }
     }
@@ -184,7 +179,7 @@ fn chaos_probes_never_poison_the_shared_store() {
         let faulted = {
             let config = DebugConfig {
                 chaos: Some(chaos),
-                ..session_config(StrategyKind::BottomUpWithReuse, 1, true)
+                ..session_config(StrategyKind::BottomUpWithReuse, true)
             };
             let s = m.session(config).unwrap();
             let report = s.debug(q).unwrap();
@@ -193,7 +188,7 @@ fn chaos_probes_never_poison_the_shared_store() {
         };
         assert_eq!(faulted, truth, "{q}: transient faults changed the report");
         // The store the faulted session warmed serves a clean session next.
-        let clean = m.session(session_config(StrategyKind::BottomUpWithReuse, 1, true)).unwrap();
+        let clean = m.session(session_config(StrategyKind::BottomUpWithReuse, true)).unwrap();
         assert_eq!(canonical(clean.debug(q).unwrap()), truth, "{q}: store was poisoned");
     }
 }

@@ -17,19 +17,19 @@
 //! Equal keys on one snapshot are the same ground-truth query, and a
 //! follower's budget slot was reserved at its own dispatch position, so
 //! reports and budget cuts match unbatched runs (DESIGN.md §8.2, §14). An
-//! owner that fails or unwinds orphans its cells (`OwnedCells`) and the
-//! followers re-execute on their own slots; a session publishes every cell
-//! it owns before it waits on any other, so no two sessions wait on each other.
+//! owner that fails or unwinds orphans its cell (`OwnedCells`) and the
+//! followers re-execute on their own slots. A session resolves one probe at
+//! a time and never waits while it owns a cell, so no two sessions wait on
+//! each other.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use crate::lattice::Lattice;
-use crate::oracle::{Probe, ProbeCore};
-use crate::parallel::Executor;
-use crate::prune::PrunedLattice;
+use crate::jnts::Jnts;
+use crate::lattice::NodeId;
+use crate::oracle::{AlivenessOracle, Probe};
 
 /// The switch for single-flight probing (`kwserve::ServeConfig::batching`).
 /// It has no knobs: nothing waits for overlap, so there is nothing to tune.
@@ -141,59 +141,39 @@ impl WaveExchange {
         }
     }
 
-    /// Resolves the reserved probes of `pending` (dense nodes in slot order)
-    /// and returns their outcomes in slot order. Owned probes execute on
-    /// `exec`, each published as it lands, before any follower waits; a
-    /// follower whose cell was orphaned re-executes on its own slot.
-    pub(crate) fn resolve<'a>(
+    /// Resolves one reserved probe of `node`. The first session to claim
+    /// its key owns the cell: it executes on `oracle` and publishes the
+    /// outcome. A follower waits on the cell and books the owner's verdict,
+    /// or re-executes on its own slot if the cell was orphaned.
+    pub(crate) fn resolve(
         &self,
-        core: &ProbeCore<'a>,
-        lattice: &Lattice,
-        pruned: &PrunedLattice,
-        exec: &mut Executor<'_, 'a>,
-        pending: &[usize],
-    ) -> Vec<Probe> {
-        let (db_id, epoch) = core.snapshot();
+        oracle: &mut AlivenessOracle<'_>,
+        node: NodeId,
+        jnts: &Jnts,
+    ) -> Probe {
+        let db = oracle.database();
+        let key = (db.db_id(), db.epoch(), oracle.binding_key(jnts, &mut |kw| self.intern(kw)));
         let mut owned = OwnedCells { exchange: self, cells: Vec::new() };
-        let (mut owned_slots, mut followers) = (Vec::new(), Vec::new());
-        for (slot, &dense) in pending.iter().enumerate() {
-            let key = core.binding_key(pruned.jnts(lattice, dense), &mut |kw| self.intern(kw));
-            match self.claim((db_id, epoch, key), &mut owned) {
-                None => owned_slots.push(slot),
-                Some(cell) => followers.push((slot, cell)),
-            }
-        }
-        let mut probes: Vec<Option<Probe>> = pending.iter().map(|_| None).collect();
-        let jobs: Vec<usize> = owned_slots.iter().map(|&slot| pending[slot]).collect();
-        let done = exec.execute(core, lattice, pruned, &jobs, |i, probe| {
+        let Some(cell) = self.claim(key, &mut owned) else {
+            let probe = oracle.execute_reserved(node, jnts);
             // A fault, hard failure or budget trip orphans the cell.
-            owned.settle(i, if let Probe::Verdict(alive) = probe { Some(*alive) } else { None });
-        });
-        drop(owned);
-        let mut orphaned = Vec::new();
-        for (slot, cell) in followers {
-            let Some(alive) = cell.wait() else {
-                orphaned.push(slot);
-                continue;
-            };
-            let dense = pending[slot];
-            core.record_coalesced(pruned.lattice_id(dense), pruned.jnts(lattice, dense), alive);
-            self.coalesced.fetch_add(1, Ordering::Relaxed);
-            probes[slot] = Some(Probe::Verdict(alive));
+            owned.settle(0, if let Probe::Verdict(alive) = probe { Some(alive) } else { None });
+            return probe;
+        };
+        match cell.wait() {
+            Some(alive) => {
+                oracle.record_coalesced(node, jnts, alive);
+                self.coalesced.fetch_add(1, Ordering::Relaxed);
+                Probe::Verdict(alive)
+            }
+            None => oracle.execute_reserved(node, jnts),
         }
-        let jobs: Vec<usize> = orphaned.iter().map(|&slot| pending[slot]).collect();
-        let redone = exec.execute(core, lattice, pruned, &jobs, |_, _| {});
-        let slots = owned_slots.iter().chain(&orphaned);
-        for (&slot, probe) in slots.zip(done.into_iter().chain(redone)) {
-            probes[slot] = Some(probe);
-        }
-        probes.into_iter().map(|p| p.expect("every pending slot resolves")).collect()
     }
 }
 
-/// RAII custody of the cells a session owns in one dispatch: each is settled,
-/// then retired, exactly once. A cell still held when the guard drops (an
-/// unwind through the driver) is orphaned, so its followers re-execute.
+/// RAII custody of the cells a session owns: each is settled, then retired,
+/// exactly once. A cell still held when the guard drops (an unwind through
+/// the driver) is orphaned, so its followers re-execute.
 struct OwnedCells<'x> {
     exchange: &'x WaveExchange,
     cells: Vec<Option<(Key, Arc<ProbeCell>)>>,

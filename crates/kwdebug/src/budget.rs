@@ -13,15 +13,14 @@
 //! ## Atomic enforcement: [`BudgetGate`]
 //!
 //! [`ProbeBudget`] itself is a plain-value description of the caps; the
-//! *stateful* enforcement lives in [`BudgetGate`], which is entirely atomic
-//! so the same gate can be shared by every worker of the parallel scheduler
-//! ([`crate::parallel`]) without locks. Budget atomicity is the invariant:
-//! a probe slot is **reserved** before the probe executes
-//! ([`BudgetGate::try_reserve`]) and **released** if the probe fails without
-//! executing ([`BudgetGate::release`]), so the number of reserved slots can
-//! never exceed `max_probes` no matter how many threads race on the gate —
-//! and with a single thread the reserved count equals the executed count,
-//! which keeps sequential behavior byte-identical to the pre-gate oracle.
+//! *stateful* enforcement lives in [`BudgetGate`], which is entirely atomic,
+//! so checking and reserving never block and never need `&mut`. Budget
+//! atomicity is the invariant: a probe slot is **reserved** before the probe
+//! executes ([`BudgetGate::try_reserve`]) and **released** if the probe fails
+//! without executing ([`BudgetGate::release`]), so the number of reserved
+//! slots can never exceed `max_probes`, even if threads race on one gate —
+//! and since the oracle reserves each probe right before executing it, the
+//! reserved count equals the executed count.
 //! The trip state is sticky and first-writer-wins: the first cap to trip is
 //! the one every later refusal reports. See DESIGN.md §8 ("Concurrency
 //! model") for the full protocol.
@@ -186,10 +185,9 @@ fn trip_why(code: u8) -> Option<Exhausted> {
 
 /// Atomic, shareable enforcement state for one [`ProbeBudget`] window.
 ///
-/// The gate is the budget's single source of truth across threads: the
-/// sequential oracle and every worker of [`crate::parallel`] reserve probe
-/// slots through the same gate, so the combined probe count can never
-/// overshoot `max_probes` even when reservations race. All state is atomic —
+/// The gate is the budget's single source of truth: every probe and sample
+/// of an oracle reserves its slot here, and the probe count can never
+/// overshoot `max_probes`, even when reservations race. All state is atomic —
 /// checking and reserving never block.
 ///
 /// Protocol per probe:

@@ -60,20 +60,12 @@ pub struct DebugConfig {
     /// Each interpretation's oracle wraps its executor in a
     /// [`relengine::ChaosExecutor`] with this schedule.
     pub chaos: Option<FaultConfig>,
-    /// Probe threads per traversal (see [`crate::parallel`]). `0` or `1`
-    /// probes inline on the calling thread; any higher count fans each
-    /// inference-frontier wave over that many worker threads. The report is
-    /// identical either way, except that a tuple or deadline cap may cut a
-    /// pooled run up to one wave later (DESIGN.md §8.2) — workers only
-    /// change wall-clock — so this is a pure throughput knob for
-    /// disk/remote-bound probe workloads.
-    pub workers: usize,
     /// Share the session-scoped [`crate::evalcache::EvalCache`] across every
     /// probe of every debug call (extension; off by default like `memoize`).
     /// Keyword selections and their join-column postings are evaluated once
     /// per session instead of once per interpretation, and completed
-    /// whole-network verdicts answer repeated probes across queries and
-    /// parallel workers. Reports are bit-identical
+    /// whole-network verdicts answer repeated probes across queries.
+    /// Reports are bit-identical
     /// with the cache on or off (the differential suite pins this down); only
     /// probe work shrinks. Caveat:
     /// with a *limited* [`DebugConfig::budget`] the cache can change which
@@ -103,7 +95,6 @@ impl Default for DebugConfig {
             budget: ProbeBudget::unlimited(),
             retry: RetryPolicy::default(),
             chaos: None,
-            workers: 1,
             eval_cache: false,
             online_pa: false,
         }
@@ -377,7 +368,7 @@ impl NonAnswerDebugger {
     /// Builds a new *session* over an existing substrate: the returned
     /// debugger reads the same database, index and lattice arena as every
     /// other holder of `parts`, but owns fresh per-session state — a cold
-    /// [`WorkspacePool`] and its own `config` (budget, strategy, workers,
+    /// [`WorkspacePool`] and its own `config` (budget, strategy, cache,
     /// ...). This is O(1): no data is copied and no Phase-0 work runs, which
     /// is what makes per-connection sessions viable in the serving layer.
     /// `config.max_joins` must match the lattice.
@@ -514,12 +505,6 @@ impl NonAnswerDebugger {
     /// for subsequent debug calls.
     pub fn set_chaos(&mut self, chaos: Option<FaultConfig>) {
         self.config.chaos = chaos;
-    }
-
-    /// Sets the probe-thread count for subsequent debug calls (`<= 1` is
-    /// sequential; see [`crate::parallel`] for the equivalence guarantee).
-    pub fn set_workers(&mut self, workers: usize) {
-        self.config.workers = workers;
     }
 
     /// Attaches a cross-session [`crate::batch::WaveExchange`]: subsequent
@@ -680,7 +665,6 @@ impl NonAnswerDebugger {
             &pruned,
             &mut oracle,
             pa,
-            self.config.workers,
             exchange,
         )?;
         let traversal_time = traversal_start.elapsed();

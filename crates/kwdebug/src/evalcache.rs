@@ -24,8 +24,9 @@
 //!   answered — alive or dead — without touching the engine
 //!   (`verdict_cache_hits`).
 //!
-//! All maps are lock-striped like `parallel::ShardedMemo` so the parallel
-//! scheduler's workers share them without a global lock. Entries are only
+//! All maps are lock-striped so the sessions of a serving process that share
+//! one cache ([`crate::debugger::SharedParts`]) do not serialize behind a
+//! global lock. Entries are only
 //! ever written from *completed* reductions (chaos faults fire before
 //! execution and abort the probe, so a failed probe contributes nothing).
 //!
@@ -94,7 +95,7 @@ use relengine::{ColId, Database, DataType, DeltaKind, RowId, TableId};
 use crate::canonical::{direction_aware_adjacency, rooted_subtree_key};
 use crate::jnts::Jnts;
 
-/// Number of lock stripes per map (same as `parallel::MEMO_SHARDS`).
+/// Number of lock stripes per map (a power of two, so a stripe is a mask away).
 const SHARDS: usize = 16;
 
 /// Key of one cached selection: table, interned keyword id, and whether the
@@ -145,8 +146,8 @@ enum Victim {
     Verdict(Vec<u8>),
 }
 
-/// The cross-probe evaluation cache shared by all probes (and all parallel
-/// workers) of one debug session — or, handed out through
+/// The cross-probe evaluation cache shared by all probes of one debug
+/// session — or, handed out through
 /// [`crate::debugger::SharedParts`], by every session of a serving process.
 /// See the module docs for the layers, the epoch contract and the LRU byte
 /// budget.

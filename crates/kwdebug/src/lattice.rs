@@ -42,7 +42,7 @@
 //!
 //! All arrays are plain `Vec`s with no interior mutability, so one `Lattice`
 //! is freely shareable (`&Lattice` is `Sync`) across concurrent query
-//! sessions and the workers of [`crate::parallel`].
+//! sessions.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};

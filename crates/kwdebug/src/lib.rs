@@ -51,7 +51,6 @@
 //! | Experiment instrumentation, §3 | probe/inference counters, phase timings | [`metrics`] |
 //! | Probe budgets / retries (extension) | caps, deadlines, backoff, degraded mode | [`budget`] |
 //! | Fault injection (extension) | deterministic chaos harness for probes | [`relengine::chaos`] |
-//! | Parallel probe scheduling (extension) | work-stealing wave scheduler, sharded memo | [`parallel`] |
 //! | Cross-probe evaluation cache (extension) | shared keyword selections and their join-column postings, whole-network verdicts | [`evalcache`] |
 //! | Pooled traversal scratch (extension) | reusable per-query workspaces, zero steady-state allocation | [`workspace`] |
 //! | Multi-tenant serving (extension) | shared substrate ([`SharedParts`]), per-session debuggers over TCP | [`debugger`], `kwserve` |
@@ -115,7 +114,6 @@ pub mod metrics;
 pub mod mtn;
 pub mod mutable;
 pub mod oracle;
-pub mod parallel;
 pub mod prune;
 pub mod report;
 pub mod schema_graph;

@@ -23,9 +23,6 @@
 //! | `faults_injected` | oracle, fault errors observed (injected or real) | beyond the paper (degraded mode) |
 //! | `probes_abandoned` | oracle, probes given up on (node stays `Unknown`) | beyond the paper (degraded mode) |
 //! | `budget_exhausted` | oracle, [`crate::budget::ProbeBudget`] cap trips | beyond the paper (degraded mode) |
-//! | `workers` | parallel scheduler, pool size per parallel traversal | beyond the paper (parallel probing) |
-//! | `steals` | parallel scheduler, jobs a worker took from another's queue | beyond the paper (parallel probing) |
-//! | `inference_suppressed_probes` | parallel dispatcher, probes answered by the shared memo at dispatch time | beyond the paper (parallel probing) |
 //! | `phase1_nodes_touched` | debugger, posting-list entries scanned by Phase 1 (DESIGN.md §9) | beyond the paper (compact substrate) |
 //! | `workspace_reuses` | debugger, `PrunedLattice` builds served from the pooled [`crate::workspace::QueryWorkspace`] | beyond the paper (compact substrate) |
 //! | `selection_cache_hits` | oracle, plan nodes served a shared keyword selection by [`crate::evalcache`] | beyond the paper (evaluation cache) |
@@ -39,10 +36,8 @@
 //!
 //! The invariant the integration tests pin down: `probes_executed` equals the
 //! engine's own `ExecStats::queries`, so a strategy can never misreport its
-//! probe count. All counters are relaxed atomics, which also makes the whole
-//! block safe to share across the worker threads of [`crate::parallel`] —
-//! workers increment the *same* `Metrics`, so one snapshot already is the
-//! merged per-worker view.
+//! probe count. All counters are relaxed atomics, so every layer counts
+//! through a shared `&Metrics`.
 //!
 //! [`MetricsSnapshot`] bundles one experiment record (probes + per-phase
 //! timings + Phase-1/2 statistics) and renders it as a single stable-key JSON
@@ -167,18 +162,6 @@ pub struct Metrics {
     /// Times a [`crate::budget::ProbeBudget`] cap tripped (at most once per
     /// oracle — budgets are sticky).
     pub budget_exhausted: Counter,
-    /// Worker threads used by [`crate::parallel`] traversals (the pool size,
-    /// summed per parallel traversal); 0 on sequential runs.
-    pub workers: Counter,
-    /// Jobs a parallel worker stole from another worker's queue; 0 on
-    /// sequential runs (and scheduling-dependent, so never compared exactly).
-    pub steals: Counter,
-    /// Probes the parallel dispatcher never issued because the sharded memo
-    /// already held a verdict at dispatch time — cross-thread suppression the
-    /// sequential engine counts as plain `memo_hits`. Always 0 on sequential
-    /// runs; in parallel runs every such event also counts one `memo_hits`,
-    /// keeping the memo accounting comparable across modes.
-    pub inference_suppressed_probes: Counter,
     /// Posting-list entries scanned by the postings-based Phase 1 (union of
     /// unbound copies + bound-copy intersection; see `DESIGN.md` §9). A proxy
     /// for Phase-1 work that, unlike the old full-lattice scan, shrinks with
@@ -190,7 +173,7 @@ pub struct Metrics {
     pub workspace_reuses: Counter,
     /// Plan nodes whose keyword selection was served from the session
     /// [`crate::evalcache::EvalCache`] instead of re-evaluating the
-    /// containment predicate (population-order-dependent in parallel runs).
+    /// containment predicate.
     pub selection_cache_hits: Counter,
     /// Probes answered without touching the engine because the evaluation
     /// cache held a completed verdict for the network's canonical binding key
@@ -242,9 +225,6 @@ impl Metrics {
             faults_injected: Counter::new(),
             probes_abandoned: Counter::new(),
             budget_exhausted: Counter::new(),
-            workers: Counter::new(),
-            steals: Counter::new(),
-            inference_suppressed_probes: Counter::new(),
             phase1_nodes_touched: Counter::new(),
             workspace_reuses: Counter::new(),
             selection_cache_hits: Counter::new(),
@@ -272,9 +252,6 @@ impl Metrics {
             faults_injected: self.faults_injected.get(),
             probes_abandoned: self.probes_abandoned.get(),
             budget_exhausted: self.budget_exhausted.get(),
-            workers: self.workers.get(),
-            steals: self.steals.get(),
-            inference_suppressed_probes: self.inference_suppressed_probes.get(),
             phase1_nodes_touched: self.phase1_nodes_touched.get(),
             workspace_reuses: self.workspace_reuses.get(),
             selection_cache_hits: self.selection_cache_hits.get(),
@@ -301,9 +278,6 @@ impl Metrics {
         self.faults_injected.reset();
         self.probes_abandoned.reset();
         self.budget_exhausted.reset();
-        self.workers.reset();
-        self.steals.reset();
-        self.inference_suppressed_probes.reset();
         self.phase1_nodes_touched.reset();
         self.workspace_reuses.reset();
         self.selection_cache_hits.reset();
@@ -347,13 +321,6 @@ pub struct ProbeCounters {
     pub probes_abandoned: u64,
     /// Budget caps tripped.
     pub budget_exhausted: u64,
-    /// Parallel worker threads used (0 on sequential runs).
-    pub workers: u64,
-    /// Jobs stolen between parallel workers (0 on sequential runs).
-    pub steals: u64,
-    /// Probes suppressed by the parallel dispatcher's memo pre-check
-    /// (0 on sequential runs).
-    pub inference_suppressed_probes: u64,
     /// Posting-list entries scanned by Phase 1.
     pub phase1_nodes_touched: u64,
     /// `PrunedLattice` builds that reused pooled workspace scratch.
@@ -396,10 +363,6 @@ impl ProbeCounters {
             faults_injected: self.faults_injected - baseline.faults_injected,
             probes_abandoned: self.probes_abandoned - baseline.probes_abandoned,
             budget_exhausted: self.budget_exhausted - baseline.budget_exhausted,
-            workers: self.workers - baseline.workers,
-            steals: self.steals - baseline.steals,
-            inference_suppressed_probes: self.inference_suppressed_probes
-                - baseline.inference_suppressed_probes,
             phase1_nodes_touched: self.phase1_nodes_touched - baseline.phase1_nodes_touched,
             workspace_reuses: self.workspace_reuses - baseline.workspace_reuses,
             selection_cache_hits: self.selection_cache_hits - baseline.selection_cache_hits,
@@ -429,9 +392,6 @@ impl ProbeCounters {
         self.faults_injected += other.faults_injected;
         self.probes_abandoned += other.probes_abandoned;
         self.budget_exhausted += other.budget_exhausted;
-        self.workers += other.workers;
-        self.steals += other.steals;
-        self.inference_suppressed_probes += other.inference_suppressed_probes;
         self.phase1_nodes_touched += other.phase1_nodes_touched;
         self.workspace_reuses += other.workspace_reuses;
         self.selection_cache_hits += other.selection_cache_hits;
@@ -569,12 +529,11 @@ impl MetricsSnapshot {
              \"delta_postings_merged\":{},\"entries_invalidated\":{},\"epoch\":{},\
              \"executed\":{},\
              \"faults_injected\":{},\
-             \"inference_suppressed_probes\":{},\"memo_hits\":{},\"phase1_nodes_touched\":{},\
+             \"memo_hits\":{},\"phase1_nodes_touched\":{},\
              \"probes_abandoned\":{},\
              \"r1_inferences\":{},\"r2_inferences\":{},\"retries\":{},\"reuse_hits\":{},\
              \"selection_cache_hits\":{},\
-             \"steals\":{},\
-             \"time_ns\":{},\"tuples_scanned\":{},\"verdict_cache_hits\":{},\"workers\":{},\
+             \"time_ns\":{},\"tuples_scanned\":{},\"verdict_cache_hits\":{},\
              \"workspace_reuses\":{}}}",
             p.budget_exhausted,
             p.cache_bytes,
@@ -585,7 +544,6 @@ impl MetricsSnapshot {
             p.epoch,
             p.probes_executed,
             p.faults_injected,
-            p.inference_suppressed_probes,
             p.memo_hits,
             p.phase1_nodes_touched,
             p.probes_abandoned,
@@ -594,11 +552,9 @@ impl MetricsSnapshot {
             p.retries,
             p.reuse_hits,
             p.selection_cache_hits,
-            p.steals,
             p.probe_time_ns,
             p.tuples_scanned,
             p.verdict_cache_hits,
-            p.workers,
             p.workspace_reuses,
         );
         let t = &self.phases;
@@ -747,9 +703,6 @@ mod tests {
                 faults_injected: 5,
                 probes_abandoned: 1,
                 budget_exhausted: 1,
-                workers: 4,
-                steals: 7,
-                inference_suppressed_probes: 2,
                 phase1_nodes_touched: 42,
                 workspace_reuses: 1,
                 selection_cache_hits: 13,
@@ -797,12 +750,11 @@ mod tests {
              \"delta_postings_merged\":3,\"entries_invalidated\":7,\"epoch\":11,\
              \"executed\":12,\
              \"faults_injected\":5,\
-             \"inference_suppressed_probes\":2,\"memo_hits\":0,\"phase1_nodes_touched\":42,\
+             \"memo_hits\":0,\"phase1_nodes_touched\":42,\
              \"probes_abandoned\":1,\
              \"r1_inferences\":4,\"r2_inferences\":9,\"retries\":2,\"reuse_hits\":3,\
              \"selection_cache_hits\":13,\
-             \"steals\":7,\
-             \"time_ns\":345,\"tuples_scanned\":678,\"verdict_cache_hits\":8,\"workers\":4,\
+             \"time_ns\":345,\"tuples_scanned\":678,\"verdict_cache_hits\":8,\
              \"workspace_reuses\":1},\
              \"phases\":{\"mapping_ns\":1,\"pruning_ns\":2,\"traversal_ns\":3,\
              \"sql_ns\":4,\"reporting_ns\":5,\"total_ns\":6},\

@@ -23,25 +23,6 @@
 //! verdicts. [`build_plan`] stays the plain, predicate-only form that SQL
 //! rendering uses.
 //!
-//! ## Architecture: shareable core, thin view
-//!
-//! Since the parallel scheduler landed ([`crate::parallel`]), the oracle is
-//! split in two:
-//!
-//! * `ProbeCore` (crate-internal) — the `Send + Sync` probe backend: the
-//!   plan builder inputs, the sharded memo table, the [`Metrics`] block, the
-//!   atomic [`BudgetGate`] and the retry policy. Everything in it is either
-//!   immutable borrowed data or atomic/lock-striped state, so one core can
-//!   serve any number of worker threads concurrently. Engines (executors)
-//!   are *not* in the core — each thread owns its own engine and passes it
-//!   into the core's execution methods.
-//! * [`AlivenessOracle`] — the thin sequential view every existing call site
-//!   uses: one core plus one private engine, exposing the same public API as
-//!   before the split. Sequential behavior is byte-identical.
-//!
-//! See DESIGN.md §8 ("Concurrency model") for which invariant each piece of
-//! shared state protects.
-//!
 //! ## Fault tolerance and budgets
 //!
 //! The oracle is the single choke point between the traversals and the
@@ -51,7 +32,7 @@
 //!   [`relengine::ChaosExecutor`] that injects deterministic faults;
 //! * [`AlivenessOracle::with_budget`] bounds the probing work
 //!   ([`ProbeBudget`]: max probes, wall-clock deadline, tuple-scan cap),
-//!   enforced through the atomic [`BudgetGate`];
+//!   enforced through a [`BudgetGate`];
 //! * [`AlivenessOracle::with_retry`] sets how transient failures are retried
 //!   ([`RetryPolicy`]: capped exponential backoff, deterministic).
 //!
@@ -82,7 +63,8 @@
 //! side of that equation. A failed attempt also returns its reserved budget
 //! slot ([`BudgetGate::release`]), so the budget only ever counts executions.
 
-use std::sync::{Arc, OnceLock};
+use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 use relengine::sortedvals::ValuePostings;
@@ -92,6 +74,7 @@ use relengine::{
 };
 use textindex::InvertedIndex;
 
+use crate::batch::WaveExchange;
 use crate::binding::Interpretation;
 use crate::budget::{BudgetGate, Exhausted, ProbeBudget, RetryPolicy};
 use crate::error::KwError;
@@ -99,7 +82,6 @@ use crate::evalcache::{network_key, network_mask, EvalCache};
 use crate::jnts::Jnts;
 use crate::lattice::NodeId;
 use crate::metrics::Metrics;
-use crate::parallel::ShardedMemo;
 
 /// Builds the plain plan of a network under an interpretation: keyword
 /// copies get their keyword's containment predicate (plus the inverted-index
@@ -154,10 +136,8 @@ pub enum Probe {
     Exhausted(Exhausted),
 }
 
-/// The engine behind one probing thread: plain, or wrapped in fault
-/// injection. Each thread owns exactly one engine; the shared [`ProbeCore`]
-/// never holds one.
-pub(crate) enum ProbeEngine<'a> {
+/// The oracle's engine: plain, or wrapped in fault injection.
+enum ProbeEngine<'a> {
     Plain(Executor<'a>),
     Chaos(ChaosExecutor<'a>),
 }
@@ -181,7 +161,7 @@ impl<'a> ProbeEngine<'a> {
         }
     }
 
-    pub(crate) fn stats(&self) -> &ExecStats {
+    fn stats(&self) -> &ExecStats {
         match self {
             ProbeEngine::Plain(e) => e.stats(),
             ProbeEngine::Chaos(c) => c.stats(),
@@ -194,25 +174,15 @@ impl<'a> ProbeEngine<'a> {
             ProbeEngine::Chaos(c) => c.reset_stats(),
         }
     }
-
-    /// Folds a pool worker's statistics into this engine, so the oracle's
-    /// `stats()`/`queries()` cover the whole pool after a pooled run.
-    pub(crate) fn absorb_stats(&mut self, other: &ExecStats) {
-        match self {
-            ProbeEngine::Plain(e) => e.absorb_stats(other),
-            ProbeEngine::Chaos(c) => c.absorb_stats(other),
-        }
-    }
 }
 
 /// One bound keyword's rows under an interpretation without an
 /// [`EvalCache`]: its selection and the selection's postings in each column
-/// of the keyword's relation, each built at most once — by whichever probing
-/// thread needs it first.
+/// of the keyword's relation, each built at most once.
 struct KeywordRows {
-    selection: OnceLock<Arc<Vec<RowId>>>,
+    selection: Option<Arc<Vec<RowId>>>,
     /// `postings[col]`: the selection grouped by its values in `col`.
-    postings: Box<[OnceLock<Arc<ValuePostings>>]>,
+    postings: Box<[Option<Arc<ValuePostings>>]>,
 }
 
 /// The rows of `sel` grouped by their values in `col`.
@@ -228,33 +198,28 @@ enum ProbeFail {
     Exhausted(Exhausted),
 }
 
-/// The `Send + Sync` probe backend shared by every probing thread.
+/// Answers aliveness queries for lattice nodes, counting every execution.
 ///
-/// Holds everything a probe needs *except* an engine: the plan-builder
-/// inputs (all shared borrows), the sharded memo, the metrics block (relaxed
-/// atomics), the budget gate (atomics) and the retry policy (a `Copy`
-/// value). Threads bring their own [`ProbeEngine`] — built by
-/// [`ProbeCore::make_engine`] — and pass it into the execution methods, so
-/// nothing here ever needs `&mut`.
-pub(crate) struct ProbeCore<'a> {
+/// Holds everything a probe needs: the plan-builder inputs (all shared
+/// borrows), the verdict memo, the [`Metrics`] block, the budget gate, the
+/// retry policy, the per-interpretation keyword selections and the engine.
+/// The Phase-3 wave driver ([`crate::traversal`]) probes through it one node
+/// at a time.
+pub struct AlivenessOracle<'a> {
     db: &'a Database,
     index: Option<&'a InvertedIndex>,
     interp: &'a Interpretation,
     keywords: &'a [String],
-    /// Shared verdict memo (`None` when memoization is off). Lock-striped;
-    /// verdicts are ground truth, so concurrent inserts are idempotent.
-    memo: Option<ShardedMemo>,
-    /// Probe/inference counters, shared across threads (relaxed atomics).
-    pub(crate) metrics: Metrics,
-    /// Atomic budget enforcement, shared across threads.
-    pub(crate) gate: BudgetGate,
+    /// Verdict memo (`None` when memoization is off).
+    memo: Option<HashMap<NodeId, bool>>,
+    /// Probe/inference counters (relaxed atomics).
+    metrics: Metrics,
+    /// Budget enforcement.
+    gate: BudgetGate,
     retry: RetryPolicy,
-    /// The fault schedule, kept so per-worker engines can derive their own
-    /// deterministic streams (`None` = plain engines).
-    chaos: Option<FaultConfig>,
     /// The session-scoped evaluation cache (`None` = per-interpretation
-    /// selections in `local`). Shared across interpretations and parallel
-    /// workers; see [`crate::evalcache`].
+    /// selections in `local`). Shared across interpretations and sessions;
+    /// see [`crate::evalcache`].
     cache: Option<Arc<EvalCache>>,
     /// `local[k]`: keyword `k`'s selection and postings when no cache is
     /// attached, keyed by keyword and then by column.
@@ -262,73 +227,100 @@ pub(crate) struct ProbeCore<'a> {
     /// Online `p_a` observer (`None` = off). Every *executed* probe reports
     /// its `(level, verdict)` here; see [`crate::estimate::OnlinePa`].
     pa_stats: Option<Arc<crate::estimate::OnlinePa>>,
+    engine: ProbeEngine<'a>,
 }
 
-// The core must stay shareable across the scheduler's worker threads; this
-// trips at compile time if a non-Sync field ever sneaks in.
-const _: () = {
-    const fn assert_sync<T: Sync>() {}
-    assert_sync::<ProbeCore<'static>>();
-};
-
-impl<'a> ProbeCore<'a> {
-    fn new(
+impl<'a> AlivenessOracle<'a> {
+    /// Creates an oracle for one interpretation. `memoize` enables the
+    /// cross-call result cache (an extension; the paper re-executes). The
+    /// oracle starts with an unlimited [`ProbeBudget`], the default
+    /// [`RetryPolicy`] and no fault injection — the happy-path pipeline.
+    pub fn new(
         db: &'a Database,
         index: Option<&'a InvertedIndex>,
         interp: &'a Interpretation,
         keywords: &'a [String],
         memoize: bool,
     ) -> Self {
-        ProbeCore {
+        AlivenessOracle {
             db,
             index,
             interp,
             keywords,
-            memo: memoize.then(ShardedMemo::new),
+            memo: memoize.then(HashMap::new),
             metrics: Metrics::new(),
             gate: BudgetGate::new(ProbeBudget::default()),
             retry: RetryPolicy::default(),
-            chaos: None,
             cache: None,
             local: interp
                 .tables()
                 .iter()
                 .map(|&t| KeywordRows {
-                    selection: OnceLock::new(),
-                    postings: (0..db.table(t).schema().arity()).map(|_| OnceLock::new()).collect(),
+                    selection: None,
+                    postings: vec![None; db.table(t).schema().arity()].into_boxed_slice(),
                 })
                 .collect(),
             pa_stats: None,
+            engine: ProbeEngine::Plain(Executor::new(db)),
         }
     }
 
-    /// Builds an engine for probing thread `worker`. Worker engines under
-    /// chaos draw from seeds derived per worker (never the base seed, which
-    /// belongs to the oracle's own engine), so each worker's fault stream is
-    /// deterministic given the pool size — though which *probe* a fault
-    /// lands on still depends on job assignment.
-    pub(crate) fn make_engine(&self, worker: u64) -> ProbeEngine<'a> {
-        match self.chaos {
-            None => ProbeEngine::Plain(Executor::new(self.db)),
-            Some(config) => {
-                let seed =
-                    config.seed ^ (worker + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                ProbeEngine::Chaos(ChaosExecutor::new(self.db, FaultConfig {
-                    seed,
-                    ..config
-                }))
+    /// Routes every execution through a deterministic fault injector
+    /// (keeping any statistics the current engine accumulated).
+    pub fn with_chaos(mut self, config: FaultConfig) -> Self {
+        self.engine = match self.engine {
+            ProbeEngine::Plain(e) => ProbeEngine::Chaos(ChaosExecutor::wrap(e, config)),
+            ProbeEngine::Chaos(c) => {
+                ProbeEngine::Chaos(ChaosExecutor::wrap(c.into_inner(), config))
             }
-        }
+        };
+        self
     }
 
-    /// The memoized verdict of a node, if any (a pure read; no metrics).
-    pub(crate) fn verdict_if_known(&self, node: NodeId) -> Option<bool> {
-        self.memo.as_ref().and_then(|m| m.get(node))
+    /// Bounds the probing work of this oracle (a fresh [`BudgetGate`]
+    /// window).
+    pub fn with_budget(mut self, budget: ProbeBudget) -> Self {
+        self.gate = BudgetGate::new(budget);
+        self
     }
 
-    /// The `(db_id, epoch)` snapshot every probe of this core reads.
-    pub(crate) fn snapshot(&self) -> (u64, u64) {
-        (self.db.db_id(), self.db.epoch())
+    /// Sets the transient-failure retry policy.
+    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
+        self.retry = retry;
+        self
+    }
+
+    /// Attaches an [`EvalCache`] shared with other oracles of the same debug
+    /// session, or of every session holding the same store. Probes then take
+    /// their keyword selections and join-column postings from the cache
+    /// instead of building them for this interpretation, answer repeated
+    /// networks from cached whole-network verdicts without executing, and
+    /// publish their own verdicts. Cache keys label each vertex by table and
+    /// bound keyword, never by copy number. Verdicts and reports are
+    /// unchanged; only the work to reach them shrinks.
+    pub fn with_eval_cache(mut self, cache: Arc<EvalCache>) -> Self {
+        self.cache = Some(cache);
+        self
+    }
+
+    /// Attaches an [`crate::estimate::OnlinePa`] observer: every executed
+    /// probe reports its `(level, verdict)` so later queries — in this
+    /// session or, when the estimator is shared through
+    /// [`crate::debugger::SharedParts`], any session of the process — start
+    /// SBH from observed alive rates instead of the fixed paper prior.
+    /// Recording is lock-free and does not change verdicts or reports.
+    pub fn with_pa_stats(mut self, stats: Arc<crate::estimate::OnlinePa>) -> Self {
+        self.pa_stats = Some(stats);
+        self
+    }
+
+    /// The memoized verdict of a node, without probing: `Some(true)` for
+    /// cached alive, `Some(false)` for cached dead, `None` when the node was
+    /// never probed (or memoization is off). Lets traversals and the session
+    /// distinguish "known dead" from "unknown" without re-deriving memo
+    /// state; a pure read, it records no metrics.
+    pub fn verdict_if_known(&self, node: NodeId) -> Option<bool> {
+        self.memo.as_ref().and_then(|m| m.get(&node).copied())
     }
 
     /// The canonical identity of a probe: [`crate::evalcache::network_key`]
@@ -401,35 +393,35 @@ impl<'a> ProbeCore<'a> {
     /// Keyword `k`'s selection, bound to `table`: from the cache when one is
     /// attached, else built once for this interpretation, counting the rows
     /// the build reads into `tuples_scanned`.
-    fn selection(&self, k: usize, table: TableId) -> Arc<Vec<RowId>> {
+    fn selection(&mut self, k: usize, table: TableId) -> Arc<Vec<RowId>> {
         let kw = &self.keywords[k];
-        match &self.cache {
-            Some(cache) => self.shared_selection(cache, table, kw),
-            None => Arc::clone(self.local[k].selection.get_or_init(|| {
-                let (sel, read) = self.compute_selection(table, kw);
-                self.metrics.tuples_scanned.add(read);
-                Arc::new(sel)
-            })),
+        if let Some(cache) = &self.cache {
+            return self.shared_selection(cache, table, kw);
         }
+        if let Some(sel) = &self.local[k].selection {
+            return Arc::clone(sel);
+        }
+        let (sel, read) = self.compute_selection(table, kw);
+        self.metrics.tuples_scanned.add(read);
+        Arc::clone(self.local[k].selection.insert(Arc::new(sel)))
     }
 
     /// Keyword `k`'s selection grouped by its values in `col`: from the cache
     /// when one is attached, else built once for this interpretation.
     fn postings(
-        &self,
+        &mut self,
         k: usize,
         table: TableId,
         col: ColId,
         sel: &Arc<Vec<RowId>>,
     ) -> Arc<ValuePostings> {
-        let kw = &self.keywords[k];
-        match &self.cache {
-            Some(cache) => self.shared_selection_postings(cache, table, kw, col, sel),
-            None => Arc::clone(
-                self.local[k].postings[col]
-                    .get_or_init(|| Arc::new(selection_postings(self.db.table(table), col, sel))),
-            ),
+        if let Some(cache) = &self.cache {
+            return self.shared_selection_postings(cache, table, &self.keywords[k], col, sel);
         }
+        let db = self.db;
+        let postings = self.local[k].postings[col]
+            .get_or_insert_with(|| Arc::new(selection_postings(db.table(table), col, sel)));
+        Arc::clone(postings)
     }
 
     /// The shared selection for one bound copy: cache hit, or computed and
@@ -490,15 +482,20 @@ impl<'a> ProbeCore<'a> {
     /// The layer answers alive and dead repeats alike, which is what makes
     /// warm shared-cache sessions probe-free on repeated workloads. The
     /// answer is ground truth, so it also feeds the memo.
-    pub(crate) fn shortcut(&self, node: NodeId, jnts: &Jnts) -> Option<bool> {
+    fn shortcut(&mut self, node: NodeId, jnts: &Jnts) -> Option<bool> {
         let cache = self.cache.as_ref()?;
         let key = self.binding_key(jnts, &mut |kw| cache.intern(kw));
         let alive = cache.verdict(self.db.epoch(), &key)?;
         self.metrics.verdict_cache_hits.incr();
-        if let Some(memo) = &self.memo {
+        self.memoize(node, alive);
+        Some(alive)
+    }
+
+    /// Records a ground-truth verdict in the memo, when memoization is on.
+    fn memoize(&mut self, node: NodeId, alive: bool) {
+        if let Some(memo) = &mut self.memo {
             memo.insert(node, alive);
         }
-        Some(alive)
     }
 
     /// The plan probes and report samples execute: [`build_plan`]'s
@@ -506,7 +503,7 @@ impl<'a> ProbeCore<'a> {
     /// plus the selection's postings in each of the copy's join columns, so
     /// the executor neither re-evaluates the predicate nor re-reads selection
     /// rows (see the module docs).
-    fn build_probe_plan(&self, jnts: &Jnts) -> Result<JoinTreePlan, EngineError> {
+    fn build_probe_plan(&mut self, jnts: &Jnts) -> Result<JoinTreePlan, EngineError> {
         let mut edges = Vec::with_capacity(jnts.join_count());
         let mut join_cols: Vec<Vec<ColId>> = vec![Vec::new(); jnts.node_count()];
         for e in jnts.edges() {
@@ -545,7 +542,7 @@ impl<'a> ProbeCore<'a> {
 
     /// Reserves one budget slot, translating a refusal into the sticky
     /// [`Exhausted`] cause and counting the (single) trip event.
-    pub(crate) fn try_reserve(&self) -> Result<(), Exhausted> {
+    fn try_reserve(&self) -> Result<(), Exhausted> {
         match self.gate.try_reserve(self.metrics.tuples_scanned.get()) {
             Ok(()) => Ok(()),
             Err(trip) => {
@@ -560,13 +557,12 @@ impl<'a> ProbeCore<'a> {
     /// Runs one engine operation under the retry policy: transient failures
     /// back off and retry (re-checking the deadline), anything else abandons.
     fn execute_with_retry<T>(
-        &self,
-        engine: &mut ProbeEngine<'a>,
+        &mut self,
         mut op: impl FnMut(&mut ProbeEngine<'a>) -> Result<T, EngineError>,
     ) -> Result<T, ProbeFail> {
         let mut attempt = 0u32;
         loop {
-            match op(engine) {
+            match op(&mut self.engine) {
                 Ok(v) => return Ok(v),
                 Err(e) => {
                     if e.is_fault() {
@@ -598,15 +594,9 @@ impl<'a> ProbeCore<'a> {
     /// Executes one probe whose budget slot is already reserved: plan,
     /// emptiness check under retry, bookkeeping, memo insert. A failed
     /// execution returns the slot — failed attempts never count against the
-    /// budget. This is the worker-side half of a probe; reservation (and the
-    /// memo pre-check) belongs to the caller so a dispatcher can keep both
-    /// in deterministic order.
-    pub(crate) fn execute_reserved(
-        &self,
-        engine: &mut ProbeEngine<'a>,
-        node: NodeId,
-        jnts: &Jnts,
-    ) -> Probe {
+    /// budget. Reservation (and the memo pre-check) belongs to the caller,
+    /// which decides whether a probe runs at all.
+    pub(crate) fn execute_reserved(&mut self, node: NodeId, jnts: &Jnts) -> Probe {
         let plan = match self.build_probe_plan(jnts) {
             Ok(p) => p,
             Err(e) => {
@@ -615,18 +605,16 @@ impl<'a> ProbeCore<'a> {
                 return Probe::NodeFailed(e);
             }
         };
-        let rows_before = engine.stats().rows_examined;
+        let rows_before = self.engine.stats().rows_examined;
         let start = Instant::now();
-        match self.execute_with_retry(engine, |eng| eng.exists(&plan)) {
+        match self.execute_with_retry(|eng| eng.exists(&plan)) {
             Ok(alive) => {
                 self.metrics.probes_executed.incr();
                 self.metrics.probe_time.add(start.elapsed());
                 self.metrics
                     .tuples_scanned
-                    .add(engine.stats().rows_examined - rows_before);
-                if let Some(memo) = &self.memo {
-                    memo.insert(node, alive);
-                }
+                    .add(self.engine.stats().rows_examined - rows_before);
+                self.memoize(node, alive);
                 // Executed verdicts (and only those — memo hits, inferences
                 // and cached verdicts are derived facts) feed the online p_a
                 // estimator.
@@ -652,7 +640,7 @@ impl<'a> ProbeCore<'a> {
 
     /// Books a verdict another session executed for this session's probe,
     /// waited on through the single-flight table. Mirrors the non-execution
-    /// bookkeeping of [`ProbeCore::execute_reserved`]'s success path — memo
+    /// bookkeeping of [`AlivenessOracle::execute_reserved`]'s success path — memo
     /// insert, online `p_a`, verdict-cache publish — but counts
     /// `coalesced_probes` instead of `probes_executed` (the accounting twin
     /// of a memo hit), keeping the `probes_executed == ExecStats::queries`
@@ -660,121 +648,26 @@ impl<'a> ProbeCore<'a> {
     /// slot the dispatcher reserved for this probe stays consumed, exactly
     /// as if the probe had executed, so budget-cut partials match unbatched
     /// runs.
-    pub(crate) fn record_coalesced(&self, node: NodeId, jnts: &Jnts, alive: bool) {
+    pub(crate) fn record_coalesced(&mut self, node: NodeId, jnts: &Jnts, alive: bool) {
         self.metrics.coalesced_probes.incr();
-        if let Some(memo) = &self.memo {
-            memo.insert(node, alive);
-        }
+        self.memoize(node, alive);
         if let Some(stats) = &self.pa_stats {
             stats.record(jnts.node_count(), alive);
         }
         self.publish_verdict(jnts, alive);
     }
-}
-
-/// Answers aliveness queries for lattice nodes, counting every execution.
-///
-/// The thin sequential view over a `ProbeCore`: one shared-state core plus
-/// one private engine. The Phase-3 wave driver runs inline probes on that
-/// engine and, with `workers > 1`, fans them over worker-owned engines that
-/// share the core ([`crate::parallel`]); this type's public API is unchanged
-/// from the pre-split oracle and its sequential behavior is byte-identical.
-pub struct AlivenessOracle<'a> {
-    core: ProbeCore<'a>,
-    engine: ProbeEngine<'a>,
-}
-
-impl<'a> AlivenessOracle<'a> {
-    /// Creates an oracle for one interpretation. `memoize` enables the
-    /// cross-call result cache (an extension; the paper re-executes). The
-    /// oracle starts with an unlimited [`ProbeBudget`], the default
-    /// [`RetryPolicy`] and no fault injection — the happy-path pipeline.
-    pub fn new(
-        db: &'a Database,
-        index: Option<&'a InvertedIndex>,
-        interp: &'a Interpretation,
-        keywords: &'a [String],
-        memoize: bool,
-    ) -> Self {
-        AlivenessOracle {
-            core: ProbeCore::new(db, index, interp, keywords, memoize),
-            engine: ProbeEngine::Plain(Executor::new(db)),
-        }
-    }
-
-    /// Routes every execution through a deterministic fault injector
-    /// (keeping any statistics the current engine accumulated). Parallel
-    /// workers derive their own per-worker seeds from this schedule.
-    pub fn with_chaos(mut self, config: FaultConfig) -> Self {
-        self.core.chaos = Some(config);
-        self.engine = match self.engine {
-            ProbeEngine::Plain(e) => ProbeEngine::Chaos(ChaosExecutor::wrap(e, config)),
-            ProbeEngine::Chaos(c) => {
-                ProbeEngine::Chaos(ChaosExecutor::wrap(c.into_inner(), config))
-            }
-        };
-        self
-    }
-
-    /// Bounds the probing work of this oracle (a fresh [`BudgetGate`]
-    /// window).
-    pub fn with_budget(mut self, budget: ProbeBudget) -> Self {
-        self.core.gate = BudgetGate::new(budget);
-        self
-    }
-
-    /// Sets the transient-failure retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.core.retry = retry;
-        self
-    }
-
-    /// Attaches an [`EvalCache`] shared with other oracles of the same debug
-    /// session (and all parallel workers), or of every session holding the
-    /// same store. Probes then take their keyword selections and join-column
-    /// postings from the cache instead of building them for this
-    /// interpretation, answer repeated networks from cached whole-network
-    /// verdicts without executing, and publish their own verdicts. Cache keys label each vertex by table and bound
-    /// keyword, never by copy number. Verdicts and reports are unchanged;
-    /// only the work to reach them shrinks.
-    pub fn with_eval_cache(mut self, cache: Arc<EvalCache>) -> Self {
-        self.core.cache = Some(cache);
-        self
-    }
-
-    /// Attaches an [`crate::estimate::OnlinePa`] observer: every executed
-    /// probe reports its `(level, verdict)` so later queries — in this
-    /// session or, when the estimator is shared through
-    /// [`crate::debugger::SharedParts`], any session of the process — start
-    /// SBH from observed alive rates instead of the fixed paper prior.
-    /// Recording is lock-free and does not change verdicts or reports.
-    pub fn with_pa_stats(mut self, stats: Arc<crate::estimate::OnlinePa>) -> Self {
-        self.core.pa_stats = Some(stats);
-        self
-    }
-
-    /// The memoized verdict of a node, without probing: `Some(true)` for
-    /// cached alive, `Some(false)` for cached dead, `None` when the node was
-    /// never probed (or memoization is off). Lets traversals and the session
-    /// distinguish "known dead" from "unknown" without re-deriving memo
-    /// state; a pure read, it records no metrics.
-    pub fn verdict_if_known(&self, node: NodeId) -> Option<bool> {
-        self.core.verdict_if_known(node)
-    }
 
     /// Why probing stopped, if a budget cap tripped.
     pub fn exhausted(&self) -> Option<Exhausted> {
-        self.core.gate.tripped()
+        self.gate.tripped()
     }
 
     /// The active probe budget.
     pub fn budget(&self) -> ProbeBudget {
-        self.core.gate.budget()
+        self.gate.budget()
     }
 
-    /// Fault-injection counters, when chaos is enabled (this oracle's own
-    /// engine only; parallel workers keep separate schedules, observable
-    /// through the shared `faults_injected` metric).
+    /// Fault-injection counters, when chaos is enabled.
     pub fn fault_stats(&self) -> Option<&FaultStats> {
         match &self.engine {
             ProbeEngine::Plain(_) => None,
@@ -787,17 +680,33 @@ impl<'a> AlivenessOracle<'a> {
     /// (they are free); everything else goes through the budget gate and the
     /// retry policy.
     pub fn probe(&mut self, node: NodeId, jnts: &Jnts) -> Probe {
-        if let Some(alive) = self.core.verdict_if_known(node) {
-            self.core.metrics.memo_hits.incr();
+        self.probe_through(node, jnts, None)
+    }
+
+    /// [`AlivenessOracle::probe`], resolving a probe that must execute
+    /// through `exchange`'s single-flight table when one is attached — the
+    /// Phase-3 driver's per-node protocol: memo, then a cached whole-network
+    /// verdict (neither takes a budget slot), then a reserved execution.
+    pub(crate) fn probe_through(
+        &mut self,
+        node: NodeId,
+        jnts: &Jnts,
+        exchange: Option<&WaveExchange>,
+    ) -> Probe {
+        if let Some(alive) = self.verdict_if_known(node) {
+            self.metrics.memo_hits.incr();
             return Probe::Verdict(alive);
         }
-        if let Some(alive) = self.core.shortcut(node, jnts) {
+        if let Some(alive) = self.shortcut(node, jnts) {
             return Probe::Verdict(alive);
         }
-        if let Err(why) = self.core.try_reserve() {
+        if let Err(why) = self.try_reserve() {
             return Probe::Exhausted(why);
         }
-        self.core.execute_reserved(&mut self.engine, node, jnts)
+        match exchange {
+            Some(exchange) => exchange.resolve(self, node, jnts),
+            None => self.execute_reserved(node, jnts),
+        }
     }
 
     /// Whether the node's query returns at least one tuple. Hard-errors on
@@ -819,34 +728,33 @@ impl<'a> AlivenessOracle<'a> {
         jnts: &Jnts,
         limit: usize,
     ) -> Result<Vec<Vec<relengine::RowId>>, KwError> {
-        if let Err(why) = self.core.try_reserve() {
+        if let Err(why) = self.try_reserve() {
             return Err(KwError::BudgetExhausted(why));
         }
-        let core = &self.core;
-        let plan = match core.build_probe_plan(jnts) {
+        let plan = match self.build_probe_plan(jnts) {
             Ok(p) => p,
             Err(e) => {
-                core.gate.release();
+                self.gate.release();
                 return Err(e.into());
             }
         };
         let rows_before = self.engine.stats().rows_examined;
         let start = Instant::now();
-        match core.execute_with_retry(&mut self.engine, |eng| eng.execute(&plan, limit)) {
+        match self.execute_with_retry(|eng| eng.execute(&plan, limit)) {
             Ok(tuples) => {
-                core.metrics.probes_executed.incr();
-                core.metrics.probe_time.add(start.elapsed());
-                core.metrics
+                self.metrics.probes_executed.incr();
+                self.metrics.probe_time.add(start.elapsed());
+                self.metrics
                     .tuples_scanned
                     .add(self.engine.stats().rows_examined - rows_before);
                 Ok(tuples)
             }
             Err(ProbeFail::Node(e)) => {
-                core.gate.release();
+                self.gate.release();
                 Err(e.into())
             }
             Err(ProbeFail::Exhausted(why)) => {
-                core.gate.release();
+                self.gate.release();
                 Err(KwError::BudgetExhausted(why))
             }
         }
@@ -854,19 +762,17 @@ impl<'a> AlivenessOracle<'a> {
 
     /// The keyword bound to a relation copy under this interpretation, if any.
     pub fn keyword_of(&self, ts: crate::jnts::TupleSet) -> Option<&str> {
-        self.core.interp.keyword_for(ts).map(|i| self.core.keywords[i].as_str())
+        self.interp.keyword_for(ts).map(|i| self.keywords[i].as_str())
     }
 
     /// The SQL text of a node under this interpretation. SQL rendering
     /// never reads candidate rows, so the plan is built without the index.
     pub fn sql(&self, jnts: &Jnts) -> Result<String, KwError> {
-        let core = &self.core;
-        let plan = build_plan(jnts, core.interp, core.db, None, core.keywords)?;
-        Ok(relengine::render_sql(&plan, core.db))
+        let plan = build_plan(jnts, self.interp, self.db, None, self.keywords)?;
+        Ok(relengine::render_sql(&plan, self.db))
     }
 
-    /// Engine statistics: queries executed, rows examined, time. After a
-    /// parallel traversal, worker-engine statistics have been absorbed here.
+    /// Engine statistics: queries executed, rows examined, time.
     pub fn stats(&self) -> &ExecStats {
         self.engine.stats()
     }
@@ -878,35 +784,29 @@ impl<'a> AlivenessOracle<'a> {
 
     /// Memo hits (0 unless memoization is on).
     pub fn memo_hits(&self) -> u64 {
-        self.core.metrics.memo_hits.get()
+        self.metrics.memo_hits.get()
     }
 
     /// The probe-level instrumentation block. Traversal strategies record
     /// their R1/R2 inferences and reuse hits here; callers snapshot it
-    /// (before/after) to attribute counts to one traversal. Shared by every
-    /// parallel worker, so a snapshot is already the merged per-worker view.
+    /// (before/after) to attribute counts to one traversal.
     pub fn metrics(&self) -> &Metrics {
-        &self.core.metrics
+        &self.metrics
     }
 
     /// Resets execution statistics, metrics and the budget clock/trip state
     /// (not the memo, and not the fault schedule).
     pub fn reset_stats(&mut self) {
         self.engine.reset_stats();
-        self.core.metrics.reset();
-        self.core.gate.reset();
+        self.metrics.reset();
+        self.gate.reset();
     }
 
     /// The database under test.
     pub fn database(&self) -> &'a Database {
-        self.core.db
+        self.db
     }
 
-    /// The shared probe backend and this oracle's own engine, for the wave
-    /// driver: inline probes run on the engine, pool workers share the core.
-    pub(crate) fn split(&mut self) -> (&ProbeCore<'a>, &mut ProbeEngine<'a>) {
-        (&self.core, &mut self.engine)
-    }
 }
 
 #[cfg(test)]

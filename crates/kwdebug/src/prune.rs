@@ -80,9 +80,8 @@ impl PruneStats {
 ///
 /// Adjacency and both closures are CSR-packed slices over the dense indices;
 /// the descendant closure is additionally kept as per-node bitsets, making
-/// [`PrunedLattice::is_desc_or_self`] O(1). All fields are plain `Vec`s, so a
-/// `&PrunedLattice` is freely shareable across the probe workers of
-/// [`crate::parallel`].
+/// [`PrunedLattice::is_desc_or_self`] O(1). All fields are plain `Vec`s, and
+/// a built lattice is never mutated.
 #[derive(Debug, Clone)]
 pub struct PrunedLattice {
     /// Dense index → offline lattice node id (ascending, level-ordered).

@@ -5,13 +5,12 @@
 //! sub-queries. Reports carry SQL text (what a developer pastes into a
 //! console) and sample result tuples for everything alive.
 //!
-//! Reports are deterministic in everything but wall-clock timings — and
-//! that determinism survives [`crate::debugger::DebugConfig::workers`]: a
-//! parallel traversal yields the same classification, the same MPAN lists
-//! in the same order, and the same probe counters as the sequential run
-//! (`tests/parallel_equivalence.rs` pins this; DESIGN.md §8 explains why).
-//! Only `probe_time_ns` and the parallel-only `workers`/`steals` counters
-//! vary with the thread count.
+//! Reports are deterministic in everything but wall-clock timings: the same
+//! query on the same snapshot yields the same classification and the same
+//! MPAN lists in the same order, with the evaluation cache on or off and
+//! with or without cross-session batching (the differential suites pin this;
+//! DESIGN.md §8 explains why). Only the work counters those layers save and
+//! `probe_time_ns` differ between such runs.
 
 use std::fmt;
 use std::time::Duration;

@@ -12,8 +12,8 @@
 //! MTN's cone: `Desc+(m)` is ascending in dense index, hence ascending in
 //! level, so each maximal run of equal-level nodes is a wave. Same-level
 //! nodes are never ancestors of each other, so R2 from one wave member can
-//! never classify another — the wave-independence invariant the parallel
-//! driver needs. When a cone's last wave drains, the MTN is classified and
+//! never classify another — the wave-independence invariant of
+//! [`Frontier`]. When a cone's last wave drains, the MTN is classified and
 //! the next cone starts with a fresh status map.
 //!
 //! Metrics recorded (see [`crate::metrics`]): each skipped visit of an

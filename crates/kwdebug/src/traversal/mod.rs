@@ -60,12 +60,11 @@
 //! nodes are never ancestor/descendant of each other). One driver loop
 //! (`drive`) walks each wave in the strategy's visit order and handles the
 //! per-node protocol (reuse check → memo check → cache shortcut → budget →
-//! probe → apply) for every configuration: probes run inline on the
-//! oracle's own engine, on the [`crate::parallel`] pool when `workers > 1`,
-//! and through the [`crate::batch`] single-flight table when an exchange is
-//! attached. Strategies stay single-threaded state machines and
-//! never need locks; DESIGN.md §8.2 argues why every configuration reports
-//! the same classification and MPAN sets.
+//! probe → apply) for every configuration: each probe runs inline on the
+//! oracle's engine, through the [`crate::batch`] single-flight table when an
+//! exchange is attached, and is applied before the next node is checked.
+//! Strategies stay state machines that never probe; DESIGN.md §8.2 argues
+//! why every configuration reports the same classification and MPAN sets.
 
 mod brute;
 mod bu;
@@ -83,8 +82,7 @@ use crate::budget::Exhausted;
 use crate::error::KwError;
 use crate::lattice::Lattice;
 use crate::metrics::{Metrics, ProbeCounters};
-use crate::oracle::{AlivenessOracle, Probe, ProbeCore};
-use crate::parallel::Executor;
+use crate::oracle::{AlivenessOracle, Probe};
 use crate::prune::PrunedLattice;
 
 /// Selects a Phase-3 traversal strategy.
@@ -199,7 +197,7 @@ impl TraversalOutcome {
     }
 }
 
-/// Runs a traversal strategy over a pruned lattice, sequentially.
+/// Runs a traversal strategy over a pruned lattice.
 ///
 /// `pa` is the aliveness prior used by [`StrategyKind::ScoreBasedHeuristic`]
 /// (ignored by the others); the paper finds `p_a = 0.5` works well.
@@ -210,20 +208,17 @@ pub fn run(
     oracle: &mut AlivenessOracle<'_>,
     pa: f64,
 ) -> Result<TraversalOutcome, KwError> {
-    run_with(kind, lattice, pruned, oracle, pa, 1, None)
+    run_with(kind, lattice, pruned, oracle, pa, None)
 }
 
-/// [`run`] over `workers` probing threads (`workers > 1` fans each wave
-/// over the [`crate::parallel`] pool) and with an optional cross-session
-/// single-flight exchange. Every combination goes through the one wave
-/// driver; see `drive` for what each one changes.
+/// [`run`] with an optional cross-session single-flight exchange: both go
+/// through the one wave driver.
 pub(crate) fn run_with(
     kind: StrategyKind,
     lattice: &Lattice,
     pruned: &PrunedLattice,
     oracle: &mut AlivenessOracle<'_>,
     pa: f64,
-    workers: usize,
     exchange: Option<&WaveExchange>,
 ) -> Result<TraversalOutcome, KwError> {
     let q0 = oracle.stats().queries;
@@ -237,9 +232,7 @@ pub(crate) fn run_with(
         StrategyKind::ScoreBasedHeuristic => Box::new(sbh::SbhFrontier::new(pruned, pa)),
         StrategyKind::BruteForce => Box::new(brute::BruteFrontier::new(pruned)),
     };
-    crate::parallel::with_executor(oracle, lattice, pruned, workers, |core, exec| {
-        drive(lattice, pruned, core, exec, frontier.as_mut(), exchange)
-    })?;
+    drive(lattice, pruned, oracle, frontier.as_mut(), exchange)?;
     let classified = frontier.finish();
     Ok(TraversalOutcome {
         alive_mtns: classified.alive_mtns,
@@ -264,12 +257,11 @@ pub(crate) fn run_with(
 /// verdict. A budget refusal calls [`Frontier::exhaust`] and ends the
 /// traversal.
 ///
-/// Implementations must uphold the **wave-independence invariant**: no
-/// verdict applied for one wave member may classify another member of the
-/// same wave (R1/R2 reach only other levels, so emitting runs of equal
-/// lattice level satisfies this). The driver relies on it for `reuse_hits`
-/// determinism when it reserves a pool wave ahead; DESIGN.md §8 states it
-/// formally.
+/// Implementations uphold the **wave-independence invariant**: no verdict
+/// applied for one wave member may classify another member of the same
+/// wave (R1/R2 reach only other levels, so emitting runs of equal lattice
+/// level satisfies this). A wave is thus a set of probes whose order does
+/// not change what any of them is asked; DESIGN.md §8 states it formally.
 pub(crate) trait Frontier {
     /// Emits the next wave of nodes in visit order into `out` (cleared by
     /// the driver). An empty wave means the traversal is complete. Nodes
@@ -290,112 +282,48 @@ pub(crate) trait Frontier {
     fn finish(self: Box<Self>) -> Classified;
 }
 
-/// The one Phase-3 wave driver, for every strategy, worker count and
+/// The one Phase-3 wave driver, for every strategy, with or without an
 /// exchange; DESIGN.md §8.2 gives its determinism argument.
 ///
-/// Per wave it walks the emitted nodes in visit order: already classified
-/// → `reuse_hits`; memoized → `memo_hits` and apply; answered by a cache
-/// shortcut → apply; otherwise reserve a budget slot — a refusal ends the
-/// traversal at this node — and dispatch the probe, through the exchange's
-/// single-flight table when one is attached. How a wave dispatches depends
-/// only on the executor:
-///
-/// * **inline** (one worker): each probe executes on the oracle's own
-///   engine right after its reservation and is applied before the next node
-///   is checked, so every budget cap trips within one probe;
-/// * **ahead** (a pool): the whole wave is reserved first, then executed on
-///   the pool, then applied in dispatch-slot order. A tuple or deadline cap
-///   can overshoot by up to that one wave.
-fn drive<'a>(
+/// Per wave it walks the emitted nodes in visit order: an already
+/// classified node counts `reuse_hits`; any other is probed at once
+/// ([`AlivenessOracle::probe_through`]: memo, cache shortcut, or a reserved
+/// execution, through the exchange's single-flight table when one is
+/// attached) and its verdict applied before the next node is checked, so
+/// every budget cap trips within one probe. A budget refusal ends the
+/// traversal at that node; injected faults abandon their node; any other
+/// engine error (an invalid plan — a bug) propagates hard.
+fn drive(
     lattice: &Lattice,
     pruned: &PrunedLattice,
-    core: &ProbeCore<'a>,
-    exec: &mut Executor<'_, 'a>,
+    oracle: &mut AlivenessOracle<'_>,
     frontier: &mut dyn Frontier,
     exchange: Option<&WaveExchange>,
 ) -> Result<(), KwError> {
-    let metrics = &core.metrics;
     let mut wave = Vec::new();
-    let mut pending = Vec::new();
-    let ahead = exec.is_pool();
     loop {
         wave.clear();
         frontier.next_wave(&mut wave);
         if wave.is_empty() {
             return Ok(());
         }
-        let mut stop = false;
         for &dense in &wave {
             if !frontier.is_unknown(dense) {
-                metrics.reuse_hits.incr();
+                oracle.metrics().reuse_hits.incr();
                 continue;
             }
             let (node, jnts) = (pruned.lattice_id(dense), pruned.jnts(lattice, dense));
-            if let Some(alive) = core.verdict_if_known(node) {
-                metrics.memo_hits.incr();
-                frontier.apply(dense, alive, metrics);
-                continue;
+            match oracle.probe_through(node, jnts, exchange) {
+                Probe::Verdict(alive) => frontier.apply(dense, alive, oracle.metrics()),
+                Probe::NodeFailed(e) if e.is_fault() => frontier.abandon(dense),
+                Probe::NodeFailed(e) => return Err(e.into()),
+                Probe::Exhausted(_) => {
+                    frontier.exhaust();
+                    return Ok(());
+                }
             }
-            // A cached whole-network verdict or an empty cached cut
-            // value-set answers the node like a memo hit: no budget slot,
-            // no engine.
-            if let Some(alive) = core.shortcut(node, jnts) {
-                frontier.apply(dense, alive, metrics);
-                continue;
-            }
-            if core.try_reserve().is_err() {
-                stop = true;
-                break;
-            }
-            pending.push(dense);
-            if !ahead && dispatch(lattice, pruned, core, exec, frontier, exchange, &mut pending)? {
-                stop = true;
-                break;
-            }
-        }
-        stop |= dispatch(lattice, pruned, core, exec, frontier, exchange, &mut pending)?;
-        if stop {
-            frontier.exhaust();
-            return Ok(());
         }
     }
-}
-
-/// Executes the reserved probes of `pending` (through the single-flight
-/// table when an exchange is attached), then drains `pending` applying each
-/// outcome in dispatch-slot order. Returns whether the budget tripped mid-execution.
-/// Injected faults abandon their node; any other engine error (an invalid
-/// plan — a bug) propagates hard.
-fn dispatch<'a>(
-    lattice: &Lattice,
-    pruned: &PrunedLattice,
-    core: &ProbeCore<'a>,
-    exec: &mut Executor<'_, 'a>,
-    frontier: &mut dyn Frontier,
-    exchange: Option<&WaveExchange>,
-    pending: &mut Vec<usize>,
-) -> Result<bool, KwError> {
-    let probes = match exchange {
-        Some(exchange) => exchange.resolve(core, lattice, pruned, exec, pending),
-        None => exec.execute(core, lattice, pruned, pending, |_, _| {}),
-    };
-    let mut exhausted = false;
-    for (dense, probe) in pending.drain(..).zip(probes) {
-        match probe {
-            Probe::Verdict(alive) if frontier.is_unknown(dense) => {
-                frontier.apply(dense, alive, &core.metrics)
-            }
-            // A verdict classified this node while its own probe was in
-            // flight (possible only if a wave breaks the independence
-            // invariant). The probe executed — and was counted — anyway;
-            // record the work inference would have saved.
-            Probe::Verdict(_) => core.metrics.inference_suppressed_probes.incr(),
-            Probe::NodeFailed(e) if e.is_fault() => frontier.abandon(dense),
-            Probe::NodeFailed(e) => return Err(e.into()),
-            Probe::Exhausted(_) => exhausted = true,
-        }
-    }
-    Ok(exhausted)
 }
 
 /// MTN classification collected by a strategy, including degraded-mode

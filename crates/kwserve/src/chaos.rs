@@ -24,8 +24,7 @@
 //!
 //! Determinism contract: one connection's schedule is a pure function of
 //! `ChaosConfig::seed` and the connection's admission index (each accepted
-//! connection salts the seed with its index, exactly like the parallel
-//! scheduler's per-worker chaos seeds). Faults are injected *around* the
+//! connection salts the seed with its index). Faults are injected *around* the
 //! real IO, never by fabricating data: bytes are flipped in a copy, reads
 //! are delayed, connections are reset — a quiet config (`all rates 0`) is
 //! byte-for-byte transparent, which is what lets the soak test assert

@@ -21,7 +21,7 @@
 //! [`encode_report`] renders a [`DebugReport`] into bytes that are
 //! **bit-identical for equal reports**: every deterministic field is encoded
 //! in a fixed order and the non-deterministic ones (wall-clock durations,
-//! `probe_time_ns`, the parallel scheduler's `steals`) are *excluded* —
+//! `probe_time_ns`, the cross-session `coalesced_probes`) are *excluded* —
 //! zeroed on the wire and zero after [`decode_report`]. That is what lets
 //! the loopback test assert `server payload == encode_report(direct call)`
 //! byte for byte: the server provably computes the same answer as the
@@ -46,7 +46,9 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"KWSV");
 /// the database epoch to `Welcome`, the optional `pin_epoch` to `Hello`,
 /// and the four epoch/invalidation counters to the report probes block.
 /// Version 3 dropped the two subtree-cache counters from the probes block.
-pub const VERSION: u16 = 3;
+/// Version 4 dropped the three counters of the deleted intra-request probe
+/// pool from the probes block (23 → 20 `u64`s; SERVING.md §2 names them).
+pub const VERSION: u16 = 4;
 
 /// Upper bound on one frame's payload (32 MiB). Reports over DBLife at paper
 /// scale are well under 1 MiB; anything larger than this is a corrupt or
@@ -660,9 +662,9 @@ fn read_query_info(rd: &mut Rd<'_>) -> Result<QueryInfo, WireError> {
 }
 
 /// The deterministic subset of [`ProbeCounters`] in fixed field order.
-/// `probe_time_ns` (wall clock) and `steals` (scheduling-dependent) are
-/// forced to zero so equal computations encode to equal bytes even across
-/// parallel runs.
+/// `probe_time_ns` (wall clock) is forced to zero and `coalesced_probes`
+/// (cross-session scheduling) is left off, so equal computations encode to
+/// equal bytes.
 fn put_probes(out: &mut Vec<u8>, p: &ProbeCounters) {
     put_u64(out, p.probes_executed);
     put_u64(out, 0); // probe_time_ns: wall clock, excluded
@@ -675,9 +677,6 @@ fn put_probes(out: &mut Vec<u8>, p: &ProbeCounters) {
     put_u64(out, p.faults_injected);
     put_u64(out, p.probes_abandoned);
     put_u64(out, p.budget_exhausted);
-    put_u64(out, p.workers);
-    put_u64(out, 0); // steals: scheduling noise, excluded
-    put_u64(out, p.inference_suppressed_probes);
     put_u64(out, p.phase1_nodes_touched);
     put_u64(out, p.workspace_reuses);
     put_u64(out, p.selection_cache_hits);
@@ -702,9 +701,6 @@ fn read_probes(rd: &mut Rd<'_>) -> Result<ProbeCounters, WireError> {
         faults_injected: rd.u64()?,
         probes_abandoned: rd.u64()?,
         budget_exhausted: rd.u64()?,
-        workers: rd.u64()?,
-        steals: rd.u64()?,
-        inference_suppressed_probes: rd.u64()?,
         phase1_nodes_touched: rd.u64()?,
         workspace_reuses: rd.u64()?,
         selection_cache_hits: rd.u64()?,
@@ -713,7 +709,7 @@ fn read_probes(rd: &mut Rd<'_>) -> Result<ProbeCounters, WireError> {
         delta_postings_merged: rd.u64()?,
         // coalesced_probes depends on which sessions happened to overlap in
         // flight — cross-session scheduling noise, excluded from the
-        // canonical payload like `steals`.
+        // canonical payload like `probe_time_ns`.
         coalesced_probes: 0,
         epoch: rd.u64()?,
         entries_invalidated: rd.u64()?,
@@ -783,7 +779,8 @@ pub fn encode_report(r: &DebugReport) -> Vec<u8> {
 }
 
 /// Decodes a canonical report payload. Wall-clock fields (durations,
-/// `probe_time_ns`, `steals`) come back zero — they are not on the wire.
+/// `probe_time_ns`) and `coalesced_probes` come back zero — they are not on
+/// the wire.
 pub fn decode_report(payload: &[u8]) -> Result<DebugReport, WireError> {
     let mut rd = Rd::new(payload);
     let version = rd.u8()?;
@@ -916,7 +913,7 @@ mod tests {
                 probes: ProbeCounters {
                     probes_executed: 7,
                     probe_time_ns: 12345,
-                    steals: 2,
+                    coalesced_probes: 2,
                     r2_inferences: 1,
                     delta_postings_merged: 3,
                     epoch: 5,
@@ -995,7 +992,7 @@ mod tests {
         // Wall clock and scheduling noise are excluded from the wire.
         assert_eq!(back.total_time, std::time::Duration::ZERO);
         assert_eq!(back.interpretations[0].probes.probe_time_ns, 0);
-        assert_eq!(back.interpretations[0].probes.steals, 0);
+        assert_eq!(back.interpretations[0].probes.coalesced_probes, 0);
         assert_eq!(back.interpretations[0].probes.probes_executed, 7);
         // The epoch/invalidation block added in protocol v2 is on the wire.
         assert_eq!(back.interpretations[0].probes.delta_postings_merged, 3);
@@ -1012,7 +1009,7 @@ mod tests {
         let mut b = sample_report();
         b.total_time = std::time::Duration::from_secs(9);
         b.interpretations[0].probes.probe_time_ns = 777;
-        b.interpretations[0].probes.steals = 5;
+        b.interpretations[0].probes.coalesced_probes = 5;
         assert_eq!(encode_report(&a), encode_report(&b));
     }
 

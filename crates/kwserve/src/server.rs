@@ -130,7 +130,7 @@ pub struct ServeConfig {
     /// `kwserve::chaos`). `None` (default) serves plain sockets; a quiet
     /// config is byte-for-byte transparent.
     pub chaos: Option<ChaosConfig>,
-    /// Base per-session debugger configuration (strategy, workers,
+    /// Base per-session debugger configuration (strategy, memoization,
     /// eval-cache, ...). A tenant's non-unlimited budget overrides
     /// `debug.budget`; `debug.max_joins` must match the shared lattice.
     pub debug: DebugConfig,

@@ -6,9 +6,9 @@
 //! never what any session reports. Every session's canonical
 //! report bytes (probe-work counters scrubbed — batching moves work between
 //! sessions by design) must be identical to an unbatched run of the same
-//! session config. Across every traversal strategy, sequential and parallel
-//! drivers, evaluation cache on and off, budget-cut partial reports, probe
-//! faults, and sessions dying mid-wave. Any divergence means a verdict was
+//! session config. Across every traversal strategy, evaluation cache on and
+//! off, budget-cut partial reports, probe faults, and sessions dying
+//! mid-wave. Any divergence means a verdict was
 //! misrouted, double-charged, or fabricated.
 
 use std::sync::{Arc, Barrier};
@@ -84,8 +84,8 @@ fn canonical(mut report: DebugReport) -> Vec<u8> {
     encode_report(&report)
 }
 
-fn session_config(strategy: StrategyKind, workers: usize, cache: bool) -> DebugConfig {
-    DebugConfig { max_joins: 2, strategy, workers, eval_cache: cache, ..DebugConfig::default() }
+fn session_config(strategy: StrategyKind, cache: bool) -> DebugConfig {
+    DebugConfig { max_joins: 2, strategy, eval_cache: cache, ..DebugConfig::default() }
 }
 
 /// Runs `tenants` barrier-aligned sessions over one exchange, asserting each
@@ -120,33 +120,30 @@ fn run_batched_matrix_cell(
 }
 
 /// The tentpole invariant: batching is invisible to reports — across every
-/// strategy, sequential and parallel drivers, and eval cache on/off.
+/// strategy and eval cache on/off.
 #[test]
 fn batched_reports_match_unbatched_across_the_matrix() {
     let db = store_db();
     let mut merged_total = 0u64;
     let mut coalesced_total = 0u64;
     for strategy in STRATEGIES {
-        for workers in [1usize, 4] {
-            for cache in [false, true] {
-                let config = session_config(strategy, workers, cache);
-                let system = NonAnswerDebugger::new(db.clone(), config).unwrap();
-                // Unbatched ground truth, one session per query so no
-                // intra-session warmth leaks into the reference.
-                let truth: Vec<Vec<u8>> = QUERIES
-                    .iter()
-                    .map(|q| {
-                        let s =
-                            NonAnswerDebugger::from_shared(system.shared_parts(), config).unwrap();
-                        canonical(s.debug(q).expect("unbatched debug runs"))
-                    })
-                    .collect();
-                let exchange = Arc::new(WaveExchange::default());
-                let ctx = format!("{} workers={workers} cache={cache}", strategy.name());
-                run_batched_matrix_cell(&system, config, &truth, 3, &exchange, &ctx);
-                merged_total += exchange.merged_waves();
-                coalesced_total += exchange.coalesced_probes();
-            }
+        for cache in [false, true] {
+            let config = session_config(strategy, cache);
+            let system = NonAnswerDebugger::new(db.clone(), config).unwrap();
+            // Unbatched ground truth, one session per query so no
+            // intra-session warmth leaks into the reference.
+            let truth: Vec<Vec<u8>> = QUERIES
+                .iter()
+                .map(|q| {
+                    let s = NonAnswerDebugger::from_shared(system.shared_parts(), config).unwrap();
+                    canonical(s.debug(q).expect("unbatched debug runs"))
+                })
+                .collect();
+            let exchange = Arc::new(WaveExchange::default());
+            let ctx = format!("{} cache={cache}", strategy.name());
+            run_batched_matrix_cell(&system, config, &truth, 3, &exchange, &ctx);
+            merged_total += exchange.merged_waves();
+            coalesced_total += exchange.coalesced_probes();
         }
     }
     // The suite must actually exercise followers, not just owners everywhere.
@@ -163,23 +160,21 @@ fn batched_reports_match_unbatched_across_the_matrix() {
 fn budget_partials_stay_identical_when_batched() {
     let db = store_db();
     for max_probes in [1u64, 3, 7, 15] {
-        for workers in [1usize, 4] {
-            let config = DebugConfig {
-                budget: ProbeBudget::probes(max_probes),
-                ..session_config(StrategyKind::BottomUpWithReuse, workers, false)
-            };
-            let system = NonAnswerDebugger::new(db.clone(), config).unwrap();
-            let truth: Vec<Vec<u8>> = QUERIES
-                .iter()
-                .map(|q| {
-                    let s = NonAnswerDebugger::from_shared(system.shared_parts(), config).unwrap();
-                    canonical(s.debug(q).expect("budgeted debug runs"))
-                })
-                .collect();
-            let exchange = Arc::new(WaveExchange::default());
-            let ctx = format!("max_probes={max_probes} workers={workers}");
-            run_batched_matrix_cell(&system, config, &truth, 3, &exchange, &ctx);
-        }
+        let config = DebugConfig {
+            budget: ProbeBudget::probes(max_probes),
+            ..session_config(StrategyKind::BottomUpWithReuse, false)
+        };
+        let system = NonAnswerDebugger::new(db.clone(), config).unwrap();
+        let truth: Vec<Vec<u8>> = QUERIES
+            .iter()
+            .map(|q| {
+                let s = NonAnswerDebugger::from_shared(system.shared_parts(), config).unwrap();
+                canonical(s.debug(q).expect("budgeted debug runs"))
+            })
+            .collect();
+        let exchange = Arc::new(WaveExchange::default());
+        let ctx = format!("max_probes={max_probes}");
+        run_batched_matrix_cell(&system, config, &truth, 3, &exchange, &ctx);
     }
 }
 
@@ -190,7 +185,7 @@ fn budget_partials_stay_identical_when_batched() {
 #[test]
 fn transient_chaos_changes_no_batched_report() {
     let db = store_db();
-    let clean = session_config(StrategyKind::ScoreBasedHeuristic, 4, true);
+    let clean = session_config(StrategyKind::ScoreBasedHeuristic, true);
     let system = NonAnswerDebugger::new(db.clone(), clean).unwrap();
     let truth: Vec<Vec<u8>> = QUERIES
         .iter()
@@ -220,7 +215,7 @@ fn transient_chaos_changes_no_batched_report() {
 #[test]
 fn a_session_dying_mid_wave_never_corrupts_its_peers() {
     let db = store_db();
-    let clean = session_config(StrategyKind::BottomUpWithReuse, 1, false);
+    let clean = session_config(StrategyKind::BottomUpWithReuse, false);
     let system = NonAnswerDebugger::new(db.clone(), clean).unwrap();
     let truth: Vec<Vec<u8>> = QUERIES
         .iter()
@@ -286,7 +281,7 @@ fn a_session_dying_mid_wave_never_corrupts_its_peers() {
 /// the aligned tenants' probes are genuinely in flight together.
 #[test]
 fn server_batched_reports_match_unbatched_reference() {
-    let config = session_config(StrategyKind::ScoreBasedHeuristic, 1, false);
+    let config = session_config(StrategyKind::ScoreBasedHeuristic, false);
     let system = NonAnswerDebugger::new(store_db(), config).unwrap();
     let slow = DebugConfig {
         chaos: Some(FaultConfig {
@@ -362,13 +357,13 @@ fn server_batched_reports_match_unbatched_reference() {
 /// live, no probe ever waits on another execution — zero in-flight waits,
 /// zero coalesced probes. At library level the identity is exact: a session
 /// looks every probe up, owns every cell and executes it at once, so every
-/// unscrubbed counter (wall-clock `probe_time_ns` and the pool-size gauge
-/// `workers` aside) and the probe where each tuple cap trips match a session
+/// unscrubbed counter (wall-clock `probe_time_ns` aside) and the probe where
+/// each tuple cap trips match a session
 /// without an exchange — even with a second, idle session attached to the
 /// same exchange.
 #[test]
 fn a_solo_session_never_touches_the_exchange() {
-    let config = session_config(StrategyKind::ScoreBasedHeuristic, 1, false);
+    let config = session_config(StrategyKind::ScoreBasedHeuristic, false);
     let system = NonAnswerDebugger::new(store_db(), config).unwrap();
     let server = Server::start(
         system.shared_parts(),
@@ -403,7 +398,6 @@ fn a_solo_session_never_touches_the_exchange() {
     fn exact(mut report: DebugReport) -> (Vec<u8>, Vec<(u64, ProbeCounters)>) {
         for i in &mut report.interpretations {
             i.probes.probe_time_ns = 0;
-            i.probes.workers = 0;
         }
         let counters = report.interpretations.iter().map(|i| (i.sql_queries, i.probes)).collect();
         (encode_report(&report), counters)
@@ -414,7 +408,7 @@ fn a_solo_session_never_touches_the_exchange() {
             let config = DebugConfig {
                 sample_limit: 0,
                 budget: ProbeBudget::unlimited().with_max_tuples(max_tuples),
-                ..session_config(strategy, 1, false)
+                ..session_config(strategy, false)
             };
             let system = NonAnswerDebugger::new(datagen::product_database(), config).unwrap();
             let plain = NonAnswerDebugger::from_shared(system.shared_parts(), config).unwrap();

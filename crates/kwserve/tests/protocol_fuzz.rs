@@ -15,7 +15,7 @@ use kwdebug::debugger::{DebugConfig, NonAnswerDebugger};
 use kwdebug::traversal::StrategyKind;
 use kwserve::protocol::{
     decode_report, decode_request, decode_response, encode_report, encode_request,
-    encode_response, read_frame, ErrorCode, FrameReader, Request, Response, MAX_FRAME,
+    encode_response, read_frame, ErrorCode, FrameReader, Request, Response, MAX_FRAME, VERSION,
 };
 use relengine::{DataType, Database, DatabaseBuilder, Value};
 
@@ -134,6 +134,28 @@ fn bit_flips_never_panic_any_decoder() {
     fuzz_bits(&report, |bytes| {
         let _ = decode_report(bytes);
     });
+}
+
+/// Frames of the previous protocol version are refused, not misread: a
+/// version-3 `Hello`, and a report whose probes block still carries the
+/// three counters version 4 dropped (three trailing `u64`s after the only
+/// interpretation).
+#[test]
+fn previous_version_frames_are_refused() {
+    let mut hello = encode_request(&Request::Hello { tenant: "t".into(), pin_epoch: None });
+    hello[5..7].copy_from_slice(&(VERSION - 1).to_le_bytes());
+    assert!(decode_request(&hello).is_err(), "a version-{} hello", VERSION - 1);
+
+    let system = NonAnswerDebugger::new(
+        store_db(),
+        DebugConfig { max_joins: 2, ..DebugConfig::default() },
+    )
+    .unwrap();
+    let report = system.debug("saffron candle").unwrap();
+    assert_eq!(report.interpretations.len(), 1);
+    let mut payload = encode_report(&report);
+    payload.extend_from_slice(&[0u8; 3 * 8]);
+    assert!(decode_report(&payload).is_err(), "a 23-counter probes block");
 }
 
 fn fuzz_bits(payload: &[u8], check: impl Fn(&[u8])) {

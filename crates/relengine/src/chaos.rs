@@ -247,12 +247,6 @@ impl<'a> ChaosExecutor<'a> {
         self.inner.reset_stats();
     }
 
-    /// Folds another executor's statistics into this one's (see
-    /// [`Executor::absorb_stats`]).
-    pub fn absorb_stats(&mut self, other: &ExecStats) {
-        self.inner.absorb_stats(other);
-    }
-
     /// The injector's decision counters.
     pub fn fault_stats(&self) -> &FaultStats {
         self.injector.stats()

@@ -176,12 +176,6 @@ impl<'a> Executor<'a> {
         self.stats = ExecStats::default();
     }
 
-    /// Folds another executor's statistics into this one's — how a pool
-    /// owner merges the counts of per-worker executors after a parallel run.
-    pub fn absorb_stats(&mut self, other: &ExecStats) {
-        self.stats.merge(other);
-    }
-
     /// The database this executor runs against.
     pub fn database(&self) -> &'a Database {
         self.db

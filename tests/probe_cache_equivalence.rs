@@ -3,7 +3,7 @@
 //!
 //! The contract of `kwdebug::evalcache` (DESIGN.md §10) is that the cache
 //! changes the *work* of a debug session, never its *answers*: for every
-//! strategy, database, worker count and memoization setting, a cache-enabled
+//! strategy, database and memoization setting, a cache-enabled
 //! run must produce the same verdicts, the same answer/non-answer/unknown
 //! structure, the same MPANs and the same sample tuples as an uncached run.
 //! Probe counts obey the documented identity
@@ -51,9 +51,9 @@ fn scrub(s: &str) -> String {
         .join("\n")
 }
 
-/// Drops the counters that legitimately vary with the cache (and with
-/// parallel scheduling). `probes_executed` is excluded here because it is
-/// checked exactly through the verdict-cache identity instead.
+/// Drops the counters that legitimately vary with the cache.
+/// `probes_executed` is excluded here because it is checked exactly through
+/// the verdict-cache identity instead.
 fn comparable(mut p: ProbeCounters) -> ProbeCounters {
     p.probe_time_ns = 0;
     p.tuples_scanned = 0;
@@ -61,8 +61,6 @@ fn comparable(mut p: ProbeCounters) -> ProbeCounters {
     p.selection_cache_hits = 0;
     p.verdict_cache_hits = 0;
     p.cache_bytes = 0;
-    p.workers = 0;
-    p.steals = 0;
     p
 }
 
@@ -116,10 +114,8 @@ fn toydb_reports_match_uncached_for_every_strategy() {
     }
 }
 
-/// Every strategy × workers ∈ {1, 4} over seeded DBLife instances and a
-/// slice of the paper's Table 2 workload. The sequential uncached run is the
-/// single baseline: `parallel_equivalence` already pins workers-off
-/// equivalence, so matching it transitively covers cache × parallel.
+/// Every strategy over seeded DBLife instances and a slice of the paper's
+/// Table 2 workload, against the uncached run of the same query.
 #[test]
 fn dblife_reports_match_uncached_across_seeds_and_workers() {
     for seed in [DblifeConfig::tiny().seed, 99] {
@@ -128,7 +124,7 @@ fn dblife_reports_match_uncached_across_seeds_and_workers() {
             DebugConfig { max_joins: 3, sample_limit: 0, ..DebugConfig::default() },
         )
         .expect("system builds");
-        let mut on = NonAnswerDebugger::new(
+        let on = NonAnswerDebugger::new(
             generate_dblife(&DblifeConfig { seed, ..DblifeConfig::tiny() }),
             DebugConfig {
                 max_joins: 3,
@@ -141,15 +137,12 @@ fn dblife_reports_match_uncached_across_seeds_and_workers() {
         for q in paper_queries().iter().take(3) {
             for kind in ALL_SIX {
                 let base = off.debug_with_strategy(q.text, kind).expect("runs");
-                for workers in [1, 4] {
-                    on.set_workers(workers);
-                    let cached = on.debug_with_strategy(q.text, kind).expect("runs");
-                    assert_cache_equivalent(
-                        &base,
-                        &cached,
-                        &format!("dblife seed={seed} {} {kind} w={workers}", q.id),
-                    );
-                }
+                let cached = on.debug_with_strategy(q.text, kind).expect("runs");
+                assert_cache_equivalent(
+                    &base,
+                    &cached,
+                    &format!("dblife seed={seed} {} {kind}", q.id),
+                );
             }
         }
     }

@@ -66,9 +66,9 @@ fn scrub(s: &str) -> String {
         .join("\n")
 }
 
-/// Drops the counters that legitimately vary with the cache (and with
-/// parallel scheduling); `probes_executed` is checked exactly through the
-/// shortcut identity instead.
+/// Drops the counters that legitimately vary with the cache;
+/// `probes_executed` is checked exactly through the shortcut identity
+/// instead.
 fn comparable(mut p: ProbeCounters) -> ProbeCounters {
     p.probe_time_ns = 0;
     p.tuples_scanned = 0;
@@ -76,8 +76,6 @@ fn comparable(mut p: ProbeCounters) -> ProbeCounters {
     p.selection_cache_hits = 0;
     p.verdict_cache_hits = 0;
     p.cache_bytes = 0;
-    p.workers = 0;
-    p.steals = 0;
     p
 }
 
@@ -106,8 +104,8 @@ fn assert_shared_equivalent(off: &DebugReport, on: &DebugReport, ctx: &str) {
 }
 
 /// Sessions sharing one store match the uncached baseline for every
-/// strategy and worker count — and the *second* session visibly rides on
-/// the first one's work.
+/// strategy — and the *second* session visibly rides on the first one's
+/// work.
 #[test]
 fn shared_sessions_match_uncached_baseline() {
     let off = tiny_system(base_config());
@@ -116,23 +114,16 @@ fn shared_sessions_match_uncached_baseline() {
     let shared = parts.share_eval_cache(None);
 
     let s1 = NonAnswerDebugger::from_shared(parts.clone(), cached_config()).expect("session 1");
-    let mut s2 = NonAnswerDebugger::from_shared(parts, cached_config()).expect("session 2");
+    let s2 = NonAnswerDebugger::from_shared(parts, cached_config()).expect("session 2");
     let mut verdict_hits = 0u64;
     for q in paper_queries().iter().take(3) {
         for kind in ALL_SIX {
             let base = off.debug_with_strategy(q.text, kind).expect("baseline runs");
             let first = s1.debug_with_strategy(q.text, kind).expect("session 1 runs");
             assert_shared_equivalent(&base, &first, &format!("{} {kind} s1", q.id));
-            for workers in [1usize, 4] {
-                s2.set_workers(workers);
-                let second = s2.debug_with_strategy(q.text, kind).expect("session 2 runs");
-                assert_shared_equivalent(
-                    &base,
-                    &second,
-                    &format!("{} {kind} s2 w={workers}", q.id),
-                );
-                verdict_hits += second.probes().verdict_cache_hits;
-            }
+            let second = s2.debug_with_strategy(q.text, kind).expect("session 2 runs");
+            assert_shared_equivalent(&base, &second, &format!("{} {kind} s2", q.id));
+            verdict_hits += second.probes().verdict_cache_hits;
         }
     }
     assert!(
