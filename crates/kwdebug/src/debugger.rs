@@ -689,20 +689,20 @@ impl NonAnswerDebugger {
             .map(|(k, &t)| (k.clone(), self.db.table(t).schema().name.clone()))
             .collect();
 
-        // An MPAN shared by several dead MTNs is sampled once.
-        let mut samples = HashMap::new();
+        // An MPAN shared by several dead MTNs is rendered and sampled once.
+        let mut rendered = HashMap::new();
         let mut answers = Vec::with_capacity(outcome.alive_mtns.len());
         for &m in &outcome.alive_mtns {
-            answers.push(self.query_info(&pruned, m, &mut oracle, &mut samples, true)?);
+            answers.push(self.query_info(&pruned, m, &mut oracle, &mut rendered, true)?);
         }
         let mut non_answers = Vec::with_capacity(outcome.dead_mtns.len());
         for ((&m, mpans), possible) in
             outcome.dead_mtns.iter().zip(&outcome.mpans).zip(&outcome.possible_mpans)
         {
-            let query = self.query_info(&pruned, m, &mut oracle, &mut samples, false)?;
+            let query = self.query_info(&pruned, m, &mut oracle, &mut rendered, false)?;
             let mut infos = Vec::with_capacity(mpans.len());
             for &p in mpans {
-                infos.push(self.query_info(&pruned, p, &mut oracle, &mut samples, true)?);
+                infos.push(self.query_info(&pruned, p, &mut oracle, &mut rendered, true)?);
             }
             let mut possible_infos = Vec::with_capacity(possible.len());
             for &p in possible {
@@ -710,7 +710,7 @@ impl NonAnswerDebugger {
                     &pruned,
                     p,
                     &mut oracle,
-                    &mut samples,
+                    &mut rendered,
                     true,
                 )?);
             }
@@ -722,7 +722,7 @@ impl NonAnswerDebugger {
         }
         let mut unknown = Vec::with_capacity(outcome.unknown_mtns.len());
         for &m in &outcome.unknown_mtns {
-            unknown.push(self.query_info(&pruned, m, &mut oracle, &mut samples, false)?);
+            unknown.push(self.query_info(&pruned, m, &mut oracle, &mut rendered, false)?);
         }
         let reporting = report_start.elapsed();
 
@@ -747,40 +747,42 @@ impl NonAnswerDebugger {
     }
 
     /// Renders one pruned-lattice node for the report, sampling tuples if the
-    /// node is alive and sampling is enabled. `samples` holds the rendered
-    /// tuples of every node of the interpretation sampled so far, so a node
-    /// rendered twice (an MPAN shared by several dead MTNs) executes one
-    /// sample. Sampling degrades gracefully: a tripped budget or an injected
-    /// fault yields an empty sample, not remembered, rather than failing the
-    /// whole report.
+    /// node is alive and sampling is enabled. `rendered` holds every node of
+    /// the interpretation rendered so far, keyed by dense index and
+    /// aliveness, so a node rendered twice (an MPAN shared by several dead
+    /// MTNs) renders its SQL and executes its sample once. Sampling degrades
+    /// gracefully: a tripped budget or an injected fault yields an empty
+    /// sample, not remembered, rather than failing the whole report.
     fn query_info(
         &self,
         pruned: &PrunedLattice,
         dense: usize,
         oracle: &mut AlivenessOracle<'_>,
-        samples: &mut HashMap<usize, Vec<String>>,
+        rendered: &mut HashMap<(usize, bool), QueryInfo>,
         alive: bool,
     ) -> Result<QueryInfo, KwError> {
+        if let Some(info) = rendered.get(&(dense, alive)) {
+            return Ok(info.clone());
+        }
         let jnts = pruned.jnts(&self.lattice, dense);
         let sql = oracle.sql(jnts)?;
-        let sample_tuples = if !alive || self.config.sample_limit == 0 {
-            Vec::new()
-        } else if let Some(tuples) = samples.get(&dense) {
-            tuples.clone()
+        let (sample_tuples, settled) = if !alive || self.config.sample_limit == 0 {
+            (Vec::new(), true)
         } else {
             match oracle.sample(jnts, self.config.sample_limit) {
                 Ok(tuples) => {
-                    let rendered: Vec<String> =
-                        tuples.iter().map(|t| render_tuple(&self.db, jnts, t)).collect();
-                    samples.insert(dense, rendered.clone());
-                    rendered
+                    (tuples.iter().map(|t| render_tuple(&self.db, jnts, t)).collect(), true)
                 }
-                Err(KwError::BudgetExhausted(_)) => Vec::new(),
-                Err(KwError::Engine(e)) if e.is_fault() => Vec::new(),
+                Err(KwError::BudgetExhausted(_)) => (Vec::new(), false),
+                Err(KwError::Engine(e)) if e.is_fault() => (Vec::new(), false),
                 Err(e) => return Err(e),
             }
         };
-        Ok(QueryInfo { sql, level: pruned.level(dense), sample_tuples })
+        let info = QueryInfo { sql, level: pruned.level(dense), sample_tuples };
+        if settled {
+            rendered.insert((dense, alive), info.clone());
+        }
+        Ok(info)
     }
 }
 

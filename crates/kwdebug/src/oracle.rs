@@ -23,6 +23,16 @@
 //! verdicts. [`build_plan`] stays the plain, predicate-only form that SQL
 //! rendering uses.
 //!
+//! ## Retained reductions
+//!
+//! A probe that finds its network alive keeps the plan it ran and the
+//! engine's reduced state ([`relengine::Executor::exists_retaining`]).
+//! [`AlivenessOracle::sample`] of that network resumes from them, running
+//! only the back-pass toward node 0 and the enumeration
+//! ([`relengine::Executor::execute_reduced`]); other networks are reduced
+//! afresh. The tuples are the same either way, and the state lives as long
+//! as the oracle, i.e. one interpretation.
+//!
 //! ## Fault tolerance and budgets
 //!
 //! The oracle is the single choke point between the traversals and the
@@ -52,7 +62,7 @@
 //! | `is_alive` cache miss | `probes_executed`, `probe_time`, `tuples_scanned` | one "SQL query" (Figs. 11–12) |
 //! | selection built (no cache) | `tuples_scanned` (its rows read, once per interpretation) | part of the first probe that binds the keyword |
 //! | `is_alive` memo hit | `memo_hits` | beyond the paper (§3 re-executes) |
-//! | `sample` for a report | `probes_executed`, `probe_time`, `tuples_scanned` | §2.1 sample tuples of `A(K)`/`M(K)` |
+//! | `sample` for a report | `probes_executed`, `probe_time`, `tuples_scanned`; resumed from a retained reduction, the same events with fewer rows examined | §2.1 sample tuples of `A(K)`/`M(K)` |
 //! | transient fault retried | `retries`, `faults_injected` | beyond the paper (degraded mode) |
 //! | probe abandoned | `probes_abandoned` (+ `faults_injected` per fault) | beyond the paper (degraded mode) |
 //! | budget cap tripped | `budget_exhausted` (once; sticky) | beyond the paper (degraded mode) |
@@ -70,7 +80,7 @@ use std::time::Instant;
 use relengine::sortedvals::ValuePostings;
 use relengine::{
     ChaosExecutor, ColId, Database, EngineError, ExecStats, Executor, FaultConfig, FaultStats,
-    JoinTreePlan, MatchTuple, PlanEdge, PlanNode, Predicate, RowId, Table, TableId,
+    JoinTreePlan, MatchTuple, PlanEdge, PlanNode, Predicate, Reduced, RowId, Table, TableId,
 };
 use textindex::InvertedIndex;
 
@@ -143,10 +153,22 @@ enum ProbeEngine<'a> {
 }
 
 impl<'a> ProbeEngine<'a> {
-    fn exists(&mut self, plan: &JoinTreePlan) -> Result<bool, EngineError> {
+    fn exists_retaining(&mut self, plan: &JoinTreePlan) -> Result<Option<Reduced>, EngineError> {
         match self {
-            ProbeEngine::Plain(e) => e.exists(plan),
-            ProbeEngine::Chaos(c) => c.exists(plan),
+            ProbeEngine::Plain(e) => e.exists_retaining(plan),
+            ProbeEngine::Chaos(c) => c.exists_retaining(plan),
+        }
+    }
+
+    fn execute_reduced(
+        &mut self,
+        plan: &JoinTreePlan,
+        reduced: &mut Reduced,
+        limit: usize,
+    ) -> Result<Vec<MatchTuple>, EngineError> {
+        match self {
+            ProbeEngine::Plain(e) => e.execute_reduced(plan, reduced, limit),
+            ProbeEngine::Chaos(c) => c.execute_reduced(plan, reduced, limit),
         }
     }
 
@@ -202,7 +224,8 @@ enum ProbeFail {
 ///
 /// Holds everything a probe needs: the plan-builder inputs (all shared
 /// borrows), the verdict memo, the [`Metrics`] block, the budget gate, the
-/// retry policy, the per-interpretation keyword selections and the engine.
+/// retry policy, the per-interpretation keyword selections, the engine, and
+/// the reduced state of every network it executed alive.
 /// The Phase-3 wave driver ([`crate::traversal`]) probes through it one node
 /// at a time.
 pub struct AlivenessOracle<'a> {
@@ -228,6 +251,11 @@ pub struct AlivenessOracle<'a> {
     /// its `(level, verdict)` here; see [`crate::estimate::OnlinePa`].
     pa_stats: Option<Arc<crate::estimate::OnlinePa>>,
     engine: ProbeEngine<'a>,
+    /// Each network an executed probe found alive, with the plan it ran
+    /// and the engine's reduced state: [`AlivenessOracle::sample`] resumes
+    /// from it instead of reducing again. Per-interpretation state, freed
+    /// with the oracle.
+    retained: HashMap<Jnts, (JoinTreePlan, Reduced)>,
 }
 
 impl<'a> AlivenessOracle<'a> {
@@ -262,6 +290,7 @@ impl<'a> AlivenessOracle<'a> {
                 .collect(),
             pa_stats: None,
             engine: ProbeEngine::Plain(Executor::new(db)),
+            retained: HashMap::new(),
         }
     }
 
@@ -502,7 +531,8 @@ impl<'a> AlivenessOracle<'a> {
     /// network, except that every bound copy carries its keyword's selection
     /// plus the selection's postings in each of the copy's join columns, so
     /// the executor neither re-evaluates the predicate nor re-reads selection
-    /// rows (see the module docs).
+    /// rows (see the module docs). It renders no SQL, so its nodes carry no
+    /// aliases; alive plans are retained until the oracle drops.
     fn build_probe_plan(&mut self, jnts: &Jnts) -> Result<JoinTreePlan, EngineError> {
         let mut edges = Vec::with_capacity(jnts.join_count());
         let mut join_cols: Vec<Vec<ColId>> = vec![Vec::new(); jnts.node_count()];
@@ -519,16 +549,12 @@ impl<'a> AlivenessOracle<'a> {
         }
         let mut nodes = Vec::with_capacity(jnts.node_count());
         for (i, &ts) in jnts.nodes().iter().enumerate() {
-            let table_name = &self.db.table(ts.table).schema().name;
-            let alias = format!("{}{}", table_name, ts.copy);
             let node = match self.interp.keyword_for(ts) {
-                None => PlanNode::free(ts.table).with_alias(alias),
+                None => PlanNode::free(ts.table),
                 Some(k) => {
                     let sel = self.selection(k, ts.table);
                     let pred = Predicate::any_text_contains(self.keywords[k].clone());
-                    let mut node = PlanNode::new(ts.table, pred)
-                        .with_alias(alias)
-                        .with_selection(Arc::clone(&sel));
+                    let mut node = PlanNode::new(ts.table, pred).with_selection(Arc::clone(&sel));
                     for &col in &join_cols[i] {
                         node = node.with_col_postings(col, self.postings(k, ts.table, col, &sel));
                     }
@@ -592,10 +618,12 @@ impl<'a> AlivenessOracle<'a> {
     }
 
     /// Executes one probe whose budget slot is already reserved: plan,
-    /// emptiness check under retry, bookkeeping, memo insert. A failed
-    /// execution returns the slot — failed attempts never count against the
-    /// budget. Reservation (and the memo pre-check) belongs to the caller,
-    /// which decides whether a probe runs at all.
+    /// emptiness check under retry, bookkeeping, memo insert. An alive
+    /// network's plan and reduced state are retained for a later
+    /// [`AlivenessOracle::sample`]. A failed execution returns the slot —
+    /// failed attempts never count against the budget. Reservation (and the
+    /// memo pre-check) belongs to the caller, which decides whether a probe
+    /// runs at all.
     pub(crate) fn execute_reserved(&mut self, node: NodeId, jnts: &Jnts) -> Probe {
         let plan = match self.build_probe_plan(jnts) {
             Ok(p) => p,
@@ -607,8 +635,9 @@ impl<'a> AlivenessOracle<'a> {
         };
         let rows_before = self.engine.stats().rows_examined;
         let start = Instant::now();
-        match self.execute_with_retry(|eng| eng.exists(&plan)) {
-            Ok(alive) => {
+        match self.execute_with_retry(|eng| eng.exists_retaining(&plan)) {
+            Ok(reduced) => {
+                let alive = reduced.is_some();
                 self.metrics.probes_executed.incr();
                 self.metrics.probe_time.add(start.elapsed());
                 self.metrics
@@ -625,6 +654,9 @@ impl<'a> AlivenessOracle<'a> {
                 // fault aborts before execution), so the whole-network
                 // verdict is a sound cache entry.
                 self.publish_verdict(jnts, alive);
+                if let Some(reduced) = reduced {
+                    self.retained.insert(jnts.clone(), (plan, reduced));
+                }
                 Probe::Verdict(alive)
             }
             Err(ProbeFail::Node(e)) => {
@@ -722,7 +754,11 @@ impl<'a> AlivenessOracle<'a> {
 
     /// Fetches up to `limit` sample result tuples of a node (for reports).
     /// Counts as one more executed query, subject to the same budget and
-    /// retry policy as probes.
+    /// retry policy as probes. A network this oracle executed alive resumes
+    /// from its retained reduction (only the back-pass and the enumeration
+    /// run, so fewer rows are examined); any other network — inferred
+    /// alive, or answered by the verdict cache — is reduced afresh. The
+    /// tuples are the same either way.
     pub fn sample(
         &mut self,
         jnts: &Jnts,
@@ -731,16 +767,28 @@ impl<'a> AlivenessOracle<'a> {
         if let Err(why) = self.try_reserve() {
             return Err(KwError::BudgetExhausted(why));
         }
-        let plan = match self.build_probe_plan(jnts) {
-            Ok(p) => p,
-            Err(e) => {
-                self.gate.release();
-                return Err(e.into());
-            }
+        let (plan, mut resume) = match self.retained.remove_entry(jnts) {
+            Some((key, (plan, reduced))) => (plan, Some((key, reduced))),
+            None => match self.build_probe_plan(jnts) {
+                Ok(p) => (p, None),
+                Err(e) => {
+                    self.gate.release();
+                    return Err(e.into());
+                }
+            },
         };
         let rows_before = self.engine.stats().rows_examined;
         let start = Instant::now();
-        match self.execute_with_retry(|eng| eng.execute(&plan, limit)) {
+        let outcome = self.execute_with_retry(|eng| match &mut resume {
+            Some((_, reduced)) => eng.execute_reduced(&plan, reduced, limit),
+            None => eng.execute(&plan, limit),
+        });
+        // A faulted attempt leaves the state untouched and a completed one
+        // leaves it reduced toward node 0; either way it stays resumable.
+        if let Some((key, reduced)) = resume {
+            self.retained.insert(key, (plan, reduced));
+        }
+        match outcome {
             Ok(tuples) => {
                 self.metrics.probes_executed.incr();
                 self.metrics.probe_time.add(start.elapsed());
@@ -1271,6 +1319,81 @@ mod tests {
         let j2 = j.extend(0, inc(0, 1, false), 2);
         assert_eq!(plain.is_alive(1, &j2).unwrap(), o.is_alive(1, &j2).unwrap());
         assert_eq!(o.sql(&j).unwrap(), plain.sql(&j).unwrap(), "SQL text is cache-blind");
+    }
+
+    /// After a traversal, a sample of a network the traversal executed alive
+    /// resumes from that probe's reduction: the same tuples as a fresh
+    /// oracle's sample, fewer engine rows, one query and one probe each —
+    /// and a transient fault on the sample's attempt still resumes on retry.
+    #[test]
+    fn samples_resume_from_the_traversals_reductions() {
+        use crate::lattice::Lattice;
+        use crate::prune::PrunedLattice;
+        use crate::schema_graph::SchemaGraph;
+        use crate::traversal::{self, StrategyKind};
+
+        let db = db();
+        let idx = InvertedIndex::build(&db);
+        let lattice = Lattice::build(&db, &SchemaGraph::new(&db), 2);
+        let q = KeywordQuery::parse("candle red").unwrap();
+        let m = map_keywords(&q, &idx);
+        let interp = &m.interpretations[0];
+        let pruned = PrunedLattice::build(&lattice, interp);
+        let fresh = || AlivenessOracle::new(&db, Some(&idx), interp, &m.keywords, false);
+        // Brute force executes every pruned node, so every alive one is
+        // retained.
+        let traversed = || {
+            let mut oracle = fresh();
+            let pa = traversal::DEFAULT_PA;
+            traversal::run(StrategyKind::BruteForce, &lattice, &pruned, &mut oracle, pa).unwrap();
+            oracle
+        };
+        let rows_of = |o: &mut AlivenessOracle<'_>, j: &Jnts| {
+            let before = o.stats().rows_examined;
+            let tuples = o.sample(j, 5).unwrap();
+            (tuples, o.stats().rows_examined - before)
+        };
+
+        let mut oracle = traversed();
+        let mut alive = Vec::new();
+        for dense in 0..pruned.len() {
+            let j = pruned.jnts(&lattice, dense);
+            let (want, fresh_rows) = rows_of(&mut fresh(), j);
+            if want.is_empty() {
+                continue; // dead: nothing to sample
+            }
+            let (got, resumed_rows) = rows_of(&mut oracle, j);
+            assert_eq!(got, want, "node {dense}: resumed tuples differ");
+            // Some reductions read no engine rows at all (a single node, or
+            // a free node answered from the index); there is nothing to save.
+            if fresh_rows > 0 {
+                assert!(
+                    resumed_rows < fresh_rows,
+                    "node {dense}: resumed sample read {resumed_rows} rows, fresh {fresh_rows}"
+                );
+                alive.push((dense, want, fresh_rows));
+            } else {
+                assert_eq!(resumed_rows, 0, "node {dense}");
+            }
+        }
+        assert!(!alive.is_empty(), "the fixture has an alive join that reads rows");
+        let snap = oracle.metrics().snapshot();
+        assert_eq!(snap.probes_executed, oracle.queries(), "a resumed sample is one query");
+
+        // A transient fault on a join's sample attempt: the retry resumes.
+        let (dense, want, fresh_rows) = &alive[0];
+        let j = pruned.jnts(&lattice, *dense);
+        let mut chaotic = traversed()
+            .with_chaos(FaultConfig { fail_first_transient: 1, ..FaultConfig::quiet(7) })
+            .with_retry(RetryPolicy::immediate(1));
+        let queries = chaotic.queries();
+        let (got, resumed_rows) = rows_of(&mut chaotic, j);
+        assert_eq!(&got, want, "the retry returns the same tuples");
+        assert!(resumed_rows < *fresh_rows, "the retry resumed: {resumed_rows} rows");
+        assert_eq!(chaotic.queries(), queries + 1, "the faulted attempt never ran");
+        let snap = chaotic.metrics().snapshot();
+        assert_eq!((snap.retries, snap.faults_injected), (1, 1));
+        assert_eq!(snap.probes_executed, chaotic.queries());
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! ([`EngineError::Transient`]), a permanent failure
 //! ([`EngineError::Failed`]) or artificial latency before the real
 //! execution. [`ChaosExecutor`] wraps a plain [`Executor`] and applies the
-//! injector to every `exists`/`execute` call.
+//! injector to every `exists`/`exists_retaining`/`execute`/`execute_reduced`
+//! call.
 //!
 //! Determinism contract: the injector consumes exactly one decision per
 //! attempt from a stream determined solely by [`FaultConfig::seed`], so the
@@ -23,7 +24,7 @@ use std::time::Duration;
 
 use crate::catalog::Database;
 use crate::error::EngineError;
-use crate::exec::{Executor, MatchTuple};
+use crate::exec::{Executor, MatchTuple, Reduced};
 use crate::plan::JoinTreePlan;
 use crate::rng::SplitMix64;
 use crate::stats::ExecStats;
@@ -226,6 +227,29 @@ impl<'a> ChaosExecutor<'a> {
         self.inner.exists(plan)
     }
 
+    /// [`Executor::exists_retaining`]: the aliveness test that keeps its
+    /// reduced state. May fail by injection.
+    pub fn exists_retaining(
+        &mut self,
+        plan: &JoinTreePlan,
+    ) -> Result<Option<Reduced>, EngineError> {
+        self.injector.guard()?;
+        self.inner.exists_retaining(plan)
+    }
+
+    /// [`Executor::execute_reduced`]: tuples resumed from a reduced state.
+    /// May fail by injection; a faulted attempt leaves `reduced` untouched,
+    /// so a retry still resumes from it.
+    pub fn execute_reduced(
+        &mut self,
+        plan: &JoinTreePlan,
+        reduced: &mut Reduced,
+        limit: usize,
+    ) -> Result<Vec<MatchTuple>, EngineError> {
+        self.injector.guard()?;
+        self.inner.execute_reduced(plan, reduced, limit)
+    }
+
     /// Evaluates the query, returning up to `limit` tuples. May fail by
     /// injection.
     pub fn execute(
@@ -364,6 +388,25 @@ mod tests {
         assert_eq!(chaos.database().total_rows(), 1);
         chaos.reset_stats();
         assert_eq!(chaos.stats().queries, 0);
+    }
+
+    #[test]
+    fn retained_steps_are_guarded_once_each() {
+        let db = tiny_db();
+        let plan = probe_plan(&db);
+        let mut plain = Executor::new(&db);
+        let mut reduced = plain.exists_retaining(&plan).unwrap().expect("alive");
+        let mut chaos = ChaosExecutor::wrap(
+            plain,
+            FaultConfig { fail_first_transient: 2, ..FaultConfig::quiet(4) },
+        );
+        assert!(chaos.exists_retaining(&plan).unwrap_err().is_transient());
+        assert!(chaos.execute_reduced(&plan, &mut reduced, 5).unwrap_err().is_transient());
+        // The faulted attempt left the state in place: the retry resumes.
+        assert_eq!(chaos.execute_reduced(&plan, &mut reduced, 5).unwrap(), vec![vec![0]]);
+        assert_eq!(chaos.stats().queries, 2, "the plain reduction and the resume");
+        assert_eq!(chaos.fault_stats().transient, 2);
+        assert_eq!(chaos.fault_stats().passed, 1);
     }
 
     #[test]

@@ -9,16 +9,30 @@
 //! reduced from its far end through the join-column indexes instead of by
 //! scanning each link.
 //!
-//! [`Executor::execute`] runs the same pass, semi-joins back along the path
-//! from its root to node 0, and then enumerates top-down from node 0 with a
-//! result limit for early exit. Every node is then reduced against its whole
-//! node-0 subtree, so each row the enumeration visits extends to a tuple.
-//! A node's rows for its parent's join value come straight from the
-//! table's index posting for that value, kept where they are live; no
-//! per-probe `value → rows` map is built unless the join column has no
-//! index. Postings ascend like every live set, so tuples come out in
-//! lexicographic row-id order over the node-0 pre-order (neighbours in
-//! edge order) — the order nested loops would give.
+//! Execution is two steps, each public and each counted as one query:
+//!
+//! 1. [`Executor::exists_retaining`] runs that pass and, when the query is
+//!    alive, hands back the reduced live sets and the pass's root as an
+//!    opaque [`Reduced`];
+//! 2. [`Executor::execute_reduced`] resumes from a [`Reduced`]: it
+//!    semi-joins back along the path from the root to node 0, and then
+//!    enumerates top-down from node 0 with a result limit for early exit.
+//!    Every node is then reduced against its whole node-0 subtree, so each
+//!    row the enumeration visits extends to a tuple.
+//!
+//! [`Executor::exists`] is the first step with the state dropped, and
+//! [`Executor::execute`] runs both steps back to back as one query; there
+//! is one reduction code path. A caller that asked for aliveness first (the
+//! `kwdebug` oracle's probes) keeps the [`Reduced`] and later samples tuples
+//! from it without reducing again (Golenberg & Sagiv's enumeration from an
+//! already-reduced state, with no dead ends).
+//!
+//! In the enumeration, a node's rows for its parent's join value come
+//! straight from the table's index posting for that value, kept where they
+//! are live; no per-probe `value → rows` map is built unless the join
+//! column has no index. Postings ascend like every live set, so tuples come
+//! out in lexicographic row-id order over the node-0 pre-order (neighbours
+//! in edge order) — the order nested loops would give.
 //!
 //! Plan nodes may carry a pre-verified shared *selection*, optionally with
 //! its value→rows postings per join column: the executor then skips
@@ -151,10 +165,40 @@ fn postings_semijoin(p: &ValuePostings, vals: &[i64]) -> Vec<RowId> {
     out
 }
 
+/// An alive query's state after the bottom-up semi-join pass: every plan
+/// node's live rows, and the root the pass ran from. Returned by
+/// [`Executor::exists_retaining`]; [`Executor::execute_reduced`] resumes
+/// from it. Opaque, and only meaningful for the plan and database that
+/// produced it.
+#[derive(Debug)]
+pub struct Reduced {
+    live: Vec<LiveSet>,
+    /// Every node is reduced against its subtree in the tree rooted here;
+    /// 0 once the back-pass toward node 0 has run.
+    root: usize,
+}
+
+impl Reduced {
+    /// Whether the state has one live set per plan node, each within its
+    /// node's table — enough that resuming it reads no row out of range.
+    fn fits(&self, plan: &JoinTreePlan, db: &Database) -> bool {
+        self.live.len() == plan.node_count()
+            && self.live.iter().zip(plan.nodes()).all(|(set, node)| {
+                let last = match set {
+                    LiveSet::All => None,
+                    LiveSet::Rows(r) => r.last(),
+                    LiveSet::Shared(r) => r.last(),
+                };
+                last.is_none_or(|&rid| (rid as usize) < db.table(node.table).len())
+            })
+    }
+}
+
 /// Executes join-tree plans against a database, counting every execution.
 ///
-/// One call to [`Executor::exists`] or [`Executor::execute`] corresponds to
-/// one "SQL query executed" in the paper's measurements.
+/// One call to [`Executor::exists`], [`Executor::exists_retaining`],
+/// [`Executor::execute`] or [`Executor::execute_reduced`] corresponds to one
+/// "SQL query executed" in the paper's measurements.
 pub struct Executor<'a> {
     db: &'a Database,
     stats: ExecStats,
@@ -183,11 +227,22 @@ impl<'a> Executor<'a> {
 
     /// Does the query return at least one tuple? (The paper's aliveness test.)
     pub fn exists(&mut self, plan: &JoinTreePlan) -> Result<bool, EngineError> {
+        Ok(self.exists_retaining(plan)?.is_some())
+    }
+
+    /// The aliveness test that keeps its work: the reduced state when the
+    /// query is alive, `None` when it is dead. Costs and counts exactly what
+    /// [`Executor::exists`] does; [`Executor::execute_reduced`] then
+    /// enumerates from the state without reducing again.
+    pub fn exists_retaining(
+        &mut self,
+        plan: &JoinTreePlan,
+    ) -> Result<Option<Reduced>, EngineError> {
         plan.validate(self.db)?;
         let start = Instant::now();
-        let alive = self.reduce(plan, false)?.is_some();
+        let reduced = self.reduce(plan)?;
         self.stats.record(start.elapsed());
-        Ok(alive)
+        Ok(reduced)
     }
 
     /// Evaluates the query, returning up to `limit` result tuples.
@@ -203,10 +258,33 @@ impl<'a> Executor<'a> {
     ) -> Result<Vec<MatchTuple>, EngineError> {
         plan.validate(self.db)?;
         let start = Instant::now();
-        let result = match self.reduce(plan, true)? {
+        let result = match self.reduce(plan)? {
             None => Vec::new(),
-            Some(live) => self.enumerate(plan, &live, limit),
+            Some(mut reduced) => self.resume(plan, &mut reduced, limit),
         };
+        self.stats.record(start.elapsed());
+        Ok(result)
+    }
+
+    /// [`Executor::execute`]'s tuples, resumed from the state
+    /// [`Executor::exists_retaining`] returned for the same `plan`: only the
+    /// back-pass toward node 0 and the enumeration run. The back-pass leaves
+    /// `reduced` reduced toward node 0, so resuming it again enumerates
+    /// straight away; a call that fails leaves it untouched. A state that
+    /// cannot belong to `plan` (another node count, or rows beyond a node's
+    /// table) is refused as an invalid plan.
+    pub fn execute_reduced(
+        &mut self,
+        plan: &JoinTreePlan,
+        reduced: &mut Reduced,
+        limit: usize,
+    ) -> Result<Vec<MatchTuple>, EngineError> {
+        plan.validate(self.db)?;
+        if !reduced.fits(plan, self.db) {
+            return Err(EngineError::InvalidPlan("reduced state belongs to another plan".into()));
+        }
+        let start = Instant::now();
+        let result = self.resume(plan, reduced, limit);
         self.stats.record(start.elapsed());
         Ok(result)
     }
@@ -217,20 +295,12 @@ impl<'a> Executor<'a> {
     }
 
     /// Bottom-up semi-join reduction. Returns `None` as soon as any live set
-    /// empties (the query is dead), otherwise the reduced live sets.
+    /// empties (the query is dead), otherwise the reduced state.
     ///
     /// The pass is rooted at [`Executor::cheapest_root`]; any root decides
-    /// emptiness of an acyclic join exactly. With `full`, the pass then
-    /// semi-joins back along the path from that root to node 0, so every node
-    /// ends up reduced against its whole subtree in the tree rooted at node 0
-    /// — what [`Executor::enumerate`] needs to extend every row it visits.
-    fn reduce(
-        &mut self,
-        plan: &JoinTreePlan,
-        full: bool,
-    ) -> Result<Option<Vec<LiveSet>>, EngineError> {
-        let n = plan.node_count();
-        let mut live: Vec<LiveSet> = Vec::with_capacity(n);
+    /// emptiness of an acyclic join exactly.
+    fn reduce(&mut self, plan: &JoinTreePlan) -> Result<Option<Reduced>, EngineError> {
+        let mut live: Vec<LiveSet> = Vec::with_capacity(plan.node_count());
         // Initial per-node filtering: selection (pre-verified, predicate
         // skipped) or candidates ∩ predicate.
         for node in plan.nodes() {
@@ -290,9 +360,8 @@ impl<'a> Executor<'a> {
         }
 
         let root = self.cheapest_root(plan, &live);
-        let order = plan.post_order(root);
         // Children-before-parent semi-joins.
-        for &(node, parent_edge, parent) in &order {
+        for (node, parent_edge, parent) in plan.post_order(root) {
             if parent == usize::MAX {
                 continue; // root has no parent to reduce
             }
@@ -300,12 +369,24 @@ impl<'a> Executor<'a> {
                 return Ok(None);
             }
         }
-        if full && root != 0 {
-            // Walk node 0's ancestors (in the tree rooted at `root`) back
-            // down from the root: each step reduces the next node toward
-            // node 0 against the fully reduced one before it.
-            let mut up = vec![(usize::MAX, usize::MAX); n];
-            for &(node, parent_edge, parent) in &order {
+        Ok(Some(Reduced { live, root }))
+    }
+
+    /// Finishes a reduced state: semi-joins back along the path from its
+    /// root to node 0 — walking node 0's ancestors in the tree rooted at the
+    /// root back down, each step reducing the next node toward node 0
+    /// against the fully reduced one before it — so every node ends up
+    /// reduced against its whole subtree in the tree rooted at node 0, as
+    /// [`Executor::enumerate`] needs; then enumerates up to `limit` tuples.
+    fn resume(
+        &mut self,
+        plan: &JoinTreePlan,
+        reduced: &mut Reduced,
+        limit: usize,
+    ) -> Vec<MatchTuple> {
+        if reduced.root != 0 {
+            let mut up = vec![(usize::MAX, usize::MAX); plan.node_count()];
+            for (node, parent_edge, parent) in plan.post_order(reduced.root) {
                 up[node] = (parent_edge, parent);
             }
             let mut path = vec![0];
@@ -316,12 +397,13 @@ impl<'a> Executor<'a> {
             }
             for pair in path.windows(2).rev() {
                 let (into, from) = (pair[0], pair[1]);
-                if !self.semijoin(plan, &mut live, from, into, up[into].0) {
-                    return Ok(None);
+                if !self.semijoin(plan, &mut reduced.live, from, into, up[into].0) {
+                    return Vec::new();
                 }
             }
+            reduced.root = 0;
         }
-        Ok(Some(live))
+        self.enumerate(plan, &reduced.live, limit)
     }
 
     /// The root whose bottom-up pass does the least full-table semi-join
@@ -469,7 +551,7 @@ impl<'a> Executor<'a> {
     }
 
     /// Top-down enumeration from node 0 over fully reduced live sets (see
-    /// [`Executor::reduce`]'s `full`), with no per-probe grouping.
+    /// [`Executor::resume`]), with no per-probe grouping.
     ///
     /// Nodes are assigned in pre-order (parent before child), so the only
     /// constraint on a node is the equi-join with its already-assigned
@@ -928,6 +1010,22 @@ mod tests {
         assert!(ex.stats().rows_examined < free_rows);
         // Yellow item 2 carries two tags, enumerated in tag row order.
         assert_eq!(ex.execute(&plan, 0).unwrap(), vec![vec![1, 1, 1], vec![1, 1, 2]]);
+    }
+
+    #[test]
+    fn reduced_state_of_another_plan_is_refused() {
+        let db = db();
+        let mut ex = Executor::new(&db);
+        let two = plan2(&db, "scented", "yellow");
+        let mut reduced = ex.exists_retaining(&two).unwrap().expect("alive");
+        let color = db.table_id("color").unwrap();
+        let one = JoinTreePlan::new(vec![PlanNode::free(color)], vec![]).unwrap();
+        assert!(matches!(
+            ex.execute_reduced(&one, &mut reduced, 0),
+            Err(EngineError::InvalidPlan(_))
+        ));
+        assert_eq!(ex.stats().queries, 1, "a refused resume is no query");
+        assert_eq!(ex.execute_reduced(&two, &mut reduced, 0).unwrap(), ex.execute(&two, 0).unwrap());
     }
 
     #[test]

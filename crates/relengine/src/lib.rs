@@ -75,7 +75,7 @@ pub use catalog::{Database, DeltaKind, EpochDelta, ForeignKey, FkId, TableId};
 pub use chaos::{ChaosExecutor, FaultConfig, FaultDecision, FaultInjector, FaultStats};
 pub use csv::{dump_csv, load_csv};
 pub use error::EngineError;
-pub use exec::{Executor, MatchTuple};
+pub use exec::{Executor, MatchTuple, Reduced};
 pub use explain::{estimate_cardinality, explain};
 pub use plan::{JoinTreePlan, PlanEdge, PlanNode};
 pub use predicate::{CompiledPredicate, Predicate};

@@ -9,7 +9,8 @@ use std::time::Duration;
 /// Counters accumulated by an [`crate::Executor`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Number of query executions (each `exists`/`execute` call is one).
+    /// Number of query executions (each `exists`, `exists_retaining`,
+    /// `execute` or `execute_reduced` call is one).
     pub queries: u64,
     /// Rows touched across all executions (scan + semi-join work).
     pub rows_examined: u64,
@@ -22,13 +23,6 @@ impl ExecStats {
     pub fn record(&mut self, elapsed: Duration) {
         self.queries += 1;
         self.total_time += elapsed;
-    }
-
-    /// Merges another stats block into this one.
-    pub fn merge(&mut self, other: &ExecStats) {
-        self.queries += other.queries;
-        self.rows_examined += other.rows_examined;
-        self.total_time += other.total_time;
     }
 
     /// Mean time per query, or zero if none ran.
@@ -46,20 +40,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn record_and_merge() {
+    fn record_counts_and_times() {
         let mut a = ExecStats::default();
         a.record(Duration::from_millis(10));
         a.record(Duration::from_millis(20));
         assert_eq!(a.queries, 2);
         assert_eq!(a.total_time, Duration::from_millis(30));
         assert_eq!(a.mean_time(), Duration::from_millis(15));
-
-        let mut b = ExecStats { rows_examined: 5, ..ExecStats::default() };
-        b.record(Duration::from_millis(5));
-        a.merge(&b);
-        assert_eq!(a.queries, 3);
-        assert_eq!(a.rows_examined, 5);
-        assert_eq!(a.total_time, Duration::from_millis(35));
     }
 
     #[test]

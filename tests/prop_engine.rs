@@ -6,7 +6,8 @@
 //! against the obvious lowercase-contains reference. Random join trees of
 //! 2–5 nodes (module `trees`) also pin the tuple *order*: `execute(plan, k)`
 //! must return the first `k` tuples of the nested-loop enumeration in
-//! node-0 pre-order.
+//! node-0 pre-order, and so must `execute_reduced` resumed from the state
+//! `exists_retaining` kept.
 //!
 //! Cases are drawn from a seeded [`SplitMix64`] stream (the registry-free
 //! stand-in for proptest), so failures replay deterministically.
@@ -528,6 +529,27 @@ mod trees {
             for k in 1..=3 {
                 let got = exec.execute(&plan, k).expect("runs");
                 assert_eq!(got, want[..want.len().min(k)], "case {case}, limit {k}");
+            }
+
+            // The two-step path: retain the reduction, then resume from it.
+            // Each step is one query, like `exists` and `execute`.
+            let queries = exec.stats().queries;
+            let retained = exec.exists_retaining(&plan).expect("runs");
+            assert_eq!(retained.is_some(), !want.is_empty(), "case {case}");
+            assert_eq!(exec.stats().queries, queries + 1, "case {case}");
+            if retained.is_some() {
+                for k in 0..=3 {
+                    let mut reduced =
+                        exec.exists_retaining(&plan).expect("runs").expect("alive");
+                    let before = exec.stats().queries;
+                    let got = exec.execute_reduced(&plan, &mut reduced, k).expect("runs");
+                    assert_eq!(exec.stats().queries, before + 1, "case {case}, limit {k}");
+                    let full = if k == 0 { want.len() } else { want.len().min(k) };
+                    assert_eq!(got, want[..full], "case {case}, resumed limit {k}");
+                    // The state stays resumable once reduced toward node 0.
+                    let again = exec.execute_reduced(&plan, &mut reduced, k).expect("runs");
+                    assert_eq!(again, got, "case {case}, resumed twice, limit {k}");
+                }
             }
 
             let nodes = plan.nodes();
