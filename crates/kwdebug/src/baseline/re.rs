@@ -28,7 +28,7 @@ pub fn run_return_everything(
 ) -> Result<ReOutcome, KwError> {
     let q0 = oracle.stats().queries;
     let t0 = oracle.stats().total_time;
-    let m0 = oracle.metrics().snapshot();
+    let m0 = *oracle.metrics();
 
     let mut status = vec![Status::Unknown; pruned.len()];
     let exec = |oracle: &mut AlivenessOracle<'_>, n: usize, status: &mut Vec<Status>| -> Result<bool, KwError> {
@@ -68,7 +68,7 @@ pub fn run_return_everything(
             exhausted: None,
             sql_queries: oracle.stats().queries - q0,
             sql_time: oracle.stats().total_time.saturating_sub(t0).max(Duration::ZERO),
-            probes: oracle.metrics().snapshot().delta(m0),
+            probes: oracle.metrics().delta(m0),
         },
     })
 }

@@ -17,7 +17,7 @@
 //! Equal keys on one snapshot are the same ground-truth query, and a
 //! follower's budget slot was reserved at its own dispatch position, so
 //! reports and budget cuts match unbatched runs (DESIGN.md §8.2, §14). An
-//! owner that fails or unwinds orphans its cell (`OwnedCells`) and the
+//! owner that fails or unwinds orphans its cell (`OwnedCell`) and the
 //! followers re-execute on their own slots. A session resolves one probe at
 //! a time and never waits while it owns a cell, so no two sessions wait on
 //! each other.
@@ -123,9 +123,11 @@ impl WaveExchange {
         *map.entry(kw.to_owned()).or_insert(next)
     }
 
-    /// Looks `key` up: the owner takes a fresh cell into `owned` and gets
-    /// `None`; a follower gets the in-flight cell to wait on.
-    fn claim(&self, key: Key, owned: &mut OwnedCells<'_>) -> Option<Arc<ProbeCell>> {
+    /// Looks `key` up: the owner takes a fresh cell into `owned` (which
+    /// must be empty) and gets `None`; a follower gets the in-flight cell to
+    /// wait on.
+    fn claim(&self, key: Key, owned: &mut OwnedCell<'_>) -> Option<Arc<ProbeCell>> {
+        debug_assert!(owned.cell.is_none(), "a guard owns at most one cell");
         self.submitted.fetch_add(1, Ordering::Relaxed);
         match self.inflight.lock().unwrap().entry(key) {
             Entry::Occupied(e) => {
@@ -134,7 +136,7 @@ impl WaveExchange {
             }
             Entry::Vacant(v) => {
                 let cell = Arc::new(ProbeCell::new());
-                owned.cells.push(Some((v.key().clone(), cell.clone())));
+                owned.cell = Some((v.key().clone(), cell.clone()));
                 v.insert(cell);
                 None
             }
@@ -153,11 +155,11 @@ impl WaveExchange {
     ) -> Probe {
         let db = oracle.database();
         let key = (db.db_id(), db.epoch(), oracle.binding_key(jnts, &mut |kw| self.intern(kw)));
-        let mut owned = OwnedCells { exchange: self, cells: Vec::new() };
+        let mut owned = OwnedCell { exchange: self, cell: None };
         let Some(cell) = self.claim(key, &mut owned) else {
             let probe = oracle.execute_reserved(node, jnts);
             // A fault, hard failure or budget trip orphans the cell.
-            owned.settle(0, if let Probe::Verdict(alive) = probe { Some(alive) } else { None });
+            owned.settle(if let Probe::Verdict(alive) = probe { Some(alive) } else { None });
             return probe;
         };
         match cell.wait() {
@@ -171,29 +173,28 @@ impl WaveExchange {
     }
 }
 
-/// RAII custody of the cells a session owns: each is settled, then retired,
-/// exactly once. A cell still held when the guard drops (an unwind through
-/// the driver) is orphaned, so its followers re-execute.
-struct OwnedCells<'x> {
+/// RAII custody of the one cell a session owns while it executes: the
+/// cell is settled, then retired, exactly once. A cell still held when the
+/// guard drops (an unwind through the driver) is orphaned, so its
+/// followers re-execute.
+struct OwnedCell<'x> {
     exchange: &'x WaveExchange,
-    cells: Vec<Option<(Key, Arc<ProbeCell>)>>,
+    cell: Option<(Key, Arc<ProbeCell>)>,
 }
 
-impl OwnedCells<'_> {
-    /// Publishes (or orphans, on `None`) owned cell `i`, then retires it.
-    fn settle(&mut self, i: usize, verdict: Option<bool>) {
-        if let Some((key, cell)) = self.cells[i].take() {
+impl OwnedCell<'_> {
+    /// Publishes (or orphans, on `None`) the owned cell, then retires it.
+    fn settle(&mut self, verdict: Option<bool>) {
+        if let Some((key, cell)) = self.cell.take() {
             cell.settle(verdict);
             self.exchange.inflight.lock().unwrap().remove(&key);
         }
     }
 }
 
-impl Drop for OwnedCells<'_> {
+impl Drop for OwnedCell<'_> {
     fn drop(&mut self) {
-        for i in 0..self.cells.len() {
-            self.settle(i, None);
-        }
+        self.settle(None);
     }
 }
 
@@ -205,8 +206,8 @@ mod tests {
         (1, epoch, vec![9, 9, 9])
     }
 
-    fn guard(ex: &WaveExchange) -> OwnedCells<'_> {
-        OwnedCells { exchange: ex, cells: Vec::new() }
+    fn guard(ex: &WaveExchange) -> OwnedCell<'_> {
+        OwnedCell { exchange: ex, cell: None }
     }
 
     #[test]
@@ -227,9 +228,9 @@ mod tests {
         let (mut owner, mut peer) = (guard(&ex), guard(&ex));
         assert!(ex.claim(key(0), &mut owner).is_none(), "the first claim owns");
         let cell = ex.claim(key(0), &mut peer).expect("a twin claim follows");
-        assert!(peer.cells.is_empty(), "a follower takes no custody");
+        assert!(peer.cell.is_none(), "a follower takes no custody");
         assert_eq!((ex.submitted_probes(), ex.merged_waves(), ex.pending_cells()), (2, 1, 1));
-        owner.settle(0, Some(true));
+        owner.settle(Some(true));
         assert_eq!(ex.pending_cells(), 0, "the owner retires its cell on publishing");
         assert_eq!(cell.wait(), Some(true), "the follower gets the owner's verdict");
         assert!(ex.claim(key(0), &mut peer).is_none(), "a retired key is owned afresh");
@@ -238,11 +239,11 @@ mod tests {
     #[test]
     fn different_epochs_never_share_a_cell() {
         let ex = WaveExchange::default();
-        let mut owner = guard(&ex);
-        assert!(ex.claim(key(0), &mut owner).is_none() && ex.claim(key(1), &mut owner).is_none());
+        let (mut first, mut second) = (guard(&ex), guard(&ex));
+        assert!(ex.claim(key(0), &mut first).is_none() && ex.claim(key(1), &mut second).is_none());
         assert_eq!((ex.merged_waves(), ex.pending_cells()), (0, 2));
-        drop(owner);
-        assert_eq!(ex.pending_cells(), 0, "dropping the guard retires every owned cell");
+        drop((first, second));
+        assert_eq!(ex.pending_cells(), 0, "dropping the guards retires their cells");
     }
 
     #[test]

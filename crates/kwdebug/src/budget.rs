@@ -10,23 +10,17 @@
 //! [`Exhausted`] and the traversal degrades to a *partial* report instead of
 //! aborting — see [`crate::traversal`].
 //!
-//! ## Atomic enforcement: [`BudgetGate`]
+//! ## Enforcement: [`BudgetGate`]
 //!
 //! [`ProbeBudget`] itself is a plain-value description of the caps; the
-//! *stateful* enforcement lives in [`BudgetGate`], which is entirely atomic,
-//! so checking and reserving never block and never need `&mut`. Budget
-//! atomicity is the invariant: a probe slot is **reserved** before the probe
-//! executes ([`BudgetGate::try_reserve`]) and **released** if the probe fails
-//! without executing ([`BudgetGate::release`]), so the number of reserved
-//! slots can never exceed `max_probes`, even if threads race on one gate —
-//! and since the oracle reserves each probe right before executing it, the
-//! reserved count equals the executed count.
-//! The trip state is sticky and first-writer-wins: the first cap to trip is
-//! the one every later refusal reports. See DESIGN.md §8 ("Concurrency
-//! model") for the full protocol.
+//! *stateful* enforcement lives in [`BudgetGate`], plain state owned by one
+//! oracle. A probe slot is **reserved** before the probe executes
+//! ([`BudgetGate::try_reserve`]) and **released** if the probe fails
+//! without executing ([`BudgetGate::release`]), so the reserved count never
+//! exceeds `max_probes` and equals the executed count between probes.
+//! The trip state is sticky: the first cap to trip is the one every later
+//! refusal reports. See DESIGN.md §8 for the per-node protocol.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Limits on the work one interpretation's probing may perform.
@@ -147,48 +141,11 @@ impl RetryPolicy {
     }
 }
 
-/// The result of a refused [`BudgetGate::try_reserve`] (or an explicit
-/// [`BudgetGate::trip`]): which cap tripped, and whether this call was the
-/// one that tripped it. Exactly one caller per gate observes `newly == true`
-/// for a given trip — that caller increments the `budget_exhausted` metric,
-/// preserving the "tripped exactly once" accounting under concurrency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Trip {
-    /// Which cap tripped (the first one to trip; sticky).
-    pub why: Exhausted,
-    /// Whether this call transitioned the gate from open to tripped.
-    pub newly: bool,
-}
-
-/// Sticky trip state encoding for the gate's atomic (0 = open).
-const TRIP_NONE: u8 = 0;
-const TRIP_PROBES: u8 = 1;
-const TRIP_DEADLINE: u8 = 2;
-const TRIP_TUPLES: u8 = 3;
-
-fn trip_code(why: Exhausted) -> u8 {
-    match why {
-        Exhausted::Probes => TRIP_PROBES,
-        Exhausted::Deadline => TRIP_DEADLINE,
-        Exhausted::Tuples => TRIP_TUPLES,
-    }
-}
-
-fn trip_why(code: u8) -> Option<Exhausted> {
-    match code {
-        TRIP_PROBES => Some(Exhausted::Probes),
-        TRIP_DEADLINE => Some(Exhausted::Deadline),
-        TRIP_TUPLES => Some(Exhausted::Tuples),
-        _ => None,
-    }
-}
-
-/// Atomic, shareable enforcement state for one [`ProbeBudget`] window.
+/// The enforcement state of one [`ProbeBudget`] window.
 ///
 /// The gate is the budget's single source of truth: every probe and sample
-/// of an oracle reserves its slot here, and the probe count can never
-/// overshoot `max_probes`, even when reservations race. All state is atomic —
-/// checking and reserving never block.
+/// of an oracle reserves its slot here, so the probe count never overshoots
+/// `max_probes`.
 ///
 /// Protocol per probe:
 ///
@@ -200,17 +157,17 @@ fn trip_why(code: u8) -> Option<Exhausted> {
 ///    invariant that failed attempts never count against the budget.
 ///
 /// The deadline clock starts at the first `try_reserve` (the first probe
-/// attempt), exactly like the pre-gate oracle's lazily-set start instant.
+/// attempt).
 #[derive(Debug, Default)]
 pub struct BudgetGate {
     budget: ProbeBudget,
-    /// Probe slots handed out and not released; equals probes executed when
-    /// no probe is in flight.
-    reserved: AtomicU64,
-    /// First cap to trip (sticky), `TRIP_NONE` while open.
-    tripped: AtomicU8,
+    /// Probe slots handed out and not released; equals probes executed
+    /// between probes.
+    reserved: u64,
+    /// First cap to trip (sticky), `None` while open.
+    tripped: Option<Exhausted>,
     /// Wall-clock origin of the deadline, set at the first reservation.
-    started: OnceLock<Instant>,
+    started: Option<Instant>,
 }
 
 impl BudgetGate {
@@ -227,86 +184,59 @@ impl BudgetGate {
 
     /// Why probing stopped, if a cap tripped.
     pub fn tripped(&self) -> Option<Exhausted> {
-        trip_why(self.tripped.load(Ordering::Acquire))
+        self.tripped
     }
 
     /// Probe slots currently reserved (executed + in flight).
     pub fn reserved(&self) -> u64 {
-        self.reserved.load(Ordering::Relaxed)
+        self.reserved
     }
 
-    /// Trips the gate (sticky, first writer wins) and reports whether this
-    /// call did the tripping.
-    pub fn trip(&self, why: Exhausted) -> Trip {
-        match self.tripped.compare_exchange(
-            TRIP_NONE,
-            trip_code(why),
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => Trip { why, newly: true },
-            Err(prev) => Trip {
-                why: trip_why(prev).unwrap_or(why),
-                newly: false,
-            },
-        }
+    /// Trips the gate for `why` unless it already tripped, and returns the
+    /// cause in force: the first trip's, since trips are sticky.
+    pub fn trip(&mut self, why: Exhausted) -> Exhausted {
+        *self.tripped.get_or_insert(why)
     }
 
     /// Reserves one probe slot, checking the caps in the oracle's historical
     /// order (probes, deadline, tuples — `tuples_scanned` is the caller's
-    /// running total, typically `metrics.tuples_scanned`). A refusal trips
-    /// the gate stickily; once tripped every reservation is refused with the
-    /// original cause.
-    pub fn try_reserve(&self, tuples_scanned: u64) -> Result<(), Trip> {
-        if let Some(why) = self.tripped() {
-            return Err(Trip { why, newly: false });
+    /// running total, typically its `tuples_scanned` counter). A refusal
+    /// trips the gate stickily; once tripped every reservation is refused
+    /// with the original cause.
+    pub fn try_reserve(&mut self, tuples_scanned: u64) -> Result<(), Exhausted> {
+        if let Some(why) = self.tripped {
+            return Err(why);
         }
-        let start = *self.started.get_or_init(Instant::now);
-        if let Some(m) = self.budget.max_probes {
-            if self
-                .reserved
-                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |c| {
-                    (c < m).then_some(c + 1)
-                })
-                .is_err()
-            {
-                return Err(self.trip(Exhausted::Probes));
-            }
+        let start = *self.started.get_or_insert_with(Instant::now);
+        let why = if self.budget.max_probes.is_some_and(|m| self.reserved >= m) {
+            Exhausted::Probes
+        } else if self.budget.deadline.is_some_and(|d| start.elapsed() >= d) {
+            Exhausted::Deadline
+        } else if self.budget.max_tuples.is_some_and(|m| tuples_scanned >= m) {
+            Exhausted::Tuples
         } else {
-            self.reserved.fetch_add(1, Ordering::AcqRel);
-        }
-        if self.budget.deadline.is_some_and(|d| start.elapsed() >= d) {
-            self.release();
-            return Err(self.trip(Exhausted::Deadline));
-        }
-        if self.budget.max_tuples.is_some_and(|m| tuples_scanned >= m) {
-            self.release();
-            return Err(self.trip(Exhausted::Tuples));
-        }
-        Ok(())
+            self.reserved += 1;
+            return Ok(());
+        };
+        Err(self.trip(why))
     }
 
     /// Returns a reserved slot after a probe failed without executing
     /// (abandoned, or tripped mid-retry), so failed attempts never count.
-    pub fn release(&self) {
-        self.reserved.fetch_sub(1, Ordering::AcqRel);
+    pub fn release(&mut self) {
+        self.reserved -= 1;
     }
 
     /// Whether the wall-clock deadline has passed (false when no deadline is
     /// set or the clock has not started). Used by the retry loop, which may
     /// outlive the deadline while backing off.
     pub fn deadline_passed(&self) -> bool {
-        self.budget.deadline.is_some_and(|d| {
-            self.started.get().is_some_and(|s| s.elapsed() >= d)
-        })
+        self.budget.deadline.is_some_and(|d| self.started.is_some_and(|s| s.elapsed() >= d))
     }
 
-    /// Resets the window: slots, trip state and deadline clock (exclusive
-    /// access — resets never race with reservations).
+    /// Resets the window: slots, trip state and deadline clock.
     pub fn reset(&mut self) {
-        self.reserved.store(0, Ordering::Release);
-        self.tripped.store(TRIP_NONE, Ordering::Release);
-        self.started = OnceLock::new();
+        *self = BudgetGate::new(self.budget);
     }
 }
 
@@ -365,21 +295,18 @@ mod tests {
 
     #[test]
     fn gate_reserves_exactly_max_probes() {
-        let gate = BudgetGate::new(ProbeBudget::probes(2));
+        let mut gate = BudgetGate::new(ProbeBudget::probes(2));
         assert!(gate.try_reserve(0).is_ok());
         assert!(gate.try_reserve(0).is_ok());
-        let trip = gate.try_reserve(0).unwrap_err();
-        assert_eq!(trip.why, Exhausted::Probes);
-        assert!(trip.newly, "first refusal trips");
-        let again = gate.try_reserve(0).unwrap_err();
-        assert!(!again.newly, "sticky: later refusals do not re-trip");
+        assert_eq!(gate.try_reserve(0), Err(Exhausted::Probes), "the third refusal trips");
+        assert_eq!(gate.try_reserve(0), Err(Exhausted::Probes), "sticky");
         assert_eq!(gate.tripped(), Some(Exhausted::Probes));
         assert_eq!(gate.reserved(), 2);
     }
 
     #[test]
     fn gate_release_refunds_failed_probes() {
-        let gate = BudgetGate::new(ProbeBudget::probes(1));
+        let mut gate = BudgetGate::new(ProbeBudget::probes(1));
         assert!(gate.try_reserve(0).is_ok());
         gate.release();
         assert!(gate.try_reserve(0).is_ok(), "released slot is reusable");
@@ -388,14 +315,14 @@ mod tests {
 
     #[test]
     fn gate_deadline_and_tuples_trip() {
-        let gate = BudgetGate::new(ProbeBudget::default().with_deadline(Duration::ZERO));
-        assert_eq!(gate.try_reserve(0).unwrap_err().why, Exhausted::Deadline);
+        let mut gate = BudgetGate::new(ProbeBudget::default().with_deadline(Duration::ZERO));
+        assert_eq!(gate.try_reserve(0), Err(Exhausted::Deadline));
         assert_eq!(gate.reserved(), 0, "deadline refusal returns the slot");
         assert!(gate.deadline_passed());
 
-        let gate = BudgetGate::new(ProbeBudget::default().with_max_tuples(10));
+        let mut gate = BudgetGate::new(ProbeBudget::default().with_max_tuples(10));
         assert!(gate.try_reserve(9).is_ok());
-        assert_eq!(gate.try_reserve(10).unwrap_err().why, Exhausted::Tuples);
+        assert_eq!(gate.try_reserve(10), Err(Exhausted::Tuples));
     }
 
     #[test]
@@ -410,33 +337,11 @@ mod tests {
     }
 
     #[test]
-    fn gate_never_overshoots_under_contention() {
-        // 8 threads race for 100 slots; the total granted must be exactly 100.
-        let gate = BudgetGate::new(ProbeBudget::probes(100));
-        let granted = std::sync::atomic::AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for _ in 0..50 {
-                        if gate.try_reserve(0).is_ok() {
-                            granted.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(granted.load(std::sync::atomic::Ordering::Relaxed), 100);
-        assert_eq!(gate.reserved(), 100);
-        assert_eq!(gate.tripped(), Some(Exhausted::Probes));
-    }
-
-    #[test]
     fn gate_trip_is_first_writer_wins() {
-        let gate = BudgetGate::new(ProbeBudget::unlimited());
-        assert!(gate.trip(Exhausted::Deadline).newly);
-        let second = gate.trip(Exhausted::Tuples);
-        assert!(!second.newly);
-        assert_eq!(second.why, Exhausted::Deadline, "original cause reported");
+        let mut gate = BudgetGate::new(ProbeBudget::unlimited());
+        assert_eq!(gate.trip(Exhausted::Deadline), Exhausted::Deadline);
+        assert_eq!(gate.trip(Exhausted::Tuples), Exhausted::Deadline, "original cause reported");
         assert_eq!(gate.tripped(), Some(Exhausted::Deadline));
+        assert_eq!(gate.try_reserve(0), Err(Exhausted::Deadline));
     }
 }

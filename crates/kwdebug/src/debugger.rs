@@ -676,7 +676,7 @@ impl NonAnswerDebugger {
         outcome.probes.phase1_nodes_touched = pruned.phase1_nodes_touched();
         // Write-path gauges: the snapshot epoch this report was computed at,
         // and the lifetime invalidation/compaction counts of the substrate it
-        // read. Gauges, not probe work — `Metrics::delta` carries them
+        // read. Gauges, not probe work — `ProbeCounters::delta` carries them
         // through windows unchanged.
         outcome.probes.epoch = self.db.epoch();
         outcome.probes.entries_invalidated = self.cache.invalidated();

@@ -3,17 +3,16 @@
 //! The paper's entire evaluation (§3) ranks strategies by *how many SQL
 //! queries they execute* and *where the time goes*. This module makes those
 //! quantities first-class: every [`crate::oracle::AlivenessOracle`] owns a
-//! [`Metrics`] block of lock-free counters that the oracle and the Phase-3
-//! traversals increment as they work, and every layer above (traversal →
-//! debugger → bench binaries) reads them through cheap [`ProbeCounters`]
-//! snapshots with delta semantics.
+//! plain [`ProbeCounters`] block that the oracle and the Phase-3 traversals
+//! increment as they work, and every layer above (traversal → debugger →
+//! bench binaries) reads copies of it with delta semantics.
 //!
 //! Counter → paper cross-reference:
 //!
 //! | counter | incremented by | paper counterpart |
 //! |---|---|---|
 //! | `probes_executed` | oracle, per `is_alive`/`sample` execution | "# of SQL queries" (Figs. 11, 14; Table 4) |
-//! | `probe_time` | oracle, wall clock of each execution | "SQL time" (Figs. 12, 15) |
+//! | `probe_time_ns` | oracle, wall clock of each execution | "SQL time" (Figs. 12, 15) |
 //! | `tuples_scanned` | oracle, engine rows examined per probe, plus uncached selection builds (once per interpretation) | cost model behind §3.4 |
 //! | `memo_hits` | oracle, memoized verdict reuse (ablation knob) | beyond the paper (re-execution baseline) |
 //! | `r1_inferences` | traversals, nodes classified alive by rule R1 | §2.4 rule 1 |
@@ -29,15 +28,15 @@
 //! | `verdict_cache_hits` | oracle/dispatcher, probes answered (Alive *or* Dead) from a cached whole-network verdict | beyond the paper (evaluation cache) |
 //! | `cache_bytes` | oracle, payload bytes resident in the session [`crate::evalcache::EvalCache`] | beyond the paper (evaluation cache) |
 //! | `delta_postings_merged` | oracle, keyword selection builds whose posting list was merged on read over pending index deltas | beyond the paper (mutable databases) |
-//! | `coalesced_probes` | wave driver, probes answered by another session's in-flight execution through a [`crate::batch::WaveExchange`] | beyond the paper (cross-session single-flight) |
+//! | `coalesced_probes` | driver, probes answered by another session's in-flight execution through a [`crate::batch::WaveExchange`] | beyond the paper (cross-session single-flight) |
 //! | `epoch` | debugger, gauge of the session's pinned database write epoch | beyond the paper (mutable databases) |
 //! | `entries_invalidated` | debugger, gauge of cache entries evicted by write-delta invalidation | beyond the paper (mutable databases) |
 //! | `compactions` | debugger, gauge of the index's delta-postings compactions | beyond the paper (mutable databases) |
 //!
 //! The invariant the integration tests pin down: `probes_executed` equals the
 //! engine's own `ExecStats::queries`, so a strategy can never misreport its
-//! probe count. All counters are relaxed atomics, so every layer counts
-//! through a shared `&Metrics`.
+//! probe count. The oracle's block is plain owned data: one traversal probes
+//! one node at a time, so every event is counted through `&mut`.
 //!
 //! [`MetricsSnapshot`] bundles one experiment record (probes + per-phase
 //! timings + Phase-1/2 statistics) and renders it as a single stable-key JSON
@@ -46,302 +45,98 @@
 //! `probes` object are emitted in sorted order so bench diffs stay clean as
 //! counters are added.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use crate::lattice::LevelStats;
 use crate::prune::PruneStats;
 
-/// A monotonically increasing event counter (relaxed atomic, so it can be
-/// bumped through a shared borrow while the owner is otherwise `&mut`).
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// A counter starting at zero.
-    pub const fn new() -> Counter {
-        Counter(AtomicU64::new(0))
-    }
-
-    /// Adds one event.
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n` events.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// Overwrites the value — for the gauge-style fields (`epoch`,
-    /// `entries_invalidated`, `compactions`) that mirror external state
-    /// instead of counting events.
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Resets to zero.
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A monotonic accumulator of elapsed wall-clock time (stored as nanoseconds).
-#[derive(Debug, Default)]
-pub struct TimeCounter(AtomicU64);
-
-impl TimeCounter {
-    /// A timer starting at zero.
-    pub const fn new() -> TimeCounter {
-        TimeCounter(AtomicU64::new(0))
-    }
-
-    /// Accumulates one elapsed span.
-    pub fn add(&self, d: Duration) {
-        self.0.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Total accumulated time.
-    pub fn get(&self) -> Duration {
-        Duration::from_nanos(self.nanos())
-    }
-
-    /// Total accumulated nanoseconds.
-    pub fn nanos(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// Resets to zero.
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
-}
-
-/// The live instrumentation block owned by an aliveness oracle.
+/// The probe and inference counters of one oracle, or of a window of its
+/// work, with delta and merge semantics.
 ///
-/// The oracle maintains the probe counters itself; the Phase-3 strategies
-/// record their inference/reuse events through
-/// [`crate::oracle::AlivenessOracle::metrics`]. All fields are atomics, so
-/// recording never needs `&mut`.
-#[derive(Debug, Default)]
-pub struct Metrics {
+/// An [`crate::oracle::AlivenessOracle`] owns one block: it counts its
+/// probe-side events itself, and the Phase-3 strategies record their
+/// inference and reuse events through `&mut ProbeCounters`. Copies taken
+/// before and after a traversal subtract ([`ProbeCounters::delta`]) to
+/// attribute counts to that traversal alone; per-interpretation counters
+/// sum ([`ProbeCounters::accumulate`]) into per-query aggregates.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ProbeCounters {
     /// SQL probes actually executed (`is_alive` misses + report samples).
-    pub probes_executed: Counter,
-    /// Wall-clock time spent inside probe executions.
-    pub probe_time: TimeCounter,
+    pub probes_executed: u64,
+    /// Nanoseconds of wall-clock time spent inside probe executions.
+    pub probe_time_ns: u64,
     /// Engine rows examined across all probes, plus — without an
     /// evaluation cache — the rows read once per interpretation to build
     /// each bound keyword's selection.
-    pub tuples_scanned: Counter,
+    pub tuples_scanned: u64,
     /// `is_alive` calls answered from the memo table without executing.
-    pub memo_hits: Counter,
+    pub memo_hits: u64,
     /// Nodes classified alive by rule R1 (descendants of an executed alive
     /// node), excluding the executed node itself.
-    pub r1_inferences: Counter,
+    pub r1_inferences: u64,
     /// Nodes classified dead by rule R2 (ancestors of an executed dead
     /// node), excluding the executed node itself.
-    pub r2_inferences: Counter,
+    pub r2_inferences: u64,
     /// Traversal visits skipped because the node was already classified —
     /// cross-MTN sharing for the with-reuse strategies, within-MTN
     /// R1/R2 coverage for BU/TD.
-    pub reuse_hits: Counter,
+    pub reuse_hits: u64,
     /// Probe attempts re-issued after a transient failure (one per retry,
     /// not per probe).
-    pub retries: Counter,
+    pub retries: u64,
     /// Fault errors ([`relengine::EngineError::is_fault`]) observed by the
     /// oracle, whether or not a retry later succeeded.
-    pub faults_injected: Counter,
+    pub faults_injected: u64,
     /// Probes given up on after a permanent failure or exhausted retries;
     /// the node stays `Unknown` in the partial report.
-    pub probes_abandoned: Counter,
+    pub probes_abandoned: u64,
     /// Times a [`crate::budget::ProbeBudget`] cap tripped (at most once per
     /// oracle — budgets are sticky).
-    pub budget_exhausted: Counter,
+    pub budget_exhausted: u64,
     /// Posting-list entries scanned by the postings-based Phase 1 (union of
     /// unbound copies + bound-copy intersection; see `DESIGN.md` §9). A proxy
-    /// for Phase-1 work that, unlike the old full-lattice scan, shrinks with
-    /// selective keywords.
-    pub phase1_nodes_touched: Counter,
+    /// for Phase-1 work that shrinks with selective keywords.
+    pub phase1_nodes_touched: u64,
     /// `PrunedLattice` builds that reused a pooled
     /// [`crate::workspace::QueryWorkspace`] instead of allocating fresh
     /// scratch (first build on a pool slot counts 0).
-    pub workspace_reuses: Counter,
+    pub workspace_reuses: u64,
     /// Plan nodes whose keyword selection was served from the session
     /// [`crate::evalcache::EvalCache`] instead of re-evaluating the
     /// containment predicate.
-    pub selection_cache_hits: Counter,
+    pub selection_cache_hits: u64,
     /// Probes answered without touching the engine because the evaluation
     /// cache held a completed verdict for the network's canonical binding key
     /// ([`crate::evalcache::network_key`]), alive or dead; counted like an
     /// inference, never as a probe.
-    pub verdict_cache_hits: Counter,
+    pub verdict_cache_hits: u64,
     /// Payload bytes this oracle newly added to the session evaluation
     /// cache; summed across a session the counter equals the cache's
     /// resident size (warm runs that add nothing report 0).
-    pub cache_bytes: Counter,
+    pub cache_bytes: u64,
     /// Keyword selection builds (once per interpretation without a cache,
     /// once per cache miss with one) whose inverted-index posting list was
     /// assembled by a merge-on-read over pending write deltas
     /// ([`textindex::InvertedIndex::rows_containing`] returning an owned
     /// union) instead of a borrowed base list. 0 on fully-compacted indexes.
-    pub delta_postings_merged: Counter,
+    pub delta_postings_merged: u64,
     /// Probes answered by another session's in-flight execution of the same
     /// canonical network, waited on through a cross-session
     /// [`crate::batch::WaveExchange`] — counted like an inference (never
     /// as `probes_executed`), mirroring the memo-hit accounting. The probe
     /// still charges this session's budget gate at its original dispatch
     /// slot, so budget-cut partials match unbatched runs.
-    pub coalesced_probes: Counter,
+    pub coalesced_probes: u64,
     /// Gauge: the database write epoch this session is pinned at (set once
     /// per debug call, not accumulated — see [`ProbeCounters::delta`]).
-    pub epoch: Counter,
+    pub epoch: u64,
     /// Gauge: total entries the attached evaluation cache has evicted through
     /// write-delta invalidation ([`crate::evalcache::EvalCache::invalidated`]);
     /// 0 without a cache.
-    pub entries_invalidated: Counter,
+    pub entries_invalidated: u64,
     /// Gauge: total delta-postings compactions the session's inverted index
     /// has performed ([`textindex::InvertedIndex::compactions`]); 0 without
     /// an index.
-    pub compactions: Counter,
-}
-
-impl Metrics {
-    /// A zeroed metrics block.
-    pub const fn new() -> Metrics {
-        Metrics {
-            probes_executed: Counter::new(),
-            probe_time: TimeCounter::new(),
-            tuples_scanned: Counter::new(),
-            memo_hits: Counter::new(),
-            r1_inferences: Counter::new(),
-            r2_inferences: Counter::new(),
-            reuse_hits: Counter::new(),
-            retries: Counter::new(),
-            faults_injected: Counter::new(),
-            probes_abandoned: Counter::new(),
-            budget_exhausted: Counter::new(),
-            phase1_nodes_touched: Counter::new(),
-            workspace_reuses: Counter::new(),
-            selection_cache_hits: Counter::new(),
-            verdict_cache_hits: Counter::new(),
-            cache_bytes: Counter::new(),
-            delta_postings_merged: Counter::new(),
-            coalesced_probes: Counter::new(),
-            epoch: Counter::new(),
-            entries_invalidated: Counter::new(),
-            compactions: Counter::new(),
-        }
-    }
-
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> ProbeCounters {
-        ProbeCounters {
-            probes_executed: self.probes_executed.get(),
-            probe_time_ns: self.probe_time.nanos(),
-            tuples_scanned: self.tuples_scanned.get(),
-            memo_hits: self.memo_hits.get(),
-            r1_inferences: self.r1_inferences.get(),
-            r2_inferences: self.r2_inferences.get(),
-            reuse_hits: self.reuse_hits.get(),
-            retries: self.retries.get(),
-            faults_injected: self.faults_injected.get(),
-            probes_abandoned: self.probes_abandoned.get(),
-            budget_exhausted: self.budget_exhausted.get(),
-            phase1_nodes_touched: self.phase1_nodes_touched.get(),
-            workspace_reuses: self.workspace_reuses.get(),
-            selection_cache_hits: self.selection_cache_hits.get(),
-            verdict_cache_hits: self.verdict_cache_hits.get(),
-            cache_bytes: self.cache_bytes.get(),
-            delta_postings_merged: self.delta_postings_merged.get(),
-            coalesced_probes: self.coalesced_probes.get(),
-            epoch: self.epoch.get(),
-            entries_invalidated: self.entries_invalidated.get(),
-            compactions: self.compactions.get(),
-        }
-    }
-
-    /// Resets every counter to zero.
-    pub fn reset(&self) {
-        self.probes_executed.reset();
-        self.probe_time.reset();
-        self.tuples_scanned.reset();
-        self.memo_hits.reset();
-        self.r1_inferences.reset();
-        self.r2_inferences.reset();
-        self.reuse_hits.reset();
-        self.retries.reset();
-        self.faults_injected.reset();
-        self.probes_abandoned.reset();
-        self.budget_exhausted.reset();
-        self.phase1_nodes_touched.reset();
-        self.workspace_reuses.reset();
-        self.selection_cache_hits.reset();
-        self.verdict_cache_hits.reset();
-        self.cache_bytes.reset();
-        self.delta_postings_merged.reset();
-        self.coalesced_probes.reset();
-        self.epoch.reset();
-        self.entries_invalidated.reset();
-        self.compactions.reset();
-    }
-}
-
-/// A plain-value snapshot of [`Metrics`], with delta and merge semantics.
-///
-/// Snapshots taken before and after a traversal subtract
-/// ([`ProbeCounters::delta`]) to attribute counts to that traversal alone;
-/// per-interpretation counters sum ([`ProbeCounters::accumulate`]) into
-/// per-query aggregates.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProbeCounters {
-    /// SQL probes executed.
-    pub probes_executed: u64,
-    /// Nanoseconds spent executing probes.
-    pub probe_time_ns: u64,
-    /// Engine rows examined.
-    pub tuples_scanned: u64,
-    /// Memoized verdicts reused.
-    pub memo_hits: u64,
-    /// Nodes classified alive by rule R1.
-    pub r1_inferences: u64,
-    /// Nodes classified dead by rule R2.
-    pub r2_inferences: u64,
-    /// Visits skipped on already-classified nodes.
-    pub reuse_hits: u64,
-    /// Probe attempts re-issued after transient failures.
-    pub retries: u64,
-    /// Fault errors observed by the oracle.
-    pub faults_injected: u64,
-    /// Probes abandoned (node left `Unknown`).
-    pub probes_abandoned: u64,
-    /// Budget caps tripped.
-    pub budget_exhausted: u64,
-    /// Posting-list entries scanned by Phase 1.
-    pub phase1_nodes_touched: u64,
-    /// `PrunedLattice` builds that reused pooled workspace scratch.
-    pub workspace_reuses: u64,
-    /// Plan nodes served a shared keyword selection by the evaluation cache.
-    pub selection_cache_hits: u64,
-    /// Probes answered from a cached whole-network verdict (no execution).
-    pub verdict_cache_hits: u64,
-    /// Payload bytes newly added to the session evaluation cache.
-    pub cache_bytes: u64,
-    /// Bound plan nodes whose posting list was merged on read over pending
-    /// index write deltas.
-    pub delta_postings_merged: u64,
-    /// Probes answered by another session's in-flight execution (never
-    /// counted as `probes_executed`).
-    pub coalesced_probes: u64,
-    /// Gauge: database write epoch the session is pinned at.
-    pub epoch: u64,
-    /// Gauge: total cache entries evicted by write-delta invalidation.
-    pub entries_invalidated: u64,
-    /// Gauge: total delta-postings compactions of the session's index.
     pub compactions: u64,
 }
 
@@ -612,34 +407,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_count() {
-        let c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        c.reset();
-        assert_eq!(c.get(), 0);
-
-        let t = TimeCounter::new();
-        t.add(Duration::from_micros(3));
-        t.add(Duration::from_micros(2));
-        assert_eq!(t.get(), Duration::from_micros(5));
-        t.reset();
-        assert_eq!(t.nanos(), 0);
-    }
-
-    #[test]
     fn snapshot_delta_and_accumulate() {
-        let m = Metrics::new();
-        m.probes_executed.add(3);
-        m.r2_inferences.add(2);
-        m.epoch.set(5);
-        m.compactions.set(1);
-        let before = m.snapshot();
-        m.probes_executed.add(4);
-        m.probe_time.add(Duration::from_nanos(70));
-        m.reuse_hits.incr();
-        let window = m.snapshot().delta(before);
+        let before = ProbeCounters {
+            probes_executed: 3,
+            r2_inferences: 2,
+            epoch: 5,
+            compactions: 1,
+            ..ProbeCounters::default()
+        };
+        let mut after = before;
+        after.probes_executed += 4;
+        after.probe_time_ns += 70;
+        after.reuse_hits += 1;
+        let window = after.delta(before);
         assert_eq!(window.probes_executed, 4);
         assert_eq!(window.probe_time_ns, 70);
         assert_eq!(window.r2_inferences, 0);
@@ -654,16 +434,6 @@ mod tests {
         assert_eq!(sum.probes_executed, 8);
         assert_eq!(sum.probe_time(), Duration::from_nanos(140));
         assert_eq!(sum.epoch, 5, "gauges accumulate by max, not sum");
-    }
-
-    #[test]
-    fn metrics_reset_zeroes_everything() {
-        let m = Metrics::new();
-        m.probes_executed.incr();
-        m.memo_hits.incr();
-        m.r1_inferences.incr();
-        m.reset();
-        assert_eq!(m.snapshot(), ProbeCounters::default());
     }
 
     #[test]

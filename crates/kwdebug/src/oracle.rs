@@ -52,10 +52,10 @@
 //! sticky). [`AlivenessOracle::is_alive`] keeps the original hard-error
 //! contract on top of it.
 //!
-//! The oracle owns the [`Metrics`] block for its interpretation and keeps the
-//! probe-side counters itself; traversal strategies record their inference
-//! and reuse events through [`AlivenessOracle::metrics`]. Oracle-side
-//! accounting versus the paper:
+//! The oracle owns the [`ProbeCounters`] block for its interpretation and
+//! keeps the probe-side counters itself; the Phase-3 driver hands the same
+//! block to the strategies, which record their inference and reuse events
+//! through `&mut`. Oracle-side accounting versus the paper:
 //!
 //! | event | counters touched | paper counterpart |
 //! |---|---|---|
@@ -91,7 +91,7 @@ use crate::error::KwError;
 use crate::evalcache::{network_key, network_mask, EvalCache};
 use crate::jnts::Jnts;
 use crate::lattice::NodeId;
-use crate::metrics::Metrics;
+use crate::metrics::ProbeCounters;
 
 /// Builds the plain plan of a network under an interpretation: keyword
 /// copies get their keyword's containment predicate (plus the inverted-index
@@ -223,11 +223,11 @@ enum ProbeFail {
 /// Answers aliveness queries for lattice nodes, counting every execution.
 ///
 /// Holds everything a probe needs: the plan-builder inputs (all shared
-/// borrows), the verdict memo, the [`Metrics`] block, the budget gate, the
-/// retry policy, the per-interpretation keyword selections, the engine, and
-/// the reduced state of every network it executed alive.
-/// The Phase-3 wave driver ([`crate::traversal`]) probes through it one node
-/// at a time.
+/// borrows), the verdict memo, the [`ProbeCounters`] block, the budget gate,
+/// the retry policy, the per-interpretation keyword selections, the engine,
+/// and the reduced state of every network it executed alive.
+/// The Phase-3 driver ([`crate::traversal`]) probes through it one node at a
+/// time.
 pub struct AlivenessOracle<'a> {
     db: &'a Database,
     index: Option<&'a InvertedIndex>,
@@ -235,8 +235,8 @@ pub struct AlivenessOracle<'a> {
     keywords: &'a [String],
     /// Verdict memo (`None` when memoization is off).
     memo: Option<HashMap<NodeId, bool>>,
-    /// Probe/inference counters (relaxed atomics).
-    metrics: Metrics,
+    /// Probe/inference counters.
+    counters: ProbeCounters,
     /// Budget enforcement.
     gate: BudgetGate,
     retry: RetryPolicy,
@@ -276,7 +276,7 @@ impl<'a> AlivenessOracle<'a> {
             interp,
             keywords,
             memo: memoize.then(HashMap::new),
-            metrics: Metrics::new(),
+            counters: ProbeCounters::default(),
             gate: BudgetGate::new(ProbeBudget::default()),
             retry: RetryPolicy::default(),
             cache: None,
@@ -382,12 +382,11 @@ impl<'a> AlivenessOracle<'a> {
 
     /// Publishes a completed verdict to the verdict cache, if one is
     /// attached, counting the bytes it adds.
-    fn publish_verdict(&self, jnts: &Jnts, alive: bool) {
+    fn publish_verdict(&mut self, jnts: &Jnts, alive: bool) {
         if let Some(cache) = &self.cache {
             let key = self.binding_key(jnts, &mut |kw| cache.intern(kw));
-            self.metrics
-                .cache_bytes
-                .add(cache.insert_verdict(self.db.epoch(), key, network_mask(jnts), alive));
+            self.counters.cache_bytes +=
+                cache.insert_verdict(self.db.epoch(), key, network_mask(jnts), alive);
         }
     }
 
@@ -399,7 +398,7 @@ impl<'a> AlivenessOracle<'a> {
     /// oracle-side — never through a (possibly chaos-wrapped) engine — so a
     /// selection can never be poisoned by a fault. Counts one
     /// `delta_postings_merged` when the posting list had pending deltas.
-    fn compute_selection(&self, table: TableId, kw: &str) -> (Vec<RowId>, u64) {
+    fn compute_selection(&mut self, table: TableId, kw: &str) -> (Vec<RowId>, u64) {
         let pred = Predicate::any_text_contains(kw.to_owned()).compile();
         let t = self.db.table(table);
         let schema = t.schema();
@@ -407,7 +406,7 @@ impl<'a> AlivenessOracle<'a> {
             Some(idx) => {
                 let rows = idx.rows_containing(table, kw);
                 if matches!(rows, std::borrow::Cow::Owned(_)) {
-                    self.metrics.delta_postings_merged.incr();
+                    self.counters.delta_postings_merged += 1;
                 }
                 let sel = rows.iter().copied().filter(|&rid| pred.eval(schema, t.row(rid)));
                 (sel.collect(), rows.len() as u64)
@@ -419,32 +418,38 @@ impl<'a> AlivenessOracle<'a> {
         }
     }
 
-    /// Keyword `k`'s selection, bound to `table`: from the cache when one is
+    /// Keyword `k`'s selection, bound to `table`: from `cache` when one is
     /// attached, else built once for this interpretation, counting the rows
     /// the build reads into `tuples_scanned`.
-    fn selection(&mut self, k: usize, table: TableId) -> Arc<Vec<RowId>> {
+    fn selection(
+        &mut self,
+        cache: Option<&EvalCache>,
+        k: usize,
+        table: TableId,
+    ) -> Arc<Vec<RowId>> {
         let kw = &self.keywords[k];
-        if let Some(cache) = &self.cache {
+        if let Some(cache) = cache {
             return self.shared_selection(cache, table, kw);
         }
         if let Some(sel) = &self.local[k].selection {
             return Arc::clone(sel);
         }
         let (sel, read) = self.compute_selection(table, kw);
-        self.metrics.tuples_scanned.add(read);
+        self.counters.tuples_scanned += read;
         Arc::clone(self.local[k].selection.insert(Arc::new(sel)))
     }
 
-    /// Keyword `k`'s selection grouped by its values in `col`: from the cache
+    /// Keyword `k`'s selection grouped by its values in `col`: from `cache`
     /// when one is attached, else built once for this interpretation.
     fn postings(
         &mut self,
+        cache: Option<&EvalCache>,
         k: usize,
         table: TableId,
         col: ColId,
         sel: &Arc<Vec<RowId>>,
     ) -> Arc<ValuePostings> {
-        if let Some(cache) = &self.cache {
+        if let Some(cache) = cache {
             return self.shared_selection_postings(cache, table, &self.keywords[k], col, sel);
         }
         let db = self.db;
@@ -455,24 +460,24 @@ impl<'a> AlivenessOracle<'a> {
 
     /// The shared selection for one bound copy: cache hit, or computed and
     /// published. Counts `selection_cache_hits` / `cache_bytes`.
-    fn shared_selection(&self, cache: &EvalCache, table: TableId, kw: &str) -> Arc<Vec<RowId>> {
+    fn shared_selection(
+        &mut self,
+        cache: &EvalCache,
+        table: TableId,
+        kw: &str,
+    ) -> Arc<Vec<RowId>> {
         let pin = self.db.epoch();
         let kid = cache.intern(kw);
         let indexed = self.index.is_some();
         match cache.selection(pin, table, kid, indexed) {
             Some(sel) => {
-                self.metrics.selection_cache_hits.incr();
+                self.counters.selection_cache_hits += 1;
                 sel
             }
             None => {
-                let (sel, added) = cache.insert_selection(
-                    pin,
-                    table,
-                    kid,
-                    indexed,
-                    self.compute_selection(table, kw).0,
-                );
-                self.metrics.cache_bytes.add(added);
+                let sel = self.compute_selection(table, kw).0;
+                let (sel, added) = cache.insert_selection(pin, table, kid, indexed, sel);
+                self.counters.cache_bytes += added;
                 sel
             }
         }
@@ -485,7 +490,7 @@ impl<'a> AlivenessOracle<'a> {
     /// without re-reading rows. Counts `cache_bytes`
     /// only — it is derived state of an already-counted selection hit.
     fn shared_selection_postings(
-        &self,
+        &mut self,
         cache: &EvalCache,
         table: TableId,
         kw: &str,
@@ -501,7 +506,7 @@ impl<'a> AlivenessOracle<'a> {
         let postings = selection_postings(self.db.table(table), col, sel);
         let (postings, added) =
             cache.insert_selection_postings(pin, table, kid, indexed, col, postings);
-        self.metrics.cache_bytes.add(added);
+        self.counters.cache_bytes += added;
         postings
     }
 
@@ -515,7 +520,7 @@ impl<'a> AlivenessOracle<'a> {
         let cache = self.cache.as_ref()?;
         let key = self.binding_key(jnts, &mut |kw| cache.intern(kw));
         let alive = cache.verdict(self.db.epoch(), &key)?;
-        self.metrics.verdict_cache_hits.incr();
+        self.counters.verdict_cache_hits += 1;
         self.memoize(node, alive);
         Some(alive)
     }
@@ -534,6 +539,8 @@ impl<'a> AlivenessOracle<'a> {
     /// rows (see the module docs). It renders no SQL, so its nodes carry no
     /// aliases; alive plans are retained until the oracle drops.
     fn build_probe_plan(&mut self, jnts: &Jnts) -> Result<JoinTreePlan, EngineError> {
+        // An owned handle, so selection lookups can count into `self`.
+        let cache = self.cache.clone();
         let mut edges = Vec::with_capacity(jnts.join_count());
         let mut join_cols: Vec<Vec<ColId>> = vec![Vec::new(); jnts.node_count()];
         for e in jnts.edges() {
@@ -552,11 +559,12 @@ impl<'a> AlivenessOracle<'a> {
             let node = match self.interp.keyword_for(ts) {
                 None => PlanNode::free(ts.table),
                 Some(k) => {
-                    let sel = self.selection(k, ts.table);
+                    let sel = self.selection(cache.as_deref(), k, ts.table);
                     let pred = Predicate::any_text_contains(self.keywords[k].clone());
                     let mut node = PlanNode::new(ts.table, pred).with_selection(Arc::clone(&sel));
                     for &col in &join_cols[i] {
-                        node = node.with_col_postings(col, self.postings(k, ts.table, col, &sel));
+                        let postings = self.postings(cache.as_deref(), k, ts.table, col, &sel);
+                        node = node.with_col_postings(col, postings);
                     }
                     node
                 }
@@ -566,18 +574,15 @@ impl<'a> AlivenessOracle<'a> {
         JoinTreePlan::new(nodes, edges)
     }
 
-    /// Reserves one budget slot, translating a refusal into the sticky
-    /// [`Exhausted`] cause and counting the (single) trip event.
-    fn try_reserve(&self) -> Result<(), Exhausted> {
-        match self.gate.try_reserve(self.metrics.tuples_scanned.get()) {
-            Ok(()) => Ok(()),
-            Err(trip) => {
-                if trip.newly {
-                    self.metrics.budget_exhausted.incr();
-                }
-                Err(trip.why)
-            }
+    /// Reserves one budget slot. A refusal reports the sticky [`Exhausted`]
+    /// cause; the one that trips the gate counts `budget_exhausted`.
+    fn try_reserve(&mut self) -> Result<(), Exhausted> {
+        let open = self.gate.tripped().is_none();
+        let reserved = self.gate.try_reserve(self.counters.tuples_scanned);
+        if open && reserved.is_err() {
+            self.counters.budget_exhausted += 1;
         }
+        reserved
     }
 
     /// Runs one engine operation under the retry policy: transient failures
@@ -592,29 +597,38 @@ impl<'a> AlivenessOracle<'a> {
                 Ok(v) => return Ok(v),
                 Err(e) => {
                     if e.is_fault() {
-                        self.metrics.faults_injected.incr();
+                        self.counters.faults_injected += 1;
                     }
                     if e.is_transient() && attempt < self.retry.max_retries {
                         let backoff = self.retry.backoff(attempt);
                         if !backoff.is_zero() {
                             std::thread::sleep(backoff);
                         }
-                        self.metrics.retries.incr();
+                        self.counters.retries += 1;
                         attempt += 1;
-                        // The deadline may pass while backing off.
+                        // The deadline may pass while backing off. This
+                        // attempt's slot was reserved on an open gate, so
+                        // the trip is the window's first.
                         if self.gate.deadline_passed() {
-                            if self.gate.trip(Exhausted::Deadline).newly {
-                                self.metrics.budget_exhausted.incr();
-                            }
+                            self.gate.trip(Exhausted::Deadline);
+                            self.counters.budget_exhausted += 1;
                             return Err(ProbeFail::Exhausted(Exhausted::Deadline));
                         }
                         continue;
                     }
-                    self.metrics.probes_abandoned.incr();
+                    self.counters.probes_abandoned += 1;
                     return Err(ProbeFail::Node(e));
                 }
             }
         }
+    }
+
+    /// Counts one completed execution that started at `start` with the
+    /// engine at `rows_before` examined rows.
+    fn count_execution(&mut self, start: Instant, rows_before: u64) {
+        self.counters.probes_executed += 1;
+        self.counters.probe_time_ns += start.elapsed().as_nanos() as u64;
+        self.counters.tuples_scanned += self.engine.stats().rows_examined - rows_before;
     }
 
     /// Executes one probe whose budget slot is already reserved: plan,
@@ -629,7 +643,7 @@ impl<'a> AlivenessOracle<'a> {
             Ok(p) => p,
             Err(e) => {
                 self.gate.release();
-                self.metrics.probes_abandoned.incr();
+                self.counters.probes_abandoned += 1;
                 return Probe::NodeFailed(e);
             }
         };
@@ -638,11 +652,7 @@ impl<'a> AlivenessOracle<'a> {
         match self.execute_with_retry(|eng| eng.exists_retaining(&plan)) {
             Ok(reduced) => {
                 let alive = reduced.is_some();
-                self.metrics.probes_executed.incr();
-                self.metrics.probe_time.add(start.elapsed());
-                self.metrics
-                    .tuples_scanned
-                    .add(self.engine.stats().rows_examined - rows_before);
+                self.count_execution(start, rows_before);
                 self.memoize(node, alive);
                 // Executed verdicts (and only those — memo hits, inferences
                 // and cached verdicts are derived facts) feed the online p_a
@@ -681,7 +691,7 @@ impl<'a> AlivenessOracle<'a> {
     /// as if the probe had executed, so budget-cut partials match unbatched
     /// runs.
     pub(crate) fn record_coalesced(&mut self, node: NodeId, jnts: &Jnts, alive: bool) {
-        self.metrics.coalesced_probes.incr();
+        self.counters.coalesced_probes += 1;
         self.memoize(node, alive);
         if let Some(stats) = &self.pa_stats {
             stats.record(jnts.node_count(), alive);
@@ -726,7 +736,7 @@ impl<'a> AlivenessOracle<'a> {
         exchange: Option<&WaveExchange>,
     ) -> Probe {
         if let Some(alive) = self.verdict_if_known(node) {
-            self.metrics.memo_hits.incr();
+            self.counters.memo_hits += 1;
             return Probe::Verdict(alive);
         }
         if let Some(alive) = self.shortcut(node, jnts) {
@@ -790,11 +800,7 @@ impl<'a> AlivenessOracle<'a> {
         }
         match outcome {
             Ok(tuples) => {
-                self.metrics.probes_executed.incr();
-                self.metrics.probe_time.add(start.elapsed());
-                self.metrics
-                    .tuples_scanned
-                    .add(self.engine.stats().rows_examined - rows_before);
+                self.count_execution(start, rows_before);
                 Ok(tuples)
             }
             Err(ProbeFail::Node(e)) => {
@@ -832,21 +838,27 @@ impl<'a> AlivenessOracle<'a> {
 
     /// Memo hits (0 unless memoization is on).
     pub fn memo_hits(&self) -> u64 {
-        self.metrics.memo_hits.get()
+        self.counters.memo_hits
     }
 
-    /// The probe-level instrumentation block. Traversal strategies record
-    /// their R1/R2 inferences and reuse hits here; callers snapshot it
-    /// (before/after) to attribute counts to one traversal.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+    /// The probe-level counters. Traversal strategies record their R1/R2
+    /// inferences and reuse hits here; callers copy the block (before and
+    /// after) to attribute counts to one traversal.
+    pub fn metrics(&self) -> &ProbeCounters {
+        &self.counters
+    }
+
+    /// The counters, for the Phase-3 driver and the strategies to record
+    /// into.
+    pub(crate) fn counters_mut(&mut self) -> &mut ProbeCounters {
+        &mut self.counters
     }
 
     /// Resets execution statistics, metrics and the budget clock/trip state
     /// (not the memo, and not the fault schedule).
     pub fn reset_stats(&mut self) {
         self.engine.reset_stats();
-        self.metrics.reset();
+        self.counters = ProbeCounters::default();
         self.gate.reset();
     }
 
@@ -972,14 +984,14 @@ mod tests {
         oracle.is_alive(7, &j).unwrap();
         oracle.is_alive(7, &j).unwrap();
         oracle.sample(&j, 5).unwrap();
-        let snap = oracle.metrics().snapshot();
+        let snap = *oracle.metrics();
         assert_eq!(snap.probes_executed, oracle.queries(), "probe counter mirrors the engine");
         assert_eq!(snap.probes_executed, 2, "one is_alive miss + one sample");
         assert_eq!(snap.memo_hits, 1);
         assert!(snap.tuples_scanned > 0, "probes examine rows");
         assert_eq!(snap.r1_inferences + snap.r2_inferences + snap.reuse_hits, 0);
         oracle.reset_stats();
-        assert_eq!(oracle.metrics().snapshot(), crate::metrics::ProbeCounters::default());
+        assert_eq!(*oracle.metrics(), ProbeCounters::default());
         assert_eq!(oracle.queries(), 0);
     }
 
@@ -1065,7 +1077,7 @@ mod tests {
             Err(KwError::BudgetExhausted(Exhausted::Probes))
         ));
         assert_eq!(oracle.queries(), 0, "nothing executed");
-        let snap = oracle.metrics().snapshot();
+        let snap = oracle.metrics();
         assert_eq!(snap.budget_exhausted, 1, "tripped exactly once");
         assert_eq!(oracle.exhausted(), Some(Exhausted::Probes));
     }
@@ -1115,7 +1127,7 @@ mod tests {
                 .with_retry(RetryPolicy::immediate(3));
         let j = mtn_jnts();
         assert!(oracle.is_alive(0, &j).unwrap(), "retries get through the warm-up faults");
-        let snap = oracle.metrics().snapshot();
+        let snap = oracle.metrics();
         assert_eq!(snap.retries, 2);
         assert_eq!(snap.faults_injected, 2);
         assert_eq!(snap.probes_abandoned, 0);
@@ -1138,7 +1150,7 @@ mod tests {
             Probe::NodeFailed(e) => assert!(e.is_transient()),
             other => panic!("expected NodeFailed, got {other:?}"),
         }
-        let snap = oracle.metrics().snapshot();
+        let snap = oracle.metrics();
         assert_eq!(snap.retries, 2);
         assert_eq!(snap.faults_injected, 3, "initial attempt + two retries all faulted");
         assert_eq!(snap.probes_abandoned, 1);
@@ -1164,7 +1176,7 @@ mod tests {
             Probe::NodeFailed(e) => assert!(!e.is_transient() && e.is_fault()),
             other => panic!("expected NodeFailed, got {other:?}"),
         }
-        let snap = oracle.metrics().snapshot();
+        let snap = oracle.metrics();
         assert_eq!(snap.retries, 0, "permanent failures are not retried");
         assert_eq!(snap.probes_abandoned, 1);
     }
@@ -1224,7 +1236,7 @@ mod tests {
         // two posting rows (ptype 0 and 2) and red's one (color 0).
         let mut once = AlivenessOracle::new(&db, Some(&idx), interp, &m.keywords, false);
         assert!(once.is_alive(0, &j).unwrap());
-        let one = once.metrics().snapshot();
+        let one = once.metrics();
         assert_eq!(one.delta_postings_merged, 1, "only candle's postings are dirty");
         let selection_rows = one.tuples_scanned - once.stats().rows_examined;
         assert_eq!(selection_rows, 3);
@@ -1236,7 +1248,7 @@ mod tests {
         }
         assert!(many.is_alive(4, &Jnts::single(TupleSet::new(ptype, 1))).unwrap());
         assert_eq!(many.sample(&j, 5).unwrap().len(), 1);
-        let snap = many.metrics().snapshot();
+        let snap = many.metrics();
         assert_eq!(snap.probes_executed, 6);
         assert_eq!(snap.probes_executed, many.queries());
         assert_eq!(
@@ -1278,7 +1290,7 @@ mod tests {
             .with_eval_cache(Arc::clone(&cache));
         assert!(!o2.is_alive(0, &j).unwrap());
         assert_eq!(o2.queries(), 0, "cached verdict answers without executing");
-        let snap = o2.metrics().snapshot();
+        let snap = o2.metrics();
         assert_eq!(snap.verdict_cache_hits, 1);
         assert_eq!(snap.probes_executed, 0);
 
@@ -1286,7 +1298,7 @@ mod tests {
         // selection instead of re-evaluating the predicate.
         let single = Jnts::single(TupleSet::new(2, 1));
         assert!(o2.is_alive(1, &single).unwrap(), "saffron colors exist");
-        assert_eq!(o2.metrics().snapshot().selection_cache_hits, 1);
+        assert_eq!(o2.metrics().selection_cache_hits, 1);
 
         // A *larger* network was never probed whole, so no verdict exists for
         // it: it executes, and agrees with the plain oracle.
@@ -1312,7 +1324,7 @@ mod tests {
         let mut o = AlivenessOracle::new(&db, Some(&idx), interp, &m.keywords, false)
             .with_eval_cache(Arc::clone(&cache));
         assert_eq!(plain.is_alive(0, &j).unwrap(), o.is_alive(0, &j).unwrap());
-        assert_eq!(o.metrics().snapshot().verdict_cache_hits, 1, "warm repeat skips the engine");
+        assert_eq!(o.metrics().verdict_cache_hits, 1, "warm repeat skips the engine");
         assert_eq!(plain.sample(&j, 5).unwrap(), o.sample(&j, 5).unwrap(), "same tuples");
         // A larger network sharing the warmed item–color branch has no cached
         // verdict, so its probe executes — with the same verdict.
@@ -1377,7 +1389,7 @@ mod tests {
             }
         }
         assert!(!alive.is_empty(), "the fixture has an alive join that reads rows");
-        let snap = oracle.metrics().snapshot();
+        let snap = oracle.metrics();
         assert_eq!(snap.probes_executed, oracle.queries(), "a resumed sample is one query");
 
         // A transient fault on a join's sample attempt: the retry resumes.
@@ -1391,7 +1403,7 @@ mod tests {
         assert_eq!(&got, want, "the retry returns the same tuples");
         assert!(resumed_rows < *fresh_rows, "the retry resumed: {resumed_rows} rows");
         assert_eq!(chaotic.queries(), queries + 1, "the faulted attempt never ran");
-        let snap = chaotic.metrics().snapshot();
+        let snap = chaotic.metrics();
         assert_eq!((snap.retries, snap.faults_injected), (1, 1));
         assert_eq!(snap.probes_executed, chaotic.queries());
     }

@@ -8,36 +8,34 @@
 //! `r1_inferences`, `r2_inferences` or `reuse_hits` — its probe count *is*
 //! the pruned sub-lattice size.
 //!
-//! As a [`Frontier`], brute force emits one single wave holding every dense
-//! node in order: with no inference rules, every node is independent of
-//! every other, making it the best-case workload for the probe pool.
+//! As a [`Frontier`], brute force names every dense node in order.
 //!
 //! Degraded mode: an abandoned node simply stays unknown; budget exhaustion
 //! stops the scan and everything unvisited stays unknown.
 
-use crate::metrics::Metrics;
+use crate::metrics::ProbeCounters;
 use crate::prune::PrunedLattice;
 
 use super::{outcome_from_global_status, Classified, Frontier, Status};
 
 pub(super) struct BruteFrontier<'p> {
     pruned: &'p PrunedLattice,
-    emitted: bool,
+    /// Next dense node to name.
+    pos: usize,
     status: Vec<Status>,
 }
 
 impl<'p> BruteFrontier<'p> {
     pub(super) fn new(pruned: &'p PrunedLattice) -> Self {
-        BruteFrontier { pruned, emitted: false, status: vec![Status::Unknown; pruned.len()] }
+        BruteFrontier { pruned, pos: 0, status: vec![Status::Unknown; pruned.len()] }
     }
 }
 
 impl Frontier for BruteFrontier<'_> {
-    fn next_wave(&mut self, out: &mut Vec<usize>) {
-        if !self.emitted {
-            out.extend(0..self.pruned.len());
-            self.emitted = true;
-        }
+    fn next(&mut self) -> Option<usize> {
+        let n = (self.pos < self.pruned.len()).then_some(self.pos)?;
+        self.pos += 1;
+        Some(n)
     }
 
     fn is_unknown(&self, n: usize) -> bool {
@@ -46,13 +44,9 @@ impl Frontier for BruteFrontier<'_> {
         self.status[n] == Status::Unknown
     }
 
-    fn apply(&mut self, n: usize, alive: bool, _metrics: &Metrics) {
+    fn apply(&mut self, n: usize, alive: bool, _counters: &mut ProbeCounters) {
         self.status[n] = if alive { Status::Alive } else { Status::Dead };
     }
-
-    fn abandon(&mut self, _n: usize) {}
-
-    fn exhaust(&mut self) {}
 
     fn finish(self: Box<Self>) -> Classified {
         outcome_from_global_status(self.pruned, &self.status)

@@ -8,13 +8,10 @@
 //! between MTNs: a sub-query common to two MTNs is executed twice, which is
 //! exactly the redundancy the paper's reuse variants remove.
 //!
-//! As a [`Frontier`], BU emits one wave per *level run* of the current
-//! MTN's cone: `Desc+(m)` is ascending in dense index, hence ascending in
-//! level, so each maximal run of equal-level nodes is a wave. Same-level
-//! nodes are never ancestors of each other, so R2 from one wave member can
-//! never classify another — the wave-independence invariant of
-//! [`Frontier`]. When a cone's last wave drains, the MTN is classified and
-//! the next cone starts with a fresh status map.
+//! As a [`Frontier`], BU names the current MTN's cone in order: `Desc+(m)`
+//! is ascending in dense index, hence ascending in level. When a cone's
+//! last node has been visited, the MTN is classified and the next cone
+//! starts with a fresh status map.
 //!
 //! Metrics recorded (see [`crate::metrics`]): each skipped visit of an
 //! already-classified node is one `reuse_hits` (within-MTN only — BU shares
@@ -27,7 +24,7 @@
 //! exhaustion finishes the current MTN from whatever statuses it has, then
 //! files all remaining MTNs as unknown.
 
-use crate::metrics::Metrics;
+use crate::metrics::ProbeCounters;
 use crate::prune::PrunedLattice;
 
 use super::{Classified, Frontier, Status};
@@ -36,7 +33,7 @@ pub(super) struct BuFrontier<'p> {
     pruned: &'p PrunedLattice,
     /// Index into `pruned.mtns()` of the cone being swept.
     mtn_idx: usize,
-    /// Position of the next unemitted node within the current cone.
+    /// Position of the next node to name within the current cone.
     pos: usize,
     status: Vec<Status>,
     classified: Classified,
@@ -62,37 +59,29 @@ impl<'p> BuFrontier<'p> {
 }
 
 impl Frontier for BuFrontier<'_> {
-    fn next_wave(&mut self, out: &mut Vec<usize>) {
+    fn next(&mut self) -> Option<usize> {
         while !self.done {
             let cone = self.cone();
-            if self.pos >= cone.len() {
-                // Cone complete: classify this MTN, move to the next.
-                let m = self.pruned.mtns()[self.mtn_idx];
-                self.classified.classify_mtn(self.pruned, &self.status, m);
-                self.mtn_idx += 1;
-                self.pos = 0;
-                if self.mtn_idx >= self.pruned.mtns().len() {
-                    self.done = true;
-                    return;
-                }
-                self.status.fill(Status::Unknown);
-                continue;
-            }
-            // Emit the maximal run of equal-level nodes starting at pos.
-            let lvl = self.pruned.level(cone[self.pos]);
-            while self.pos < cone.len() && self.pruned.level(cone[self.pos]) == lvl {
-                out.push(cone[self.pos]);
+            if let Some(&n) = cone.get(self.pos) {
                 self.pos += 1;
+                return Some(n);
             }
-            return;
+            // Cone complete: classify this MTN, move to the next.
+            let m = self.pruned.mtns()[self.mtn_idx];
+            self.classified.classify_mtn(self.pruned, &self.status, m);
+            self.mtn_idx += 1;
+            self.pos = 0;
+            self.done = self.mtn_idx >= self.pruned.mtns().len();
+            self.status.fill(Status::Unknown);
         }
+        None
     }
 
     fn is_unknown(&self, n: usize) -> bool {
         self.status[n] == Status::Unknown
     }
 
-    fn apply(&mut self, n: usize, alive: bool, metrics: &Metrics) {
+    fn apply(&mut self, n: usize, alive: bool, counters: &mut ProbeCounters) {
         if alive {
             self.status[n] = Status::Alive;
         } else {
@@ -104,11 +93,9 @@ impl Frontier for BuFrontier<'_> {
                 }
                 self.status[a] = Status::Dead;
             }
-            metrics.r2_inferences.add(inferred);
+            counters.r2_inferences += inferred;
         }
     }
-
-    fn abandon(&mut self, _n: usize) {}
 
     fn exhaust(&mut self) {
         if self.done {

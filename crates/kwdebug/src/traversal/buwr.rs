@@ -6,11 +6,10 @@
 //! Rule R2 still prunes upward — a dead node kills its entire ancestor cone
 //! across every MTN's search space at once.
 //!
-//! As a [`Frontier`], BUWR emits one wave per global lattice level,
-//! ascending: dense order *is* level order, so the waves are the maximal
-//! equal-level runs of `0..len`. The sweep is the level-by-level climb of
-//! Algorithm 3, with "next level = parents of alive nodes" realized by R2
-//! having already marked the ancestors of dead nodes.
+//! As a [`Frontier`], BUWR names `0..len` in order: dense order *is* level
+//! order, so the sweep is the level-by-level climb of Algorithm 3, with
+//! "next level = parents of alive nodes" realized by R2 having already
+//! marked the ancestors of dead nodes.
 //!
 //! Metrics recorded (see [`crate::metrics`]): each visit skipped because the
 //! shared status map already classified the node is one `reuse_hits` — the
@@ -23,14 +22,14 @@
 //! budget exhaustion stops the sweep and the partial status map yields the
 //! MTN classification and MPAN bounds.
 
-use crate::metrics::Metrics;
+use crate::metrics::ProbeCounters;
 use crate::prune::PrunedLattice;
 
 use super::{outcome_from_global_status, Classified, Frontier, Status};
 
 pub(super) struct BuwrFrontier<'p> {
     pruned: &'p PrunedLattice,
-    /// Next unemitted dense node (dense order = level-ascending order).
+    /// Next dense node to name (dense order = level-ascending order).
     pos: usize,
     status: Vec<Status>,
 }
@@ -42,22 +41,17 @@ impl<'p> BuwrFrontier<'p> {
 }
 
 impl Frontier for BuwrFrontier<'_> {
-    fn next_wave(&mut self, out: &mut Vec<usize>) {
-        if self.pos >= self.pruned.len() {
-            return;
-        }
-        let lvl = self.pruned.level(self.pos);
-        while self.pos < self.pruned.len() && self.pruned.level(self.pos) == lvl {
-            out.push(self.pos);
-            self.pos += 1;
-        }
+    fn next(&mut self) -> Option<usize> {
+        let n = (self.pos < self.pruned.len()).then_some(self.pos)?;
+        self.pos += 1;
+        Some(n)
     }
 
     fn is_unknown(&self, n: usize) -> bool {
         self.status[n] == Status::Unknown
     }
 
-    fn apply(&mut self, n: usize, alive: bool, metrics: &Metrics) {
+    fn apply(&mut self, n: usize, alive: bool, counters: &mut ProbeCounters) {
         if alive {
             self.status[n] = Status::Alive;
         } else {
@@ -68,15 +62,8 @@ impl Frontier for BuwrFrontier<'_> {
                 }
                 self.status[a] = Status::Dead;
             }
-            metrics.r2_inferences.add(inferred);
+            counters.r2_inferences += inferred;
         }
-    }
-
-    fn abandon(&mut self, _n: usize) {}
-
-    fn exhaust(&mut self) {
-        // The partial status map already holds everything we know.
-        self.pos = self.pruned.len();
     }
 
     fn finish(self: Box<Self>) -> Classified {

@@ -27,8 +27,8 @@
 //! paper measures (Figures 11–12, Table 4).
 //!
 //! Every traversal is instrumented through the oracle's
-//! [`crate::metrics::Metrics`] block: [`run`] snapshots the counters before
-//! and after the strategy and attributes the delta to the returned
+//! [`crate::metrics::ProbeCounters`] block: [`run`] copies the counters
+//! before and after the strategy and attributes the delta to the returned
 //! [`TraversalOutcome::probes`] — probes executed, R1/R2 inferences fired,
 //! and visits skipped on already-classified nodes (`reuse_hits`, the
 //! quantity Figure 13's reuse percentage predicts).
@@ -50,21 +50,18 @@
 //! On a complete run both `unknown_mtns` and every `possible_mpans` entry
 //! are empty and the outcome is exactly the happy-path one.
 //!
-//! ## Wave emission and the one driver
+//! ## One node at a time
 //!
 //! Every strategy is implemented as a `Frontier`: a state machine that
-//! *emits* batches ("waves") of dense nodes to probe instead of probing
-//! them itself. A wave's nodes are mutually independent — no verdict inside
-//! the wave can classify another wave member through R1/R2 (for the
-//! order-based strategies this falls out of level structure: same-level
-//! nodes are never ancestor/descendant of each other). One driver loop
-//! (`drive`) walks each wave in the strategy's visit order and handles the
+//! names the next dense node to visit instead of probing it itself. One
+//! driver loop (`drive`) takes the nodes in that order and runs the
 //! per-node protocol (reuse check → memo check → cache shortcut → budget →
 //! probe → apply) for every configuration: each probe runs inline on the
 //! oracle's engine, through the [`crate::batch`] single-flight table when an
-//! exchange is attached, and is applied before the next node is checked.
-//! Strategies stay state machines that never probe; DESIGN.md §8.2 argues
-//! why every configuration reports the same classification and MPAN sets.
+//! exchange is attached, and is applied before the next node is named — the
+//! paper's probe, infer, pick-next loop (§2.5, Algorithm 3). DESIGN.md §8.2
+//! argues why every configuration reports the same classification and MPAN
+//! sets.
 
 mod brute;
 mod bu;
@@ -81,7 +78,7 @@ use crate::batch::WaveExchange;
 use crate::budget::Exhausted;
 use crate::error::KwError;
 use crate::lattice::Lattice;
-use crate::metrics::{Metrics, ProbeCounters};
+use crate::metrics::ProbeCounters;
 use crate::oracle::{AlivenessOracle, Probe};
 use crate::prune::PrunedLattice;
 
@@ -212,7 +209,7 @@ pub fn run(
 }
 
 /// [`run`] with an optional cross-session single-flight exchange: both go
-/// through the one wave driver.
+/// through the one driver.
 pub(crate) fn run_with(
     kind: StrategyKind,
     lattice: &Lattice,
@@ -223,7 +220,7 @@ pub(crate) fn run_with(
 ) -> Result<TraversalOutcome, KwError> {
     let q0 = oracle.stats().queries;
     let t0 = oracle.stats().total_time;
-    let m0 = oracle.metrics().snapshot();
+    let m0 = *oracle.metrics();
     let mut frontier: Box<dyn Frontier + '_> = match kind {
         StrategyKind::BottomUp => Box::new(bu::BuFrontier::new(pruned)),
         StrategyKind::TopDown => Box::new(td::TdFrontier::new(pruned)),
@@ -243,53 +240,49 @@ pub(crate) fn run_with(
         exhausted: oracle.exhausted(),
         sql_queries: oracle.stats().queries - q0,
         sql_time: oracle.stats().total_time.saturating_sub(t0),
-        probes: oracle.metrics().snapshot().delta(m0),
+        probes: oracle.metrics().delta(m0),
     })
 }
 
-/// A traversal strategy as a wave-emitting state machine.
+/// A traversal strategy as a state machine that names nodes to visit.
 ///
 /// The strategy owns its status bookkeeping and inference rules; the
-/// driver (`drive`) owns probing. Per wave it walks the emitted nodes **in
-/// emission order** and, for each node: already classified → count
-/// `reuse_hits`; memoized → count `memo_hits` and [`Frontier::apply`];
-/// otherwise reserve a budget slot and probe, then [`Frontier::apply`] the
-/// verdict. A budget refusal calls [`Frontier::exhaust`] and ends the
-/// traversal.
-///
-/// Implementations uphold the **wave-independence invariant**: no verdict
-/// applied for one wave member may classify another member of the same
-/// wave (R1/R2 reach only other levels, so emitting runs of equal lattice
-/// level satisfies this). A wave is thus a set of probes whose order does
-/// not change what any of them is asked; DESIGN.md §8 states it formally.
+/// driver (`drive`) owns probing. For each node [`Frontier::next`] names:
+/// already classified → count `reuse_hits`; memoized → count `memo_hits`
+/// and [`Frontier::apply`]; otherwise reserve a budget slot and probe, then
+/// [`Frontier::apply`] the verdict. A budget refusal calls
+/// [`Frontier::exhaust`] and ends the traversal.
 pub(crate) trait Frontier {
-    /// Emits the next wave of nodes in visit order into `out` (cleared by
-    /// the driver). An empty wave means the traversal is complete. Nodes
-    /// already classified at emission time are included — the driver counts
-    /// them as `reuse_hits` exactly like the sequential sweeps did.
-    fn next_wave(&mut self, out: &mut Vec<usize>);
+    /// The next dense node to visit, or `None` when the traversal is
+    /// complete. Sweeping strategies name nodes that an earlier verdict has
+    /// already classified — the driver counts them as `reuse_hits`.
+    fn next(&mut self) -> Option<usize>;
     /// Whether dense node `n` is still unclassified in this strategy's view.
     fn is_unknown(&self, n: usize) -> bool;
     /// Records a verdict for `n` and fires the strategy's inference rules,
-    /// counting `r1_inferences`/`r2_inferences` on `metrics`.
-    fn apply(&mut self, n: usize, alive: bool, metrics: &Metrics);
+    /// counting `r1_inferences`/`r2_inferences` on `counters`.
+    fn apply(&mut self, n: usize, alive: bool, counters: &mut ProbeCounters);
     /// Marks `n` permanently failed (degraded mode); it stays unclassified.
-    fn abandon(&mut self, n: usize);
+    /// The sweeps move past it; only a strategy that could name the same
+    /// unknown node again (SBH's greedy pick) must record it.
+    fn abandon(&mut self, _n: usize) {}
     /// The budget tripped: settle partial state (e.g. classify the
-    /// in-progress MTN, file the rest as unknown). No more waves follow.
-    fn exhaust(&mut self);
+    /// in-progress MTN, file the rest as unknown). The driver asks for no
+    /// further node, so a strategy whose status map already is its partial
+    /// state has nothing to do.
+    fn exhaust(&mut self) {}
     /// Consumes the frontier into the final MTN classification.
     fn finish(self: Box<Self>) -> Classified;
 }
 
-/// The one Phase-3 wave driver, for every strategy, with or without an
-/// exchange; DESIGN.md §8.2 gives its determinism argument.
+/// The one Phase-3 driver, for every strategy, with or without an exchange;
+/// DESIGN.md §8.2 gives its determinism argument.
 ///
-/// Per wave it walks the emitted nodes in visit order: an already
-/// classified node counts `reuse_hits`; any other is probed at once
+/// It takes the nodes in the strategy's visit order: an already classified
+/// node counts `reuse_hits`; any other is probed at once
 /// ([`AlivenessOracle::probe_through`]: memo, cache shortcut, or a reserved
 /// execution, through the exchange's single-flight table when one is
-/// attached) and its verdict applied before the next node is checked, so
+/// attached) and its verdict applied before the next node is named, so
 /// every budget cap trips within one probe. A budget refusal ends the
 /// traversal at that node; injected faults abandon their node; any other
 /// engine error (an invalid plan — a bug) propagates hard.
@@ -300,30 +293,23 @@ fn drive(
     frontier: &mut dyn Frontier,
     exchange: Option<&WaveExchange>,
 ) -> Result<(), KwError> {
-    let mut wave = Vec::new();
-    loop {
-        wave.clear();
-        frontier.next_wave(&mut wave);
-        if wave.is_empty() {
-            return Ok(());
+    while let Some(dense) = frontier.next() {
+        if !frontier.is_unknown(dense) {
+            oracle.counters_mut().reuse_hits += 1;
+            continue;
         }
-        for &dense in &wave {
-            if !frontier.is_unknown(dense) {
-                oracle.metrics().reuse_hits.incr();
-                continue;
-            }
-            let (node, jnts) = (pruned.lattice_id(dense), pruned.jnts(lattice, dense));
-            match oracle.probe_through(node, jnts, exchange) {
-                Probe::Verdict(alive) => frontier.apply(dense, alive, oracle.metrics()),
-                Probe::NodeFailed(e) if e.is_fault() => frontier.abandon(dense),
-                Probe::NodeFailed(e) => return Err(e.into()),
-                Probe::Exhausted(_) => {
-                    frontier.exhaust();
-                    return Ok(());
-                }
+        let (node, jnts) = (pruned.lattice_id(dense), pruned.jnts(lattice, dense));
+        match oracle.probe_through(node, jnts, exchange) {
+            Probe::Verdict(alive) => frontier.apply(dense, alive, oracle.counters_mut()),
+            Probe::NodeFailed(e) if e.is_fault() => frontier.abandon(dense),
+            Probe::NodeFailed(e) => return Err(e.into()),
+            Probe::Exhausted(_) => {
+                frontier.exhaust();
+                break;
             }
         }
     }
+    Ok(())
 }
 
 /// MTN classification collected by a strategy, including degraded-mode

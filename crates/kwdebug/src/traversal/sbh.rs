@@ -27,10 +27,8 @@
 //! `B` of all its descendants — total update work proportional to the sum of
 //! closure sizes, paid once over the whole traversal.
 //!
-//! As a [`Frontier`], SBH emits singleton waves: each greedy pick depends on
-//! every verdict so far, so there is no independent batch to fan out — the
-//! probe pool degenerates to sequential probing here (correct, just
-//! not faster), which is the honest reading of the heuristic.
+//! As a [`Frontier`], SBH names one greedy pick at a time: each pick
+//! depends on every verdict so far.
 //!
 //! Metrics recorded (see [`crate::metrics`]): every node resolved alongside
 //! an execution (the `resolved` set minus the executed node itself) counts as
@@ -42,7 +40,7 @@
 //! pick (it stays unknown but is never re-probed, or the loop would spin);
 //! the traversal ends when the budget trips or no pickable node remains.
 
-use crate::metrics::Metrics;
+use crate::metrics::ProbeCounters;
 use crate::prune::PrunedLattice;
 
 use super::{outcome_from_global_status, Classified, Frontier, Status};
@@ -60,7 +58,6 @@ pub(super) struct SbhFrontier<'p> {
     /// A(n)/B(n) over the current unknown set, maintained incrementally.
     a: Vec<i64>,
     b: Vec<i64>,
-    exhausted: bool,
 }
 
 impl<'p> SbhFrontier<'p> {
@@ -86,16 +83,12 @@ impl<'p> SbhFrontier<'p> {
             w,
             a,
             b,
-            exhausted: false,
         }
     }
 }
 
 impl Frontier for SbhFrontier<'_> {
-    fn next_wave(&mut self, out: &mut Vec<usize>) {
-        if self.exhausted {
-            return;
-        }
+    fn next(&mut self) -> Option<usize> {
         // Greedy pick: maximal expected resolution among the pickable
         // unknowns. Ties break toward the lowest dense index (lowest level)
         // for determinism.
@@ -109,16 +102,14 @@ impl Frontier for SbhFrontier<'_> {
                 best = Some((gain, n));
             }
         }
-        if let Some((_, n)) = best {
-            out.push(n);
-        }
+        best.map(|(_, n)| n)
     }
 
     fn is_unknown(&self, n: usize) -> bool {
         self.status[n] == Status::Unknown
     }
 
-    fn apply(&mut self, n: usize, alive: bool, metrics: &Metrics) {
+    fn apply(&mut self, n: usize, alive: bool, counters: &mut ProbeCounters) {
         // Nodes resolved by this outcome (R1 downward or R2 upward).
         let resolved: Vec<usize> = if alive {
             self.pruned.desc_plus(n).iter().copied()
@@ -131,9 +122,9 @@ impl Frontier for SbhFrontier<'_> {
         };
         let inferred = (resolved.len() as u64).saturating_sub(1);
         if alive {
-            metrics.r1_inferences.add(inferred);
+            counters.r1_inferences += inferred;
         } else {
-            metrics.r2_inferences.add(inferred);
+            counters.r2_inferences += inferred;
         }
         let new_status = if alive { Status::Alive } else { Status::Dead };
         for &x in &resolved {
@@ -152,10 +143,6 @@ impl Frontier for SbhFrontier<'_> {
 
     fn abandon(&mut self, n: usize) {
         self.abandoned[n] = true;
-    }
-
-    fn exhaust(&mut self) {
-        self.exhausted = true;
     }
 
     fn finish(self: Box<Self>) -> Classified {

@@ -8,11 +8,9 @@
 //! dead MTN these are exactly its MPANs, though we extract them uniformly
 //! from the final statuses.
 //!
-//! As a [`Frontier`], TD emits one wave per *level run* of the current
-//! MTN's cone walked in reverse (`Desc+(m)` descending = level-descending).
-//! Same-level nodes are never descendants of each other, so R1 from one
-//! wave member can never classify another — the wave-independence invariant
-//! the wave driver needs.
+//! As a [`Frontier`], TD names the current MTN's cone in reverse
+//! (`Desc+(m)` descending = level-descending), then moves to the next cone
+//! with a fresh status map.
 //!
 //! Metrics recorded (see [`crate::metrics`]): each skipped visit of an
 //! already-classified node is one `reuse_hits` (within-MTN only, counted by
@@ -24,7 +22,7 @@
 //! continues; budget exhaustion finishes the current MTN from whatever
 //! statuses it has, then files all remaining MTNs as unknown.
 
-use crate::metrics::Metrics;
+use crate::metrics::ProbeCounters;
 use crate::prune::PrunedLattice;
 
 use super::{Classified, Frontier, Status};
@@ -33,7 +31,7 @@ pub(super) struct TdFrontier<'p> {
     pruned: &'p PrunedLattice,
     /// Index into `pruned.mtns()` of the cone being swept.
     mtn_idx: usize,
-    /// Number of cone nodes already emitted (walking the cone in reverse).
+    /// Number of cone nodes already named (walking the cone in reverse).
     pos: usize,
     status: Vec<Status>,
     classified: Classified,
@@ -55,45 +53,30 @@ impl<'p> TdFrontier<'p> {
     fn cone(&self) -> &'p [usize] {
         self.pruned.desc_plus(self.pruned.mtns()[self.mtn_idx])
     }
-
-    /// The cone node at reverse-walk position `pos`.
-    fn at(&self, pos: usize) -> usize {
-        let cone = self.cone();
-        cone[cone.len() - 1 - pos]
-    }
 }
 
 impl Frontier for TdFrontier<'_> {
-    fn next_wave(&mut self, out: &mut Vec<usize>) {
+    fn next(&mut self) -> Option<usize> {
         while !self.done {
-            let len = self.cone().len();
-            if self.pos >= len {
-                let m = self.pruned.mtns()[self.mtn_idx];
-                self.classified.classify_mtn(self.pruned, &self.status, m);
-                self.mtn_idx += 1;
-                self.pos = 0;
-                if self.mtn_idx >= self.pruned.mtns().len() {
-                    self.done = true;
-                    return;
-                }
-                self.status.fill(Status::Unknown);
-                continue;
-            }
-            // Emit the maximal run of equal-level nodes, walking downward.
-            let lvl = self.pruned.level(self.at(self.pos));
-            while self.pos < len && self.pruned.level(self.at(self.pos)) == lvl {
-                out.push(self.at(self.pos));
+            if let Some(&n) = self.cone().iter().rev().nth(self.pos) {
                 self.pos += 1;
+                return Some(n);
             }
-            return;
+            let m = self.pruned.mtns()[self.mtn_idx];
+            self.classified.classify_mtn(self.pruned, &self.status, m);
+            self.mtn_idx += 1;
+            self.pos = 0;
+            self.done = self.mtn_idx >= self.pruned.mtns().len();
+            self.status.fill(Status::Unknown);
         }
+        None
     }
 
     fn is_unknown(&self, n: usize) -> bool {
         self.status[n] == Status::Unknown
     }
 
-    fn apply(&mut self, n: usize, alive: bool, metrics: &Metrics) {
+    fn apply(&mut self, n: usize, alive: bool, counters: &mut ProbeCounters) {
         if alive {
             // R1: every descendant of an alive node is alive.
             let mut inferred = 0;
@@ -103,13 +86,11 @@ impl Frontier for TdFrontier<'_> {
                 }
                 self.status[d] = Status::Alive;
             }
-            metrics.r1_inferences.add(inferred);
+            counters.r1_inferences += inferred;
         } else {
             self.status[n] = Status::Dead;
         }
     }
-
-    fn abandon(&mut self, _n: usize) {}
 
     fn exhaust(&mut self) {
         if self.done {

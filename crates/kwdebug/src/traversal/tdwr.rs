@@ -6,10 +6,8 @@
 //! concentrate at high levels (the DBLife behaviour in §3.5), this is the
 //! strongest of the four order-based strategies.
 //!
-//! As a [`Frontier`], TDWR emits one wave per global lattice level,
-//! descending: the maximal equal-level runs of `(0..len).rev()`. Same-level
-//! nodes are never descendants of each other, so R1 from one wave member
-//! can never classify another.
+//! As a [`Frontier`], TDWR names `(0..len).rev()` in order: dense order is
+//! level order, so the sweep descends one lattice level after another.
 //!
 //! Metrics recorded (see [`crate::metrics`]): each visit skipped because the
 //! shared status map already classified the node is one `reuse_hits`
@@ -22,47 +20,35 @@
 //! budget exhaustion stops the sweep and the partial status map yields the
 //! MTN classification and MPAN bounds.
 
-use crate::metrics::Metrics;
+use crate::metrics::ProbeCounters;
 use crate::prune::PrunedLattice;
 
 use super::{outcome_from_global_status, Classified, Frontier, Status};
 
 pub(super) struct TdwrFrontier<'p> {
     pruned: &'p PrunedLattice,
-    /// Number of dense nodes already emitted, walking `0..len` in reverse.
-    emitted: usize,
+    /// Number of dense nodes not yet named; the next one is `left - 1`.
+    left: usize,
     status: Vec<Status>,
 }
 
 impl<'p> TdwrFrontier<'p> {
     pub(super) fn new(pruned: &'p PrunedLattice) -> Self {
-        TdwrFrontier { pruned, emitted: 0, status: vec![Status::Unknown; pruned.len()] }
-    }
-
-    /// The dense node at reverse-walk position `pos`.
-    fn at(&self, pos: usize) -> usize {
-        self.pruned.len() - 1 - pos
+        TdwrFrontier { pruned, left: pruned.len(), status: vec![Status::Unknown; pruned.len()] }
     }
 }
 
 impl Frontier for TdwrFrontier<'_> {
-    fn next_wave(&mut self, out: &mut Vec<usize>) {
-        let len = self.pruned.len();
-        if self.emitted >= len {
-            return;
-        }
-        let lvl = self.pruned.level(self.at(self.emitted));
-        while self.emitted < len && self.pruned.level(self.at(self.emitted)) == lvl {
-            out.push(self.at(self.emitted));
-            self.emitted += 1;
-        }
+    fn next(&mut self) -> Option<usize> {
+        self.left = self.left.checked_sub(1)?;
+        Some(self.left)
     }
 
     fn is_unknown(&self, n: usize) -> bool {
         self.status[n] == Status::Unknown
     }
 
-    fn apply(&mut self, n: usize, alive: bool, metrics: &Metrics) {
+    fn apply(&mut self, n: usize, alive: bool, counters: &mut ProbeCounters) {
         if alive {
             let mut inferred = 0;
             for &d in self.pruned.desc_plus(n) {
@@ -71,16 +57,10 @@ impl Frontier for TdwrFrontier<'_> {
                 }
                 self.status[d] = Status::Alive;
             }
-            metrics.r1_inferences.add(inferred);
+            counters.r1_inferences += inferred;
         } else {
             self.status[n] = Status::Dead;
         }
-    }
-
-    fn abandon(&mut self, _n: usize) {}
-
-    fn exhaust(&mut self) {
-        self.emitted = self.pruned.len();
     }
 
     fn finish(self: Box<Self>) -> Classified {

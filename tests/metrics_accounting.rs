@@ -222,3 +222,69 @@ fn deadline_mid_traversal_keeps_probe_accounting_grounded() {
         );
     }
 }
+
+/// FNV-1a, 64-bit: a stable digest of a rendered golden table.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// The visit-order lock. Per Table 2 query, each strategy's rendered row
+/// holds the counters that depend on which node it probes next —
+/// `probes_executed`, `r1_inferences`, `r2_inferences`, `reuse_hits` — and
+/// its unknown-MTN count under `ProbeBudget::probes(k)` for k = 1, 2, 3, 5,
+/// 8, over DBLife `tiny` with the default report sampling, at maxJoins 3
+/// and 4 (at 3 most queries have no MTN, so 4 carries most of the lock).
+/// The digests were recorded once; a strategy that reorders its visits
+/// moves at least one figure, and the failure message prints its rows.
+#[test]
+fn visit_order_is_pinned_on_the_table2_workload() {
+    use datagen::{generate_dblife, paper_queries, DblifeConfig};
+    use kwdebug::debugger::{DebugConfig, NonAnswerDebugger};
+
+    const GOLDEN: [(usize, &str, u64); 12] = [
+        (3, "BU", 0x5719_64fa_3f22_a885),
+        (3, "BUWR", 0x5719_64fa_3f22_a885),
+        (3, "TD", 0x6068_d688_e6f0_c3fa),
+        (3, "TDWR", 0x6068_d688_e6f0_c3fa),
+        (3, "SBH", 0xf886_8e51_84fa_9561),
+        (3, "BRUTE", 0x428e_2ae4_e311_4b65),
+        (4, "BU", 0x6972_8ad2_9312_a4ed),
+        (4, "BUWR", 0x2465_28cb_673d_26e8),
+        (4, "TD", 0x65c7_d7d7_cf8d_2d07),
+        (4, "TDWR", 0xc4b0_bac8_0d31_b0af),
+        (4, "SBH", 0x3518_2402_9389_bb7b),
+        (4, "BRUTE", 0xca0a_8f1b_87d6_3ec9),
+    ];
+    let db = generate_dblife(&DblifeConfig::tiny());
+    let mut failures = Vec::new();
+    for max_joins in [3, 4] {
+        let config = DebugConfig { max_joins, ..DebugConfig::default() };
+        let mut sys = NonAnswerDebugger::new(db.clone(), config).expect("system builds");
+        for kind in StrategyKind::ALL.into_iter().chain([StrategyKind::BruteForce]) {
+            let mut rows = String::new();
+            for q in paper_queries() {
+                sys.set_budget(ProbeBudget::unlimited());
+                let p = sys.debug_with_strategy(q.text, kind).expect("query runs").probes();
+                let unknown: Vec<usize> = [1, 2, 3, 5, 8]
+                    .into_iter()
+                    .map(|k| {
+                        sys.set_budget(ProbeBudget::probes(k));
+                        sys.debug_with_strategy(q.text, kind).expect("query runs").unknown_count()
+                    })
+                    .collect();
+                rows.push_str(&format!(
+                    "{} [{}, {}, {}, {}] {unknown:?}\n",
+                    q.id, p.probes_executed, p.r1_inferences, p.r2_inferences, p.reuse_hits
+                ));
+            }
+            let want = GOLDEN.iter().find(|g| (g.0, g.1) == (max_joins, kind.name()));
+            let got = fnv1a(rows.as_bytes());
+            if want.map(|g| g.2) != Some(got) {
+                failures.push(format!("maxJoins {max_joins} {kind}: digest {got:#018x}\n{rows}"));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "visit order moved:\n{}", failures.join("\n"));
+}

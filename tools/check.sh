@@ -81,7 +81,7 @@ cargo test --workspace --release -q --test chaos_soak
 echo "==> shared-cache soak (cross-tenant chaos against one store, accounting, pollution)"
 cargo test --workspace --release -q --test shared_cache_soak
 
-echo "==> batched probing differential (cross-session waves, budgets, chaos, mid-wave death)"
+echo "==> batched probing differential (cross-session single-flight, budgets, chaos, mid-traversal death)"
 cargo test --workspace --release -q --test batch_equivalence
 
 echo "==> serving load generator (E16 smoke + E17 overload + E18 warm + E20 batch, records to a scratch directory)"
