@@ -27,6 +27,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
+use crate::evalcache::Interner;
 use crate::jnts::Jnts;
 use crate::lattice::NodeId;
 use crate::oracle::{AlivenessOracle, Probe};
@@ -88,7 +89,7 @@ impl ProbeCell {
 pub struct WaveExchange {
     /// The exchange's own keyword interner: canonical keys must agree
     /// *across* sessions, so they cannot use any session cache's ids.
-    interner: Mutex<HashMap<String, u64>>,
+    interner: Interner,
     inflight: Mutex<HashMap<Key, Arc<ProbeCell>>>,
     merged_waves: AtomicU64,
     submitted: AtomicU64,
@@ -114,13 +115,6 @@ impl WaveExchange {
     /// Cells in flight; zero whenever no probe is executing.
     pub fn pending_cells(&self) -> usize {
         self.inflight.lock().unwrap().len()
-    }
-
-    /// The exchange-wide id of a keyword, shared by every session.
-    fn intern(&self, kw: &str) -> u64 {
-        let mut map = self.interner.lock().unwrap();
-        let next = map.len() as u64;
-        *map.entry(kw.to_owned()).or_insert(next)
     }
 
     /// Looks `key` up: the owner takes a fresh cell into `owned` (which
@@ -154,7 +148,7 @@ impl WaveExchange {
         jnts: &Jnts,
     ) -> Probe {
         let db = oracle.database();
-        let key = (db.db_id(), db.epoch(), oracle.binding_key(jnts, &mut |kw| self.intern(kw)));
+        let key = (db.db_id(), db.epoch(), oracle.binding_key(jnts, &self.interner));
         let mut owned = OwnedCell { exchange: self, cell: None };
         let Some(cell) = self.claim(key, &mut owned) else {
             let probe = oracle.execute_reserved(node, jnts);

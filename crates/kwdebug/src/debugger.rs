@@ -64,7 +64,10 @@ pub struct DebugConfig {
     /// probe of every debug call (extension; off by default like `memoize`).
     /// Keyword selections and their join-column postings are evaluated once
     /// per session instead of once per interpretation, and completed
-    /// whole-network verdicts answer repeated probes across queries.
+    /// whole-network verdicts answer repeated probes across queries. Each
+    /// interpretation still takes a keyword's selection once: a build on a
+    /// cache miss counts the rows it reads into `tuples_scanned`, as without
+    /// a cache, and a cache hit counts one `selection_cache_hits` and no rows.
     /// Reports are bit-identical
     /// with the cache on or off (the differential suite pins this down); only
     /// probe work shrinks. Caveat:

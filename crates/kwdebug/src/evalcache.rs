@@ -84,18 +84,19 @@
 //! `tests/mutation_equivalence.rs`) pin reports bit-identical with the cache
 //! off, session-scoped, or shared — including across seeded mutations.
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use relengine::sortedvals::ValuePostings;
-use relengine::{ColId, Database, DataType, DeltaKind, RowId, TableId};
+use relengine::{ColId, DataType, Database, DeltaKind, RowId, TableId, Value};
 
 use crate::canonical::{direction_aware_adjacency, rooted_subtree_key};
 use crate::jnts::Jnts;
 
-/// Number of lock stripes per map (a power of two, so a stripe is a mask away).
+/// Number of lock stripes per layer.
 const SHARDS: usize = 16;
 
 /// Key of one cached selection: table, interned keyword id, and whether the
@@ -118,32 +119,151 @@ pub fn network_mask(j: &Jnts) -> u64 {
     j.nodes().iter().fold(0, |m, ts| m | table_mask_bit(ts.table))
 }
 
+/// Keyword strings to dense ids in first-seen order. A keyword is looked up
+/// before it is copied, so the common case — an id already handed out —
+/// allocates nothing.
+#[derive(Default)]
+pub(crate) struct Interner {
+    ids: Mutex<HashMap<String, u64>>,
+}
+
+impl Interner {
+    /// The id of `kw`, assigning the next one on first sight.
+    pub(crate) fn intern(&self, kw: &str) -> u64 {
+        let mut ids = self.ids.lock().expect("interner poisoned");
+        if let Some(&id) = ids.get(kw) {
+            return id;
+        }
+        let id = ids.len() as u64;
+        ids.insert(kw.to_owned(), id);
+        id
+    }
+}
+
+/// Whether an entry stamped `entry_epoch` may be served to a reader pinned
+/// at `pin`: the entry must not come from a future snapshot. (Entries from
+/// *past* epochs are safe — invalidation removed every entry a later write
+/// dirtied, so a surviving old entry is bitwise what the reader's snapshot
+/// would compute.)
+fn visible(entry_epoch: u64, pin: u64) -> bool {
+    entry_epoch <= pin
+}
+
 /// One resident cache entry: the shared value, its accounted footprint, the
 /// logical-clock stamp of its last touch (insert or hit) driving LRU
 /// eviction, the epoch of the snapshot it was computed from (read fence), and
 /// the set of tables it was computed over (invalidation reachability).
 struct Entry<V> {
-    value: Arc<V>,
+    value: V,
     bytes: u64,
     stamp: u64,
     epoch: u64,
     mask: u64,
 }
 
-/// One lock-striped map: `SHARDS` independently locked hash maps.
-type Striped<K, V> = Vec<Mutex<HashMap<K, Entry<V>>>>;
-
-fn shard_of<K: Hash>(key: &K) -> usize {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() as usize) % SHARDS
+/// One cache layer: `SHARDS` independently locked maps from `K` to stamped
+/// entries. Values are cheap to copy (an `Arc` or a `bool`), so a lookup
+/// hands out a copy and holds no lock past the call.
+struct Layer<K, V> {
+    shards: Vec<Mutex<HashMap<K, Entry<V>>>>,
 }
 
-/// Which striped map a victim entry lives in (internal to eviction).
-enum Victim {
-    Selection(SelectionKey),
-    Postings((SelectionKey, ColId)),
-    Verdict(Vec<u8>),
+impl<K: Hash + Eq + Clone, V: Clone> Layer<K, V> {
+    fn new() -> Self {
+        Layer { shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect() }
+    }
+
+    /// The shard of `key`, locked. `Q` is any borrowed form of `K` (verdicts
+    /// are looked up by `&[u8]`, with no owned key); `Borrow` makes both
+    /// hash alike.
+    fn shard<Q: Hash + ?Sized>(&self, key: &Q) -> MutexGuard<'_, HashMap<K, Entry<V>>> {
+        let mut h = DefaultHasher::new();
+        key.hash(&mut h);
+        self.shards[(h.finish() as usize) % SHARDS].lock().expect("cache shard poisoned")
+    }
+
+    /// The value under `key` if it is visible to a reader pinned at `pin`,
+    /// restamped with `stamp()` (only taken on a hit).
+    fn get<Q>(&self, key: &Q, pin: u64, stamp: impl FnOnce() -> u64) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let mut shard = self.shard(key);
+        let entry = shard.get_mut(key).filter(|e| visible(e.epoch, pin))?;
+        entry.stamp = stamp();
+        Some(entry.value.clone())
+    }
+
+    /// Inserts `entry` unless the epoch it was computed at is no longer the
+    /// cache's `current` one (checked under the shard lock, see
+    /// [`EvalCache::invalidate`]) or `key` is already resident. Returns the
+    /// value to use — the resident one when it is visible to the entry's
+    /// epoch, else the entry's own — and the bytes newly added (0 unless
+    /// inserted).
+    fn insert(&self, key: K, entry: Entry<V>, current: &AtomicU64) -> (V, u64) {
+        let mut shard = self.shard(&key);
+        if entry.epoch != current.load(Ordering::SeqCst) {
+            return (entry.value, 0);
+        }
+        if let Some(existing) = shard.get(&key) {
+            let visible = visible(existing.epoch, entry.epoch);
+            return (if visible { existing.value.clone() } else { entry.value }, 0);
+        }
+        let (value, bytes) = (entry.value.clone(), entry.bytes);
+        shard.insert(key, entry);
+        (value, bytes)
+    }
+
+    /// Keeps only the entries `keep` accepts; returns the number removed and
+    /// the bytes they held.
+    fn retain(&self, mut keep: impl FnMut(&K, &Entry<V>) -> bool) -> (u64, u64) {
+        let (mut removed, mut freed) = (0, 0);
+        for shard in &self.shards {
+            shard.lock().expect("cache shard poisoned").retain(|k, e| {
+                let kept = keep(k, e);
+                if !kept {
+                    removed += 1;
+                    freed += e.bytes;
+                }
+                kept
+            });
+        }
+        (removed, freed)
+    }
+
+    /// The stamp and key of the least-recently-touched entry.
+    fn oldest(&self) -> Option<(u64, K)> {
+        self.shards
+            .iter()
+            .filter_map(|s| {
+                let map = s.lock().expect("cache shard poisoned");
+                map.iter().min_by_key(|(_, e)| e.stamp).map(|(k, e)| (e.stamp, k.clone()))
+            })
+            .min_by_key(|(stamp, _)| *stamp)
+    }
+
+    /// Removes `key`, returning the bytes it held (`None` if absent).
+    fn remove(&self, key: &K) -> Option<u64> {
+        self.shard(key).remove(key).map(|e| e.bytes)
+    }
+
+    /// The summed footprint of the resident entries.
+    fn bytes(&self) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| s.lock().expect("cache shard poisoned").values().map(|e| e.bytes).sum::<u64>())
+            .sum()
+    }
+
+    fn len(&self) -> usize {
+        self.shards.iter().map(|s| s.lock().expect("cache shard poisoned").len()).sum()
+    }
+}
+
+/// The stamp of a layer's oldest entry, `u64::MAX` for an empty layer.
+fn stamp_of<K>(oldest: &Option<(u64, K)>) -> u64 {
+    oldest.as_ref().map_or(u64::MAX, |(stamp, _)| *stamp)
 }
 
 /// The cross-probe evaluation cache shared by all probes of one debug
@@ -152,15 +272,15 @@ enum Victim {
 /// See the module docs for the layers, the epoch contract and the LRU byte
 /// budget.
 pub struct EvalCache {
-    selections: Striped<SelectionKey, Vec<RowId>>,
+    selections: Layer<SelectionKey, Arc<Vec<RowId>>>,
     /// Per-column value→rows postings of a cached selection — the derived
     /// sets probes attach as `PlanNode::col_postings`, extracted once per
     /// (selection, column) per epoch.
-    sel_postings: Striped<(SelectionKey, ColId), ValuePostings>,
+    postings: Layer<(SelectionKey, ColId), Arc<ValuePostings>>,
     /// Completed whole-network verdicts by canonical binding key (see
     /// [`network_key`]); `true` = alive.
-    verdicts: Striped<Vec<u8>, bool>,
-    interner: Mutex<HashMap<String, u64>>,
+    verdicts: Layer<Vec<u8>, bool>,
+    pub(crate) interner: Interner,
     /// Sum of resident entry footprints. Incremented on insert, decremented
     /// on eviction and invalidation — `bytes() == accounted_bytes()` is the
     /// accounting identity the shared-cache suite asserts.
@@ -193,10 +313,10 @@ impl EvalCache {
     /// bounded by `budget` payload bytes (`None` = unbounded).
     pub fn with_identity(db_id: u64, epoch: u64, budget: Option<u64>) -> EvalCache {
         EvalCache {
-            selections: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            sel_postings: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            verdicts: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            interner: Mutex::new(HashMap::new()),
+            selections: Layer::new(),
+            postings: Layer::new(),
+            verdicts: Layer::new(),
+            interner: Interner::default(),
             bytes: AtomicU64::new(0),
             clock: AtomicU64::new(0),
             budget,
@@ -218,28 +338,41 @@ impl EvalCache {
     /// Stable per-cache id of a keyword string (used in binding labels and
     /// selection keys, so entries survive across queries sharing keywords).
     pub fn intern(&self, keyword: &str) -> u64 {
-        let mut map = self.interner.lock().expect("interner poisoned");
-        let next = map.len() as u64;
-        *map.entry(keyword.to_owned()).or_insert(next)
+        self.interner.intern(keyword)
     }
 
-    /// Whether an entry stamped `entry_epoch` may be served to a reader
-    /// pinned at `pin`: the entry must not come from a future snapshot.
-    /// (Entries from *past* epochs are safe — invalidation removed every
-    /// entry a later write dirtied, so a surviving old entry is bitwise what
-    /// the reader's snapshot would compute.)
-    fn visible(entry_epoch: u64, pin: u64) -> bool {
-        entry_epoch <= pin
+    /// Looks `key` up in `layer` as seen from epoch `pin`, stamping a hit
+    /// most-recently-used and counting the hit or miss.
+    fn lookup<K, Q, V>(&self, layer: &Layer<K, V>, pin: u64, key: &Q) -> Option<V>
+    where
+        K: Hash + Eq + Clone + Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+        V: Clone,
+    {
+        let hit = layer.get(key, pin, || self.tick());
+        let counter = if hit.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
     }
 
-    /// Whether an insert pinned at `pin` may populate the store: only when
-    /// the pin is the cache's current epoch. Checked under the shard lock so
-    /// it races cleanly with [`EvalCache::invalidate`] publishing a new
-    /// epoch (either the insert lands before the invalidation scan reaches
-    /// the shard — and the scan removes it if dirty — or the inserter
-    /// observes the new epoch and drops the write).
-    fn admissible(&self, pin: u64) -> bool {
-        pin == self.epoch.load(Ordering::SeqCst)
+    /// Inserts into `layer` through its write fence ([`Layer::insert`]),
+    /// accounting the bytes added and evicting past the budget.
+    fn admit<K: Hash + Eq + Clone, V: Clone>(
+        &self,
+        layer: &Layer<K, V>,
+        pin: u64,
+        key: K,
+        value: V,
+        bytes: u64,
+        mask: u64,
+    ) -> (V, u64) {
+        let entry = Entry { value, bytes, stamp: self.tick(), epoch: pin, mask };
+        let (value, added) = layer.insert(key, entry, &self.epoch);
+        if added > 0 {
+            self.bytes.fetch_add(added, Ordering::Relaxed);
+            self.maybe_evict();
+        }
+        (value, added)
     }
 
     /// Looks up a cached selection as seen from epoch `pin`, stamping it
@@ -251,20 +384,7 @@ impl EvalCache {
         kw: u64,
         indexed: bool,
     ) -> Option<Arc<Vec<RowId>>> {
-        let key = (table, kw, indexed);
-        let mut shard =
-            self.selections[shard_of(&key)].lock().expect("selection shard poisoned");
-        match shard.get_mut(&key) {
-            Some(entry) if Self::visible(entry.epoch, pin) => {
-                entry.stamp = self.tick();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&entry.value))
-            }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.lookup(&self.selections, pin, &(table, kw, indexed))
     }
 
     /// Inserts a selection computed at epoch `pin`, keeping the existing
@@ -280,27 +400,9 @@ impl EvalCache {
         indexed: bool,
         rows: Vec<RowId>,
     ) -> (Arc<Vec<RowId>>, u64) {
-        let key = (table, kw, indexed);
-        let stamp = self.tick();
-        let mut shard =
-            self.selections[shard_of(&key)].lock().expect("selection shard poisoned");
-        if !self.admissible(pin) {
-            return (Arc::new(rows), 0);
-        }
-        if let Some(existing) = shard.get(&key) {
-            if Self::visible(existing.epoch, pin) {
-                return (Arc::clone(&existing.value), 0);
-            }
-            return (Arc::new(rows), 0);
-        }
         let bytes = std::mem::size_of_val(rows.as_slice()) as u64;
-        let arc = Arc::new(rows);
-        let mask = table_mask_bit(table);
-        shard.insert(key, Entry { value: Arc::clone(&arc), bytes, stamp, epoch: pin, mask });
-        drop(shard);
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.maybe_evict();
-        (arc, bytes)
+        let key = (table, kw, indexed);
+        self.admit(&self.selections, pin, key, Arc::new(rows), bytes, table_mask_bit(table))
     }
 
     /// Looks up the cached value→rows postings of selection
@@ -314,20 +416,7 @@ impl EvalCache {
         indexed: bool,
         col: ColId,
     ) -> Option<Arc<ValuePostings>> {
-        let key = ((table, kw, indexed), col);
-        let mut shard =
-            self.sel_postings[shard_of(&key)].lock().expect("selection-postings shard poisoned");
-        match shard.get_mut(&key) {
-            Some(entry) if Self::visible(entry.epoch, pin) => {
-                entry.stamp = self.tick();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&entry.value))
-            }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.lookup(&self.postings, pin, &((table, kw, indexed), col))
     }
 
     /// Inserts the value→rows postings of a selection in one column, keeping
@@ -343,44 +432,15 @@ impl EvalCache {
         col: ColId,
         postings: ValuePostings,
     ) -> (Arc<ValuePostings>, u64) {
-        let key = ((table, kw, indexed), col);
-        let stamp = self.tick();
-        let mut shard =
-            self.sel_postings[shard_of(&key)].lock().expect("selection-postings shard poisoned");
-        if !self.admissible(pin) {
-            return (Arc::new(postings), 0);
-        }
-        if let Some(existing) = shard.get(&key) {
-            if Self::visible(existing.epoch, pin) {
-                return (Arc::clone(&existing.value), 0);
-            }
-            return (Arc::new(postings), 0);
-        }
         let bytes = postings.payload_bytes();
-        let arc = Arc::new(postings);
-        let mask = table_mask_bit(table);
-        shard.insert(key, Entry { value: Arc::clone(&arc), bytes, stamp, epoch: pin, mask });
-        drop(shard);
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.maybe_evict();
-        (arc, bytes)
+        let key = ((table, kw, indexed), col);
+        self.admit(&self.postings, pin, key, Arc::new(postings), bytes, table_mask_bit(table))
     }
 
     /// Looks up a completed whole-network verdict by canonical binding key as
     /// seen from epoch `pin`, stamping it most-recently-used.
     pub fn verdict(&self, pin: u64, key: &[u8]) -> Option<bool> {
-        let mut shard = self.verdicts[shard_of(&key)].lock().expect("verdict shard poisoned");
-        match shard.get_mut(key) {
-            Some(entry) if Self::visible(entry.epoch, pin) => {
-                entry.stamp = self.tick();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(*entry.value)
-            }
-            _ => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.lookup(&self.verdicts, pin, key)
     }
 
     /// Inserts a completed whole-network verdict computed at epoch `pin` over
@@ -388,24 +448,8 @@ impl EvalCache {
     /// dropping fenced-out writes. Returns the bytes newly added (0 when it
     /// lost the race or was fenced).
     pub fn insert_verdict(&self, pin: u64, key: Vec<u8>, tables_mask: u64, alive: bool) -> u64 {
-        let stamp = self.tick();
-        let shard = shard_of(&key.as_slice());
-        let mut map = self.verdicts[shard].lock().expect("verdict shard poisoned");
-        if !self.admissible(pin) {
-            return 0;
-        }
-        if map.contains_key(key.as_slice()) {
-            return 0;
-        }
         let bytes = (key.len() + 1) as u64;
-        map.insert(
-            key,
-            Entry { value: Arc::new(alive), bytes, stamp, epoch: pin, mask: tables_mask },
-        );
-        drop(map);
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.maybe_evict();
-        bytes
+        self.admit(&self.verdicts, pin, key, alive, bytes, tables_mask).1
     }
 
     /// Advances the cache to `db`'s current epoch, evicting exactly the
@@ -416,7 +460,7 @@ impl EvalCache {
     /// still pinned at the old epoch are fenced out of every shard the scan
     /// has yet to reach (and any stale entry that slips into a shard before
     /// the scan gets there is removed by the scan itself if dirty —
-    /// see `EvalCache::admissible`).
+    /// see `Layer::insert`).
     ///
     /// When the database's delta log no longer covers this cache's epoch,
     /// nothing can be proven clean and the whole store is purged.
@@ -446,52 +490,23 @@ impl EvalCache {
         for d in deltas {
             dirty_mask |= table_mask_bit(d.table);
             let t = db.table(d.table);
-            let text_cols: Vec<ColId> = t
-                .schema()
-                .columns
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.ty == DataType::Text)
-                .map(|(i, _)| i)
-                .collect();
             let texts = dirty_text.entry(d.table).or_default();
+            // The text values of `row` in the written columns (every column
+            // for appends and deletes).
+            let mut note = |row: &[Value]| {
+                let cols = d.cols.iter().filter(|&&c| t.schema().columns[c].ty == DataType::Text);
+                texts.extend(cols.filter_map(|&c| row[c].as_text()).map(str::to_ascii_lowercase));
+            };
             match d.kind {
-                DeltaKind::Append => {
-                    for &rid in &d.rows {
-                        let row = t.row(rid);
-                        for &c in &text_cols {
-                            if let Some(s) = row[c].as_text() {
-                                texts.push(s.to_ascii_lowercase());
-                            }
-                        }
-                    }
-                }
+                DeltaKind::Append => d.rows.iter().for_each(|&rid| note(t.row(rid))),
                 DeltaKind::Update => {
-                    dirty_cols.entry(d.table).or_default().extend(d.cols.iter().copied());
                     for (rid, old) in &d.old {
-                        let new_row = t.row(*rid);
-                        for &c in &d.cols {
-                            if !text_cols.contains(&c) {
-                                continue;
-                            }
-                            if let Some(s) = old[c].as_text() {
-                                texts.push(s.to_ascii_lowercase());
-                            }
-                            if let Some(s) = new_row[c].as_text() {
-                                texts.push(s.to_ascii_lowercase());
-                            }
-                        }
+                        note(old);
+                        note(t.row(*rid));
                     }
+                    dirty_cols.entry(d.table).or_default().extend(d.cols.iter().copied());
                 }
-                DeltaKind::Delete => {
-                    for (_, old) in &d.old {
-                        for &c in &text_cols {
-                            if let Some(s) = old[c].as_text() {
-                                texts.push(s.to_ascii_lowercase());
-                            }
-                        }
-                    }
-                }
+                DeltaKind::Delete => d.old.iter().for_each(|(_, old)| note(old)),
             }
         }
 
@@ -499,9 +514,9 @@ impl EvalCache {
         // table contains the keyword — the exact condition under which a row
         // enters, leaves, or re-enters the predicate's answer.
         let dirty_kws: HashSet<(TableId, u64)> = {
-            let interner = self.interner.lock().expect("interner poisoned");
+            let ids = self.interner.ids.lock().expect("interner poisoned");
             let mut dirty = HashSet::new();
-            for (kw, &id) in interner.iter() {
+            for (kw, &id) in ids.iter() {
                 let kw_lower = kw.to_ascii_lowercase();
                 for (&table, texts) in &dirty_text {
                     if texts.iter().any(|t| t.contains(&kw_lower)) {
@@ -512,77 +527,36 @@ impl EvalCache {
             dirty
         };
 
-        let mut removed = 0u64;
-        let mut freed = 0u64;
-        for shard in &self.selections {
-            let mut map = shard.lock().expect("selection shard poisoned");
-            map.retain(|k, e| {
-                let dirty = dirty_kws.contains(&(k.0, k.1));
-                if dirty {
-                    freed += e.bytes;
-                    removed += 1;
-                }
-                !dirty
-            });
-        }
         // Postings are derived from (selection rows, column values): dirty
         // when the selection is, or when the column itself was updated under
         // a surviving selection. Appends and deletes need no extra test —
         // they change a selection's postings only by changing the selection,
         // and a row joining or leaving a selection always carries the keyword
         // in its text, which the selection test above already catches.
-        for shard in &self.sel_postings {
-            let mut map = shard.lock().expect("selection-postings shard poisoned");
-            map.retain(|(sel, col), e| {
-                let dirty = dirty_kws.contains(&(sel.0, sel.1))
-                    || dirty_cols.get(&sel.0).is_some_and(|cols| cols.contains(col));
-                if dirty {
-                    freed += e.bytes;
-                    removed += 1;
-                }
-                !dirty
-            });
-        }
-        for shard in &self.verdicts {
-            let mut map = shard.lock().expect("verdict shard poisoned");
-            map.retain(|_, e| {
-                let dirty = e.mask & dirty_mask != 0;
-                if dirty {
-                    freed += e.bytes;
-                    removed += 1;
-                }
-                !dirty
-            });
-        }
-        self.bytes.fetch_sub(freed, Ordering::Relaxed);
-        self.invalidated.fetch_add(removed, Ordering::Relaxed);
-        removed
+        self.forget([
+            self.selections.retain(|k, _| !dirty_kws.contains(&(k.0, k.1))),
+            self.postings.retain(|(sel, col), _| {
+                !dirty_kws.contains(&(sel.0, sel.1))
+                    && !dirty_cols.get(&sel.0).is_some_and(|cols| cols.contains(col))
+            }),
+            self.verdicts.retain(|_, e| e.mask & dirty_mask == 0),
+        ])
     }
 
     /// Removes every resident entry (delta log truncated past this cache's
     /// epoch — nothing can be proven clean). Returns the entry count.
     fn purge_all(&self) -> u64 {
-        let mut removed = 0u64;
-        let mut freed = 0u64;
-        let drain = |freed: &mut u64, removed: &mut u64, bytes: u64, n: usize| {
-            *freed += bytes;
-            *removed += n as u64;
-        };
-        for shard in &self.selections {
-            let mut map = shard.lock().expect("selection shard poisoned");
-            drain(&mut freed, &mut removed, map.values().map(|e| e.bytes).sum(), map.len());
-            map.clear();
-        }
-        for shard in &self.sel_postings {
-            let mut map = shard.lock().expect("selection-postings shard poisoned");
-            drain(&mut freed, &mut removed, map.values().map(|e| e.bytes).sum(), map.len());
-            map.clear();
-        }
-        for shard in &self.verdicts {
-            let mut map = shard.lock().expect("verdict shard poisoned");
-            drain(&mut freed, &mut removed, map.values().map(|e| e.bytes).sum(), map.len());
-            map.clear();
-        }
+        self.forget([
+            self.selections.retain(|_, _| false),
+            self.postings.retain(|_, _| false),
+            self.verdicts.retain(|_, _| false),
+        ])
+    }
+
+    /// Books the `(entries, bytes)` each layer dropped to invalidation;
+    /// returns the entry total.
+    fn forget(&self, dropped: [(u64, u64); 3]) -> u64 {
+        let (removed, freed) = dropped.iter().fold((0, 0), |(n, b), &(dn, db)| (n + dn, b + db));
         self.bytes.fetch_sub(freed, Ordering::Relaxed);
         self.invalidated.fetch_add(removed, Ordering::Relaxed);
         removed
@@ -600,49 +574,15 @@ impl EvalCache {
         }
         let _guard = self.evict_lock.lock().expect("evict lock poisoned");
         while self.bytes.load(Ordering::Relaxed) > budget {
-            // Find the globally oldest entry across all three maps.
-            let mut best: Option<(u64, Victim)> = None;
-            let better = |best: &Option<(u64, Victim)>, stamp: u64| {
-                best.as_ref().is_none_or(|(s, _)| stamp < *s)
-            };
-            for shard in &self.selections {
-                for (k, e) in shard.lock().expect("selection shard poisoned").iter() {
-                    if better(&best, e.stamp) {
-                        best = Some((e.stamp, Victim::Selection(*k)));
-                    }
-                }
-            }
-            for shard in &self.sel_postings {
-                for (k, e) in shard.lock().expect("selection-postings shard poisoned").iter() {
-                    if better(&best, e.stamp) {
-                        best = Some((e.stamp, Victim::Postings(*k)));
-                    }
-                }
-            }
-            for shard in &self.verdicts {
-                for (k, e) in shard.lock().expect("verdict shard poisoned").iter() {
-                    if better(&best, e.stamp) {
-                        best = Some((e.stamp, Victim::Verdict(k.clone())));
-                    }
-                }
-            }
-            let Some((_, victim)) = best else { break };
-            let freed = match victim {
-                Victim::Selection(k) => self.selections[shard_of(&k)]
-                    .lock()
-                    .expect("selection shard poisoned")
-                    .remove(&k)
-                    .map(|e| e.bytes),
-                Victim::Postings(k) => self.sel_postings[shard_of(&k)]
-                    .lock()
-                    .expect("selection-postings shard poisoned")
-                    .remove(&k)
-                    .map(|e| e.bytes),
-                Victim::Verdict(k) => self.verdicts[shard_of(&k.as_slice())]
-                    .lock()
-                    .expect("verdict shard poisoned")
-                    .remove(k.as_slice())
-                    .map(|e| e.bytes),
+            let (sel, post, ver) =
+                (self.selections.oldest(), self.postings.oldest(), self.verdicts.oldest());
+            // Stamps are unique ticks, so exactly one layer holds the minimum.
+            let min = stamp_of(&sel).min(stamp_of(&post)).min(stamp_of(&ver));
+            let freed = match (sel, post, ver) {
+                (Some((stamp, k)), _, _) if stamp == min => self.selections.remove(&k),
+                (_, Some((stamp, k)), _) if stamp == min => self.postings.remove(&k),
+                (_, _, Some((stamp, k))) if stamp == min => self.verdicts.remove(&k),
+                _ => break,
             };
             if let Some(freed) = freed {
                 self.bytes.fetch_sub(freed, Ordering::Relaxed);
@@ -662,32 +602,7 @@ impl EvalCache {
     /// ground truth for the `bytes()` accounting identity, used by the
     /// shared-cache differential suite.
     pub fn accounted_bytes(&self) -> u64 {
-        let sel: u64 = self
-            .selections
-            .iter()
-            .map(|s| {
-                s.lock().expect("selection shard poisoned").values().map(|e| e.bytes).sum::<u64>()
-            })
-            .sum();
-        let post: u64 = self
-            .sel_postings
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .expect("selection-postings shard poisoned")
-                    .values()
-                    .map(|e| e.bytes)
-                    .sum::<u64>()
-            })
-            .sum();
-        let ver: u64 = self
-            .verdicts
-            .iter()
-            .map(|s| {
-                s.lock().expect("verdict shard poisoned").values().map(|e| e.bytes).sum::<u64>()
-            })
-            .sum();
-        sel + post + ver
+        self.selections.bytes() + self.postings.bytes() + self.verdicts.bytes()
     }
 
     /// The byte budget, if this cache is bounded.
@@ -727,27 +642,25 @@ impl EvalCache {
 
     /// Number of cached selections.
     pub fn selection_entries(&self) -> usize {
-        self.selections.iter().map(|s| s.lock().expect("selection shard poisoned").len()).sum()
+        self.selections.len()
     }
 
     /// Number of cached per-column selection postings.
     pub fn postings_entries(&self) -> usize {
-        self.sel_postings
-            .iter()
-            .map(|s| s.lock().expect("selection-postings shard poisoned").len())
-            .sum()
+        self.postings.len()
     }
 
     /// Number of cached whole-network verdicts.
     pub fn verdict_entries(&self) -> usize {
-        self.verdicts.iter().map(|s| s.lock().expect("verdict shard poisoned").len()).sum()
+        self.verdicts.len()
     }
 
     /// Number of interned keywords.
     pub fn interned_keywords(&self) -> usize {
-        self.interner.lock().expect("interner poisoned").len()
+        self.interner.ids.lock().expect("interner poisoned").len()
     }
 }
+
 
 /// Canonical binding key of a *whole* network: the rooted byte code of the
 /// full tree (rooted at vertex 0), with vertices labeled by binding — table

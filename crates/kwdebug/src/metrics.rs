@@ -13,7 +13,7 @@
 //! |---|---|---|
 //! | `probes_executed` | oracle, per `is_alive`/`sample` execution | "# of SQL queries" (Figs. 11, 14; Table 4) |
 //! | `probe_time_ns` | oracle, wall clock of each execution | "SQL time" (Figs. 12, 15) |
-//! | `tuples_scanned` | oracle, engine rows examined per probe, plus uncached selection builds (once per interpretation) | cost model behind §3.4 |
+//! | `tuples_scanned` | oracle, engine rows examined per probe, plus the rows each keyword selection build reads (at most once per interpretation, cache or not) | cost model behind §3.4 |
 //! | `memo_hits` | oracle, memoized verdict reuse (ablation knob) | beyond the paper (re-execution baseline) |
 //! | `r1_inferences` | traversals, nodes classified alive by rule R1 | §2.4 rule 1 |
 //! | `r2_inferences` | traversals, nodes classified dead by rule R2 | §2.4 rule 2 |
@@ -24,7 +24,7 @@
 //! | `budget_exhausted` | oracle, [`crate::budget::ProbeBudget`] cap trips | beyond the paper (degraded mode) |
 //! | `phase1_nodes_touched` | debugger, posting-list entries scanned by Phase 1 (DESIGN.md §9) | beyond the paper (compact substrate) |
 //! | `workspace_reuses` | debugger, `PrunedLattice` builds served from the pooled [`crate::workspace::QueryWorkspace`] | beyond the paper (compact substrate) |
-//! | `selection_cache_hits` | oracle, plan nodes served a shared keyword selection by [`crate::evalcache`] | beyond the paper (evaluation cache) |
+//! | `selection_cache_hits` | oracle, keyword selections an interpretation took from [`crate::evalcache`] (at most one per bound keyword) | beyond the paper (evaluation cache) |
 //! | `verdict_cache_hits` | oracle/dispatcher, probes answered (Alive *or* Dead) from a cached whole-network verdict | beyond the paper (evaluation cache) |
 //! | `cache_bytes` | oracle, payload bytes resident in the session [`crate::evalcache::EvalCache`] | beyond the paper (evaluation cache) |
 //! | `delta_postings_merged` | oracle, keyword selection builds whose posting list was merged on read over pending index deltas | beyond the paper (mutable databases) |
@@ -65,9 +65,10 @@ pub struct ProbeCounters {
     pub probes_executed: u64,
     /// Nanoseconds of wall-clock time spent inside probe executions.
     pub probe_time_ns: u64,
-    /// Engine rows examined across all probes, plus — without an
-    /// evaluation cache — the rows read once per interpretation to build
-    /// each bound keyword's selection.
+    /// Engine rows examined across all probes, plus the rows read to build
+    /// each bound keyword's selection — at most once per interpretation,
+    /// with an evaluation cache or without; a selection taken from the
+    /// cache reads none.
     pub tuples_scanned: u64,
     /// `is_alive` calls answered from the memo table without executing.
     pub memo_hits: u64,
@@ -101,9 +102,9 @@ pub struct ProbeCounters {
     /// [`crate::workspace::QueryWorkspace`] instead of allocating fresh
     /// scratch (first build on a pool slot counts 0).
     pub workspace_reuses: u64,
-    /// Plan nodes whose keyword selection was served from the session
-    /// [`crate::evalcache::EvalCache`] instead of re-evaluating the
-    /// containment predicate.
+    /// Keyword selections this interpretation took from the session
+    /// [`crate::evalcache::EvalCache`] instead of building them: at most one
+    /// per bound keyword, however many probes bind it.
     pub selection_cache_hits: u64,
     /// Probes answered without touching the engine because the evaluation
     /// cache held a completed verdict for the network's canonical binding key
@@ -114,8 +115,8 @@ pub struct ProbeCounters {
     /// cache; summed across a session the counter equals the cache's
     /// resident size (warm runs that add nothing report 0).
     pub cache_bytes: u64,
-    /// Keyword selection builds (once per interpretation without a cache,
-    /// once per cache miss with one) whose inverted-index posting list was
+    /// Keyword selection builds (at most once per interpretation, and with
+    /// a cache only on a miss) whose inverted-index posting list was
     /// assembled by a merge-on-read over pending write deltas
     /// ([`textindex::InvertedIndex::rows_containing`] returning an owned
     /// union) instead of a borrowed base list. 0 on fully-compacted indexes.

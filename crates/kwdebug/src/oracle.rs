@@ -15,13 +15,16 @@
 //! interpretation. Every plan the oracle executes therefore carries each
 //! bound copy's selection pre-verified, plus that selection's `value → rows`
 //! postings for each of the copy's join columns: the engine neither
-//! re-evaluates the predicate nor re-reads selection rows. Without an
-//! [`EvalCache`] a selection (and each of its postings) is built at most once
-//! per interpretation and its row reads are counted into `tuples_scanned`
-//! when it is built; with a cache the same values come from the cache, which
-//! adds only cross-interpretation and cross-request reuse plus whole-network
-//! verdicts. [`build_plan`] stays the plain, predicate-only form that SQL
-//! rendering uses.
+//! re-evaluates the predicate nor re-reads selection rows. A selection (and
+//! each of its postings) fills a per-keyword slot at most once per
+//! interpretation. With an [`EvalCache`] attached, an empty slot is filled
+//! from the cache when it holds the value, and a value built on a miss is
+//! published to it; the cache adds only cross-interpretation and
+//! cross-request reuse plus whole-network verdicts. One accounting rule
+//! holds with a cache or without: a build counts the rows it reads into
+//! `tuples_scanned`, and a value taken from the cache counts none.
+//! [`build_plan`] stays the plain, predicate-only form that SQL rendering
+//! uses.
 //!
 //! ## Retained reductions
 //!
@@ -60,7 +63,8 @@
 //! | event | counters touched | paper counterpart |
 //! |---|---|---|
 //! | `is_alive` cache miss | `probes_executed`, `probe_time`, `tuples_scanned` | one "SQL query" (Figs. 11–12) |
-//! | selection built (no cache) | `tuples_scanned` (its rows read, once per interpretation) | part of the first probe that binds the keyword |
+//! | selection built (slot and cache empty) | `tuples_scanned` (its rows read, at most once per interpretation) | part of the first probe that binds the keyword |
+//! | selection taken from the cache (slot empty) | `selection_cache_hits` (at most once per bound keyword per interpretation) | beyond the paper (evaluation cache) |
 //! | `is_alive` memo hit | `memo_hits` | beyond the paper (§3 re-executes) |
 //! | `sample` for a report | `probes_executed`, `probe_time`, `tuples_scanned`; resumed from a retained reduction, the same events with fewer rows examined | §2.1 sample tuples of `A(K)`/`M(K)` |
 //! | transient fault retried | `retries`, `faults_injected` | beyond the paper (degraded mode) |
@@ -88,7 +92,7 @@ use crate::batch::WaveExchange;
 use crate::binding::Interpretation;
 use crate::budget::{BudgetGate, Exhausted, ProbeBudget, RetryPolicy};
 use crate::error::KwError;
-use crate::evalcache::{network_key, network_mask, EvalCache};
+use crate::evalcache::{network_key, network_mask, EvalCache, Interner};
 use crate::jnts::Jnts;
 use crate::lattice::NodeId;
 use crate::metrics::ProbeCounters;
@@ -198,9 +202,10 @@ impl<'a> ProbeEngine<'a> {
     }
 }
 
-/// One bound keyword's rows under an interpretation without an
-/// [`EvalCache`]: its selection and the selection's postings in each column
-/// of the keyword's relation, each built at most once.
+/// One bound keyword's rows under an interpretation: its selection and the
+/// selection's postings in each column of the keyword's relation, each
+/// filled at most once — from the [`EvalCache`] when one holds it, else
+/// built.
 struct KeywordRows {
     selection: Option<Arc<Vec<RowId>>>,
     /// `postings[col]`: the selection grouped by its values in `col`.
@@ -212,6 +217,40 @@ fn selection_postings(t: &Table, col: ColId, sel: &[RowId]) -> ValuePostings {
     ValuePostings::build(
         sel.iter().filter_map(|&rid| t.row(rid)[col].as_int().map(|v| (v, rid))).collect(),
     )
+}
+
+/// The rows of `table` that satisfy `kw`'s containment predicate, in
+/// ascending row order: the index posting list (when the session has one)
+/// filtered by the predicate, else a scan of the live rows — exactly the rows
+/// the engine would keep for a `LIKE '%kw%'` plan node. Computed oracle-side
+/// — never through a (possibly chaos-wrapped) engine — so a selection can
+/// never be poisoned by a fault. Counts the rows it reads into
+/// `tuples_scanned`, and one `delta_postings_merged` when the posting list
+/// had pending deltas.
+fn build_selection(
+    db: &Database,
+    index: Option<&InvertedIndex>,
+    table: TableId,
+    kw: &str,
+    counters: &mut ProbeCounters,
+) -> Vec<RowId> {
+    let pred = Predicate::any_text_contains(kw.to_owned()).compile();
+    let t = db.table(table);
+    let schema = t.schema();
+    match index {
+        Some(idx) => {
+            let rows = idx.rows_containing(table, kw);
+            if matches!(rows, std::borrow::Cow::Owned(_)) {
+                counters.delta_postings_merged += 1;
+            }
+            counters.tuples_scanned += rows.len() as u64;
+            rows.iter().copied().filter(|&rid| pred.eval(schema, t.row(rid))).collect()
+        }
+        None => {
+            counters.tuples_scanned += t.live_rows() as u64;
+            t.iter().filter(|(_, row)| pred.eval(schema, row)).map(|(rid, _)| rid).collect()
+        }
+    }
 }
 
 /// Internal failure of a budgeted, retried execution attempt.
@@ -240,13 +279,12 @@ pub struct AlivenessOracle<'a> {
     /// Budget enforcement.
     gate: BudgetGate,
     retry: RetryPolicy,
-    /// The session-scoped evaluation cache (`None` = per-interpretation
-    /// selections in `local`). Shared across interpretations and sessions;
-    /// see [`crate::evalcache`].
+    /// The session-scoped evaluation cache (`None` = off). Shared across
+    /// interpretations and sessions; see [`crate::evalcache`].
     cache: Option<Arc<EvalCache>>,
-    /// `local[k]`: keyword `k`'s selection and postings when no cache is
-    /// attached, keyed by keyword and then by column.
-    local: Vec<KeywordRows>,
+    /// `rows[k]`: keyword `k`'s selection and postings, keyed by keyword and
+    /// then by column; the only place a probe plan takes them from.
+    rows: Vec<KeywordRows>,
     /// Online `p_a` observer (`None` = off). Every *executed* probe reports
     /// its `(level, verdict)` here; see [`crate::estimate::OnlinePa`].
     pa_stats: Option<Arc<crate::estimate::OnlinePa>>,
@@ -280,7 +318,7 @@ impl<'a> AlivenessOracle<'a> {
             gate: BudgetGate::new(ProbeBudget::default()),
             retry: RetryPolicy::default(),
             cache: None,
-            local: interp
+            rows: interp
                 .tables()
                 .iter()
                 .map(|&t| KeywordRows {
@@ -361,11 +399,7 @@ impl<'a> AlivenessOracle<'a> {
     /// [`crate::batch::WaveExchange`] through its own interner; either way
     /// two sessions on the same `(db_id, epoch)` produce equal keys exactly
     /// when their probes are the same ground-truth query.
-    pub(crate) fn binding_key(
-        &self,
-        jnts: &Jnts,
-        intern: &mut dyn FnMut(&str) -> u64,
-    ) -> Vec<u8> {
+    pub(crate) fn binding_key(&self, jnts: &Jnts, interner: &Interner) -> Vec<u8> {
         let labels: Vec<u64> = jnts
             .nodes()
             .iter()
@@ -373,7 +407,7 @@ impl<'a> AlivenessOracle<'a> {
                 let base = (ts.table as u64) << 32;
                 match self.interp.keyword_for(ts) {
                     None => base,
-                    Some(k) => base | (intern(&self.keywords[k]) + 1),
+                    Some(k) => base | (interner.intern(&self.keywords[k]) + 1),
                 }
             })
             .collect();
@@ -384,130 +418,76 @@ impl<'a> AlivenessOracle<'a> {
     /// attached, counting the bytes it adds.
     fn publish_verdict(&mut self, jnts: &Jnts, alive: bool) {
         if let Some(cache) = &self.cache {
-            let key = self.binding_key(jnts, &mut |kw| cache.intern(kw));
+            let key = self.binding_key(jnts, &cache.interner);
             self.counters.cache_bytes +=
                 cache.insert_verdict(self.db.epoch(), key, network_mask(jnts), alive);
         }
     }
 
-    /// The rows of `table` that satisfy `kw`'s containment predicate, in
-    /// ascending row order, plus how many rows were read to find them: the
-    /// index posting list (when the session has one) filtered by the
-    /// predicate, else a scan of the live rows — exactly the rows the
-    /// engine would keep for a `LIKE '%kw%'` plan node. Computed
-    /// oracle-side — never through a (possibly chaos-wrapped) engine — so a
-    /// selection can never be poisoned by a fault. Counts one
-    /// `delta_postings_merged` when the posting list had pending deltas.
-    fn compute_selection(&mut self, table: TableId, kw: &str) -> (Vec<RowId>, u64) {
-        let pred = Predicate::any_text_contains(kw.to_owned()).compile();
-        let t = self.db.table(table);
-        let schema = t.schema();
-        match self.index {
-            Some(idx) => {
-                let rows = idx.rows_containing(table, kw);
-                if matches!(rows, std::borrow::Cow::Owned(_)) {
-                    self.counters.delta_postings_merged += 1;
-                }
-                let sel = rows.iter().copied().filter(|&rid| pred.eval(schema, t.row(rid)));
-                (sel.collect(), rows.len() as u64)
-            }
-            None => {
-                let sel = t.iter().filter(|(_, row)| pred.eval(schema, row)).map(|(rid, _)| rid);
-                (sel.collect(), t.live_rows() as u64)
-            }
-        }
-    }
-
-    /// Keyword `k`'s selection, bound to `table`: from `cache` when one is
-    /// attached, else built once for this interpretation, counting the rows
-    /// the build reads into `tuples_scanned`.
-    fn selection(
-        &mut self,
-        cache: Option<&EvalCache>,
-        k: usize,
-        table: TableId,
-    ) -> Arc<Vec<RowId>> {
-        let kw = &self.keywords[k];
-        if let Some(cache) = cache {
-            return self.shared_selection(cache, table, kw);
-        }
-        if let Some(sel) = &self.local[k].selection {
+    /// Keyword `k`'s selection, bound to `table`. Its slot is filled once
+    /// per interpretation: from the cache when one is attached and holds it
+    /// (`selection_cache_hits`), else built and, with a cache, published
+    /// (`cache_bytes`).
+    fn selection(&mut self, k: usize, table: TableId) -> Arc<Vec<RowId>> {
+        if let Some(sel) = &self.rows[k].selection {
             return Arc::clone(sel);
         }
-        let (sel, read) = self.compute_selection(table, kw);
-        self.counters.tuples_scanned += read;
-        Arc::clone(self.local[k].selection.insert(Arc::new(sel)))
+        let (db, index, kw) = (self.db, self.index, &self.keywords[k]);
+        let (pin, indexed) = (db.epoch(), index.is_some());
+        let counters = &mut self.counters;
+        let sel = match &self.cache {
+            None => Arc::new(build_selection(db, index, table, kw, counters)),
+            Some(cache) => {
+                let kid = cache.intern(kw);
+                match cache.selection(pin, table, kid, indexed) {
+                    Some(sel) => {
+                        counters.selection_cache_hits += 1;
+                        sel
+                    }
+                    None => {
+                        let sel = build_selection(db, index, table, kw, counters);
+                        let (sel, added) = cache.insert_selection(pin, table, kid, indexed, sel);
+                        counters.cache_bytes += added;
+                        sel
+                    }
+                }
+            }
+        };
+        Arc::clone(self.rows[k].selection.insert(sel))
     }
 
-    /// Keyword `k`'s selection grouped by its values in `col`: from `cache`
-    /// when one is attached, else built once for this interpretation.
+    /// Keyword `k`'s selection `sel` grouped by its values in `col`, filled
+    /// into its slot once per interpretation like the selection itself.
+    /// Derived state of an already-counted selection, so only a publish
+    /// counts (`cache_bytes`).
     fn postings(
         &mut self,
-        cache: Option<&EvalCache>,
         k: usize,
         table: TableId,
         col: ColId,
-        sel: &Arc<Vec<RowId>>,
+        sel: &[RowId],
     ) -> Arc<ValuePostings> {
-        if let Some(cache) = cache {
-            return self.shared_selection_postings(cache, table, &self.keywords[k], col, sel);
+        if let Some(postings) = &self.rows[k].postings[col] {
+            return Arc::clone(postings);
         }
-        let db = self.db;
-        let postings = self.local[k].postings[col]
-            .get_or_insert_with(|| Arc::new(selection_postings(db.table(table), col, sel)));
-        Arc::clone(postings)
-    }
-
-    /// The shared selection for one bound copy: cache hit, or computed and
-    /// published. Counts `selection_cache_hits` / `cache_bytes`.
-    fn shared_selection(
-        &mut self,
-        cache: &EvalCache,
-        table: TableId,
-        kw: &str,
-    ) -> Arc<Vec<RowId>> {
-        let pin = self.db.epoch();
-        let kid = cache.intern(kw);
-        let indexed = self.index.is_some();
-        match cache.selection(pin, table, kid, indexed) {
-            Some(sel) => {
-                self.counters.selection_cache_hits += 1;
-                sel
+        let build = || selection_postings(self.db.table(table), col, sel);
+        let postings = match &self.cache {
+            None => Arc::new(build()),
+            Some(cache) => {
+                let (pin, kid, indexed) =
+                    (self.db.epoch(), cache.intern(&self.keywords[k]), self.index.is_some());
+                match cache.selection_postings(pin, table, kid, indexed, col) {
+                    Some(postings) => postings,
+                    None => {
+                        let (postings, added) =
+                            cache.insert_selection_postings(pin, table, kid, indexed, col, build());
+                        self.counters.cache_bytes += added;
+                        postings
+                    }
+                }
             }
-            None => {
-                let sel = self.compute_selection(table, kw).0;
-                let (sel, added) = cache.insert_selection(pin, table, kid, indexed, sel);
-                self.counters.cache_bytes += added;
-                sel
-            }
-        }
-    }
-
-    /// The sorted distinct join values a shared selection holds in `col`:
-    /// cache hit, or extracted once from the selection's rows and published.
-    /// Attached to plans as [`PlanNode::col_postings`], letting the executor
-    /// answer untouched-selection membership and parent-side semi-joins
-    /// without re-reading rows. Counts `cache_bytes`
-    /// only — it is derived state of an already-counted selection hit.
-    fn shared_selection_postings(
-        &mut self,
-        cache: &EvalCache,
-        table: TableId,
-        kw: &str,
-        col: ColId,
-        sel: &Arc<Vec<RowId>>,
-    ) -> Arc<ValuePostings> {
-        let pin = self.db.epoch();
-        let kid = cache.intern(kw);
-        let indexed = self.index.is_some();
-        if let Some(postings) = cache.selection_postings(pin, table, kid, indexed, col) {
-            return postings;
-        }
-        let postings = selection_postings(self.db.table(table), col, sel);
-        let (postings, added) =
-            cache.insert_selection_postings(pin, table, kid, indexed, col, postings);
-        self.counters.cache_bytes += added;
-        postings
+        };
+        Arc::clone(self.rows[k].postings[col].insert(postings))
     }
 
     /// Answers a probe without touching the engine when the evaluation cache
@@ -518,7 +498,7 @@ impl<'a> AlivenessOracle<'a> {
     /// answer is ground truth, so it also feeds the memo.
     fn shortcut(&mut self, node: NodeId, jnts: &Jnts) -> Option<bool> {
         let cache = self.cache.as_ref()?;
-        let key = self.binding_key(jnts, &mut |kw| cache.intern(kw));
+        let key = self.binding_key(jnts, &cache.interner);
         let alive = cache.verdict(self.db.epoch(), &key)?;
         self.counters.verdict_cache_hits += 1;
         self.memoize(node, alive);
@@ -539,8 +519,6 @@ impl<'a> AlivenessOracle<'a> {
     /// rows (see the module docs). It renders no SQL, so its nodes carry no
     /// aliases; alive plans are retained until the oracle drops.
     fn build_probe_plan(&mut self, jnts: &Jnts) -> Result<JoinTreePlan, EngineError> {
-        // An owned handle, so selection lookups can count into `self`.
-        let cache = self.cache.clone();
         let mut edges = Vec::with_capacity(jnts.join_count());
         let mut join_cols: Vec<Vec<ColId>> = vec![Vec::new(); jnts.node_count()];
         for e in jnts.edges() {
@@ -559,11 +537,11 @@ impl<'a> AlivenessOracle<'a> {
             let node = match self.interp.keyword_for(ts) {
                 None => PlanNode::free(ts.table),
                 Some(k) => {
-                    let sel = self.selection(cache.as_deref(), k, ts.table);
+                    let sel = self.selection(k, ts.table);
                     let pred = Predicate::any_text_contains(self.keywords[k].clone());
                     let mut node = PlanNode::new(ts.table, pred).with_selection(Arc::clone(&sel));
                     for &col in &join_cols[i] {
-                        let postings = self.postings(cache.as_deref(), k, ts.table, col, &sel);
+                        let postings = self.postings(k, ts.table, col, &sel);
                         node = node.with_col_postings(col, postings);
                     }
                     node
@@ -1260,6 +1238,51 @@ mod tests {
             many.stats().rows_examined + selection_rows,
             "each selection's rows are counted once"
         );
+    }
+
+    /// With a cache attached, the per-keyword slots are still where every
+    /// plan takes its selections: a cold oracle builds each bound keyword's
+    /// selection once and counts the rows it reads, as an uncached one does,
+    /// and a warm oracle takes each selection from the cache once, however
+    /// many of its probes bind the keyword.
+    #[test]
+    fn cached_selections_fill_each_slot_once() {
+        let db = db();
+        let idx = InvertedIndex::build(&db);
+        let q = KeywordQuery::parse("candle red").unwrap();
+        let m = map_keywords(&q, &idx);
+        let interp = &m.interpretations[0];
+        let cache = Arc::new(EvalCache::with_identity(db.db_id(), db.epoch(), None));
+        let cached = || {
+            AlivenessOracle::new(&db, Some(&idx), interp, &m.keywords, false)
+                .with_eval_cache(Arc::clone(&cache))
+        };
+        let j = mtn_jnts();
+
+        // Cold: the engine's rows plus each selection's rows read once —
+        // candle's one posting row in ptype and red's one in color.
+        let mut cold = cached();
+        assert!(cold.is_alive(0, &j).unwrap());
+        let snap = cold.metrics();
+        assert_eq!(snap.selection_cache_hits, 0, "a cold cache holds no selection");
+        assert_eq!(snap.tuples_scanned, cold.stats().rows_examined + 2);
+
+        // Warm: three networks binding both keywords, none probed whole
+        // before, so each executes.
+        let mut warm = cached();
+        let second_item = j.extend(0, inc(0, 1, false), 2);
+        let nets = [
+            second_item.clone(),
+            j.extend(2, inc(1, 1, false), 2),
+            second_item.extend(2, inc(1, 1, false), 3),
+        ];
+        for (node, net) in (0..).zip(&nets) {
+            warm.is_alive(node, net).unwrap();
+        }
+        let snap = warm.metrics();
+        assert_eq!((snap.probes_executed, snap.verdict_cache_hits), (3, 0));
+        assert_eq!(snap.selection_cache_hits, 2, "one per bound keyword, not one per probe");
+        assert_eq!(snap.tuples_scanned, warm.stats().rows_examined, "no selection rebuilt");
     }
 
     #[test]

@@ -120,7 +120,9 @@ fn run_batched_matrix_cell(
 }
 
 /// The tentpole invariant: batching is invisible to reports — across every
-/// strategy and eval cache on/off.
+/// strategy and eval cache on/off. Every batched probe sleeps 1 ms (a
+/// latency-only fault schedule), so the aligned tenants' probes are
+/// genuinely in flight together and followers really wait.
 #[test]
 fn batched_reports_match_unbatched_across_the_matrix() {
     let db = store_db();
@@ -139,9 +141,17 @@ fn batched_reports_match_unbatched_across_the_matrix() {
                     canonical(s.debug(q).expect("unbatched debug runs"))
                 })
                 .collect();
+            let slow = DebugConfig {
+                chaos: Some(FaultConfig {
+                    latency_per_mille: 1000,
+                    latency: Duration::from_millis(1),
+                    ..FaultConfig::quiet(5)
+                }),
+                ..config
+            };
             let exchange = Arc::new(WaveExchange::default());
             let ctx = format!("{} cache={cache}", strategy.name());
-            run_batched_matrix_cell(&system, config, &truth, 3, &exchange, &ctx);
+            run_batched_matrix_cell(&system, slow, &truth, 3, &exchange, &ctx);
             merged_total += exchange.merged_waves();
             coalesced_total += exchange.coalesced_probes();
         }

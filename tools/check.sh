@@ -81,8 +81,12 @@ cargo test --workspace --release -q --test chaos_soak
 echo "==> shared-cache soak (cross-tenant chaos against one store, accounting, pollution)"
 cargo test --workspace --release -q --test shared_cache_soak
 
-echo "==> batched probing differential (cross-session single-flight, budgets, chaos, mid-traversal death)"
-cargo test --workspace --release -q --test batch_equivalence
+echo "==> batched probing differential (cross-session single-flight, budgets, chaos, mid-traversal death; 5 runs)"
+# Repeated so that an overlap assertion passing only by luck of scheduling
+# fails the gate.
+for _ in 1 2 3 4 5; do
+    cargo test --workspace --release -q --test batch_equivalence
+done
 
 echo "==> serving load generator (E16 smoke + E17 overload + E18 warm + E20 batch, records to a scratch directory)"
 (cd "$bench_dir" && "$bin/exp_serve" --scale tiny --sessions 2,8,64 --queries 4 --overload --warm --batch) \
