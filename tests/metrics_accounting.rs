@@ -288,3 +288,66 @@ fn visit_order_is_pinned_on_the_table2_workload() {
     }
     assert!(failures.is_empty(), "visit order moved:\n{}", failures.join("\n"));
 }
+
+/// The degraded-mode lock. Under a fixed permanent-fault schedule with no
+/// retries, each strategy's rendered row per Table 2 query holds the
+/// counters that depend on how it infers around abandoned nodes —
+/// `probes_executed`, `r1_inferences`, `r2_inferences`, `reuse_hits`,
+/// `probes_abandoned` — then the unknown-MTN count and, per dead MTN, its
+/// confirmed and possible MPAN counts, over DBLife `tiny` at maxJoins 4.
+/// The digests were recorded once; a strategy that fires a different rule
+/// around an abandoned node (say, R1 on an ascending sweep) moves at least
+/// one figure, and the failure message prints its rows.
+#[test]
+fn degraded_inference_is_pinned_on_the_table2_workload() {
+    use datagen::{generate_dblife, paper_queries, DblifeConfig};
+    use kwdebug::budget::RetryPolicy;
+    use kwdebug::debugger::{DebugConfig, NonAnswerDebugger};
+
+    const GOLDEN: [(&str, u64); 6] = [
+        ("BU", 0x8551_228f_1b95_5701),
+        ("BUWR", 0xb57b_8bbb_9755_829b),
+        ("TD", 0xbc52_1890_9b6e_d93f),
+        ("TDWR", 0x8fda_46f1_f31d_3e45),
+        ("SBH", 0xe375_6870_bf5e_3c4b),
+        ("BRUTE", 0x3086_49f4_a73f_c5dc),
+    ];
+    let config = DebugConfig {
+        max_joins: 4,
+        retry: RetryPolicy::none(),
+        chaos: Some(FaultConfig { permanent_per_mille: 250, ..FaultConfig::quiet(7) }),
+        ..DebugConfig::default()
+    };
+    let sys = NonAnswerDebugger::new(generate_dblife(&DblifeConfig::tiny()), config)
+        .expect("system builds");
+    let mut failures = Vec::new();
+    for kind in StrategyKind::ALL.into_iter().chain([StrategyKind::BruteForce]) {
+        let mut rows = String::new();
+        for q in paper_queries() {
+            let report = sys.debug_with_strategy(q.text, kind).expect("query degrades");
+            let p = report.probes();
+            let dead: Vec<(usize, usize)> = report
+                .interpretations
+                .iter()
+                .flat_map(|i| &i.non_answers)
+                .map(|n| (n.mpans.len(), n.possible_mpans.len()))
+                .collect();
+            rows.push_str(&format!(
+                "{} [{}, {}, {}, {}, {}] {} {dead:?}\n",
+                q.id,
+                p.probes_executed,
+                p.r1_inferences,
+                p.r2_inferences,
+                p.reuse_hits,
+                p.probes_abandoned,
+                report.unknown_count()
+            ));
+        }
+        let want = GOLDEN.iter().find(|g| g.0 == kind.name());
+        let got = fnv1a(rows.as_bytes());
+        if want.map(|g| g.1) != Some(got) {
+            failures.push(format!("{kind}: digest {got:#018x}\n{rows}"));
+        }
+    }
+    assert!(failures.is_empty(), "degraded inference moved:\n{}", failures.join("\n"));
+}
