@@ -41,11 +41,11 @@
 //! | Keyword → relation mapping, §2.3/§3.3 | inverted-index lookup, interpretations | [`binding`] |
 //! | Phase-1 pruning + Phase-2 MTNs, §2.4 | keyword-bound sub-lattice, minimal total nodes | [`prune`], [`mtn`] |
 //! | Aliveness probe (`exists` SQL), §2.5 | SQL generation + execution + memo | [`oracle`] |
-//! | Rules R1/R2 and traversals, §2.5 | BU, TD, BUWR (Algorithm 3), TDWR, brute | [`traversal`] |
+//! | Rules R1/R2 and traversals, §2.5 | BU, TD, BUWR (Algorithm 3), TDWR as one sweep; brute force | [`traversal`] |
 //! | Score-based heuristic, §2.5.3 | greedy expected-benefit probe selection | [`traversal`] |
 //! | Output `A(K) ∪ N(K) ∪ M(K)`, §2.1 | answers, non-answers, MPANs, SQL text | [`report`] |
 //! | RN / RE baselines, §3.8 | no-lattice comparison points | [`baseline`] |
-//! | Interactive debugging (extension) | step-wise probe/assert session | [`session`], [`diagnose`] |
+//! | Interactive debugging (extension) | step-wise probe/assert session on the SBH frontier | [`session`], [`diagnose`] |
 //! | `p_a` estimation (future work, §4) | aliveness prior from catalog stats | [`estimate`] |
 //! | MPAN filters (future work, §1) | post-hoc filtering/prioritization | [`filter`] |
 //! | Experiment instrumentation, §3 | probe/inference counters, phase timings | [`metrics`] |

@@ -3,11 +3,14 @@
 //! The paper closes with: *"debugging is often an interactive process and it
 //! is worth studying how to combine the search for MPANs with user
 //! intervention."* This module implements that combination. A
-//! [`DebugSession`] holds the Phase-2 state (pruned lattice + statuses) and
-//! interleaves three kinds of step, all sharing the R1/R2 propagation:
+//! [`DebugSession`] owns the Phase-2 pruned lattice and runs the SBH
+//! traversal (§2.5.3) on it one step at a time, interleaved with external
+//! verdicts:
 //!
-//! * [`DebugSession::step`] — execute the SQL of the most informative
-//!   unknown node (chosen with the SBH score) through the oracle;
+//! * [`DebugSession::suggestion`] — SBH's greedy pick: the most informative
+//!   unknown node;
+//! * [`DebugSession::step`] — probe the suggestion's SQL through the oracle,
+//!   with the same per-node protocol the batch driver uses;
 //! * [`DebugSession::assert_alive`] / [`DebugSession::assert_dead`] — inject
 //!   an *external* verdict, e.g. a developer who already knows a relationship
 //!   table is empty, or who wants to explore "what if I added this synonym"
@@ -17,10 +20,13 @@
 //!   extract the answers / non-answers / MPANs exactly as the batch
 //!   traversals do.
 //!
-//! Because injected verdicts participate in inference, a single "this table
-//! is empty in production" assertion can resolve large regions of the search
-//! space without a single SQL execution — the interactive pruning the paper
-//! anticipates.
+//! The session keeps no scoring or propagation of its own: probed and
+//! injected verdicts alike go through SBH's R1/R2 propagation and score
+//! update, after the session's contradiction check. A single "this table is
+//! empty in production" assertion can therefore resolve large regions of
+//! the search space without a single SQL execution — the interactive
+//! pruning the paper anticipates — and a session stepped to completion
+//! makes the same picks, probes and inferences as a batch SBH run.
 //!
 //! Sessions carry their own accounting — [`DebugSession::executed`],
 //! [`DebugSession::injected`], [`DebugSession::inferred`] — and
@@ -32,14 +38,18 @@
 //! or chaos-wrapped oracle can come back [`StepOutcome::Abandoned`] (node
 //! excluded from further suggestions) or [`StepOutcome::Exhausted`] (probing
 //! over), and [`DebugSession::partial_outcome`] extracts whatever was
-//! established so far as a partial [`TraversalOutcome`].
+//! established so far as a partial [`TraversalOutcome`], with the cause of
+//! the exhaustion.
 
+use crate::budget::Exhausted;
 use crate::error::KwError;
 use crate::lattice::Lattice;
 use crate::metrics::ProbeCounters;
-use crate::oracle::{AlivenessOracle, Probe};
+use crate::oracle::AlivenessOracle;
 use crate::prune::PrunedLattice;
-use crate::traversal::{outcome_from_global_status, Status, TraversalOutcome};
+use crate::traversal::{
+    outcome_from_global_status, rule_cone, visit, Frontier, SbhFrontier, Status, TraversalOutcome,
+};
 
 /// The result of one interactive [`DebugSession::step`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,43 +71,26 @@ pub enum StepOutcome {
 pub struct DebugSession<'a> {
     lattice: &'a Lattice,
     pruned: PrunedLattice,
-    status: Vec<Status>,
-    /// Nodes whose probe failed permanently; never suggested again.
-    abandoned: Vec<bool>,
-    /// Static MTN-coverage weight per node (see the SBH module docs).
-    weight: Vec<i64>,
-    /// Aliveness prior used to rank suggestions.
-    pa: f64,
-    executed: u64,
+    sbh: SbhFrontier,
+    /// Probes executed and R1/R2 inferences fired, injected verdicts'
+    /// inferences included.
+    counters: ProbeCounters,
     injected: u64,
-    /// Nodes classified alive by R1 propagation (verdict cones, minus the
-    /// asserted/executed node itself).
-    r1_inferred: u64,
-    /// Nodes classified dead by R2 propagation.
-    r2_inferred: u64,
+    /// Why probing stopped, once a step came back exhausted.
+    exhausted: Option<Exhausted>,
 }
 
 impl<'a> DebugSession<'a> {
-    /// Opens a session over a pruned lattice.
+    /// Opens a session over a pruned lattice; `pa` is SBH's aliveness prior.
     pub fn new(lattice: &'a Lattice, pruned: PrunedLattice, pa: f64) -> Self {
-        let len = pruned.len();
-        let mut weight = vec![0i64; len];
-        for &m in pruned.mtns() {
-            for &x in pruned.desc_plus(m) {
-                weight[x] += 1;
-            }
-        }
+        let sbh = SbhFrontier::new(&pruned, pa);
         DebugSession {
             lattice,
             pruned,
-            status: vec![Status::Unknown; len],
-            abandoned: vec![false; len],
-            weight,
-            pa,
-            executed: 0,
+            sbh,
+            counters: ProbeCounters::default(),
             injected: 0,
-            r1_inferred: 0,
-            r2_inferred: 0,
+            exhausted: None,
         }
     }
 
@@ -108,22 +101,22 @@ impl<'a> DebugSession<'a> {
 
     /// Current status of dense node `i`.
     pub fn status(&self, i: usize) -> Status {
-        self.status[i]
+        self.sbh.statuses()[i]
     }
 
     /// All statuses, indexed by dense node (for diagnosis once complete).
     pub fn statuses(&self) -> &[Status] {
-        &self.status
+        self.sbh.statuses()
     }
 
     /// Number of still-unknown nodes.
     pub fn unknown_count(&self) -> usize {
-        self.status.iter().filter(|&&s| s == Status::Unknown).count()
+        self.statuses().iter().filter(|&&s| s == Status::Unknown).count()
     }
 
     /// SQL queries executed so far.
     pub fn executed(&self) -> u64 {
-        self.executed
+        self.counters.probes_executed
     }
 
     /// External verdicts injected so far.
@@ -134,7 +127,7 @@ impl<'a> DebugSession<'a> {
     /// Nodes classified by R1/R2 propagation rather than execution or
     /// injection — how much free work the inference rules did.
     pub fn inferred(&self) -> u64 {
-        self.r1_inferred + self.r2_inferred
+        self.counters.inferences()
     }
 
     /// Whether every node is classified (outcome available).
@@ -144,37 +137,13 @@ impl<'a> DebugSession<'a> {
 
     /// Number of nodes abandoned after permanent probe failures.
     pub fn abandoned_count(&self) -> usize {
-        self.abandoned.iter().filter(|&&x| x).count()
+        self.sbh.abandoned_count()
     }
 
     /// The most informative unknown node under the SBH score, or `None` when
     /// the session is complete (abandoned nodes are never suggested).
     pub fn suggestion(&self) -> Option<usize> {
-        let mut best: Option<(f64, usize)> = None;
-        for n in 0..self.pruned.len() {
-            if self.status[n] != Status::Unknown || self.abandoned[n] {
-                continue;
-            }
-            let a: i64 = self
-                .pruned
-                .desc_plus(n)
-                .iter()
-                .filter(|&&x| self.status[x] == Status::Unknown)
-                .map(|&x| self.weight[x])
-                .sum();
-            let b: i64 = self
-                .pruned
-                .asc_plus(n)
-                .iter()
-                .filter(|&&x| self.status[x] == Status::Unknown)
-                .map(|&x| self.weight[x])
-                .sum();
-            let gain = self.pa * a as f64 + (1.0 - self.pa) * b as f64;
-            if best.is_none_or(|(g, _)| gain > g) {
-                best = Some((gain, n));
-            }
-        }
-        best.map(|(_, n)| n)
+        self.sbh.pick()
     }
 
     /// Probes the suggestion's SQL through `oracle`. Degrades rather than
@@ -182,19 +151,15 @@ impl<'a> DebugSession<'a> {
     /// (invalid plans, contradictions) surface as `Err`.
     pub fn step(&mut self, oracle: &mut AlivenessOracle<'_>) -> Result<StepOutcome, KwError> {
         let Some(n) = self.suggestion() else { return Ok(StepOutcome::Done) };
-        match oracle.probe(self.pruned.lattice_id(n), self.pruned.jnts(self.lattice, n)) {
-            Probe::Verdict(alive) => {
-                self.executed += 1;
-                self.record(n, alive)?;
-                Ok(StepOutcome::Probed(n, alive))
-            }
-            Probe::NodeFailed(e) if e.is_fault() => {
-                self.abandoned[n] = true;
-                Ok(StepOutcome::Abandoned(n))
-            }
-            Probe::NodeFailed(e) => Err(e.into()),
-            Probe::Exhausted(_) => Ok(StepOutcome::Exhausted),
+        let DebugSession { lattice, pruned, sbh, counters, .. } = self;
+        let outcome = visit(lattice, pruned, oracle, None, sbh, n, |sbh, alive, _| {
+            counters.probes_executed += 1;
+            record(pruned, sbh, counters, n, alive)
+        })?;
+        if outcome == StepOutcome::Exhausted {
+            self.exhausted = oracle.exhausted();
         }
+        Ok(outcome)
     }
 
     /// Runs [`DebugSession::step`] until nothing more can be probed: the
@@ -232,45 +197,8 @@ impl<'a> DebugSession<'a> {
         }
         // Record first: a rejected contradiction must not count as injected
         // (or otherwise disturb the session's state).
-        self.record(n, alive)?;
+        record(&self.pruned, &mut self.sbh, &mut self.counters, n, alive)?;
         self.injected += 1;
-        Ok(())
-    }
-
-    /// Records a verdict and propagates R1/R2; rejects contradictions.
-    fn record(&mut self, n: usize, alive: bool) -> Result<(), KwError> {
-        let (new_status, cone): (Status, &[usize]) = if alive {
-            (Status::Alive, self.pruned.desc_plus(n))
-        } else {
-            (Status::Dead, self.pruned.asc_plus(n))
-        };
-        let contradiction = match self.status[n] {
-            Status::Unknown => None,
-            s if s == new_status => return Ok(()), // redundant, fine
-            _ => Some(n),
-        }
-        .or_else(|| {
-            cone.iter()
-                .copied()
-                .find(|&x| self.status[x] != Status::Unknown && self.status[x] != new_status)
-        });
-        if let Some(x) = contradiction {
-            return Err(KwError::ConflictingVerdict(format!(
-                "node {n} asserted {} but node {x} is already {:?}",
-                if alive { "alive" } else { "dead" },
-                self.status[x]
-            )));
-        }
-        let inferred =
-            cone.iter().filter(|&&x| x != n && self.status[x] == Status::Unknown).count() as u64;
-        if alive {
-            self.r1_inferred += inferred;
-        } else {
-            self.r2_inferred += inferred;
-        }
-        for &x in cone {
-            self.status[x] = new_status;
-        }
         Ok(())
     }
 
@@ -285,29 +213,51 @@ impl<'a> DebugSession<'a> {
 
     /// Extracts whatever classification the session has established so far,
     /// complete or not: unclassified MTNs land in
-    /// [`TraversalOutcome::unknown_mtns`] and dead MTNs report their MPAN
-    /// frontier as confirmed/possible bounds. On a complete session this is
-    /// exactly [`DebugSession::outcome`].
+    /// [`TraversalOutcome::unknown_mtns`], dead MTNs report their MPAN
+    /// frontier as confirmed/possible bounds, and
+    /// [`TraversalOutcome::exhausted`] names the budget cap a step tripped.
+    /// On a complete session this is exactly [`DebugSession::outcome`].
     pub fn partial_outcome(&self) -> TraversalOutcome {
-        let classified = outcome_from_global_status(&self.pruned, &self.status);
         TraversalOutcome {
-            alive_mtns: classified.alive_mtns,
-            dead_mtns: classified.dead_mtns,
-            mpans: classified.mpans,
-            possible_mpans: classified.possible_mpans,
-            unknown_mtns: classified.unknown_mtns,
-            exhausted: None,
-            sql_queries: self.executed,
-            sql_time: std::time::Duration::ZERO,
+            exhausted: self.exhausted,
+            sql_queries: self.executed(),
             probes: ProbeCounters {
-                probes_executed: self.executed,
-                r1_inferences: self.r1_inferred,
-                r2_inferences: self.r2_inferred,
                 probes_abandoned: self.abandoned_count() as u64,
-                ..ProbeCounters::default()
+                ..self.counters
             },
+            ..outcome_from_global_status(&self.pruned, self.statuses())
         }
     }
+}
+
+/// Applies a verdict on `n` through SBH unless it contradicts what the
+/// session already knows — `n` itself first, then the cone it settles. A
+/// redundant verdict changes nothing; a rejected one leaves the session
+/// untouched.
+fn record(
+    pruned: &PrunedLattice,
+    sbh: &mut SbhFrontier,
+    counters: &mut ProbeCounters,
+    n: usize,
+    alive: bool,
+) -> Result<(), KwError> {
+    let status = sbh.statuses();
+    let (to, cone) = rule_cone(pruned, n, alive);
+    let contradiction = match status[n] {
+        Status::Unknown => None,
+        s if s == to => return Ok(()), // redundant, fine
+        _ => Some(n),
+    }
+    .or_else(|| cone.iter().copied().find(|&x| status[x] != Status::Unknown && status[x] != to));
+    if let Some(x) = contradiction {
+        return Err(KwError::ConflictingVerdict(format!(
+            "node {n} asserted {} but node {x} is already {:?}",
+            if alive { "alive" } else { "dead" },
+            status[x]
+        )));
+    }
+    sbh.apply(pruned, n, alive, counters);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -316,42 +266,10 @@ mod tests {
     use crate::binding::{map_keywords, KeywordQuery};
     use crate::prune::PrunedLattice;
     use crate::schema_graph::SchemaGraph;
+    use crate::traversal::tests::db;
     use crate::traversal::{self, StrategyKind};
-    use relengine::{DataType, Database, DatabaseBuilder, Value};
+    use relengine::Database;
     use textindex::InvertedIndex;
-
-    /// ptype <- item -> color; "blue candle" dead, "red candle" alive.
-    fn db() -> Database {
-        let mut b = DatabaseBuilder::new();
-        b.table("ptype").column("id", DataType::Int).column("name", DataType::Text)
-            .primary_key("id");
-        b.table("item")
-            .column("id", DataType::Int)
-            .column("name", DataType::Text)
-            .column("ptype_id", DataType::Int)
-            .column("color_id", DataType::Int)
-            .primary_key("id");
-        b.table("color").column("id", DataType::Int).column("name", DataType::Text)
-            .primary_key("id");
-        b.foreign_key("item", "ptype_id", "ptype", "id").expect("static");
-        b.foreign_key("item", "color_id", "color", "id").expect("static");
-        let mut db = b.finish().expect("static");
-        for (id, n) in [(1, "candle"), (2, "oil")] {
-            db.insert_values("ptype", vec![Value::Int(id), Value::text(n)]).expect("row");
-        }
-        for (id, n) in [(1, "red"), (2, "blue")] {
-            db.insert_values("color", vec![Value::Int(id), Value::text(n)]).expect("row");
-        }
-        for (id, n, p, c) in [(1, "wick", 1, 1), (2, "drop", 2, 2)] {
-            db.insert_values(
-                "item",
-                vec![Value::Int(id), Value::text(n), Value::Int(p), Value::Int(c)],
-            )
-            .expect("row");
-        }
-        db.finalize();
-        db
-    }
 
     struct Fix {
         db: Database,
@@ -559,6 +477,7 @@ mod tests {
         assert!(matches!(session.step(&mut oracle).expect("runs"), StepOutcome::Probed(..)));
         assert_eq!(session.step(&mut oracle).expect("runs"), StepOutcome::Exhausted);
         assert_eq!(session.executed(), 2);
+        assert_eq!(session.partial_outcome().exhausted, Some(Exhausted::Probes));
         // run_to_completion returns immediately on a tripped budget.
         session.run_to_completion(&mut oracle).expect("returns");
         assert_eq!(session.executed(), 2);

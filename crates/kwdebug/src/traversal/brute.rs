@@ -16,24 +16,23 @@
 use crate::metrics::ProbeCounters;
 use crate::prune::PrunedLattice;
 
-use super::{outcome_from_global_status, Classified, Frontier, Status};
+use super::{outcome_from_global_status, Frontier, Status, TraversalOutcome};
 
-pub(super) struct BruteFrontier<'p> {
-    pruned: &'p PrunedLattice,
+pub(super) struct BruteFrontier {
     /// Next dense node to name.
     pos: usize,
     status: Vec<Status>,
 }
 
-impl<'p> BruteFrontier<'p> {
-    pub(super) fn new(pruned: &'p PrunedLattice) -> Self {
-        BruteFrontier { pruned, pos: 0, status: vec![Status::Unknown; pruned.len()] }
+impl BruteFrontier {
+    pub(super) fn new(pruned: &PrunedLattice) -> Self {
+        BruteFrontier { pos: 0, status: vec![Status::Unknown; pruned.len()] }
     }
 }
 
-impl Frontier for BruteFrontier<'_> {
-    fn next(&mut self) -> Option<usize> {
-        let n = (self.pos < self.pruned.len()).then_some(self.pos)?;
+impl Frontier for BruteFrontier {
+    fn next(&mut self, _pruned: &PrunedLattice) -> Option<usize> {
+        let n = (self.pos < self.status.len()).then_some(self.pos)?;
         self.pos += 1;
         Some(n)
     }
@@ -44,11 +43,11 @@ impl Frontier for BruteFrontier<'_> {
         self.status[n] == Status::Unknown
     }
 
-    fn apply(&mut self, n: usize, alive: bool, _counters: &mut ProbeCounters) {
+    fn apply(&mut self, _pruned: &PrunedLattice, n: usize, alive: bool, _: &mut ProbeCounters) {
         self.status[n] = if alive { Status::Alive } else { Status::Dead };
     }
 
-    fn finish(self: Box<Self>) -> Classified {
-        outcome_from_global_status(self.pruned, &self.status)
+    fn finish(self: Box<Self>, pruned: &PrunedLattice) -> TraversalOutcome {
+        outcome_from_global_status(pruned, &self.status)
     }
 }

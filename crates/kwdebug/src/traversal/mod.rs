@@ -13,18 +13,20 @@
 //! their SQL queries; strategies differ in the order they pick nodes and in
 //! whether executions are shared across MTNs:
 //!
-//! | strategy | order | sharing |
-//! |---|---|---|
-//! | [`StrategyKind::BottomUp`] (BU) | per MTN, level ascending | none |
-//! | [`StrategyKind::TopDown`] (TD) | per MTN, level descending | none |
-//! | [`StrategyKind::BottomUpWithReuse`] (BUWR, Algorithm 3) | level ascending | global |
-//! | [`StrategyKind::TopDownWithReuse`] (TDWR) | level descending | global |
-//! | [`StrategyKind::ScoreBasedHeuristic`] (SBH, §2.5.3) | greedy by score | global |
-//! | [`StrategyKind::BruteForce`] | every node | global (oracle only) |
+//! | strategy | order | sharing | module |
+//! |---|---|---|---|
+//! | [`StrategyKind::BottomUp`] (BU) | per MTN, level ascending | none | `sweep` |
+//! | [`StrategyKind::TopDown`] (TD) | per MTN, level descending | none | `sweep` |
+//! | [`StrategyKind::BottomUpWithReuse`] (BUWR, Algorithm 3) | level ascending | global | `sweep` |
+//! | [`StrategyKind::TopDownWithReuse`] (TDWR) | level descending | global | `sweep` |
+//! | [`StrategyKind::ScoreBasedHeuristic`] (SBH, §2.5.3) | greedy by score | global | `sbh` |
+//! | [`StrategyKind::BruteForce`] | every node | global (oracle only) | `brute` |
 //!
 //! All strategies return identical classifications and MPAN sets — they only
 //! differ in the number of SQL queries executed, which is exactly what the
-//! paper measures (Figures 11–12, Table 4).
+//! paper measures (Figures 11–12, Table 4). The four level-order strategies
+//! are one `Sweep`, built from the direction and scope the kind implies;
+//! brute force stays separate as the reference the tests compare against.
 //!
 //! Every traversal is instrumented through the oracle's
 //! [`crate::metrics::ProbeCounters`] block: [`run`] copies the counters
@@ -55,23 +57,23 @@
 //! Every strategy is implemented as a `Frontier`: a state machine that
 //! names the next dense node to visit instead of probing it itself. One
 //! driver loop (`drive`) takes the nodes in that order and runs the
-//! per-node protocol (reuse check → memo check → cache shortcut → budget →
-//! probe → apply) for every configuration: each probe runs inline on the
-//! oracle's engine, through the [`crate::batch`] single-flight table when an
-//! exchange is attached, and is applied before the next node is named — the
-//! paper's probe, infer, pick-next loop (§2.5, Algorithm 3). DESIGN.md §8.2
-//! argues why every configuration reports the same classification and MPAN
-//! sets.
+//! per-node protocol (`visit`: reuse check → memo check → cache shortcut →
+//! budget → probe → apply) for every configuration: each probe runs inline
+//! on the oracle's engine, through the [`crate::batch`] single-flight table
+//! when an exchange is attached, and is applied before the next node is
+//! named — the paper's probe, infer, pick-next loop (§2.5, Algorithm 3).
+//! The interactive [`crate::session::DebugSession`] steps the SBH frontier
+//! through the same `visit`. Every rule firing goes through one helper,
+//! `settle`. DESIGN.md §8.2 argues why every configuration reports the
+//! same classification and MPAN sets.
 
 mod brute;
-mod bu;
-mod buwr;
 mod sbh;
-mod td;
-mod tdwr;
+mod sweep;
 
 use std::time::Duration;
 
+pub(crate) use sbh::SbhFrontier;
 pub use sbh::DEFAULT_PA;
 
 use crate::batch::WaveExchange;
@@ -81,6 +83,7 @@ use crate::lattice::Lattice;
 use crate::metrics::ProbeCounters;
 use crate::oracle::{AlivenessOracle, Probe};
 use crate::prune::PrunedLattice;
+use crate::session::StepOutcome;
 
 /// Selects a Phase-3 traversal strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -140,7 +143,7 @@ pub enum Status {
 }
 
 /// Result of a Phase-3 traversal; partial when probing was cut short.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraversalOutcome {
     /// Dense indices of MTNs classified alive (answer queries), ascending.
     pub alive_mtns: Vec<usize>,
@@ -192,6 +195,20 @@ impl TraversalOutcome {
     pub fn complete(&self) -> bool {
         self.unknown_mtns.is_empty() && self.possible_mpans.iter().all(Vec::is_empty)
     }
+
+    /// Files MTN `m` under its status, extracting MPAN bounds when dead.
+    pub(crate) fn classify_mtn(&mut self, pruned: &PrunedLattice, status: &[Status], m: usize) {
+        match status[m] {
+            Status::Alive => self.alive_mtns.push(m),
+            Status::Dead => {
+                let (confirmed, possible) = extract_mpan_bounds(pruned, status, m);
+                self.dead_mtns.push(m);
+                self.mpans.push(confirmed);
+                self.possible_mpans.push(possible);
+            }
+            Status::Unknown => self.unknown_mtns.push(m),
+        }
+    }
 }
 
 /// Runs a traversal strategy over a pruned lattice.
@@ -221,26 +238,18 @@ pub(crate) fn run_with(
     let q0 = oracle.stats().queries;
     let t0 = oracle.stats().total_time;
     let m0 = *oracle.metrics();
-    let mut frontier: Box<dyn Frontier + '_> = match kind {
-        StrategyKind::BottomUp => Box::new(bu::BuFrontier::new(pruned)),
-        StrategyKind::TopDown => Box::new(td::TdFrontier::new(pruned)),
-        StrategyKind::BottomUpWithReuse => Box::new(buwr::BuwrFrontier::new(pruned)),
-        StrategyKind::TopDownWithReuse => Box::new(tdwr::TdwrFrontier::new(pruned)),
-        StrategyKind::ScoreBasedHeuristic => Box::new(sbh::SbhFrontier::new(pruned, pa)),
+    let mut frontier: Box<dyn Frontier> = match kind {
+        StrategyKind::ScoreBasedHeuristic => Box::new(SbhFrontier::new(pruned, pa)),
         StrategyKind::BruteForce => Box::new(brute::BruteFrontier::new(pruned)),
+        sweep => Box::new(sweep::Sweep::new(pruned, sweep)),
     };
     drive(lattice, pruned, oracle, frontier.as_mut(), exchange)?;
-    let classified = frontier.finish();
     Ok(TraversalOutcome {
-        alive_mtns: classified.alive_mtns,
-        dead_mtns: classified.dead_mtns,
-        mpans: classified.mpans,
-        possible_mpans: classified.possible_mpans,
-        unknown_mtns: classified.unknown_mtns,
         exhausted: oracle.exhausted(),
         sql_queries: oracle.stats().queries - q0,
         sql_time: oracle.stats().total_time.saturating_sub(t0),
         probes: oracle.metrics().delta(m0),
+        ..frontier.finish(pruned)
     })
 }
 
@@ -248,20 +257,25 @@ pub(crate) fn run_with(
 ///
 /// The strategy owns its status bookkeeping and inference rules; the
 /// driver (`drive`) owns probing. For each node [`Frontier::next`] names:
-/// already classified → count `reuse_hits`; memoized → count `memo_hits`
-/// and [`Frontier::apply`]; otherwise reserve a budget slot and probe, then
-/// [`Frontier::apply`] the verdict. A budget refusal calls
-/// [`Frontier::exhaust`] and ends the traversal.
+/// already classified → count `reuse_hits`; otherwise [`visit`] it. The
+/// pruned lattice is passed in rather than held, so a frontier can live
+/// beside the lattice it walks (the interactive session owns both).
 pub(crate) trait Frontier {
     /// The next dense node to visit, or `None` when the traversal is
     /// complete. Sweeping strategies name nodes that an earlier verdict has
     /// already classified — the driver counts them as `reuse_hits`.
-    fn next(&mut self) -> Option<usize>;
+    fn next(&mut self, pruned: &PrunedLattice) -> Option<usize>;
     /// Whether dense node `n` is still unclassified in this strategy's view.
     fn is_unknown(&self, n: usize) -> bool;
     /// Records a verdict for `n` and fires the strategy's inference rules,
     /// counting `r1_inferences`/`r2_inferences` on `counters`.
-    fn apply(&mut self, n: usize, alive: bool, counters: &mut ProbeCounters);
+    fn apply(
+        &mut self,
+        pruned: &PrunedLattice,
+        n: usize,
+        alive: bool,
+        counters: &mut ProbeCounters,
+    );
     /// Marks `n` permanently failed (degraded mode); it stays unclassified.
     /// The sweeps move past it; only a strategy that could name the same
     /// unknown node again (SBH's greedy pick) must record it.
@@ -270,22 +284,92 @@ pub(crate) trait Frontier {
     /// in-progress MTN, file the rest as unknown). The driver asks for no
     /// further node, so a strategy whose status map already is its partial
     /// state has nothing to do.
-    fn exhaust(&mut self) {}
-    /// Consumes the frontier into the final MTN classification.
-    fn finish(self: Box<Self>) -> Classified;
+    fn exhaust(&mut self, _pruned: &PrunedLattice) {}
+    /// Consumes the frontier into the final MTN classification; [`run`]
+    /// fills in the run's counters.
+    fn finish(self: Box<Self>, pruned: &PrunedLattice) -> TraversalOutcome;
+}
+
+/// The nodes a verdict on `n` settles under R1/R2 — its descendant cone
+/// when alive, its ancestor cone when dead — and the status they take.
+pub(crate) fn rule_cone(pruned: &PrunedLattice, n: usize, alive: bool) -> (Status, &[usize]) {
+    if alive {
+        (Status::Alive, pruned.desc_plus(n))
+    } else {
+        (Status::Dead, pruned.asc_plus(n))
+    }
+}
+
+/// Fires R1 (alive verdict) or R2 (dead verdict) from a verdict on `n`:
+/// every still-unknown node of its [`rule_cone`], `n` included, takes the
+/// verdict's status, and the ones besides `n` count as `r1_inferences` or
+/// `r2_inferences`. Statuses come only from truthful verdicts, so a known
+/// node of the cone already has that status.
+pub(crate) fn settle(
+    status: &mut [Status],
+    pruned: &PrunedLattice,
+    n: usize,
+    alive: bool,
+    counters: &mut ProbeCounters,
+) {
+    let (to, cone) = rule_cone(pruned, n, alive);
+    let mut inferred = 0;
+    for &x in cone {
+        if status[x] == Status::Unknown {
+            status[x] = to;
+            inferred += u64::from(x != n);
+        }
+    }
+    if alive {
+        counters.r1_inferences += inferred;
+    } else {
+        counters.r2_inferences += inferred;
+    }
+}
+
+/// The per-node protocol, shared by `drive` and the interactive session:
+/// probe `dense` ([`AlivenessOracle::probe_through`]: memo, cache shortcut,
+/// or a reserved execution, through the exchange's single-flight table when
+/// one is attached), then hand the outcome to `frontier`. A verdict goes to
+/// `apply` together with the oracle's counters — the driver applies it
+/// as is, the session checks it for contradictions first; an injected
+/// fault abandons the node; a budget refusal exhausts the frontier (the
+/// cause stays readable as [`AlivenessOracle::exhausted`]). Any other
+/// engine error (an invalid plan — a bug) propagates hard.
+pub(crate) fn visit<F: Frontier + ?Sized>(
+    lattice: &Lattice,
+    pruned: &PrunedLattice,
+    oracle: &mut AlivenessOracle<'_>,
+    exchange: Option<&WaveExchange>,
+    frontier: &mut F,
+    dense: usize,
+    apply: impl FnOnce(&mut F, bool, &mut ProbeCounters) -> Result<(), KwError>,
+) -> Result<StepOutcome, KwError> {
+    let (node, jnts) = (pruned.lattice_id(dense), pruned.jnts(lattice, dense));
+    match oracle.probe_through(node, jnts, exchange) {
+        Probe::Verdict(alive) => {
+            apply(frontier, alive, oracle.counters_mut())?;
+            Ok(StepOutcome::Probed(dense, alive))
+        }
+        Probe::NodeFailed(e) if e.is_fault() => {
+            frontier.abandon(dense);
+            Ok(StepOutcome::Abandoned(dense))
+        }
+        Probe::NodeFailed(e) => Err(e.into()),
+        Probe::Exhausted(_) => {
+            frontier.exhaust(pruned);
+            Ok(StepOutcome::Exhausted)
+        }
+    }
 }
 
 /// The one Phase-3 driver, for every strategy, with or without an exchange;
 /// DESIGN.md §8.2 gives its determinism argument.
 ///
 /// It takes the nodes in the strategy's visit order: an already classified
-/// node counts `reuse_hits`; any other is probed at once
-/// ([`AlivenessOracle::probe_through`]: memo, cache shortcut, or a reserved
-/// execution, through the exchange's single-flight table when one is
-/// attached) and its verdict applied before the next node is named, so
-/// every budget cap trips within one probe. A budget refusal ends the
-/// traversal at that node; injected faults abandon their node; any other
-/// engine error (an invalid plan — a bug) propagates hard.
+/// node counts `reuse_hits`; any other is [`visit`]ed at once and its
+/// verdict applied before the next node is named, so every budget cap trips
+/// within one probe. A budget refusal ends the traversal at that node.
 fn drive(
     lattice: &Lattice,
     pruned: &PrunedLattice,
@@ -293,50 +377,20 @@ fn drive(
     frontier: &mut dyn Frontier,
     exchange: Option<&WaveExchange>,
 ) -> Result<(), KwError> {
-    while let Some(dense) = frontier.next() {
+    while let Some(dense) = frontier.next(pruned) {
         if !frontier.is_unknown(dense) {
             oracle.counters_mut().reuse_hits += 1;
             continue;
         }
-        let (node, jnts) = (pruned.lattice_id(dense), pruned.jnts(lattice, dense));
-        match oracle.probe_through(node, jnts, exchange) {
-            Probe::Verdict(alive) => frontier.apply(dense, alive, oracle.counters_mut()),
-            Probe::NodeFailed(e) if e.is_fault() => frontier.abandon(dense),
-            Probe::NodeFailed(e) => return Err(e.into()),
-            Probe::Exhausted(_) => {
-                frontier.exhaust();
-                break;
-            }
+        let visited = visit(lattice, pruned, oracle, exchange, frontier, dense, |f, alive, c| {
+            f.apply(pruned, dense, alive, c);
+            Ok(())
+        })?;
+        if visited == StepOutcome::Exhausted {
+            break;
         }
     }
     Ok(())
-}
-
-/// MTN classification collected by a strategy, including degraded-mode
-/// unknowns and MPAN bounds. [`run`] turns it into a [`TraversalOutcome`].
-#[derive(Debug, Default)]
-pub(crate) struct Classified {
-    pub alive_mtns: Vec<usize>,
-    pub dead_mtns: Vec<usize>,
-    pub mpans: Vec<Vec<usize>>,
-    pub possible_mpans: Vec<Vec<usize>>,
-    pub unknown_mtns: Vec<usize>,
-}
-
-impl Classified {
-    /// Files MTN `m` under its status, extracting MPAN bounds when dead.
-    pub(crate) fn classify_mtn(&mut self, pruned: &PrunedLattice, status: &[Status], m: usize) {
-        match status[m] {
-            Status::Alive => self.alive_mtns.push(m),
-            Status::Dead => {
-                let (confirmed, possible) = extract_mpan_bounds(pruned, status, m);
-                self.dead_mtns.push(m);
-                self.mpans.push(confirmed);
-                self.possible_mpans.push(possible);
-            }
-            Status::Unknown => self.unknown_mtns.push(m),
-        }
-    }
 }
 
 /// Extracts the MPANs of dead MTN `m` from complete statuses: alive strict
@@ -397,8 +451,11 @@ pub(crate) fn extract_mpan_bounds(
 /// Splits the MTNs by status and extracts MPAN bounds for the dead ones;
 /// shared by the global-status strategies. Unknown MTNs are reported, not
 /// an error — a traversal cut short by the budget leaves some behind.
-pub(crate) fn outcome_from_global_status(pruned: &PrunedLattice, status: &[Status]) -> Classified {
-    let mut classified = Classified::default();
+pub(crate) fn outcome_from_global_status(
+    pruned: &PrunedLattice,
+    status: &[Status],
+) -> TraversalOutcome {
+    let mut classified = TraversalOutcome::default();
     for &m in pruned.mtns() {
         classified.classify_mtn(pruned, status, m);
     }
@@ -406,7 +463,7 @@ pub(crate) fn outcome_from_global_status(pruned: &PrunedLattice, status: &[Statu
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::binding::{map_keywords, KeywordQuery};
     use crate::oracle::AlivenessOracle;
@@ -415,8 +472,8 @@ mod tests {
     use textindex::InvertedIndex;
 
     /// ptype <- item -> color store where "blue candle" is dead ("blue" only
-    /// colors an oil) while "red candle" is alive.
-    fn db() -> Database {
+    /// colors an oil) while "red candle" is alive; the session tests share it.
+    pub(crate) fn db() -> Database {
         let mut b = DatabaseBuilder::new();
         b.table("ptype").column("id", DataType::Int).column("name", DataType::Text)
             .primary_key("id");

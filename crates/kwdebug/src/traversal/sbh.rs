@@ -28,10 +28,13 @@
 //! closure sizes, paid once over the whole traversal.
 //!
 //! As a [`Frontier`], SBH names one greedy pick at a time: each pick
-//! depends on every verdict so far.
+//! depends on every verdict so far. The interactive
+//! [`crate::session::DebugSession`] runs on the same frontier: its
+//! suggestion is [`SbhFrontier::pick`], and its probed and injected
+//! verdicts go through [`Frontier::apply`].
 //!
 //! Metrics recorded (see [`crate::metrics`]): every node resolved alongside
-//! an execution (the `resolved` set minus the executed node itself) counts as
+//! a verdict (the resolved cone minus the node itself) counts as
 //! `r1_inferences` when the verdict was alive and `r2_inferences` when dead.
 //! SBH never revisits classified nodes — the greedy pick only considers
 //! unknowns — so its `reuse_hits` is always zero.
@@ -43,13 +46,12 @@
 use crate::metrics::ProbeCounters;
 use crate::prune::PrunedLattice;
 
-use super::{outcome_from_global_status, Classified, Frontier, Status};
+use super::{outcome_from_global_status, rule_cone, settle, Frontier, Status, TraversalOutcome};
 
 /// The aliveness prior the paper found to work well without estimation.
 pub const DEFAULT_PA: f64 = 0.5;
 
-pub(super) struct SbhFrontier<'p> {
-    pruned: &'p PrunedLattice,
+pub(crate) struct SbhFrontier {
     pa: f64,
     status: Vec<Status>,
     abandoned: Vec<bool>,
@@ -60,8 +62,8 @@ pub(super) struct SbhFrontier<'p> {
     b: Vec<i64>,
 }
 
-impl<'p> SbhFrontier<'p> {
-    pub(super) fn new(pruned: &'p PrunedLattice, pa: f64) -> Self {
+impl SbhFrontier {
+    pub(crate) fn new(pruned: &PrunedLattice, pa: f64) -> Self {
         let len = pruned.len();
         let mut w = vec![0i64; len];
         for &m in pruned.mtns() {
@@ -69,14 +71,9 @@ impl<'p> SbhFrontier<'p> {
                 w[x] += 1;
             }
         }
-        let mut a = vec![0i64; len];
-        let mut b = vec![0i64; len];
-        for n in 0..len {
-            a[n] = pruned.desc_plus(n).iter().map(|&x| w[x]).sum();
-            b[n] = pruned.asc_plus(n).iter().map(|&x| w[x]).sum();
-        }
+        let a = (0..len).map(|n| pruned.desc_plus(n).iter().map(|&x| w[x]).sum()).collect();
+        let b = (0..len).map(|n| pruned.asc_plus(n).iter().map(|&x| w[x]).sum()).collect();
         SbhFrontier {
-            pruned,
             pa,
             status: vec![Status::Unknown; len],
             abandoned: vec![false; len],
@@ -85,15 +82,13 @@ impl<'p> SbhFrontier<'p> {
             b,
         }
     }
-}
 
-impl Frontier for SbhFrontier<'_> {
-    fn next(&mut self) -> Option<usize> {
-        // Greedy pick: maximal expected resolution among the pickable
-        // unknowns. Ties break toward the lowest dense index (lowest level)
-        // for determinism.
+    /// The greedy pick: maximal expected resolution among the unknown,
+    /// unabandoned nodes. Ties break toward the lowest dense index (lowest
+    /// level) for determinism.
+    pub(crate) fn pick(&self) -> Option<usize> {
         let mut best: Option<(f64, usize)> = None;
-        for n in 0..self.pruned.len() {
+        for n in 0..self.status.len() {
             if self.status[n] != Status::Unknown || self.abandoned[n] {
                 continue;
             }
@@ -105,47 +100,53 @@ impl Frontier for SbhFrontier<'_> {
         best.map(|(_, n)| n)
     }
 
+    /// Every node's status, indexed by dense node.
+    pub(crate) fn statuses(&self) -> &[Status] {
+        &self.status
+    }
+
+    /// Number of nodes abandoned after permanent probe failures.
+    pub(crate) fn abandoned_count(&self) -> usize {
+        self.abandoned.iter().filter(|&&x| x).count()
+    }
+}
+
+impl Frontier for SbhFrontier {
+    fn next(&mut self, _pruned: &PrunedLattice) -> Option<usize> {
+        self.pick()
+    }
+
     fn is_unknown(&self, n: usize) -> bool {
         self.status[n] == Status::Unknown
     }
 
-    fn apply(&mut self, n: usize, alive: bool, counters: &mut ProbeCounters) {
-        // Nodes resolved by this outcome (R1 downward or R2 upward).
-        let resolved: Vec<usize> = if alive {
-            self.pruned.desc_plus(n).iter().copied()
-                .filter(|&x| self.status[x] == Status::Unknown)
-                .collect()
-        } else {
-            self.pruned.asc_plus(n).iter().copied()
-                .filter(|&x| self.status[x] == Status::Unknown)
-                .collect()
-        };
-        let inferred = (resolved.len() as u64).saturating_sub(1);
-        if alive {
-            counters.r1_inferences += inferred;
-        } else {
-            counters.r2_inferences += inferred;
-        }
-        let new_status = if alive { Status::Alive } else { Status::Dead };
-        for &x in &resolved {
-            self.status[x] = new_status;
-            // x leaves the unknown set: its weight no longer counts toward
-            // any A (ancestors see x in their Desc+) or B (descendants see x
-            // in their Asc+).
-            for &p in self.pruned.asc_plus(x) {
+    fn apply(
+        &mut self,
+        pruned: &PrunedLattice,
+        n: usize,
+        alive: bool,
+        counters: &mut ProbeCounters,
+    ) {
+        // Each node this verdict resolves leaves the unknown set: its weight
+        // no longer counts toward any A (ancestors see it in their Desc+) or
+        // B (descendants see it in their Asc+).
+        let (_, cone) = rule_cone(pruned, n, alive);
+        for &x in cone.iter().filter(|&&x| self.status[x] == Status::Unknown) {
+            for &p in pruned.asc_plus(x) {
                 self.a[p] -= self.w[x];
             }
-            for &d in self.pruned.desc_plus(x) {
+            for &d in pruned.desc_plus(x) {
                 self.b[d] -= self.w[x];
             }
         }
+        settle(&mut self.status, pruned, n, alive, counters);
     }
 
     fn abandon(&mut self, n: usize) {
         self.abandoned[n] = true;
     }
 
-    fn finish(self: Box<Self>) -> Classified {
-        outcome_from_global_status(self.pruned, &self.status)
+    fn finish(self: Box<Self>, pruned: &PrunedLattice) -> TraversalOutcome {
+        outcome_from_global_status(pruned, &self.status)
     }
 }

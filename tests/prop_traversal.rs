@@ -9,7 +9,9 @@
 //! the dead MTN is covered by (is a descendant of) some MPAN.
 //!
 //! The traversal metrics are cross-checked on the same runs: each strategy's
-//! reported `sql_queries` must equal the oracle's own probe counter.
+//! reported `sql_queries` must equal the oracle's own probe counter. An
+//! interactive session stepped to completion must match batch SBH in its
+//! classification, MPANs, probes executed and R1/R2 inferences.
 //!
 //! Cases are drawn from a seeded [`SplitMix64`] stream (the registry-free
 //! stand-in for proptest), so failures replay deterministically.
@@ -19,6 +21,7 @@ use kwdebug::binding::{map_keywords, KeywordQuery};
 use kwdebug::lattice::Lattice;
 use kwdebug::oracle::AlivenessOracle;
 use kwdebug::prune::PrunedLattice;
+use kwdebug::session::DebugSession;
 use kwdebug::traversal::{self, StrategyKind};
 use kwdebug::SchemaGraph;
 use relengine::{DataType, Database, DatabaseBuilder, Value};
@@ -152,7 +155,29 @@ fn strategies_agree_and_mpans_satisfy_definition() {
                 );
             }
 
-            // 2. MPAN definition, checked against the oracle directly.
+            // 2. A session stepped to completion is SBH, one step at a time.
+            let mut session = DebugSession::new(&lattice, pruned.clone(), 0.5);
+            let mut oracle =
+                AlivenessOracle::new(&db, Some(&index), interp, &mapping.keywords, false);
+            session.run_to_completion(&mut oracle).expect("session runs");
+            let stepped = session.outcome().expect("session completes");
+            let mut oracle =
+                AlivenessOracle::new(&db, Some(&index), interp, &mapping.keywords, false);
+            let sbh = traversal::run(
+                StrategyKind::ScoreBasedHeuristic, &lattice, &pruned, &mut oracle, 0.5,
+            )
+            .expect("SBH runs");
+            assert_eq!(stepped.alive_mtns, sbh.alive_mtns, "case {case}: session");
+            assert_eq!(stepped.dead_mtns, sbh.dead_mtns, "case {case}: session");
+            assert_eq!(stepped.mpans, sbh.mpans, "case {case}: session");
+            let (s, b) = (stepped.probes, sbh.probes);
+            assert_eq!(
+                (s.probes_executed, s.r1_inferences, s.r2_inferences),
+                (b.probes_executed, b.r1_inferences, b.r2_inferences),
+                "case {case}: session probes and inferences"
+            );
+
+            // 3. MPAN definition, checked against the oracle directly.
             let mut truth =
                 AlivenessOracle::new(&db, Some(&index), interp, &mapping.keywords, true);
             let alive = |dense: usize, truth: &mut AlivenessOracle<'_>| {
@@ -188,7 +213,7 @@ fn strategies_agree_and_mpans_satisfy_definition() {
                 }
             }
 
-            // 3. R1/R2 semantics hold for the query class itself: children of
+            // 4. R1/R2 semantics hold for the query class itself: children of
             // alive nodes are alive.
             for dense in 0..pruned.len() {
                 if alive(dense, &mut truth) {

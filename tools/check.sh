@@ -60,6 +60,11 @@ cargo test --workspace --release -q --test probe_cache_equivalence
 echo "==> shared evaluation cache differential (cross-session, budgets, chaos pollution)"
 cargo test --workspace --release -q --test shared_cache_equivalence
 
+echo "==> examples end to end (traversal_shootout: every strategy agrees, cache and batching on and off; interactive_diagnosis: a DebugSession end to end)"
+for example in traversal_shootout interactive_diagnosis; do
+    (cd "$bench_dir" && "$bin/examples/$example" > /dev/null)
+done
+
 echo "==> cold-vs-warm probe cache benchmark (DBLife, records to a scratch directory)"
 (cd "$bench_dir" && "$bin/exp_probe_cache" --scale medium) | grep -E "throughput|speedup|wrote"
 
