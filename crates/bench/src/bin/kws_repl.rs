@@ -226,7 +226,7 @@ fn show_lattice(system: &NonAnswerDebugger) {
     println!("resident arena:");
     println!("  networks (JNTS)   {:>10.1} KiB", kib(fp.jnts_bytes));
     println!("  adjacency CSR     {:>10.1} KiB", kib(fp.adjacency_bytes));
-    println!("  postings index    {:>10.1} KiB", kib(fp.postings_bytes));
+    println!("  copy-set index    {:>10.1} KiB", kib(fp.copy_set_bytes));
     println!("  levels/flags      {:>10.1} KiB", kib(fp.index_bytes));
     println!("  total             {:>10.1} KiB", kib(fp.total_bytes()));
     println!("workspace reuses so far: {}", system.workspace_reuses());

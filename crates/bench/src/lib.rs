@@ -350,7 +350,7 @@ pub struct ThroughputReport {
     pub pruning: Duration,
     /// Prune statistics summed over interpretations.
     pub prune: PruneStats,
-    /// Posting-list entries scanned by Phase 1 (0 before the postings index).
+    /// Copy-set index entries read by Phase 1 (lookups plus total node ids).
     pub phase1_nodes_touched: u64,
     /// Number of `PrunedLattice` builds that reused pooled scratch.
     pub workspace_reuses: u64,

@@ -35,15 +35,27 @@
 //! precomputed once here so Phases 1–2 ([`crate::prune`]) never have to scan
 //! the whole lattice:
 //!
-//! * a **tuple-set postings index** mapping each `(table, copy)` to the
-//!   ascending list of node ids whose network contains that tuple set, and
+//! * an exact **keyword-copy-set index**: each distinct set of keyword copies
+//!   (`(table, copy ≥ 1)` vertices) that some node holds maps to the
+//!   ascending ids of the nodes holding exactly that set. A node is retained
+//!   by Phase 1 iff its set is a subset of the interpretation's bound copies,
+//!   and total iff it equals them, so Phase 1 is a handful of lookups
+//!   ([`Lattice::nodes_with_copy_set`]) whose cost follows the output, not
+//!   the lattice; and
 //! * a **free-leaf flag** per node (`has_free_leaf`), which turns the MTN
 //!   minimality test into a precomputed bit.
+//!
+//! The copy-set index stores each set as one fixed-width row of sorted
+//! *slots* (`table * copies_per_table + copy`, padded with `NO_SLOT`),
+//! rows in ascending order, and the node ids of all sets in one CSR array:
+//! lookups binary-search the rows, and neither building nor querying it
+//! allocates per node.
 //!
 //! All arrays are plain `Vec`s with no interior mutability, so one `Lattice`
 //! is freely shareable (`&Lattice` is `Sync`) across concurrent query
 //! sessions.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -55,6 +67,10 @@ use crate::schema_graph::SchemaGraph;
 
 /// Identifier of a lattice node (dense, 0-based, ascending in level order).
 pub type NodeId = u32;
+
+/// Padding of a copy-set row shorter than the index width. It sorts after
+/// every real slot, so a set compares with a padded row as with its own.
+const NO_SLOT: u32 = u32::MAX;
 
 /// Per-level generation statistics (reproduces Figure 9).
 #[derive(Debug, Clone, Default)]
@@ -79,8 +95,8 @@ pub struct LatticeFootprint {
     pub jnts_bytes: usize,
     /// Bytes of the CSR children/parents adjacency (offsets + ids).
     pub adjacency_bytes: usize,
-    /// Bytes of the tuple-set postings index (offsets + ids).
-    pub postings_bytes: usize,
+    /// Bytes of the keyword-copy-set index (slot rows, offsets and ids).
+    pub copy_set_bytes: usize,
     /// Bytes of the remaining per-node arrays (levels, identity ids,
     /// free-leaf flags) and per-level bookkeeping.
     pub index_bytes: usize,
@@ -89,7 +105,7 @@ pub struct LatticeFootprint {
 impl LatticeFootprint {
     /// Total resident bytes across all arena arrays.
     pub fn total_bytes(&self) -> usize {
-        self.jnts_bytes + self.adjacency_bytes + self.postings_bytes + self.index_bytes
+        self.jnts_bytes + self.adjacency_bytes + self.copy_set_bytes + self.index_bytes
     }
 }
 
@@ -114,15 +130,19 @@ pub struct Lattice {
     parent_off: Vec<usize>,
     /// CSR payload of parents (minimal proper super-networks, one level up).
     parent_ids: Vec<NodeId>,
-    /// Postings stride: copies `0..=max_level` per table.
+    /// Slot stride: copies `0..=max_level` per table.
     copies_per_table: usize,
-    /// Number of tables covered by the postings index.
+    /// Number of tables with a copy in the lattice.
     table_count: usize,
-    /// CSR offsets into `posting_ids`, keyed by
-    /// `table * copies_per_table + copy`.
-    posting_off: Vec<usize>,
-    /// CSR payload: ascending node ids containing each tuple set.
-    posting_ids: Vec<NodeId>,
+    /// Largest keyword-copy set of any node: the width of a copy-set row.
+    copy_set_width: usize,
+    /// Distinct keyword-copy sets, one sorted row of `copy_set_width` slots
+    /// each (padded with `NO_SLOT`); rows ascending.
+    copy_set_keys: Vec<u32>,
+    /// CSR offsets into `copy_set_ids`, one range per row.
+    copy_set_off: Vec<usize>,
+    /// CSR payload: ascending ids of the nodes holding exactly each set.
+    copy_set_ids: Vec<NodeId>,
     /// Whether the node's network has more than one vertex and at least one
     /// free leaf — the precomputed complement of the MTN minimality test.
     free_leaf: Vec<bool>,
@@ -220,7 +240,7 @@ impl Lattice {
 
     /// Packs loose per-node data into the final arena: derives levels from
     /// the per-level counts, children/parents CSR from the child lists, and
-    /// precomputes the postings index and free-leaf flags. Shared by
+    /// precomputes the copy-set index and free-leaf flags. Shared by
     /// [`Lattice::build`] and `Lattice::from_parts` (deserialization).
     fn assemble(
         jnts: Vec<Jnts>,
@@ -270,33 +290,69 @@ impl Lattice {
             }
         }
 
-        // Tuple-set postings: ascending node ids per (table, copy). Repeated
-        // free copies within one network must post the node once; since
-        // nodes are visited in ascending id order, a duplicate within a node
-        // is always the current last entry.
-        let table_count = jnts
-            .iter()
-            .flat_map(|j| j.nodes().iter().map(|ts| ts.table + 1))
-            .max()
-            .unwrap_or(0);
+        // Keyword-copy-set index. In one pass over the networks, each node's
+        // keyword copies, as sorted slots, fill one row of a flat array (no
+        // network has more vertices than there are levels). Sorting the
+        // node ids by row groups the nodes of each set; the sort is stable,
+        // so each group stays ascending and the sorted ids are the CSR
+        // payload as they stand.
         let copies_per_table = max_joins + 2; // copies 0..=max_level
-        let mut postings: Vec<Vec<NodeId>> = vec![Vec::new(); table_count * copies_per_table];
-        for (id, j) in jnts.iter().enumerate() {
+        let stride = level_counts.len();
+        let mut rows = vec![NO_SLOT; n * stride];
+        let (mut table_count, mut width) = (0, 0);
+        for (j, row) in jnts.iter().zip(rows.chunks_exact_mut(stride.max(1))) {
+            let mut len = 0;
             for ts in j.nodes() {
-                let slot = &mut postings[ts.table * copies_per_table + ts.copy as usize];
-                if slot.last() != Some(&(id as NodeId)) {
-                    slot.push(id as NodeId);
+                table_count = table_count.max(ts.table + 1);
+                if !ts.is_free() {
+                    row[len] = (ts.table * copies_per_table + ts.copy as usize) as u32;
+                    len += 1;
                 }
             }
+            row[..len].sort_unstable();
+            width = width.max(len);
         }
-        let mut posting_off = Vec::with_capacity(postings.len() + 1);
-        posting_off.push(0usize);
-        let mut posting_ids = Vec::with_capacity(postings.iter().map(Vec::len).sum());
-        for p in &postings {
-            posting_ids.extend_from_slice(p);
-            posting_off.push(posting_ids.len());
+        let row_of = |id: NodeId| &rows[id as usize * stride..][..width];
+        // LSD radix sort, one counting pass per row column from the last:
+        // slots are small (`table_count * copies_per_table`, with `NO_SLOT`
+        // as the largest digit), so this beats a comparison sort of rows.
+        let digits = table_count * copies_per_table + 1;
+        let digit = |id: NodeId, col: usize| match row_of(id)[col] {
+            NO_SLOT => digits - 1,
+            slot => slot as usize,
+        };
+        let mut copy_set_ids = ids.clone();
+        let mut sorted = vec![0 as NodeId; n];
+        let mut starts = vec![0usize; digits];
+        for col in (0..width).rev() {
+            starts.fill(0);
+            for &id in &copy_set_ids {
+                starts[digit(id, col)] += 1;
+            }
+            let mut sum = 0;
+            for start in &mut starts {
+                let count = *start;
+                *start = sum;
+                sum += count;
+            }
+            for &id in &copy_set_ids {
+                let d = digit(id, col);
+                sorted[starts[d]] = id;
+                starts[d] += 1;
+            }
+            std::mem::swap(&mut copy_set_ids, &mut sorted);
         }
-        drop(postings);
+        drop(sorted);
+        let mut copy_set_keys = Vec::new();
+        let mut copy_set_off = Vec::new();
+        for (i, &id) in copy_set_ids.iter().enumerate() {
+            if i == 0 || row_of(copy_set_ids[i - 1]) != row_of(id) {
+                copy_set_off.push(i);
+                copy_set_keys.extend_from_slice(row_of(id));
+            }
+        }
+        copy_set_off.push(n);
+        drop(rows);
 
         // MTN minimality precompute: a single-vertex network has no proper
         // sub-network, so only multi-vertex networks can fail on a free leaf.
@@ -318,8 +374,10 @@ impl Lattice {
             parent_ids,
             copies_per_table,
             table_count,
-            posting_off,
-            posting_ids,
+            copy_set_width: width,
+            copy_set_keys,
+            copy_set_off,
+            copy_set_ids,
             free_leaf,
             max_joins,
             stats,
@@ -367,27 +425,64 @@ impl Lattice {
         &self.parent_ids[self.parent_off[id as usize]..self.parent_off[id as usize + 1]]
     }
 
-    /// Ascending ids of the nodes whose network contains the tuple set
-    /// `(table, copy)`; empty for tuple sets outside the lattice.
-    pub fn postings(&self, table: usize, copy: CopyIdx) -> &[NodeId] {
-        let copy = copy as usize;
-        if table >= self.table_count || copy >= self.copies_per_table {
+    /// The index slot of a keyword copy, or `None` for a free copy and for
+    /// a copy no lattice node can hold (a table outside the lattice, or a
+    /// copy index past `maxJoins + 1`). Masking those first keeps
+    /// `table * copies_per_table + copy` from aliasing another table's slot.
+    pub fn copy_slot(&self, ts: TupleSet) -> Option<u32> {
+        let copy = ts.copy as usize;
+        (copy > 0 && ts.table < self.table_count && copy < self.copies_per_table)
+            .then(|| (ts.table * self.copies_per_table + copy) as u32)
+    }
+
+    /// Ascending ids of the nodes whose keyword copies are exactly the
+    /// slots `set` (ascending, as [`Lattice::copy_slot`] encodes them);
+    /// empty when no node holds that set. One binary search over the rows.
+    pub fn nodes_with_copy_set(&self, set: &[u32]) -> &[NodeId] {
+        if set.len() > self.copy_set_width {
             return &[];
         }
-        let slot = table * self.copies_per_table + copy;
-        &self.posting_ids[self.posting_off[slot]..self.posting_off[slot + 1]]
+        let padded = || set.iter().copied().chain(std::iter::repeat(NO_SLOT));
+        let (mut lo, mut hi) = (0, self.copy_set_off.len() - 1);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            let row = self.copy_set_row(mid);
+            match row.iter().copied().cmp(padded().take(row.len())) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return self.copy_set_nodes(mid),
+            }
+        }
+        &[]
     }
 
-    /// Number of tables covered by the postings index (tables with at least
-    /// one copy in the lattice).
+    /// Every distinct keyword-copy set with its nodes, in index order:
+    /// `(slots, ids)`, both ascending. Each node is listed once.
+    pub fn copy_sets(&self) -> impl Iterator<Item = (&[u32], &[NodeId])> + '_ {
+        (0..self.copy_set_off.len() - 1).map(|i| {
+            let row = self.copy_set_row(i);
+            let len = row.iter().take_while(|&&s| s != NO_SLOT).count();
+            (&row[..len], self.copy_set_nodes(i))
+        })
+    }
+
+    /// The largest keyword-copy set of any node (at most `maxJoins + 1`):
+    /// no node is retained under more bound copies than this.
+    pub fn copy_set_width(&self) -> usize {
+        self.copy_set_width
+    }
+
+    fn copy_set_row(&self, i: usize) -> &[u32] {
+        &self.copy_set_keys[i * self.copy_set_width..(i + 1) * self.copy_set_width]
+    }
+
+    fn copy_set_nodes(&self, i: usize) -> &[NodeId] {
+        &self.copy_set_ids[self.copy_set_off[i]..self.copy_set_off[i + 1]]
+    }
+
+    /// Number of tables with a copy in the lattice.
     pub fn table_count(&self) -> usize {
         self.table_count
-    }
-
-    /// Postings stride: valid copy indices are `0..copies_per_table()`
-    /// (copy 0 is the free copy, `1..` the keyword copies).
-    pub fn copies_per_table(&self) -> usize {
-        self.copies_per_table
     }
 
     /// Whether the node's network has a free leaf (always `false` for
@@ -437,8 +532,9 @@ impl Lattice {
                 + vecsz(self.jnts.len(), std::mem::size_of::<Jnts>()),
             adjacency_bytes: vecsz(self.child_off.len() + self.parent_off.len(), 8)
                 + vecsz(self.child_ids.len() + self.parent_ids.len(), 4),
-            postings_bytes: vecsz(self.posting_off.len(), 8)
-                + vecsz(self.posting_ids.len(), 4),
+            copy_set_bytes: vecsz(self.copy_set_keys.len(), 4)
+                + vecsz(self.copy_set_off.len(), 8)
+                + vecsz(self.copy_set_ids.len(), 4),
             index_bytes: vecsz(self.node_levels.len(), 4)
                 + vecsz(self.ids.len(), 4)
                 + vecsz(self.level_start.len(), 8)
@@ -580,28 +676,33 @@ mod tests {
     }
 
     #[test]
-    fn postings_index_matches_membership() {
+    fn copy_set_index_lists_every_node_once_under_its_own_set() {
         let db = example2_db();
         let g = SchemaGraph::new(&db);
         let lat = Lattice::build(&db, &g, 2);
-        for t in 0..2 {
-            for copy in 0..=3u8 {
-                let posted = lat.postings(t, copy);
-                // Ascending, unique, and exactly the containing nodes.
-                assert!(posted.windows(2).all(|w| w[0] < w[1]));
-                for id in lat.all_nodes() {
-                    let contains = lat.jnts(id).contains(TupleSet::new(t, copy));
-                    assert_eq!(
-                        posted.binary_search(&id).is_ok(),
-                        contains,
-                        "postings({t},{copy}) disagrees on node {id}"
-                    );
-                }
-            }
+        let mut listed = 0;
+        for (set, ids) in lat.copy_sets() {
+            assert!(set.windows(2).all(|w| w[0] < w[1]));
+            assert!(!ids.is_empty() && ids.windows(2).all(|w| w[0] < w[1]));
+            // Found by binary search: the rows are in search order.
+            assert_eq!(lat.nodes_with_copy_set(set), ids);
+            listed += ids.len();
         }
-        // Out-of-range tuple sets have empty postings.
-        assert!(lat.postings(99, 1).is_empty());
-        assert!(lat.postings(0, 99).is_empty());
+        assert_eq!(listed, lat.node_count(), "every node listed exactly once");
+        for id in lat.all_nodes() {
+            let mut set: Vec<u32> =
+                lat.jnts(id).nodes().iter().filter_map(|&ts| lat.copy_slot(ts)).collect();
+            set.sort_unstable();
+            assert!(set.len() <= lat.copy_set_width());
+            assert!(lat.nodes_with_copy_set(&set).binary_search(&id).is_ok(), "node {id}");
+        }
+        // The level-3 chain R1 - S1 - R2 holds the widest set: 3 slots.
+        assert_eq!(lat.copy_set_width(), 3);
+        // Copies the lattice cannot hold have no slot.
+        assert_eq!(lat.copy_slot(TupleSet::new(0, 0)), None);
+        assert_eq!(lat.copy_slot(TupleSet::new(99, 1)), None);
+        assert_eq!(lat.copy_slot(TupleSet::new(0, 4)), None);
+        assert!(lat.nodes_with_copy_set(&[0, 1, 2, 3]).is_empty());
     }
 
     #[test]
@@ -653,10 +754,10 @@ mod tests {
         assert_eq!(fp.nodes, lat.node_count());
         assert!(fp.jnts_bytes > 0);
         assert!(fp.adjacency_bytes > 0);
-        assert!(fp.postings_bytes > 0);
+        assert!(fp.copy_set_bytes > 0);
         assert_eq!(
             fp.total_bytes(),
-            fp.jnts_bytes + fp.adjacency_bytes + fp.postings_bytes + fp.index_bytes
+            fp.jnts_bytes + fp.adjacency_bytes + fp.copy_set_bytes + fp.index_bytes
         );
     }
 }

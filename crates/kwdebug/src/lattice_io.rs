@@ -8,7 +8,7 @@
 //!
 //! Format (`KWSLAT02`): header (magic, `max_joins`, level count, per-level
 //! node counts), then every node in level order — vertex list, edge list,
-//! child links ascending (parent links, the postings index and the free-leaf
+//! child links ascending (parent links, the copy-set index and the free-leaf
 //! flags are reconstructed by `Lattice::from_parts`, which keeps the file
 //! small and version-stable across index changes). Reading validates
 //! structure (tree-ness, level consistency, link ranges and order) and fails
@@ -124,7 +124,7 @@ pub fn save_lattice(lattice: &Lattice, w: &mut impl Write) -> io::Result<()> {
 }
 
 /// Deserializes a lattice from `r`, validating structure. The derived arena
-/// indexes (parents CSR, tuple-set postings, free-leaf flags) are rebuilt by
+/// indexes (parents CSR, keyword-copy-set index, free-leaf flags) are rebuilt by
 /// `Lattice::from_parts` from the validated networks and child links.
 pub fn load_lattice(r: &mut impl Read) -> Result<Lattice, LatticeIoError> {
     let mut magic = [0u8; 8];
@@ -141,7 +141,7 @@ pub fn load_lattice(r: &mut impl Read) -> Result<Lattice, LatticeIoError> {
     let level_count = read_u64(r)? as usize;
     // Guard against absurd sizes before allocating: a corrupt header or node
     // section must produce a typed error, never a multi-gigabyte allocation
-    // in `Lattice::from_parts` (which sizes the postings index from the
+    // in `Lattice::from_parts` (which sizes its index slots from the
     // largest table id and `max_joins`).
     const MAX_NODES: u64 = 1 << 28;
     const MAX_LEVELS: usize = 64;
@@ -307,16 +307,9 @@ mod tests {
             assert_eq!(original.parents(id), loaded.parents(id));
             assert_eq!(original.has_free_leaf(id), loaded.has_free_leaf(id));
         }
-        // Derived postings index is rebuilt identically.
-        for t in 0..original.table_count() {
-            for copy in 0..original.copies_per_table() {
-                assert_eq!(
-                    original.postings(t, copy as u8),
-                    loaded.postings(t, copy as u8),
-                    "postings({t},{copy})"
-                );
-            }
-        }
+        // Derived copy-set index is rebuilt identically.
+        assert_eq!(loaded.copy_set_width(), original.copy_set_width());
+        assert!(original.copy_sets().eq(loaded.copy_sets()), "copy-set index differs");
         for (sa, sb) in original.stats().iter().zip(loaded.stats()) {
             assert_eq!(sa.generated, sb.generated);
             assert_eq!(sa.duplicates, sb.duplicates);
@@ -405,7 +398,7 @@ mod tests {
         // Accept either an error or a still-consistent read (flipping e.g. a
         // duplicate-count stat is benign), but never panic and never attempt
         // an absurd allocation (a flipped table id or maxJoins must be caught
-        // by the sanity bounds, not sized into the postings index).
+        // by the sanity bounds, not sized into the copy-set index).
         for pos in MAGIC.len()..buf.len() {
             let mut bad = buf.clone();
             bad[pos] ^= 0xFF;

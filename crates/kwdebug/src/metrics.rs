@@ -22,7 +22,7 @@
 //! | `faults_injected` | oracle, fault errors observed (injected or real) | beyond the paper (degraded mode) |
 //! | `probes_abandoned` | oracle, probes given up on (node stays `Unknown`) | beyond the paper (degraded mode) |
 //! | `budget_exhausted` | oracle, [`crate::budget::ProbeBudget`] cap trips | beyond the paper (degraded mode) |
-//! | `phase1_nodes_touched` | debugger, posting-list entries scanned by Phase 1 (DESIGN.md §9) | beyond the paper (compact substrate) |
+//! | `phase1_nodes_touched` | debugger, keyword-copy-set index entries read by Phase 1: one per lookup plus one per total node id (DESIGN.md §9.2) | beyond the paper (compact substrate) |
 //! | `workspace_reuses` | debugger, `PrunedLattice` builds served from the pooled [`crate::workspace::QueryWorkspace`] | beyond the paper (compact substrate) |
 //! | `selection_cache_hits` | oracle, keyword selections an interpretation took from [`crate::evalcache`] (at most one per bound keyword) | beyond the paper (evaluation cache) |
 //! | `verdict_cache_hits` | oracle/dispatcher, probes answered (Alive *or* Dead) from a cached whole-network verdict | beyond the paper (evaluation cache) |
@@ -94,9 +94,9 @@ pub struct ProbeCounters {
     /// Times a [`crate::budget::ProbeBudget`] cap tripped (at most once per
     /// oracle — budgets are sticky).
     pub budget_exhausted: u64,
-    /// Posting-list entries scanned by the postings-based Phase 1 (union of
-    /// unbound copies + bound-copy intersection; see `DESIGN.md` §9). A proxy
-    /// for Phase-1 work that shrinks with selective keywords.
+    /// Keyword-copy-set index entries read by Phase 1: one per subset
+    /// lookup plus one per total node id (see `DESIGN.md` §9.2). Phase 1's
+    /// work, which follows its output rather than the lattice size.
     pub phase1_nodes_touched: u64,
     /// `PrunedLattice` builds that reused a pooled
     /// [`crate::workspace::QueryWorkspace`] instead of allocating fresh

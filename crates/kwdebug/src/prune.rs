@@ -13,14 +13,17 @@
 //! Both phases run on the compact arena indexes of [`crate::lattice`] instead
 //! of scanning every node's network:
 //!
-//! * **Phase 1** is set algebra over the precomputed tuple-set postings. A
-//!   node is *excluded* iff its network contains a keyword copy the
-//!   interpretation leaves unbound, so the excluded set is the bitset union
-//!   of the unbound copies' postings and `retained = lattice ∖ excluded`.
-//!   A retained node is *total* iff it contains all `k` bound copies
-//!   (interpretations bind distinct copies per keyword), found by
-//!   intersecting the `k` bound postings lists; it is an MTN iff additionally
-//!   its precomputed [`crate::lattice::Lattice::has_free_leaf`] bit is clear.
+//! * **Phase 1** is a handful of lookups in the exact keyword-copy-set
+//!   index. A node is retained iff its set of keyword copies is a subset of
+//!   the interpretation's bound set `B` (it holds no unbound copy), and total
+//!   iff the set equals `B` (interpretations bind distinct copies per
+//!   keyword). So the totals are one lookup of `B`, and `retained_phase1` is
+//!   the sum of the list lengths over the subsets of `B` no larger than the
+//!   widest set in the lattice ([`crate::lattice::Lattice::copy_set_width`],
+//!   `L`): at most `Σ_{i≤L} C(k, i)` lookups, whatever `k`. A total node is
+//!   an MTN iff its precomputed [`crate::lattice::Lattice::has_free_leaf`]
+//!   bit is clear. The 98% of the lattice that Phase 1 prunes is never
+//!   touched.
 //! * **Phase 2** marks MTNs ∪ descendants in a keep-bitset via an explicit
 //!   stack over the CSR children arrays, then packs the dense sub-lattice.
 //! * The descendant closure is a per-node bitset over dense indices
@@ -34,14 +37,14 @@
 //! arrays of the `PrunedLattice` itself are freshly allocated per query.
 
 use crate::binding::Interpretation;
-use crate::jnts::{CopyIdx, Jnts, TupleSet};
+use crate::jnts::Jnts;
 use crate::lattice::{Lattice, NodeId};
 use crate::workspace::QueryWorkspace;
 
 /// Label of the Phase 1–2 substrate implementation in effect. Benches record
 /// it in their variant field so before/after rows in `results/` stay
 /// distinguishable across substrate changes.
-pub const SUBSTRATE: &str = "csr-bitset";
+pub const SUBSTRATE: &str = "copy-set-index";
 
 /// Phase-1/2 statistics for one interpretation (reproduces §3.3 / Figure 10).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -108,25 +111,30 @@ pub struct PrunedLattice {
     /// Dense indices of the MTNs, ascending.
     mtns: Vec<usize>,
     stats: PruneStats,
-    /// Posting-list entries scanned during Phase 1 (the work the postings
-    /// index does in place of a full lattice scan).
+    /// Copy-set index entries read during Phase 1: one per lookup plus one
+    /// per total node id (the work the index does in place of a full
+    /// lattice scan).
     phase1_nodes_touched: u64,
 }
 
-/// Intersects two ascending id lists into `out` (cleared first).
-fn intersect_sorted(a: &[NodeId], b: &[NodeId], out: &mut Vec<NodeId>) {
-    out.clear();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
+/// Calls `f` on `subset` extended by every subset of `bound[from..]`, up to
+/// `max_len` slots in all, each exactly once and in ascending slot order
+/// (`bound` is ascending). `subset` is scratch, left as it was found.
+fn for_each_subset(
+    bound: &[u32],
+    from: usize,
+    max_len: usize,
+    subset: &mut Vec<u32>,
+    f: &mut impl FnMut(&[u32]),
+) {
+    f(subset);
+    if subset.len() == max_len {
+        return;
+    }
+    for i in from..bound.len() {
+        subset.push(bound[i]);
+        for_each_subset(bound, i + 1, max_len, subset, f);
+        subset.pop();
     }
 }
 
@@ -167,63 +175,36 @@ impl PrunedLattice {
         let mut stats = PruneStats { lattice_nodes: n, ..PruneStats::default() };
         let mut touched: u64 = 0;
 
-        // Phase 1: excluded = ∪ postings of keyword copies the interpretation
-        // leaves unbound. retained = complement.
-        ws.excluded.clear();
-        ws.excluded.resize(words, 0);
-        for table in 0..lattice.table_count() {
-            for copy in 1..lattice.copies_per_table() {
-                if interp.keyword_for(TupleSet::new(table, copy as CopyIdx)).is_some() {
-                    continue;
-                }
-                let posted = lattice.postings(table, copy as CopyIdx);
-                touched += posted.len() as u64;
-                for &id in posted {
-                    bit_set(&mut ws.excluded, id);
-                }
-            }
-        }
-        stats.retained_phase1 = n - popcount(&ws.excluded);
-
-        // Totality: a retained node is total iff it contains every bound
-        // copy, i.e. lies in the intersection of the k bound postings lists.
+        // Phase 1: B = the bound copies, as sorted index slots. A bound copy
+        // the lattice cannot hold has no slot; no node is then total, but
+        // the nodes within the rest of B are still retained.
         let k = interp.keyword_count();
-        ws.candidates.clear();
-        if k > 0 {
-            let ts = interp.tuple_set_of(0);
-            let posted = lattice.postings(ts.table, ts.copy);
-            touched += posted.len() as u64;
-            ws.candidates.extend_from_slice(posted);
-            for i in 1..k {
-                if ws.candidates.is_empty() {
-                    break;
-                }
-                let ts = interp.tuple_set_of(i);
-                let posted = lattice.postings(ts.table, ts.copy);
-                touched += posted.len() as u64;
-                intersect_sorted(&ws.candidates, posted, &mut ws.candidates_next);
-                std::mem::swap(&mut ws.candidates, &mut ws.candidates_next);
+        ws.bound.clear();
+        ws.bound.extend((0..k).filter_map(|i| lattice.copy_slot(interp.tuple_set_of(i))));
+        ws.bound.sort_unstable();
+        let mut totals: &[NodeId] = &[];
+        let mut lookup = |set: &[u32]| {
+            let ids = lattice.nodes_with_copy_set(set);
+            touched += 1;
+            stats.retained_phase1 += ids.len();
+            if set.len() == k {
+                totals = ids;
             }
-        }
-        // MTN classification over the (ascending) total candidates: the
-        // minimality test is the precomputed free-leaf bit.
-        ws.candidates_next.clear();
-        for &id in &ws.candidates {
-            if bit_test(&ws.excluded, id) {
-                continue;
-            }
-            stats.total_nodes += 1;
-            if !lattice.has_free_leaf(id) {
-                ws.candidates_next.push(id);
-            }
-        }
-        stats.mtn_count = ws.candidates_next.len();
+        };
+        ws.subset.clear();
+        for_each_subset(&ws.bound, 0, lattice.copy_set_width(), &mut ws.subset, &mut lookup);
+        touched += totals.len() as u64;
+        stats.total_nodes = totals.len();
+        // MTNs: the (ascending) totals whose precomputed free-leaf bit is
+        // clear.
+        let mtn_ids = || totals.iter().copied().filter(|&id| !lattice.has_free_leaf(id));
+        stats.mtn_count = mtn_ids().count();
 
         // Phase 2: keep = MTNs ∪ descendants (children closure downward).
         ws.keep.clear();
         ws.keep.resize(words, 0);
         ws.stack.clear();
-        ws.stack.extend_from_slice(&ws.candidates_next);
+        ws.stack.extend(mtn_ids());
         while let Some(id) = ws.stack.pop() {
             if bit_test(&ws.keep, id) {
                 continue;
@@ -337,10 +318,9 @@ impl PrunedLattice {
             }
         }
 
-        // MTNs in dense space (ascending: candidates were ascending and the
-        // dense map is monotone).
-        let mtns: Vec<usize> =
-            ws.candidates_next.iter().map(|&id| ws.dense_of[id as usize] as usize).collect();
+        // MTNs in dense space (ascending: totals are ascending and the dense
+        // map is monotone).
+        let mtns: Vec<usize> = mtn_ids().map(|id| ws.dense_of[id as usize] as usize).collect();
         debug_assert!(mtns.windows(2).all(|w| w[0] < w[1]));
 
         for &m in &mtns {
@@ -455,9 +435,10 @@ impl PrunedLattice {
         &self.stats
     }
 
-    /// Posting-list entries scanned by Phase 1 for this build (the
-    /// `phase1_nodes_touched` metric; compare against
-    /// [`PruneStats::lattice_nodes`], the cost of the old full scan).
+    /// Copy-set index entries read by Phase 1 for this build: one per
+    /// lookup plus one per total node id (the `phase1_nodes_touched`
+    /// metric; compare against [`PruneStats::lattice_nodes`], the cost of a
+    /// full scan).
     pub fn phase1_nodes_touched(&self) -> u64 {
         self.phase1_nodes_touched
     }
@@ -608,9 +589,11 @@ mod tests {
     fn phase1_touches_fewer_nodes_than_a_full_scan_would() {
         let (lattice, p) = pruned(2);
         assert!(p.phase1_nodes_touched() > 0);
-        // The postings walk visits list entries, not every node's network.
+        // Two bound copies under a width-3 index: 4 lookups, plus the one
+        // total node's id.
+        assert_eq!(p.phase1_nodes_touched(), 4 + p.stats().total_nodes as u64);
         assert!(
-            p.phase1_nodes_touched() < (lattice.node_count() * 3) as u64,
+            p.phase1_nodes_touched() < lattice.node_count() as u64,
             "touched {} of {} nodes",
             p.phase1_nodes_touched(),
             lattice.node_count()

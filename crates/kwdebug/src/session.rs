@@ -152,10 +152,13 @@ impl<'a> DebugSession<'a> {
     pub fn step(&mut self, oracle: &mut AlivenessOracle<'_>) -> Result<StepOutcome, KwError> {
         let Some(n) = self.suggestion() else { return Ok(StepOutcome::Done) };
         let DebugSession { lattice, pruned, sbh, counters, .. } = self;
+        // A verdict from the memo or the verdict cache ran no SQL: count the
+        // oracle's own executions, as `traversal::run` does.
+        let executed0 = oracle.metrics().probes_executed;
         let outcome = visit(lattice, pruned, oracle, None, sbh, n, |sbh, alive, _| {
-            counters.probes_executed += 1;
             record(pruned, sbh, counters, n, alive)
         })?;
+        counters.probes_executed += oracle.metrics().probes_executed - executed0;
         if outcome == StepOutcome::Exhausted {
             self.exhausted = oracle.exhausted();
         }
@@ -433,6 +436,30 @@ mod tests {
         // A redundant consistent assertion is still accepted and free.
         session.assert_alive(alive_node).expect("consistent verdict");
         assert_eq!(session.outcome().expect("complete").dead_mtns.len(), 0);
+    }
+
+    #[test]
+    fn executions_count_engine_queries_only() {
+        let f = fix("blue candle");
+        let pruned = PrunedLattice::build(&f.lattice, &f.interp);
+        let mut oracle =
+            AlivenessOracle::new(&f.db, Some(&f.index), &f.interp, &f.keywords, true);
+        let mut first = DebugSession::new(&f.lattice, pruned.clone(), 0.5);
+        first.run_to_completion(&mut oracle).expect("session runs");
+        assert!(first.executed() > 0);
+        assert_eq!(first.executed(), oracle.queries(), "first pass executes every verdict");
+
+        // A second session on the same memoizing oracle gets every verdict
+        // from the memo: the engine runs nothing, and neither may the count.
+        let q0 = oracle.queries();
+        let mut second = DebugSession::new(&f.lattice, pruned, 0.5);
+        second.run_to_completion(&mut oracle).expect("session runs");
+        assert!(second.is_complete());
+        assert_eq!(oracle.queries() - q0, 0);
+        assert_eq!(second.executed(), 0, "memo answers are not executions");
+        let (got, want) = (second.outcome().expect("complete"), first.outcome().expect("complete"));
+        assert_eq!(got.sql_queries, 0);
+        assert_eq!((got.alive_mtns, got.mpans), (want.alive_mtns, want.mpans));
     }
 
     #[test]

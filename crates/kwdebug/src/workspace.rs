@@ -1,10 +1,11 @@
 //! Reusable per-query scratch for Phase 1–2 (DESIGN.md §9).
 //!
 //! Building a [`crate::prune::PrunedLattice`] needs several transient
-//! buffers: bitsets over the offline lattice (excluded/keep sets), the
-//! dense re-index map, a DFS stack, and the bound-postings intersection
-//! lists. Under sustained traffic — many queries over one shared lattice —
-//! re-allocating those per interpretation dominates the Phase 1–2 budget, so
+//! buffers: the Phase-1 bound-copy slots and the subset being looked up in
+//! the copy-set index, a keep bitset over the offline lattice, the dense
+//! re-index map, and a DFS stack. Under sustained traffic — many queries
+//! over one shared lattice — re-allocating those per interpretation would
+//! dominate the Phase 1–2 budget, so
 //! they live in a [`QueryWorkspace`] that callers reuse across queries:
 //! [`crate::prune::PrunedLattice::build_with`] takes one explicitly, and
 //! [`crate::debugger::NonAnswerDebugger`] keeps a [`WorkspacePool`] so
@@ -24,8 +25,10 @@ use crate::lattice::NodeId;
 /// Reusable scratch buffers for one in-flight Phase 1–2 build.
 #[derive(Debug, Default)]
 pub struct QueryWorkspace {
-    /// Bitset over lattice ids: nodes containing an unbound keyword copy.
-    pub(crate) excluded: Vec<u64>,
+    /// Phase 1: the interpretation's bound copies as sorted index slots.
+    pub(crate) bound: Vec<u32>,
+    /// Phase 1: the subset of `bound` being looked up.
+    pub(crate) subset: Vec<u32>,
     /// Bitset over lattice ids: MTNs and their descendants (Phase 2).
     pub(crate) keep: Vec<u64>,
     /// Bitset over dense ids: union scratch for the MTN-descendant stats.
@@ -35,10 +38,6 @@ pub struct QueryWorkspace {
     pub(crate) dense_of: Vec<u32>,
     /// DFS stack for the Phase-2 downward closure.
     pub(crate) stack: Vec<NodeId>,
-    /// Bound-postings intersection list (current).
-    pub(crate) candidates: Vec<NodeId>,
-    /// Bound-postings intersection list (next round).
-    pub(crate) candidates_next: Vec<NodeId>,
     /// Builds served by this workspace.
     builds: u64,
 }

@@ -22,6 +22,16 @@ use kwdebug::SchemaGraph;
 use std::collections::{HashMap, HashSet};
 
 fn check_lattice_invariants(lattice: &Lattice, graph: &SchemaGraph) {
+    // Copy-set index: every node is listed exactly once, and every set's
+    // lookup finds its own list.
+    let mut listed: Vec<u32> = Vec::new();
+    for (set, ids) in lattice.copy_sets() {
+        assert_eq!(lattice.nodes_with_copy_set(set), ids, "lookup of {set:?}");
+        listed.extend_from_slice(ids);
+    }
+    listed.sort_unstable();
+    assert!(listed.iter().copied().eq(lattice.all_nodes()), "a node is missing or listed twice");
+
     // Dedup soundness + index for the closure check.
     let mut by_label: HashMap<String, u32> = HashMap::new();
     for id in lattice.all_nodes() {
@@ -56,15 +66,15 @@ fn check_lattice_invariants(lattice: &Lattice, graph: &SchemaGraph) {
             assert!(lattice.children(p).contains(&id));
         }
 
-        // Postings index agrees with network membership.
-        for ts in jnts.nodes() {
-            assert!(
-                lattice.postings(ts.table, ts.copy).binary_search(&id).is_ok(),
-                "node {id} missing from postings({}, {})",
-                ts.table,
-                ts.copy
-            );
-        }
+        // The copy-set index lists the node under its own keyword copies.
+        let mut set: Vec<u32> =
+            jnts.nodes().iter().filter_map(|&ts| lattice.copy_slot(ts)).collect();
+        set.sort_unstable();
+        assert_eq!(set.len(), jnts.nodes().iter().filter(|ts| !ts.is_free()).count());
+        assert!(
+            lattice.nodes_with_copy_set(&set).binary_search(&id).is_ok(),
+            "node {id} missing from its copy set {set:?}"
+        );
 
         // Free-leaf flag agrees with structure.
         let expect_free_leaf = jnts.node_count() > 1

@@ -9,7 +9,14 @@
 //! and DBLife workloads — every interpretation of every query — and compares
 //! node sets, levels, adjacency, both closures, MTN sets, membership tests
 //! and all `PruneStats` fields.
+//!
+//! Besides the paper's workload, a generated sweep draws 1–6-keyword queries
+//! from every text table's own vocabulary: many keywords in one table (bound
+//! copies past `maxJoins + 1`, which no lattice node can hold), more bound
+//! copies than any node holds (`k` above the copy-set index width), and
+//! keywords found in several tables (several interpretations per query).
 
+use datagen::rng::SplitMix64;
 use datagen::{generate_dblife, paper_queries, product_database, DblifeConfig};
 use kwdebug::binding::{map_keywords, Interpretation, KeywordQuery};
 use kwdebug::lattice::{Lattice, NodeId};
@@ -17,8 +24,9 @@ use kwdebug::mtn::{is_mtn, is_retained, is_total};
 use kwdebug::prune::{PruneStats, PrunedLattice};
 use kwdebug::workspace::QueryWorkspace;
 use kwdebug::SchemaGraph;
+use relengine::{Database, Value};
 use std::collections::{HashMap, HashSet};
-use textindex::InvertedIndex;
+use textindex::{tokenize, InvertedIndex};
 
 /// The definitional Phase 1–2 pipeline, kept deliberately naive: full lattice
 /// scan with the `mtn` predicates, hash-set Phase 2, sort/dedup closures.
@@ -140,10 +148,15 @@ fn assert_same(fast: &PrunedLattice, slow: &NaivePruned, ctx: &str) {
     }
 }
 
-fn check_workload(lattice: &Lattice, index: &InvertedIndex, queries: &[&str], label: &str) {
+fn check_workload<Q: AsRef<str>>(
+    lattice: &Lattice,
+    index: &InvertedIndex,
+    queries: &[Q],
+    label: &str,
+) {
     let mut ws = QueryWorkspace::new();
     let mut interps = 0usize;
-    for q in queries {
+    for q in queries.iter().map(AsRef::as_ref) {
         let Ok(parsed) = KeywordQuery::parse(q) else { continue };
         let mapping = map_keywords(&parsed, index);
         for (ii, interp) in mapping.interpretations.iter().enumerate() {
@@ -189,4 +202,155 @@ fn dblife_matches_naive_reference_across_seeds() {
         let queries: Vec<&str> = paper_queries().iter().map(|q| q.text).collect();
         check_workload(&lattice, &index, &queries, &format!("dblife seed={seed}"));
     }
+}
+
+/// Terms of each table found in no other table (up to 8 per table), and up
+/// to 4 terms found in several tables, in row order.
+fn vocabulary(db: &Database, index: &InvertedIndex) -> (Vec<Vec<String>>, Vec<String>) {
+    let mut own: Vec<Vec<String>> = vec![Vec::new(); db.table_count()];
+    let mut shared: Vec<String> = Vec::new();
+    let mut seen: HashSet<String> = HashSet::new();
+    for t in 0..db.table_count() {
+        for (_, row) in db.table(t).iter().take(300) {
+            for term in row.iter().filter_map(Value::as_text).flat_map(tokenize) {
+                if !seen.insert(term.clone()) {
+                    continue;
+                }
+                match index.tables_containing(&term).as_slice() {
+                    [] => {}
+                    [only] if own[*only].len() < 8 => own[*only].push(term),
+                    [_] => {}
+                    _ if shared.len() < 4 => shared.push(term),
+                    _ => {}
+                }
+            }
+        }
+    }
+    (own, shared)
+}
+
+/// The generated sweep: for every text table, 1–6 of its own terms; then
+/// seeded 1–6-keyword mixes across tables, one keyword in six drawn from
+/// the shared terms.
+fn sweep_queries(db: &Database, index: &InvertedIndex, seed: u64) -> Vec<String> {
+    let (own, shared) = vocabulary(db, index);
+    let tables: Vec<usize> = (0..own.len()).filter(|&t| !own[t].is_empty()).collect();
+    assert!(tables.len() >= 2, "sweep needs at least two text tables");
+    let mut queries = Vec::new();
+    for &t in &tables {
+        for k in 1..=own[t].len().min(6) {
+            queries.push(own[t][..k].join(" "));
+        }
+    }
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    for k in 1..=6 {
+        for _ in 0..4 {
+            let words: Vec<&str> = (0..k)
+                .map(|_| {
+                    if !shared.is_empty() && rng.gen_range(0..6usize) == 0 {
+                        shared[rng.gen_range(0..shared.len())].as_str()
+                    } else {
+                        let t = tables[rng.gen_range(0..tables.len())];
+                        own[t][rng.gen_range(0..own[t].len())].as_str()
+                    }
+                })
+                .collect();
+            queries.push(words.join(" "));
+        }
+    }
+    queries
+}
+
+/// Asserts the sweep reaches each case it exists for: a bound copy no node
+/// can hold, more bound copies than the index width, several
+/// interpretations of one query, and interpretations with MTNs.
+fn assert_sweep_coverage(lattice: &Lattice, index: &InvertedIndex, queries: &[String]) {
+    let (mut outside, mut wide, mut multi, mut with_mtns) = (0, 0, 0, 0);
+    for q in queries {
+        let mapping = map_keywords(&KeywordQuery::parse(q).unwrap(), index);
+        multi += usize::from(mapping.interpretations.len() > 1);
+        for interp in &mapping.interpretations {
+            let k = interp.keyword_count();
+            outside += usize::from(
+                (0..k).any(|i| lattice.copy_slot(interp.tuple_set_of(i)).is_none()),
+            );
+            wide += usize::from(k > lattice.copy_set_width());
+            with_mtns += usize::from(PrunedLattice::build(lattice, interp).stats().mtn_count > 0);
+        }
+    }
+    assert!(outside > 0, "no bound copy outside the lattice");
+    assert!(wide > 0, "no interpretation wider than the index");
+    assert!(multi > 0, "no query with several interpretations");
+    assert!(with_mtns > 0, "no interpretation with MTNs");
+}
+
+/// Σ_{i ≤ l} C(k, i): the most subsets Phase 1 looks up for `k` bound copies.
+fn lookups_bound(k: u64, l: u64) -> u64 {
+    let mut c = 1u64; // C(k, 0)
+    let mut sum = 1u64;
+    for i in 1..=l.min(k) {
+        c = c * (k - i + 1) / i;
+        sum += c;
+    }
+    sum
+}
+
+#[test]
+fn toydb_generated_sweep_matches_naive_reference() {
+    let db = product_database();
+    let graph = SchemaGraph::new(&db);
+    let index = InvertedIndex::build(&db);
+    let queries = sweep_queries(&db, &index, 0x5EED);
+    for max_joins in [1, 2, 3] {
+        let lattice = Lattice::build(&db, &graph, max_joins);
+        check_workload(&lattice, &index, &queries, &format!("toydb sweep mj={max_joins}"));
+        assert_sweep_coverage(&lattice, &index, &queries);
+    }
+}
+
+#[test]
+fn dblife_generated_sweep_matches_naive_reference() {
+    let db = generate_dblife(&DblifeConfig::tiny());
+    let graph = SchemaGraph::new(&db);
+    let index = InvertedIndex::build(&db);
+    let lattice = Lattice::build(&db, &graph, 3);
+    let queries = sweep_queries(&db, &index, 0xDB11FE);
+    // The sweep reaches every text table, past the index width and past the
+    // copies a table has in the lattice.
+    let (own, _) = vocabulary(&db, &index);
+    let text_tables = (0..db.table_count()).filter(|&t| graph.has_text(t)).count();
+    assert_eq!(own.iter().filter(|terms| !terms.is_empty()).count(), text_tables);
+    assert!(own.iter().any(|terms| terms.len() > lattice.max_joins() + 1));
+    assert!(lattice.copy_set_width() < 6);
+    check_workload(&lattice, &index, &queries, "dblife sweep");
+    assert_sweep_coverage(&lattice, &index, &queries);
+}
+
+#[test]
+fn many_keywords_cost_bounded_lookups() {
+    let db = generate_dblife(&DblifeConfig::tiny());
+    let graph = SchemaGraph::new(&db);
+    let index = InvertedIndex::build(&db);
+    let lattice = Lattice::build(&db, &graph, 3);
+    let (own, _) = vocabulary(&db, &index);
+    // Twelve keywords, round-robin over the text tables.
+    let words: Vec<&str> = (0..8)
+        .flat_map(|i| own.iter().filter_map(move |terms| terms.get(i)))
+        .map(String::as_str)
+        .take(12)
+        .collect();
+    assert_eq!(words.len(), 12, "vocabulary too small for 12 keywords");
+    let mapping = map_keywords(&KeywordQuery::parse(&words.join(" ")).unwrap(), &index);
+    assert_eq!(mapping.interpretations.len(), 1, "own terms map to one table each");
+    let interp = &mapping.interpretations[0];
+    assert_eq!(interp.keyword_count(), 12);
+    let p = PrunedLattice::build(&lattice, interp);
+    let bound = lookups_bound(12, lattice.copy_set_width() as u64);
+    assert!(
+        p.phase1_nodes_touched() <= bound + p.stats().total_nodes as u64,
+        "touched {} > {bound} lookups + {} totals",
+        p.phase1_nodes_touched(),
+        p.stats().total_nodes
+    );
+    assert_same(&p, &naive_build(&lattice, interp), "12 keywords");
 }

@@ -54,6 +54,19 @@ cargo test --workspace --release -q --test prop_engine
 echo "==> prune substrate differential (compact vs naive reference)"
 cargo test --workspace --release -q --test prune_equivalence
 
+echo "==> E14 prune aggregates (the THROUGHPUT row's counts must equal the committed record's)"
+# Only the deterministic `prune` counts are compared, never a timing.
+prune_of() { grep '"query":"THROUGHPUT"' "$1" | tail -1 | grep -o '"prune":{[^}]*}' || true; }
+(cd "$bench_dir" && "$bin/exp_phase12" --scale small --throughput 200 > /dev/null)
+want=$(prune_of results/BENCH_exp_phase12.json)
+got=$(prune_of "$bench_dir/results/BENCH_exp_phase12.json")
+if [[ -z "$want" || "$got" != "$want" ]]; then
+    echo "E14 prune aggregates differ from results/BENCH_exp_phase12.json:"
+    echo "    got  $got"
+    echo "    want $want"
+    exit 1
+fi
+
 echo "==> probe evaluation cache differential (cache on/off, all strategies)"
 cargo test --workspace --release -q --test probe_cache_equivalence
 
