@@ -19,6 +19,7 @@ fn main() {
         args.scale
     );
     let system = build_system(args.scale, args.seed, max_level);
+    let lattice_bytes = system.lattice().memory_footprint().total_bytes() as u64;
 
     let mut count_rows = Vec::new();
     let mut time_rows = Vec::new();
@@ -30,13 +31,10 @@ fn main() {
             let agg = run_query(&system, q.text, kind).expect("workload query runs");
             counts.push(agg.sql_queries.to_string());
             times.push(bench::ms(agg.sql_time));
-            records.push(agg.snapshot(
-                "exp_traversal",
-                q.id,
-                &kind.to_string(),
-                args.scale,
-                max_level,
-            ));
+            let mut rec =
+                agg.snapshot("exp_traversal", q.id, &kind.to_string(), args.scale, max_level);
+            rec.lattice_bytes = lattice_bytes;
+            records.push(rec);
         }
         count_rows.push(counts);
         time_rows.push(times);

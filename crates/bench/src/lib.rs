@@ -449,6 +449,8 @@ fn accumulate(agg: &mut QueryAggregate, pruned: &PrunedLattice, outcome: &Traver
     agg.sql_queries += outcome.sql_queries;
     agg.sql_time += outcome.sql_time;
     agg.probes.accumulate(outcome.probes);
+    // The traversal counts Phase 3 only; Phase 1's work is the pruning's.
+    agg.probes.phase1_nodes_touched += pruned.phase1_nodes_touched();
     agg.unknowns += outcome.unknown_mtns.len();
     let s = pruned.stats();
     agg.prune.lattice_nodes = s.lattice_nodes;
@@ -509,6 +511,7 @@ mod tests {
         assert!(agg.interpretations >= 1);
         // Widom authors the Trio paper: at least one answer at level 3.
         assert!(agg.answers >= 1, "{agg:?}");
+        assert!(agg.probes.phase1_nodes_touched > 0, "Phase 1 work is reported: {agg:?}");
     }
 
     #[test]

@@ -21,20 +21,20 @@ pub struct ReOutcome {
 /// MTNs is executed once per MTN, and nothing is ever inferred. The resulting
 /// classification is still exact, so the outcome's MPANs equal those of the
 /// lattice traversals; only `sql_queries`/`sql_time` differ.
-pub fn run_return_everything(
-    lattice: &Lattice,
+pub fn run_return_everything<'a>(
+    lattice: &'a Lattice,
     pruned: &PrunedLattice,
-    oracle: &mut AlivenessOracle<'_>,
+    oracle: &mut AlivenessOracle<'a>,
 ) -> Result<ReOutcome, KwError> {
     let q0 = oracle.stats().queries;
     let t0 = oracle.stats().total_time;
     let m0 = *oracle.metrics();
 
     let mut status = vec![Status::Unknown; pruned.len()];
-    let exec = |oracle: &mut AlivenessOracle<'_>, n: usize, status: &mut Vec<Status>| -> Result<bool, KwError> {
+    let exec = |oracle: &mut AlivenessOracle<'a>, n: usize, status: &mut Vec<Status>| -> Result<bool, KwError> {
         // RE has no lattice, so it re-executes even already-seen nodes; the
         // recorded status is only for assembling the final report.
-        let alive = oracle.is_alive(pruned.lattice_id(n), pruned.jnts(lattice, n))?;
+        let alive = oracle.is_alive(n, pruned.jnts(lattice, n))?;
         status[n] = if alive { Status::Alive } else { Status::Dead };
         Ok(alive)
     };

@@ -67,8 +67,7 @@ pub fn run_return_nothing(
             let mut oracle =
                 AlivenessOracle::new(db, Some(index), interp, &mapping.keywords, false);
             for &m in pruned.mtns() {
-                let alive =
-                    oracle.is_alive(pruned.lattice_id(m), pruned.jnts(lattice, m))?;
+                let alive = oracle.is_alive(m, pruned.jnts(lattice, m))?;
                 any_alive |= alive;
             }
             out.sql_queries += oracle.stats().queries;

@@ -29,8 +29,7 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use crate::evalcache::Interner;
 use crate::jnts::Jnts;
-use crate::lattice::NodeId;
-use crate::oracle::{AlivenessOracle, Probe};
+use crate::oracle::{AlivenessOracle, Probe, Source};
 
 /// The switch for single-flight probing (`kwserve::ServeConfig::batching`).
 /// It has no knobs: nothing waits for overlap, so there is nothing to tune.
@@ -137,32 +136,34 @@ impl WaveExchange {
         }
     }
 
-    /// Resolves one reserved probe of `node`. The first session to claim
-    /// its key owns the cell: it executes on `oracle` and publishes the
-    /// outcome. A follower waits on the cell and books the owner's verdict,
-    /// or re-executes on its own slot if the cell was orphaned.
-    pub(crate) fn resolve(
+    /// Resolves one reserved probe of dense node `dense`. The first session
+    /// to claim its key owns the cell: it executes on `oracle` and publishes
+    /// the outcome. A follower waits on the cell and settles the owner's
+    /// verdict (`coalesced_probes`); its reserved slot stays consumed, so
+    /// budget cuts match unbatched runs. An orphaned cell makes the follower
+    /// re-execute on its own slot. `verdict_key` goes on to the publish.
+    pub(crate) fn resolve<'a>(
         &self,
-        oracle: &mut AlivenessOracle<'_>,
-        node: NodeId,
-        jnts: &Jnts,
+        oracle: &mut AlivenessOracle<'a>,
+        dense: usize,
+        jnts: &'a Jnts,
+        verdict_key: Option<Vec<u8>>,
     ) -> Probe {
         let db = oracle.database();
         let key = (db.db_id(), db.epoch(), oracle.binding_key(jnts, &self.interner));
         let mut owned = OwnedCell { exchange: self, cell: None };
         let Some(cell) = self.claim(key, &mut owned) else {
-            let probe = oracle.execute_reserved(node, jnts);
+            let probe = oracle.execute_reserved(dense, jnts, verdict_key);
             // A fault, hard failure or budget trip orphans the cell.
             owned.settle(if let Probe::Verdict(alive) = probe { Some(alive) } else { None });
             return probe;
         };
         match cell.wait() {
             Some(alive) => {
-                oracle.record_coalesced(node, jnts, alive);
                 self.coalesced.fetch_add(1, Ordering::Relaxed);
-                Probe::Verdict(alive)
+                oracle.settle(dense, jnts, Source::Coalesced(alive), verdict_key)
             }
-            None => oracle.execute_reserved(node, jnts),
+            None => oracle.execute_reserved(dense, jnts, verdict_key),
         }
     }
 }
@@ -238,6 +239,78 @@ mod tests {
         assert_eq!((ex.merged_waves(), ex.pending_cells()), (0, 2));
         drop((first, second));
         assert_eq!(ex.pending_cells(), 0, "dropping the guards retires their cells");
+    }
+
+    /// Each verdict source — an execution, a cached whole-network verdict
+    /// and a coalesced wait on another session's cell — settles the node's
+    /// entry in the oracle's fact table. With the memo on, the node's next
+    /// probe is a memo hit that runs no SQL; with it off, the table answers
+    /// nothing.
+    #[test]
+    fn every_verdict_source_settles_the_fact_table() {
+        use crate::binding::{map_keywords, KeywordQuery};
+        use crate::evalcache::EvalCache;
+        use crate::jnts::TupleSet;
+        use crate::schema_graph::Incidence;
+        use textindex::InvertedIndex;
+
+        let db = crate::traversal::tests::db();
+        let index = InvertedIndex::build(&db);
+        let mapping = map_keywords(&KeywordQuery::parse("red candle").unwrap(), &index);
+        let interp = &mapping.interpretations[0];
+        // ptype(candle) <- item -> color(red): a red candle exists.
+        let inc = |fk, other, local_is_from| Incidence { fk, other, local_is_from };
+        let j = Jnts::single(TupleSet::new(0, 1))
+            .extend(0, inc(0, 1, false), 0)
+            .extend(1, inc(1, 2, true), 1);
+        let cache = Arc::new(EvalCache::with_identity(db.db_id(), db.epoch(), None));
+        let warm = AlivenessOracle::new(&db, Some(&index), interp, &mapping.keywords, false)
+            .with_eval_cache(Arc::clone(&cache))
+            .is_alive(0, &j);
+        assert!(warm.unwrap(), "the cache holds the network's verdict");
+        let dense = 3;
+
+        for memoize in [true, false] {
+            let oracle =
+                || AlivenessOracle::new(&db, Some(&index), interp, &mapping.keywords, memoize);
+
+            let mut executed = oracle();
+            assert_eq!(executed.probe(dense, &j), Probe::Verdict(true));
+            assert_eq!(executed.queries(), 1);
+
+            let mut cached = oracle().with_eval_cache(Arc::clone(&cache));
+            assert_eq!(cached.probe(dense, &j), Probe::Verdict(true));
+            assert_eq!((cached.queries(), cached.metrics().verdict_cache_hits), (0, 1));
+
+            // A peer session owns the network's cell; this probe follows it.
+            let (mut coalesced, ex) = (oracle(), WaveExchange::default());
+            let key = (db.db_id(), db.epoch(), coalesced.binding_key(&j, &ex.interner));
+            let mut owner = guard(&ex);
+            assert!(ex.claim(key, &mut owner).is_none());
+            let probe = std::thread::scope(|s| {
+                s.spawn(|| {
+                    while ex.merged_waves() == 0 {
+                        std::thread::yield_now();
+                    }
+                    owner.settle(Some(true));
+                });
+                coalesced.probe_through(dense, &j, Some(&ex))
+            });
+            assert_eq!(probe, Probe::Verdict(true));
+            assert_eq!((coalesced.queries(), coalesced.metrics().coalesced_probes), (0, 1));
+
+            let sources = [("executed", executed), ("cached", cached), ("coalesced", coalesced)];
+            for (source, mut o) in sources {
+                let (queries, memo_hits) = (o.queries(), o.memo_hits());
+                assert_eq!(o.verdict_if_known(dense), memoize.then_some(true), "{source}");
+                assert_eq!(o.probe(dense, &j), Probe::Verdict(true), "{source}");
+                let from_table = o.memo_hits() - memo_hits;
+                assert_eq!(from_table, u64::from(memoize), "{source}, memoize {memoize}");
+                if memoize {
+                    assert_eq!(o.queries(), queries, "{source}: a memo hit runs no SQL");
+                }
+            }
+        }
     }
 
     #[test]

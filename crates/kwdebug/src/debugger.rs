@@ -1,6 +1,5 @@
 //! The end-to-end system: offline setup + the four-phase debug pipeline.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -692,30 +691,22 @@ impl NonAnswerDebugger {
             .map(|(k, &t)| (k.clone(), self.db.table(t).schema().name.clone()))
             .collect();
 
-        // An MPAN shared by several dead MTNs is rendered and sampled once.
-        let mut rendered = HashMap::new();
         let mut answers = Vec::with_capacity(outcome.alive_mtns.len());
         for &m in &outcome.alive_mtns {
-            answers.push(self.query_info(&pruned, m, &mut oracle, &mut rendered, true)?);
+            answers.push(self.query_info(&pruned, m, &mut oracle, true)?);
         }
         let mut non_answers = Vec::with_capacity(outcome.dead_mtns.len());
         for ((&m, mpans), possible) in
             outcome.dead_mtns.iter().zip(&outcome.mpans).zip(&outcome.possible_mpans)
         {
-            let query = self.query_info(&pruned, m, &mut oracle, &mut rendered, false)?;
+            let query = self.query_info(&pruned, m, &mut oracle, false)?;
             let mut infos = Vec::with_capacity(mpans.len());
             for &p in mpans {
-                infos.push(self.query_info(&pruned, p, &mut oracle, &mut rendered, true)?);
+                infos.push(self.query_info(&pruned, p, &mut oracle, true)?);
             }
             let mut possible_infos = Vec::with_capacity(possible.len());
             for &p in possible {
-                possible_infos.push(self.query_info(
-                    &pruned,
-                    p,
-                    &mut oracle,
-                    &mut rendered,
-                    true,
-                )?);
+                possible_infos.push(self.query_info(&pruned, p, &mut oracle, true)?);
             }
             non_answers.push(NonAnswerInfo {
                 query,
@@ -725,7 +716,7 @@ impl NonAnswerDebugger {
         }
         let mut unknown = Vec::with_capacity(outcome.unknown_mtns.len());
         for &m in &outcome.unknown_mtns {
-            unknown.push(self.query_info(&pruned, m, &mut oracle, &mut rendered, false)?);
+            unknown.push(self.query_info(&pruned, m, &mut oracle, false)?);
         }
         let reporting = report_start.elapsed();
 
@@ -750,21 +741,20 @@ impl NonAnswerDebugger {
     }
 
     /// Renders one pruned-lattice node for the report, sampling tuples if the
-    /// node is alive and sampling is enabled. `rendered` holds every node of
-    /// the interpretation rendered so far, keyed by dense index and
-    /// aliveness, so a node rendered twice (an MPAN shared by several dead
-    /// MTNs) renders its SQL and executes its sample once. Sampling degrades
-    /// gracefully: a tripped budget or an injected fault yields an empty
-    /// sample, not remembered, rather than failing the whole report.
+    /// node is alive and sampling is enabled. The row is kept in the node's
+    /// entry of the oracle's fact table, so a node reported twice (an MPAN
+    /// shared by several dead MTNs, always as alive) renders its SQL and
+    /// executes its sample once. Sampling degrades gracefully: a tripped
+    /// budget or an injected fault yields an empty sample, not kept, rather
+    /// than failing the whole report.
     fn query_info(
         &self,
         pruned: &PrunedLattice,
         dense: usize,
         oracle: &mut AlivenessOracle<'_>,
-        rendered: &mut HashMap<(usize, bool), QueryInfo>,
         alive: bool,
     ) -> Result<QueryInfo, KwError> {
-        if let Some(info) = rendered.get(&(dense, alive)) {
+        if let Some(info) = oracle.row(dense) {
             return Ok(info.clone());
         }
         let jnts = pruned.jnts(&self.lattice, dense);
@@ -772,7 +762,7 @@ impl NonAnswerDebugger {
         let (sample_tuples, settled) = if !alive || self.config.sample_limit == 0 {
             (Vec::new(), true)
         } else {
-            match oracle.sample(jnts, self.config.sample_limit) {
+            match oracle.sample_node(Some(dense), jnts, self.config.sample_limit) {
                 Ok(tuples) => {
                     (tuples.iter().map(|t| render_tuple(&self.db, jnts, t)).collect(), true)
                 }
@@ -783,7 +773,7 @@ impl NonAnswerDebugger {
         };
         let info = QueryInfo { sql, level: pruned.level(dense), sample_tuples };
         if settled {
-            rendered.insert((dense, alive), info.clone());
+            oracle.keep_row(dense, info.clone());
         }
         Ok(info)
     }

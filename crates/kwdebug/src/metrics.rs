@@ -70,7 +70,7 @@ pub struct ProbeCounters {
     /// with an evaluation cache or without; a selection taken from the
     /// cache reads none.
     pub tuples_scanned: u64,
-    /// `is_alive` calls answered from the memo table without executing.
+    /// Probes answered from a node's settled verdict (the memo).
     pub memo_hits: u64,
     /// Nodes classified alive by rule R1 (descendants of an executed alive
     /// node), excluding the executed node itself.

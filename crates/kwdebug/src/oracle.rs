@@ -4,8 +4,8 @@
 //! return at least one tuple)? The oracle instantiates a node's network into
 //! a [`relengine::JoinTreePlan`] under the current interpretation and runs
 //! the engine's emptiness check. Every call is one "SQL query executed" in
-//! the paper's metrics; an optional memo table (off by default, an ablation
-//! knob) caches results per lattice node across calls.
+//! the paper's metrics; an optional memo (off by default, an ablation knob)
+//! answers repeated probes of a node from its settled verdict.
 //!
 //! ## Selection-backed plans
 //!
@@ -26,14 +26,17 @@
 //! [`build_plan`] stays the plain, predicate-only form that SQL rendering
 //! uses.
 //!
-//! ## Retained reductions
+//! ## One fact table per interpretation
 //!
-//! A probe that finds its network alive keeps the plan it ran and the
-//! engine's reduced state ([`relengine::Executor::exists_retaining`]).
-//! [`AlivenessOracle::sample`] of that network resumes from them, running
-//! only the back-pass toward node 0 and the enumeration
-//! ([`relengine::Executor::execute_reduced`]); other networks are reduced
-//! afresh. The tuples are the same either way, and the state lives as long
+//! An oracle serves one pruned lattice and keeps, per node, one entry of a
+//! table indexed by dense id: the **verdict** an execution, a cached
+//! whole-network verdict or a coalesced wait settled (the memo, consulted
+//! only when memoization is on); the **retained reduction** of an alive
+//! execution ([`relengine::Executor::exists_retaining`]), which a sample of
+//! the same network — matched by identity, never hashed — resumes with only
+//! the back-pass and the enumeration
+//! ([`relengine::Executor::execute_reduced`]; the tuples are those of a
+//! fresh reduction); and the node's **report row**. The table lives as long
 //! as the oracle, i.e. one interpretation.
 //!
 //! ## Fault tolerance and budgets
@@ -62,11 +65,12 @@
 //!
 //! | event | counters touched | paper counterpart |
 //! |---|---|---|
-//! | `is_alive` cache miss | `probes_executed`, `probe_time`, `tuples_scanned` | one "SQL query" (Figs. 11–12) |
+//! | probe executed | `probes_executed`, `probe_time`, `tuples_scanned`; the verdict settles the node's entry | one "SQL query" (Figs. 11–12) |
 //! | selection built (slot and cache empty) | `tuples_scanned` (its rows read, at most once per interpretation) | part of the first probe that binds the keyword |
 //! | selection taken from the cache (slot empty) | `selection_cache_hits` (at most once per bound keyword per interpretation) | beyond the paper (evaluation cache) |
-//! | `is_alive` memo hit | `memo_hits` | beyond the paper (§3 re-executes) |
-//! | `sample` for a report | `probes_executed`, `probe_time`, `tuples_scanned`; resumed from a retained reduction, the same events with fewer rows examined | §2.1 sample tuples of `A(K)`/`M(K)` |
+//! | probe answered from the entry's verdict (memo on) | `memo_hits` | beyond the paper (§3 re-executes) |
+//! | probe answered by a cached verdict / another session's execution | `verdict_cache_hits` / `coalesced_probes`; settles the entry | beyond the paper (evaluation cache / single-flight) |
+//! | `sample` for a report | `probes_executed`, `probe_time`, `tuples_scanned`; resumed from the entry's retained reduction, the same events with fewer rows examined | §2.1 sample tuples of `A(K)`/`M(K)` |
 //! | transient fault retried | `retries`, `faults_injected` | beyond the paper (degraded mode) |
 //! | probe abandoned | `probes_abandoned` (+ `faults_injected` per fault) | beyond the paper (degraded mode) |
 //! | budget cap tripped | `budget_exhausted` (once; sticky) | beyond the paper (degraded mode) |
@@ -77,7 +81,6 @@
 //! side of that equation. A failed attempt also returns its reserved budget
 //! slot ([`BudgetGate::release`]), so the budget only ever counts executions.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -93,9 +96,9 @@ use crate::binding::Interpretation;
 use crate::budget::{BudgetGate, Exhausted, ProbeBudget, RetryPolicy};
 use crate::error::KwError;
 use crate::evalcache::{network_key, network_mask, EvalCache, Interner};
-use crate::jnts::Jnts;
-use crate::lattice::NodeId;
+use crate::jnts::{Jnts, JntsEdge};
 use crate::metrics::ProbeCounters;
+use crate::report::QueryInfo;
 
 /// Builds the plain plan of a network under an interpretation: keyword
 /// copies get their keyword's containment predicate (plus the inverted-index
@@ -128,20 +131,25 @@ pub fn build_plan(
         };
         nodes.push(node);
     }
-    let mut edges = Vec::with_capacity(jnts.join_count());
-    for e in jnts.edges() {
+    JoinTreePlan::new(nodes, plan_edges(jnts, db))
+}
+
+/// The join edges of a network's plan: each foreign key oriented from
+/// vertex `a` to vertex `b`.
+fn plan_edges(jnts: &Jnts, db: &Database) -> Vec<PlanEdge> {
+    let edge = |e: &JntsEdge| {
         let fk = db.foreign_key(e.fk);
         let (a_col, b_col) =
             if e.a_is_from { (fk.from_col, fk.to_col) } else { (fk.to_col, fk.from_col) };
-        edges.push(PlanEdge { a: e.a as usize, a_col, b: e.b as usize, b_col });
-    }
-    JoinTreePlan::new(nodes, edges)
+        PlanEdge { a: e.a as usize, a_col, b: e.b as usize, b_col }
+    };
+    jnts.edges().iter().map(edge).collect()
 }
 
 /// The outcome of one degradation-aware probe ([`AlivenessOracle::probe`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Probe {
-    /// The node's query executed (or was memoized): alive or dead.
+    /// The node's query executed (or its verdict was known): alive or dead.
     Verdict(bool),
     /// This probe failed permanently (hard fault, or transient retries
     /// exhausted); the node stays unclassified, but probing may continue.
@@ -191,13 +199,6 @@ impl<'a> ProbeEngine<'a> {
         match self {
             ProbeEngine::Plain(e) => e.stats(),
             ProbeEngine::Chaos(c) => c.stats(),
-        }
-    }
-
-    fn reset_stats(&mut self) {
-        match self {
-            ProbeEngine::Plain(e) => e.reset_stats(),
-            ProbeEngine::Chaos(c) => c.reset_stats(),
         }
     }
 }
@@ -259,21 +260,49 @@ enum ProbeFail {
     Exhausted(Exhausted),
 }
 
+/// One node's entry in the oracle's fact table (see the module docs).
+#[derive(Default)]
+struct NodeFacts<'a> {
+    verdict: Option<bool>,
+    retained: Option<Box<Retained<'a>>>,
+    row: Option<Box<QueryInfo>>,
+}
+
+/// An alive execution's network (the lattice's own, matched by identity),
+/// plan and reduced state.
+struct Retained<'a> {
+    jnts: &'a Jnts,
+    plan: JoinTreePlan,
+    reduced: Reduced,
+}
+
+/// Where a settled verdict came from ([`AlivenessOracle::settle`]).
+pub(crate) enum Source {
+    /// An execution on this oracle: the plan and reduced state if alive.
+    Executed(Option<(JoinTreePlan, Reduced)>),
+    /// The evaluation cache's whole-network verdict.
+    Cached(bool),
+    /// Another session's execution, through [`crate::batch`].
+    Coalesced(bool),
+}
+
 /// Answers aliveness queries for lattice nodes, counting every execution.
 ///
 /// Holds everything a probe needs: the plan-builder inputs (all shared
-/// borrows), the verdict memo, the [`ProbeCounters`] block, the budget gate,
-/// the retry policy, the per-interpretation keyword selections, the engine,
-/// and the reduced state of every network it executed alive.
-/// The Phase-3 driver ([`crate::traversal`]) probes through it one node at a
-/// time.
+/// borrows), the [`ProbeCounters`] block, the budget gate, the retry policy,
+/// the per-interpretation keyword selections, the engine, and the fact
+/// table of the pruned lattice it serves. Nodes are named by their dense id
+/// in that lattice. The Phase-3 driver ([`crate::traversal`]) probes
+/// through it one node at a time.
 pub struct AlivenessOracle<'a> {
     db: &'a Database,
     index: Option<&'a InvertedIndex>,
     interp: &'a Interpretation,
     keywords: &'a [String],
-    /// Verdict memo (`None` when memoization is off).
-    memo: Option<HashMap<NodeId, bool>>,
+    /// Whether a probe is answered from its node's settled verdict.
+    memoize: bool,
+    /// `facts[dense]`: what is settled about each node (module docs).
+    facts: Vec<NodeFacts<'a>>,
     /// Probe/inference counters.
     counters: ProbeCounters,
     /// Budget enforcement.
@@ -289,16 +318,11 @@ pub struct AlivenessOracle<'a> {
     /// its `(level, verdict)` here; see [`crate::estimate::OnlinePa`].
     pa_stats: Option<Arc<crate::estimate::OnlinePa>>,
     engine: ProbeEngine<'a>,
-    /// Each network an executed probe found alive, with the plan it ran
-    /// and the engine's reduced state: [`AlivenessOracle::sample`] resumes
-    /// from it instead of reducing again. Per-interpretation state, freed
-    /// with the oracle.
-    retained: HashMap<Jnts, (JoinTreePlan, Reduced)>,
 }
 
 impl<'a> AlivenessOracle<'a> {
-    /// Creates an oracle for one interpretation. `memoize` enables the
-    /// cross-call result cache (an extension; the paper re-executes). The
+    /// Creates an oracle for one interpretation. `memoize` answers repeated
+    /// probes from settled verdicts (an extension; the paper re-executes). The
     /// oracle starts with an unlimited [`ProbeBudget`], the default
     /// [`RetryPolicy`] and no fault injection — the happy-path pipeline.
     pub fn new(
@@ -313,7 +337,8 @@ impl<'a> AlivenessOracle<'a> {
             index,
             interp,
             keywords,
-            memo: memoize.then(HashMap::new),
+            memoize,
+            facts: Vec::new(),
             counters: ProbeCounters::default(),
             gate: BudgetGate::new(ProbeBudget::default()),
             retry: RetryPolicy::default(),
@@ -328,7 +353,6 @@ impl<'a> AlivenessOracle<'a> {
                 .collect(),
             pa_stats: None,
             engine: ProbeEngine::Plain(Executor::new(db)),
-            retained: HashMap::new(),
         }
     }
 
@@ -381,13 +405,20 @@ impl<'a> AlivenessOracle<'a> {
         self
     }
 
-    /// The memoized verdict of a node, without probing: `Some(true)` for
-    /// cached alive, `Some(false)` for cached dead, `None` when the node was
-    /// never probed (or memoization is off). Lets traversals and the session
-    /// distinguish "known dead" from "unknown" without re-deriving memo
-    /// state; a pure read, it records no metrics.
-    pub fn verdict_if_known(&self, node: NodeId) -> Option<bool> {
-        self.memo.as_ref().and_then(|m| m.get(&node).copied())
+    /// The memoized verdict of dense node `dense`, without probing:
+    /// `Some(true)` for settled alive, `Some(false)` for settled dead, `None`
+    /// when the node was never settled (or memoization is off). A pure read,
+    /// it records no metrics.
+    pub fn verdict_if_known(&self, dense: usize) -> Option<bool> {
+        self.facts.get(dense).and_then(|f| f.verdict).filter(|_| self.memoize)
+    }
+
+    /// The fact-table entry of `dense`, grown on first touch.
+    fn facts_mut(&mut self, dense: usize) -> &mut NodeFacts<'a> {
+        if dense >= self.facts.len() {
+            self.facts.resize_with(dense + 1, NodeFacts::default);
+        }
+        &mut self.facts[dense]
     }
 
     /// The canonical identity of a probe: [`crate::evalcache::network_key`]
@@ -412,16 +443,6 @@ impl<'a> AlivenessOracle<'a> {
             })
             .collect();
         network_key(jnts, &|i| labels[i])
-    }
-
-    /// Publishes a completed verdict to the verdict cache, if one is
-    /// attached, counting the bytes it adds.
-    fn publish_verdict(&mut self, jnts: &Jnts, alive: bool) {
-        if let Some(cache) = &self.cache {
-            let key = self.binding_key(jnts, &cache.interner);
-            self.counters.cache_bytes +=
-                cache.insert_verdict(self.db.epoch(), key, network_mask(jnts), alive);
-        }
     }
 
     /// Keyword `k`'s selection, bound to `table`. Its slot is filled once
@@ -490,26 +511,45 @@ impl<'a> AlivenessOracle<'a> {
         Arc::clone(self.rows[k].postings[col].insert(postings))
     }
 
-    /// Answers a probe without touching the engine when the evaluation cache
-    /// holds a completed whole-network verdict under the network's canonical
-    /// binding key ([`crate::evalcache::network_key`]; `verdict_cache_hits`).
-    /// The layer answers alive and dead repeats alike, which is what makes
-    /// warm shared-cache sessions probe-free on repeated workloads. The
-    /// answer is ground truth, so it also feeds the memo.
-    fn shortcut(&mut self, node: NodeId, jnts: &Jnts) -> Option<bool> {
-        let cache = self.cache.as_ref()?;
-        let key = self.binding_key(jnts, &cache.interner);
-        let alive = cache.verdict(self.db.epoch(), &key)?;
-        self.counters.verdict_cache_hits += 1;
-        self.memoize(node, alive);
-        Some(alive)
-    }
-
-    /// Records a ground-truth verdict in the memo, when memoization is on.
-    fn memoize(&mut self, node: NodeId, alive: bool) {
-        if let Some(memo) = &mut self.memo {
-            memo.insert(node, alive);
+    /// Settles `dense` with a ground-truth verdict from any source: counts
+    /// a cached or coalesced one, and records the verdict (and an alive
+    /// execution's reduction) in the node's entry. An executed or coalesced
+    /// verdict also feeds the online `p_a` estimator and is published to the
+    /// verdict cache under `verdict_key`.
+    pub(crate) fn settle(
+        &mut self,
+        dense: usize,
+        jnts: &'a Jnts,
+        source: Source,
+        verdict_key: Option<Vec<u8>>,
+    ) -> Probe {
+        let established = !matches!(source, Source::Cached(_));
+        let (alive, retained) = match source {
+            Source::Cached(alive) => {
+                self.counters.verdict_cache_hits += 1;
+                (alive, None)
+            }
+            Source::Coalesced(alive) => {
+                self.counters.coalesced_probes += 1;
+                (alive, None)
+            }
+            Source::Executed(reduced) => (reduced.is_some(), reduced),
+        };
+        if established {
+            if let Some(stats) = &self.pa_stats {
+                stats.record(jnts.node_count(), alive);
+            }
+            if let (Some(cache), Some(key)) = (&self.cache, verdict_key) {
+                self.counters.cache_bytes +=
+                    cache.insert_verdict(self.db.epoch(), key, network_mask(jnts), alive);
+            }
         }
+        let facts = self.facts_mut(dense);
+        facts.verdict = Some(alive);
+        if let Some((plan, reduced)) = retained {
+            facts.retained = Some(Box::new(Retained { jnts, plan, reduced }));
+        }
+        Probe::Verdict(alive)
     }
 
     /// The plan probes and report samples execute: [`build_plan`]'s
@@ -519,14 +559,10 @@ impl<'a> AlivenessOracle<'a> {
     /// rows (see the module docs). It renders no SQL, so its nodes carry no
     /// aliases; alive plans are retained until the oracle drops.
     fn build_probe_plan(&mut self, jnts: &Jnts) -> Result<JoinTreePlan, EngineError> {
-        let mut edges = Vec::with_capacity(jnts.join_count());
+        let edges = plan_edges(jnts, self.db);
         let mut join_cols: Vec<Vec<ColId>> = vec![Vec::new(); jnts.node_count()];
-        for e in jnts.edges() {
-            let fk = self.db.foreign_key(e.fk);
-            let (a_col, b_col) =
-                if e.a_is_from { (fk.from_col, fk.to_col) } else { (fk.to_col, fk.from_col) };
-            edges.push(PlanEdge { a: e.a as usize, a_col, b: e.b as usize, b_col });
-            for (v, col) in [(e.a as usize, a_col), (e.b as usize, b_col)] {
+        for e in &edges {
+            for (v, col) in [(e.a, e.a_col), (e.b, e.b_col)] {
                 if !join_cols[v].contains(&col) {
                     join_cols[v].push(col);
                 }
@@ -563,16 +599,27 @@ impl<'a> AlivenessOracle<'a> {
         reserved
     }
 
-    /// Runs one engine operation under the retry policy: transient failures
-    /// back off and retry (re-checking the deadline), anything else abandons.
+    /// Runs one engine operation on a reserved budget slot under the retry
+    /// policy: transient failures back off and retry (re-checking the
+    /// deadline), anything else abandons and returns the slot. A completed
+    /// operation counts one execution: `probes_executed`, its time (backoffs
+    /// included) and the rows the engine examined.
     fn execute_with_retry<T>(
         &mut self,
         mut op: impl FnMut(&mut ProbeEngine<'a>) -> Result<T, EngineError>,
     ) -> Result<T, ProbeFail> {
+        let rows_before = self.engine.stats().rows_examined;
+        let start = Instant::now();
         let mut attempt = 0u32;
         loop {
             match op(&mut self.engine) {
-                Ok(v) => return Ok(v),
+                Ok(v) => {
+                    self.counters.probes_executed += 1;
+                    self.counters.probe_time_ns += start.elapsed().as_nanos() as u64;
+                    self.counters.tuples_scanned +=
+                        self.engine.stats().rows_examined - rows_before;
+                    return Ok(v);
+                }
                 Err(e) => {
                     if e.is_fault() {
                         self.counters.faults_injected += 1;
@@ -589,11 +636,13 @@ impl<'a> AlivenessOracle<'a> {
                         // the trip is the window's first.
                         if self.gate.deadline_passed() {
                             self.gate.trip(Exhausted::Deadline);
+                            self.gate.release();
                             self.counters.budget_exhausted += 1;
                             return Err(ProbeFail::Exhausted(Exhausted::Deadline));
                         }
                         continue;
                     }
+                    self.gate.release();
                     self.counters.probes_abandoned += 1;
                     return Err(ProbeFail::Node(e));
                 }
@@ -601,22 +650,17 @@ impl<'a> AlivenessOracle<'a> {
         }
     }
 
-    /// Counts one completed execution that started at `start` with the
-    /// engine at `rows_before` examined rows.
-    fn count_execution(&mut self, start: Instant, rows_before: u64) {
-        self.counters.probes_executed += 1;
-        self.counters.probe_time_ns += start.elapsed().as_nanos() as u64;
-        self.counters.tuples_scanned += self.engine.stats().rows_examined - rows_before;
-    }
-
     /// Executes one probe whose budget slot is already reserved: plan,
-    /// emptiness check under retry, bookkeeping, memo insert. An alive
-    /// network's plan and reduced state are retained for a later
-    /// [`AlivenessOracle::sample`]. A failed execution returns the slot —
-    /// failed attempts never count against the budget. Reservation (and the
-    /// memo pre-check) belongs to the caller, which decides whether a probe
-    /// runs at all.
-    pub(crate) fn execute_reserved(&mut self, node: NodeId, jnts: &Jnts) -> Probe {
+    /// emptiness check under retry, then [`AlivenessOracle::settle`]. A
+    /// failed execution returns the slot — failed attempts never count
+    /// against the budget. Reservation (and the memo and cache pre-checks)
+    /// belongs to the caller, which decides whether a probe runs at all.
+    pub(crate) fn execute_reserved(
+        &mut self,
+        dense: usize,
+        jnts: &'a Jnts,
+        verdict_key: Option<Vec<u8>>,
+    ) -> Probe {
         let plan = match self.build_probe_plan(jnts) {
             Ok(p) => p,
             Err(e) => {
@@ -625,66 +669,22 @@ impl<'a> AlivenessOracle<'a> {
                 return Probe::NodeFailed(e);
             }
         };
-        let rows_before = self.engine.stats().rows_examined;
-        let start = Instant::now();
         match self.execute_with_retry(|eng| eng.exists_retaining(&plan)) {
+            // Only a *completed* reduction reaches this point (a chaos fault
+            // aborts before execution), so the whole-network verdict is a
+            // sound cache entry.
             Ok(reduced) => {
-                let alive = reduced.is_some();
-                self.count_execution(start, rows_before);
-                self.memoize(node, alive);
-                // Executed verdicts (and only those — memo hits, inferences
-                // and cached verdicts are derived facts) feed the online p_a
-                // estimator.
-                if let Some(stats) = &self.pa_stats {
-                    stats.record(jnts.node_count(), alive);
-                }
-                // Only a *completed* reduction reaches this point (a chaos
-                // fault aborts before execution), so the whole-network
-                // verdict is a sound cache entry.
-                self.publish_verdict(jnts, alive);
-                if let Some(reduced) = reduced {
-                    self.retained.insert(jnts.clone(), (plan, reduced));
-                }
-                Probe::Verdict(alive)
+                let source = Source::Executed(reduced.map(|reduced| (plan, reduced)));
+                self.settle(dense, jnts, source, verdict_key)
             }
-            Err(ProbeFail::Node(e)) => {
-                self.gate.release();
-                Probe::NodeFailed(e)
-            }
-            Err(ProbeFail::Exhausted(why)) => {
-                self.gate.release();
-                Probe::Exhausted(why)
-            }
+            Err(ProbeFail::Node(e)) => Probe::NodeFailed(e),
+            Err(ProbeFail::Exhausted(why)) => Probe::Exhausted(why),
         }
-    }
-
-    /// Books a verdict another session executed for this session's probe,
-    /// waited on through the single-flight table. Mirrors the non-execution
-    /// bookkeeping of [`AlivenessOracle::execute_reserved`]'s success path — memo
-    /// insert, online `p_a`, verdict-cache publish — but counts
-    /// `coalesced_probes` instead of `probes_executed` (the accounting twin
-    /// of a memo hit), keeping the `probes_executed == ExecStats::queries`
-    /// invariant intact. The budget
-    /// slot the dispatcher reserved for this probe stays consumed, exactly
-    /// as if the probe had executed, so budget-cut partials match unbatched
-    /// runs.
-    pub(crate) fn record_coalesced(&mut self, node: NodeId, jnts: &Jnts, alive: bool) {
-        self.counters.coalesced_probes += 1;
-        self.memoize(node, alive);
-        if let Some(stats) = &self.pa_stats {
-            stats.record(jnts.node_count(), alive);
-        }
-        self.publish_verdict(jnts, alive);
     }
 
     /// Why probing stopped, if a budget cap tripped.
     pub fn exhausted(&self) -> Option<Exhausted> {
         self.gate.tripped()
-    }
-
-    /// The active probe budget.
-    pub fn budget(&self) -> ProbeBudget {
-        self.gate.budget()
     }
 
     /// Fault-injection counters, when chaos is enabled.
@@ -695,101 +695,106 @@ impl<'a> AlivenessOracle<'a> {
         }
     }
 
-    /// Probes a node's aliveness without hard-failing: the degradation-aware
-    /// form of [`AlivenessOracle::is_alive`]. Memo hits are always answered
-    /// (they are free); everything else goes through the budget gate and the
-    /// retry policy.
-    pub fn probe(&mut self, node: NodeId, jnts: &Jnts) -> Probe {
-        self.probe_through(node, jnts, None)
+    /// Probes dense node `dense` (network `jnts`) without hard-failing: the
+    /// degradation-aware form of [`AlivenessOracle::is_alive`]. Memo hits
+    /// are always answered (they are free); everything else goes through the
+    /// budget gate and the retry policy.
+    pub fn probe(&mut self, dense: usize, jnts: &'a Jnts) -> Probe {
+        self.probe_through(dense, jnts, None)
     }
 
     /// [`AlivenessOracle::probe`], resolving a probe that must execute
     /// through `exchange`'s single-flight table when one is attached — the
     /// Phase-3 driver's per-node protocol: memo, then a cached whole-network
-    /// verdict (neither takes a budget slot), then a reserved execution.
+    /// verdict (`verdict_cache_hits`; neither takes a budget slot), then a
+    /// reserved execution. The cache layer answers alive and dead repeats
+    /// alike, which is what makes warm shared-cache sessions probe-free on
+    /// repeated workloads.
     pub(crate) fn probe_through(
         &mut self,
-        node: NodeId,
-        jnts: &Jnts,
+        dense: usize,
+        jnts: &'a Jnts,
         exchange: Option<&WaveExchange>,
     ) -> Probe {
-        if let Some(alive) = self.verdict_if_known(node) {
+        if let Some(alive) = self.verdict_if_known(dense) {
             self.counters.memo_hits += 1;
             return Probe::Verdict(alive);
         }
-        if let Some(alive) = self.shortcut(node, jnts) {
-            return Probe::Verdict(alive);
+        // One verdict-cache key per probe serves the lookup and the publish.
+        let key = self.cache.as_ref().map(|cache| self.binding_key(jnts, &cache.interner));
+        let cached =
+            key.as_ref().and_then(|key| self.cache.as_ref()?.verdict(self.db.epoch(), key));
+        if let Some(alive) = cached {
+            return self.settle(dense, jnts, Source::Cached(alive), None);
         }
         if let Err(why) = self.try_reserve() {
             return Probe::Exhausted(why);
         }
         match exchange {
-            Some(exchange) => exchange.resolve(self, node, jnts),
-            None => self.execute_reserved(node, jnts),
+            Some(exchange) => exchange.resolve(self, dense, jnts, key),
+            None => self.execute_reserved(dense, jnts, key),
         }
     }
 
-    /// Whether the node's query returns at least one tuple. Hard-errors on
-    /// probe failure or budget exhaustion ([`KwError::BudgetExhausted`]);
-    /// degradation-aware callers use [`AlivenessOracle::probe`] instead.
-    pub fn is_alive(&mut self, node: NodeId, jnts: &Jnts) -> Result<bool, KwError> {
-        match self.probe(node, jnts) {
+    /// Whether dense node `dense`'s query returns at least one tuple.
+    /// Hard-errors on probe failure or budget exhaustion
+    /// ([`KwError::BudgetExhausted`]); degradation-aware callers use
+    /// [`AlivenessOracle::probe`] instead.
+    pub fn is_alive(&mut self, dense: usize, jnts: &'a Jnts) -> Result<bool, KwError> {
+        match self.probe(dense, jnts) {
             Probe::Verdict(alive) => Ok(alive),
             Probe::NodeFailed(e) => Err(e.into()),
             Probe::Exhausted(why) => Err(KwError::BudgetExhausted(why)),
         }
     }
 
-    /// Fetches up to `limit` sample result tuples of a node (for reports).
-    /// Counts as one more executed query, subject to the same budget and
-    /// retry policy as probes. A network this oracle executed alive resumes
-    /// from its retained reduction (only the back-pass and the enumeration
-    /// run, so fewer rows are examined); any other network — inferred
-    /// alive, or answered by the verdict cache — is reduced afresh. The
+    /// Fetches up to `limit` sample result tuples of a network (for
+    /// reports). Counts as one more executed query, subject to the same
+    /// budget and retry policy as probes. A network this oracle executed
+    /// alive (the same `&Jnts` it probed) resumes from its retained
+    /// reduction, examining fewer rows; any other is reduced afresh. The
     /// tuples are the same either way.
-    pub fn sample(
+    pub fn sample(&mut self, jnts: &Jnts, limit: usize) -> Result<Vec<Vec<RowId>>, KwError> {
+        let dense = self
+            .facts
+            .iter()
+            .position(|f| f.retained.as_ref().is_some_and(|r| std::ptr::eq(r.jnts, jnts)));
+        self.sample_node(dense, jnts, limit)
+    }
+
+    /// [`AlivenessOracle::sample`] of dense node `dense` when the caller
+    /// knows it: resumes the reduction retained in its entry, if any.
+    pub(crate) fn sample_node(
         &mut self,
+        dense: Option<usize>,
         jnts: &Jnts,
         limit: usize,
-    ) -> Result<Vec<Vec<relengine::RowId>>, KwError> {
+    ) -> Result<Vec<Vec<RowId>>, KwError> {
         if let Err(why) = self.try_reserve() {
             return Err(KwError::BudgetExhausted(why));
         }
-        let (plan, mut resume) = match self.retained.remove_entry(jnts) {
-            Some((key, (plan, reduced))) => (plan, Some((key, reduced))),
+        let mut resume = dense.and_then(|d| self.facts.get_mut(d)?.retained.take());
+        let outcome = match resume.as_deref_mut() {
+            Some(Retained { plan, reduced, .. }) => {
+                self.execute_with_retry(|eng| eng.execute_reduced(plan, reduced, limit))
+            }
             None => match self.build_probe_plan(jnts) {
-                Ok(p) => (p, None),
+                Ok(plan) => self.execute_with_retry(|eng| eng.execute(&plan, limit)),
                 Err(e) => {
                     self.gate.release();
-                    return Err(e.into());
+                    Err(ProbeFail::Node(e))
                 }
             },
         };
-        let rows_before = self.engine.stats().rows_examined;
-        let start = Instant::now();
-        let outcome = self.execute_with_retry(|eng| match &mut resume {
-            Some((_, reduced)) => eng.execute_reduced(&plan, reduced, limit),
-            None => eng.execute(&plan, limit),
-        });
         // A faulted attempt leaves the state untouched and a completed one
         // leaves it reduced toward node 0; either way it stays resumable.
-        if let Some((key, reduced)) = resume {
-            self.retained.insert(key, (plan, reduced));
+        if let (Some(dense), Some(retained)) = (dense, resume) {
+            self.facts[dense].retained = Some(retained);
         }
-        match outcome {
-            Ok(tuples) => {
-                self.count_execution(start, rows_before);
-                Ok(tuples)
-            }
-            Err(ProbeFail::Node(e)) => {
-                self.gate.release();
-                Err(e.into())
-            }
-            Err(ProbeFail::Exhausted(why)) => {
-                self.gate.release();
-                Err(KwError::BudgetExhausted(why))
-            }
-        }
+        outcome.map_err(|fail| match fail {
+            ProbeFail::Node(e) => e.into(),
+            ProbeFail::Exhausted(why) => KwError::BudgetExhausted(why),
+        })
     }
 
     /// The keyword bound to a relation copy under this interpretation, if any.
@@ -832,19 +837,20 @@ impl<'a> AlivenessOracle<'a> {
         &mut self.counters
     }
 
-    /// Resets execution statistics, metrics and the budget clock/trip state
-    /// (not the memo, and not the fault schedule).
-    pub fn reset_stats(&mut self) {
-        self.engine.reset_stats();
-        self.counters = ProbeCounters::default();
-        self.gate.reset();
-    }
-
     /// The database under test.
     pub fn database(&self) -> &'a Database {
         self.db
     }
 
+    /// The report row kept for dense node `dense`, if one was rendered.
+    pub(crate) fn row(&self, dense: usize) -> Option<&QueryInfo> {
+        self.facts.get(dense)?.row.as_deref()
+    }
+
+    /// Keeps `row` as the report row of dense node `dense`.
+    pub(crate) fn keep_row(&mut self, dense: usize, row: QueryInfo) {
+        self.facts_mut(dense).row = Some(Box::new(row));
+    }
 }
 
 #[cfg(test)]
@@ -909,14 +915,15 @@ mod tests {
         let q = KeywordQuery::parse("candle red").unwrap();
         let m = map_keywords(&q, &idx);
         let interp = &m.interpretations[0];
+        let j = mtn_jnts();
         let mut oracle = AlivenessOracle::new(&db, Some(&idx), interp, &m.keywords, false);
-        assert!(oracle.is_alive(0, &mtn_jnts()).unwrap()); // red candle exists
+        assert!(oracle.is_alive(0, &j).unwrap()); // red candle exists
 
         let q2 = KeywordQuery::parse("candle saffron").unwrap();
         let m2 = map_keywords(&q2, &idx);
         let interp2 = &m2.interpretations[0];
         let mut oracle2 = AlivenessOracle::new(&db, Some(&idx), interp2, &m2.keywords, false);
-        assert!(!oracle2.is_alive(0, &mtn_jnts()).unwrap()); // no saffron candle
+        assert!(!oracle2.is_alive(0, &j).unwrap()); // no saffron candle
         assert_eq!(oracle2.queries(), 1);
     }
 
@@ -968,9 +975,6 @@ mod tests {
         assert_eq!(snap.memo_hits, 1);
         assert!(snap.tuples_scanned > 0, "probes examine rows");
         assert_eq!(snap.r1_inferences + snap.r2_inferences + snap.reuse_hits, 0);
-        oracle.reset_stats();
-        assert_eq!(*oracle.metrics(), ProbeCounters::default());
-        assert_eq!(oracle.queries(), 0);
     }
 
     #[test]
@@ -1018,10 +1022,11 @@ mod tests {
         let idx = InvertedIndex::build(&db);
         let q = KeywordQuery::parse("candle red").unwrap();
         let m = map_keywords(&q, &idx);
+        let j = mtn_jnts();
         let mut oracle =
             AlivenessOracle::new(&db, Some(&idx), &m.interpretations[0], &m.keywords, true);
         assert_eq!(oracle.verdict_if_known(7), None, "never probed");
-        oracle.is_alive(7, &mtn_jnts()).unwrap();
+        oracle.is_alive(7, &j).unwrap();
         assert_eq!(oracle.verdict_if_known(7), Some(true), "cached alive");
         assert_eq!(oracle.verdict_if_known(8), None, "other node untouched");
         assert_eq!(oracle.memo_hits(), 0, "accessor records nothing");
@@ -1030,7 +1035,7 @@ mod tests {
         // Without memoization there is never a known verdict.
         let mut plain =
             AlivenessOracle::new(&db, Some(&idx), &m.interpretations[0], &m.keywords, false);
-        plain.is_alive(7, &mtn_jnts()).unwrap();
+        plain.is_alive(7, &j).unwrap();
         assert_eq!(plain.verdict_if_known(7), None);
     }
 
@@ -1143,6 +1148,7 @@ mod tests {
         let idx = InvertedIndex::build(&db);
         let q = KeywordQuery::parse("candle red").unwrap();
         let m = map_keywords(&q, &idx);
+        let j = mtn_jnts();
         let mut oracle =
             AlivenessOracle::new(&db, Some(&idx), &m.interpretations[0], &m.keywords, false)
                 .with_chaos(FaultConfig {
@@ -1150,7 +1156,7 @@ mod tests {
                     ..FaultConfig::quiet(5)
                 })
                 .with_retry(RetryPolicy::immediate(5));
-        match oracle.probe(0, &mtn_jnts()) {
+        match oracle.probe(0, &j) {
             Probe::NodeFailed(e) => assert!(!e.is_transient() && e.is_fault()),
             other => panic!("expected NodeFailed, got {other:?}"),
         }
@@ -1165,17 +1171,16 @@ mod tests {
         let idx = InvertedIndex::build(&db);
         let q = KeywordQuery::parse("candle red").unwrap();
         let m = map_keywords(&q, &idx);
+        let j = mtn_jnts();
         let mut oracle =
             AlivenessOracle::new(&db, Some(&idx), &m.interpretations[0], &m.keywords, false)
                 .with_budget(ProbeBudget::default().with_deadline(Duration::ZERO));
         assert!(matches!(
-            oracle.probe(0, &mtn_jnts()),
+            oracle.probe(0, &j),
             Probe::Exhausted(Exhausted::Deadline)
         ));
         assert_eq!(oracle.exhausted(), Some(Exhausted::Deadline));
-        // reset_stats clears the trip so a new window can start.
-        oracle.reset_stats();
-        assert_eq!(oracle.exhausted(), None);
+        assert_eq!(oracle.probe(1, &j), Probe::Exhausted(Exhausted::Deadline), "sticky");
     }
 
     #[test]
@@ -1208,7 +1213,7 @@ mod tests {
         let q = KeywordQuery::parse("candle red").unwrap();
         let m = map_keywords(&q, &idx);
         let interp = &m.interpretations[0];
-        let j = mtn_jnts();
+        let (j, single) = (mtn_jnts(), Jnts::single(TupleSet::new(ptype, 1)));
 
         // One probe: its engine rows plus both selections' rows — candle's
         // two posting rows (ptype 0 and 2) and red's one (color 0).
@@ -1224,7 +1229,7 @@ mod tests {
         for node in 0..4 {
             assert!(many.is_alive(node, &j).unwrap());
         }
-        assert!(many.is_alive(4, &Jnts::single(TupleSet::new(ptype, 1))).unwrap());
+        assert!(many.is_alive(4, &single).unwrap());
         assert_eq!(many.sample(&j, 5).unwrap().len(), 1);
         let snap = many.metrics();
         assert_eq!(snap.probes_executed, 6);

@@ -149,7 +149,7 @@ impl<'a> DebugSession<'a> {
     /// Probes the suggestion's SQL through `oracle`. Degrades rather than
     /// erroring on injected faults or budget exhaustion — only genuine bugs
     /// (invalid plans, contradictions) surface as `Err`.
-    pub fn step(&mut self, oracle: &mut AlivenessOracle<'_>) -> Result<StepOutcome, KwError> {
+    pub fn step(&mut self, oracle: &mut AlivenessOracle<'a>) -> Result<StepOutcome, KwError> {
         let Some(n) = self.suggestion() else { return Ok(StepOutcome::Done) };
         let DebugSession { lattice, pruned, sbh, counters, .. } = self;
         // A verdict from the memo or the verdict cache ran no SQL: count the
@@ -171,7 +171,7 @@ impl<'a> DebugSession<'a> {
     /// [`DebugSession::partial_outcome`]) afterwards.
     pub fn run_to_completion(
         &mut self,
-        oracle: &mut AlivenessOracle<'_>,
+        oracle: &mut AlivenessOracle<'a>,
     ) -> Result<(), KwError> {
         loop {
             match self.step(oracle)? {

@@ -215,11 +215,11 @@ impl TraversalOutcome {
 ///
 /// `pa` is the aliveness prior used by [`StrategyKind::ScoreBasedHeuristic`]
 /// (ignored by the others); the paper finds `p_a = 0.5` works well.
-pub fn run(
+pub fn run<'a>(
     kind: StrategyKind,
-    lattice: &Lattice,
+    lattice: &'a Lattice,
     pruned: &PrunedLattice,
-    oracle: &mut AlivenessOracle<'_>,
+    oracle: &mut AlivenessOracle<'a>,
     pa: f64,
 ) -> Result<TraversalOutcome, KwError> {
     run_with(kind, lattice, pruned, oracle, pa, None)
@@ -227,11 +227,11 @@ pub fn run(
 
 /// [`run`] with an optional cross-session single-flight exchange: both go
 /// through the one driver.
-pub(crate) fn run_with(
+pub(crate) fn run_with<'a>(
     kind: StrategyKind,
-    lattice: &Lattice,
+    lattice: &'a Lattice,
     pruned: &PrunedLattice,
-    oracle: &mut AlivenessOracle<'_>,
+    oracle: &mut AlivenessOracle<'a>,
     pa: f64,
     exchange: Option<&WaveExchange>,
 ) -> Result<TraversalOutcome, KwError> {
@@ -336,17 +336,16 @@ pub(crate) fn settle(
 /// fault abandons the node; a budget refusal exhausts the frontier (the
 /// cause stays readable as [`AlivenessOracle::exhausted`]). Any other
 /// engine error (an invalid plan — a bug) propagates hard.
-pub(crate) fn visit<F: Frontier + ?Sized>(
-    lattice: &Lattice,
+pub(crate) fn visit<'a, F: Frontier + ?Sized>(
+    lattice: &'a Lattice,
     pruned: &PrunedLattice,
-    oracle: &mut AlivenessOracle<'_>,
+    oracle: &mut AlivenessOracle<'a>,
     exchange: Option<&WaveExchange>,
     frontier: &mut F,
     dense: usize,
     apply: impl FnOnce(&mut F, bool, &mut ProbeCounters) -> Result<(), KwError>,
 ) -> Result<StepOutcome, KwError> {
-    let (node, jnts) = (pruned.lattice_id(dense), pruned.jnts(lattice, dense));
-    match oracle.probe_through(node, jnts, exchange) {
+    match oracle.probe_through(dense, pruned.jnts(lattice, dense), exchange) {
         Probe::Verdict(alive) => {
             apply(frontier, alive, oracle.counters_mut())?;
             Ok(StepOutcome::Probed(dense, alive))
@@ -370,10 +369,10 @@ pub(crate) fn visit<F: Frontier + ?Sized>(
 /// node counts `reuse_hits`; any other is [`visit`]ed at once and its
 /// verdict applied before the next node is named, so every budget cap trips
 /// within one probe. A budget refusal ends the traversal at that node.
-fn drive(
-    lattice: &Lattice,
+fn drive<'a>(
+    lattice: &'a Lattice,
     pruned: &PrunedLattice,
-    oracle: &mut AlivenessOracle<'_>,
+    oracle: &mut AlivenessOracle<'a>,
     frontier: &mut dyn Frontier,
     exchange: Option<&WaveExchange>,
 ) -> Result<(), KwError> {

@@ -180,30 +180,25 @@ fn strategies_agree_and_mpans_satisfy_definition() {
             // 3. MPAN definition, checked against the oracle directly.
             let mut truth =
                 AlivenessOracle::new(&db, Some(&index), interp, &mapping.keywords, true);
-            let alive = |dense: usize, truth: &mut AlivenessOracle<'_>| {
-                truth
-                    .is_alive(pruned.lattice_id(dense), pruned.jnts(&lattice, dense))
-                    .expect("oracle runs")
+            let mut alive = |dense: usize| {
+                truth.is_alive(dense, pruned.jnts(&lattice, dense)).expect("oracle runs")
             };
             for (&m, mpans) in reference.dead_mtns.iter().zip(&reference.mpans) {
-                assert!(!alive(m, &mut truth), "case {case}: dead MTN must be dead");
+                assert!(!alive(m), "case {case}: dead MTN must be dead");
                 for &p in mpans {
                     assert!(p != m, "case {case}");
                     assert!(pruned.is_desc_or_self(p, m), "case {case}: MPAN within Desc(m)");
-                    assert!(alive(p, &mut truth), "case {case}: MPAN must be alive");
+                    assert!(alive(p), "case {case}: MPAN must be alive");
                     // Maximality: no alive strict ancestor within Desc+(m).
                     for &a in pruned.asc_plus(p) {
                         if a != p && pruned.is_desc_or_self(a, m) {
-                            assert!(
-                                !alive(a, &mut truth),
-                                "case {case}: MPAN has alive ancestor"
-                            );
+                            assert!(!alive(a), "case {case}: MPAN has alive ancestor");
                         }
                     }
                 }
                 // Coverage: every alive node in Desc(m) is under some MPAN.
                 for &d in pruned.desc_plus(m) {
-                    if d == m || !alive(d, &mut truth) {
+                    if d == m || !alive(d) {
                         continue;
                     }
                     assert!(
@@ -216,12 +211,9 @@ fn strategies_agree_and_mpans_satisfy_definition() {
             // 4. R1/R2 semantics hold for the query class itself: children of
             // alive nodes are alive.
             for dense in 0..pruned.len() {
-                if alive(dense, &mut truth) {
+                if alive(dense) {
                     for &c in pruned.children(dense) {
-                        assert!(
-                            alive(c, &mut truth),
-                            "case {case}: sub-query of alive node is dead"
-                        );
+                        assert!(alive(c), "case {case}: sub-query of alive node is dead");
                     }
                 }
             }

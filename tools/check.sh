@@ -67,6 +67,13 @@ if [[ -z "$want" || "$got" != "$want" ]]; then
     exit 1
 fi
 
+echo "==> memo ablation (exp_memo --scale medium must repeat results/exp_memo_L5_medium.txt byte for byte)"
+# The run is deterministic; a change to how the oracle memoizes verdicts
+# moves its counts and must regenerate the record.
+"$bin/exp_memo" --scale medium > "$bench_dir/exp_memo.txt"
+diff -u results/exp_memo_L5_medium.txt "$bench_dir/exp_memo.txt" \
+    || { echo "exp_memo differs from results/exp_memo_L5_medium.txt"; exit 1; }
+
 echo "==> probe evaluation cache differential (cache on/off, all strategies)"
 cargo test --workspace --release -q --test probe_cache_equivalence
 
