@@ -9,10 +9,11 @@
 //!
 //! With `--throughput N` the binary additionally runs the sustained
 //! multi-query mode of experiment E14: N workload queries back to back over
-//! the one shared lattice, reporting queries/sec, per-phase µs per query and
-//! heap allocations per query (counted by a wrapping global allocator). This
-//! is the before/after yardstick for the compact lattice substrate
-//! (DESIGN.md §9).
+//! the one shared lattice, one warm-up pass and then nine measured ones,
+//! reporting queries/sec, per-phase µs per query (Phase 1–2 as the median
+//! and interquartile range over the passes) and heap allocations per query
+//! (counted by a wrapping global allocator). This is the before/after
+//! yardstick for the compact lattice substrate (DESIGN.md §9).
 //!
 //! Usage: `exp_phase12 [--scale S] [--max-level N] [--throughput N]`
 //! (default max level 5).
@@ -97,30 +98,46 @@ fn main() {
     emit_metrics("exp_phase12", &records);
 }
 
-/// E14: sustained Phase 1–2 throughput over the shared lattice.
+/// Measured passes of the E14 throughput mode, after one warm-up pass.
+const PASSES: usize = 9;
+
+/// E14: sustained Phase 1–2 throughput over the shared lattice. One
+/// warm-up pass, then [`PASSES`] measured ones; the record carries the
+/// median pass's timings, the median and interquartile range of per-query
+/// Phase 1–2 µs over all passes (in its variant), allocations per query
+/// over all passes, and one pass's `prune` counts (every pass repeats them).
 fn run_throughput(
     system: &kwdebug::debugger::NonAnswerDebugger,
     n: usize,
     args: ExpArgs,
     max_level: usize,
 ) -> MetricsSnapshot {
-    println!("== E14: sustained phase 1-2 throughput ({n} queries) ==\n");
+    println!("== E14: sustained phase 1-2 throughput ({n} queries, {PASSES} passes) ==\n");
+    bench::run_phase12_throughput(system, n);
     let allocs_before = ALLOCS.load(Ordering::Relaxed);
-    let rep = bench::run_phase12_throughput(system, n);
+    let mut passes: Vec<_> =
+        (0..PASSES).map(|_| bench::run_phase12_throughput(system, n)).collect();
     let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
-    let allocs_per_query = allocs / n.max(1) as u64;
-    let per_query_us = rep.wall.as_secs_f64() * 1e6 / rep.queries.max(1) as f64;
-    let map_us = rep.mapping.as_secs_f64() * 1e6 / rep.queries.max(1) as f64;
-    let prune_us = rep.pruning.as_secs_f64() * 1e6 / rep.queries.max(1) as f64;
+    let allocs_per_query = allocs / (n * PASSES).max(1) as u64;
+    let per_query_us = |d: std::time::Duration| d.as_secs_f64() * 1e6 / n.max(1) as f64;
+    passes.sort_by_key(|r| r.pruning);
+    let prune_us: Vec<f64> = passes.iter().map(|r| per_query_us(r.pruning)).collect();
+    let quartile = |q: usize| prune_us[(prune_us.len() - 1) * q / 4];
+    let (prune_median, prune_iqr) = (quartile(2), quartile(3) - quartile(1));
+    let rep = &passes[PASSES / 2];
     print_table(
-        &["queries", "interp", "q/s", "query_us", "map_us", "prune12_us", "allocs/q"],
+        &[
+            "queries", "interp", "q/s", "query_us", "map_us", "prune12_us", "prune12_iqr",
+            "allocs/q",
+        ],
         &[vec![
             rep.queries.to_string(),
             rep.interpretations.to_string(),
             format!("{:.0}", rep.queries_per_sec()),
-            format!("{per_query_us:.1}"),
-            format!("{map_us:.1}"),
-            format!("{prune_us:.1}"),
+            format!("{:.1}", per_query_us(rep.wall)),
+            format!("{:.1}", per_query_us(rep.mapping)),
+            format!("{prune_median:.2}"),
+            format!("{prune_iqr:.2}"),
             allocs_per_query.to_string(),
         ]],
     );
@@ -130,7 +147,8 @@ fn run_throughput(
         query: "THROUGHPUT".to_owned(),
         strategy: "NONE".to_owned(),
         variant: format!(
-            "throughput={n};substrate={};allocs_per_query={allocs_per_query}",
+            "throughput={n};substrate={};allocs_per_query={allocs_per_query};\
+             passes={PASSES};prune12_us_median={prune_median:.2};prune12_us_iqr={prune_iqr:.2}",
             substrate_name()
         ),
         scale: args.scale.name().to_owned(),
@@ -148,7 +166,6 @@ fn run_throughput(
         levels: Vec::new(),
     };
     rec.probes.phase1_nodes_touched = rep.phase1_nodes_touched;
-    rec.probes.workspace_reuses = rep.workspace_reuses;
     rec
 }
 

@@ -229,7 +229,6 @@ fn show_lattice(system: &NonAnswerDebugger) {
     println!("  copy-set index    {:>10.1} KiB", kib(fp.copy_set_bytes));
     println!("  levels/flags      {:>10.1} KiB", kib(fp.index_bytes));
     println!("  total             {:>10.1} KiB", kib(fp.total_bytes()));
-    println!("workspace reuses so far: {}", system.workspace_reuses());
 }
 
 fn show_metrics(system: &NonAnswerDebugger, last: &LastRun, args: &ReplArgs, max_level: usize) {

@@ -352,8 +352,6 @@ pub struct ThroughputReport {
     pub prune: PruneStats,
     /// Copy-set index entries read by Phase 1 (lookups plus total node ids).
     pub phase1_nodes_touched: u64,
-    /// Number of `PrunedLattice` builds that reused pooled scratch.
-    pub workspace_reuses: u64,
 }
 
 impl ThroughputReport {
@@ -400,8 +398,6 @@ pub fn run_phase12_throughput(system: &NonAnswerDebugger, n: usize) -> Throughpu
         rep.queries += 1;
     }
     rep.wall = t_all.elapsed();
-    // Every build after the first reused the warmed workspace buffers.
-    rep.workspace_reuses = ws.builds().saturating_sub(1);
     rep
 }
 

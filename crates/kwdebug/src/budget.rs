@@ -233,11 +233,6 @@ impl BudgetGate {
     pub fn deadline_passed(&self) -> bool {
         self.budget.deadline.is_some_and(|d| self.started.is_some_and(|s| s.elapsed() >= d))
     }
-
-    /// Resets the window: slots, trip state and deadline clock.
-    pub fn reset(&mut self) {
-        *self = BudgetGate::new(self.budget);
-    }
 }
 
 #[cfg(test)]
@@ -323,17 +318,6 @@ mod tests {
         let mut gate = BudgetGate::new(ProbeBudget::default().with_max_tuples(10));
         assert!(gate.try_reserve(9).is_ok());
         assert_eq!(gate.try_reserve(10), Err(Exhausted::Tuples));
-    }
-
-    #[test]
-    fn gate_reset_reopens_the_window() {
-        let mut gate = BudgetGate::new(ProbeBudget::probes(1));
-        assert!(gate.try_reserve(0).is_ok());
-        assert!(gate.try_reserve(0).is_err());
-        gate.reset();
-        assert_eq!(gate.tripped(), None);
-        assert_eq!(gate.reserved(), 0);
-        assert!(gate.try_reserve(0).is_ok());
     }
 
     #[test]

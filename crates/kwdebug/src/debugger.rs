@@ -21,7 +21,6 @@ use crate::prune::PrunedLattice;
 use crate::report::{DebugReport, InterpretationOutcome, NonAnswerInfo, QueryInfo};
 use crate::schema_graph::SchemaGraph;
 use crate::traversal::{self, StrategyKind};
-use crate::workspace::WorkspacePool;
 
 /// Configuration of a [`NonAnswerDebugger`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -126,9 +125,9 @@ impl DebugConfig {
 /// concurrent sessions (one [`NonAnswerDebugger`] each) can run over a single
 /// resident copy. Cloning is a handful of reference-count bumps; the multi-
 /// megabyte arenas are never duplicated. This is the state split the serving
-/// layer builds on (`kwserve`; DESIGN.md §11): per-session mutable state
-/// (workspace pool, budget window) stays inside each debugger, while the
-/// substrate is shared process-wide.
+/// layer builds on (`kwserve`; DESIGN.md §11): per-session state (the
+/// configuration with its budget, a private evaluation cache) stays inside
+/// each debugger, while the substrate is shared process-wide.
 ///
 /// Two pieces of *cross-session learning* ride along (DESIGN.md §12):
 ///
@@ -295,18 +294,14 @@ impl std::fmt::Debug for SharedParts {
 /// behind [`Arc`]s: [`NonAnswerDebugger::shared_parts`] hands out a cheap
 /// [`SharedParts`] handle and [`NonAnswerDebugger::from_shared`] builds more
 /// debuggers over the *same* resident arenas — the unit of multi-tenant
-/// serving, where each session owns its own workspace pool, evaluation cache
-/// and budget window but all sessions read one copy of the data.
+/// serving, where each session owns its own configuration, budget and
+/// evaluation cache but all sessions read one copy of the data.
 pub struct NonAnswerDebugger {
     db: Arc<Database>,
     index: Arc<InvertedIndex>,
     graph: Arc<SchemaGraph>,
     lattice: Arc<Lattice>,
     config: DebugConfig,
-    /// Recycles Phase 1–2 scratch across queries (see [`crate::workspace`]);
-    /// `debug` takes `&self`, so concurrent sessions each borrow their own
-    /// workspace from the pool.
-    workspaces: WorkspacePool,
     /// The evaluation cache probes consult when [`DebugConfig::eval_cache`]
     /// is on: session-private by default (stamped with this snapshot's
     /// `(db_id, epoch)` identity — the snapshot never changes under a
@@ -345,7 +340,6 @@ impl NonAnswerDebugger {
             graph: Arc::new(graph),
             lattice: Arc::new(lattice),
             config,
-            workspaces: WorkspacePool::new(),
             cache: Arc::new(cache),
             shared: false,
             pa_stats: Arc::new(OnlinePa::new()),
@@ -369,10 +363,10 @@ impl NonAnswerDebugger {
 
     /// Builds a new *session* over an existing substrate: the returned
     /// debugger reads the same database, index and lattice arena as every
-    /// other holder of `parts`, but owns fresh per-session state — a cold
-    /// [`WorkspacePool`] and its own `config` (budget, strategy, cache,
-    /// ...). This is O(1): no data is copied and no Phase-0 work runs, which
-    /// is what makes per-connection sessions viable in the serving layer.
+    /// other holder of `parts`, but owns fresh per-session state — its own
+    /// `config` (budget, strategy, cache, ...). This is O(1): no data is
+    /// copied and no Phase-0 work runs, which is what makes per-connection
+    /// sessions viable in the serving layer.
     /// `config.max_joins` must match the lattice.
     ///
     /// When `parts` carries a shared [`EvalCache`]
@@ -398,7 +392,6 @@ impl NonAnswerDebugger {
             graph: parts.graph,
             lattice: parts.lattice,
             config,
-            workspaces: WorkspacePool::new(),
             cache,
             shared,
             pa_stats: parts.pa_stats,
@@ -453,7 +446,6 @@ impl NonAnswerDebugger {
             graph: Arc::new(graph),
             lattice: Arc::new(lattice),
             config,
-            workspaces: WorkspacePool::new(),
             cache: Arc::new(cache),
             shared: false,
             pa_stats: Arc::new(OnlinePa::new()),
@@ -484,13 +476,6 @@ impl NonAnswerDebugger {
     /// The active configuration.
     pub fn config(&self) -> &DebugConfig {
         &self.config
-    }
-
-    /// How many Phase 1–2 builds were served by a recycled scratch workspace
-    /// instead of a fresh allocation (system-level counter over the lifetime
-    /// of this debugger; see [`crate::workspace::WorkspacePool`]).
-    pub fn workspace_reuses(&self) -> u64 {
-        self.workspaces.reuses()
     }
 
     /// Sets the per-interpretation probe budget for subsequent debug calls.
@@ -630,9 +615,7 @@ impl NonAnswerDebugger {
         exchange: Option<&crate::batch::WaveExchange>,
     ) -> Result<InterpretationOutcome, KwError> {
         let prune_start = Instant::now();
-        let (mut ws, _reused) = self.workspaces.acquire();
-        let pruned = PrunedLattice::build_with(&self.lattice, interp, &mut ws);
-        self.workspaces.release(ws);
+        let pruned = PrunedLattice::build(&self.lattice, interp);
         let pruning = prune_start.elapsed();
         let mut oracle = AlivenessOracle::new(
             &self.db,
@@ -671,10 +654,7 @@ impl NonAnswerDebugger {
         )?;
         let traversal_time = traversal_start.elapsed();
         // Phase-1 substrate accounting rides along in the probe counters so
-        // every report surface sees it. workspace_reuses intentionally does
-        // NOT: whether the pool was warm depends on call history, which would
-        // break the run-for-run equivalence guarantees; it is exposed as a
-        // system-level counter via [`NonAnswerDebugger::workspace_reuses`].
+        // every report surface sees it.
         outcome.probes.phase1_nodes_touched = pruned.phase1_nodes_touched();
         // Write-path gauges: the snapshot epoch this report was computed at,
         // and the lifetime invalidation/compaction counts of the substrate it

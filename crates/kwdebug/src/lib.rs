@@ -52,7 +52,7 @@
 //! | Probe budgets / retries (extension) | caps, deadlines, backoff, degraded mode | [`budget`] |
 //! | Fault injection (extension) | deterministic chaos harness for probes | [`relengine::chaos`] |
 //! | Cross-probe evaluation cache (extension) | shared keyword selections and their join-column postings, whole-network verdicts | [`evalcache`] |
-//! | Pooled traversal scratch (extension) | reusable per-query workspaces, zero steady-state allocation | [`workspace`] |
+//! | Phase 1–2 scratch (extension) | output-sized per-build buffers, reusable by callers that build back to back | [`workspace`] |
 //! | Multi-tenant serving (extension) | shared substrate ([`SharedParts`]), per-session debuggers over TCP | [`debugger`], `kwserve` |
 //! | Mutable databases (extension) | epoch-stamped writes, incremental index deltas, layered invalidation | [`mutable`], [`evalcache`] |
 //! | Cross-session single-flight probing (extension) | in-flight probe coalescing | [`batch`] |

@@ -23,7 +23,6 @@
 //! | `probes_abandoned` | oracle, probes given up on (node stays `Unknown`) | beyond the paper (degraded mode) |
 //! | `budget_exhausted` | oracle, [`crate::budget::ProbeBudget`] cap trips | beyond the paper (degraded mode) |
 //! | `phase1_nodes_touched` | debugger, keyword-copy-set index entries read by Phase 1: one per lookup plus one per total node id (DESIGN.md §9.2) | beyond the paper (compact substrate) |
-//! | `workspace_reuses` | debugger, `PrunedLattice` builds served from the pooled [`crate::workspace::QueryWorkspace`] | beyond the paper (compact substrate) |
 //! | `selection_cache_hits` | oracle, keyword selections an interpretation took from [`crate::evalcache`] (at most one per bound keyword) | beyond the paper (evaluation cache) |
 //! | `verdict_cache_hits` | oracle/dispatcher, probes answered (Alive *or* Dead) from a cached whole-network verdict | beyond the paper (evaluation cache) |
 //! | `cache_bytes` | oracle, payload bytes resident in the session [`crate::evalcache::EvalCache`] | beyond the paper (evaluation cache) |
@@ -98,10 +97,6 @@ pub struct ProbeCounters {
     /// lookup plus one per total node id (see `DESIGN.md` §9.2). Phase 1's
     /// work, which follows its output rather than the lattice size.
     pub phase1_nodes_touched: u64,
-    /// `PrunedLattice` builds that reused a pooled
-    /// [`crate::workspace::QueryWorkspace`] instead of allocating fresh
-    /// scratch (first build on a pool slot counts 0).
-    pub workspace_reuses: u64,
     /// Keyword selections this interpretation took from the session
     /// [`crate::evalcache::EvalCache`] instead of building them: at most one
     /// per bound keyword, however many probes bind it.
@@ -160,7 +155,6 @@ impl ProbeCounters {
             probes_abandoned: self.probes_abandoned - baseline.probes_abandoned,
             budget_exhausted: self.budget_exhausted - baseline.budget_exhausted,
             phase1_nodes_touched: self.phase1_nodes_touched - baseline.phase1_nodes_touched,
-            workspace_reuses: self.workspace_reuses - baseline.workspace_reuses,
             selection_cache_hits: self.selection_cache_hits - baseline.selection_cache_hits,
             verdict_cache_hits: self.verdict_cache_hits - baseline.verdict_cache_hits,
             cache_bytes: self.cache_bytes - baseline.cache_bytes,
@@ -189,7 +183,6 @@ impl ProbeCounters {
         self.probes_abandoned += other.probes_abandoned;
         self.budget_exhausted += other.budget_exhausted;
         self.phase1_nodes_touched += other.phase1_nodes_touched;
-        self.workspace_reuses += other.workspace_reuses;
         self.selection_cache_hits += other.selection_cache_hits;
         self.verdict_cache_hits += other.verdict_cache_hits;
         self.cache_bytes += other.cache_bytes;
@@ -329,8 +322,7 @@ impl MetricsSnapshot {
              \"probes_abandoned\":{},\
              \"r1_inferences\":{},\"r2_inferences\":{},\"retries\":{},\"reuse_hits\":{},\
              \"selection_cache_hits\":{},\
-             \"time_ns\":{},\"tuples_scanned\":{},\"verdict_cache_hits\":{},\
-             \"workspace_reuses\":{}}}",
+             \"time_ns\":{},\"tuples_scanned\":{},\"verdict_cache_hits\":{}}}",
             p.budget_exhausted,
             p.cache_bytes,
             p.coalesced_probes,
@@ -351,7 +343,6 @@ impl MetricsSnapshot {
             p.probe_time_ns,
             p.tuples_scanned,
             p.verdict_cache_hits,
-            p.workspace_reuses,
         );
         let t = &self.phases;
         let _ = write!(
@@ -475,7 +466,6 @@ mod tests {
                 probes_abandoned: 1,
                 budget_exhausted: 1,
                 phase1_nodes_touched: 42,
-                workspace_reuses: 1,
                 selection_cache_hits: 13,
                 verdict_cache_hits: 8,
                 cache_bytes: 512,
@@ -525,8 +515,7 @@ mod tests {
              \"probes_abandoned\":1,\
              \"r1_inferences\":4,\"r2_inferences\":9,\"retries\":2,\"reuse_hits\":3,\
              \"selection_cache_hits\":13,\
-             \"time_ns\":345,\"tuples_scanned\":678,\"verdict_cache_hits\":8,\
-             \"workspace_reuses\":1},\
+             \"time_ns\":345,\"tuples_scanned\":678,\"verdict_cache_hits\":8},\
              \"phases\":{\"mapping_ns\":1,\"pruning_ns\":2,\"traversal_ns\":3,\
              \"sql_ns\":4,\"reporting_ns\":5,\"total_ns\":6},\
              \"prune\":{\"lattice_nodes\":100,\"retained_phase1\":20,\"total_nodes\":5,\

@@ -24,17 +24,21 @@
 //!   an MTN iff its precomputed [`crate::lattice::Lattice::has_free_leaf`]
 //!   bit is clear. The 98% of the lattice that Phase 1 prunes is never
 //!   touched.
-//! * **Phase 2** marks MTNs ∪ descendants in a keep-bitset via an explicit
-//!   stack over the CSR children arrays, then packs the dense sub-lattice.
+//! * **Phase 2** walks down from the MTNs over the CSR children arrays one
+//!   level at a time: a level's nodes are its MTNs and the children of the
+//!   level above, sorted and deduplicated. The kept ids come out as the
+//!   sorted `nodes` array, dense ids are binary searches in it, and the work
+//!   is the kept sub-lattice's edges — no buffer is sized by the offline
+//!   lattice.
 //! * The descendant closure is a per-node bitset over dense indices
 //!   (`word_count` `u64`s per node), computed bottom-up by OR-ing child rows;
 //!   the `desc_plus`/`asc_plus` slices are packed once from those rows, and
 //!   [`PrunedLattice::is_desc_or_self`] is a single bit test.
 //!
-//! All transient state lives in a caller-provided
-//! [`crate::workspace::QueryWorkspace`] ([`PrunedLattice::build_with`]), so a
-//! warmed workspace makes Phases 1–2 allocation-light: only the dense output
-//! arrays of the `PrunedLattice` itself are freshly allocated per query.
+//! Transient state lives in a [`crate::workspace::QueryWorkspace`], all of
+//! it output-sized. [`PrunedLattice::build`] takes a fresh one;
+//! [`PrunedLattice::build_with`] reuses a caller's, which leaves only the
+//! dense output arrays of the `PrunedLattice` itself to allocate per query.
 
 use crate::binding::Interpretation;
 use crate::jnts::Jnts;
@@ -44,7 +48,7 @@ use crate::workspace::QueryWorkspace;
 /// Label of the Phase 1–2 substrate implementation in effect. Benches record
 /// it in their variant field so before/after rows in `results/` stay
 /// distinguishable across substrate changes.
-pub const SUBSTRATE: &str = "copy-set-index";
+pub const SUBSTRATE: &str = "output-sized-prune";
 
 /// Phase-1/2 statistics for one interpretation (reproduces §3.3 / Figure 10).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -138,26 +142,16 @@ fn for_each_subset(
     }
 }
 
-#[inline]
-fn bit_set(words: &mut [u64], id: NodeId) {
-    words[(id / 64) as usize] |= 1u64 << (id % 64);
-}
-
-#[inline]
-fn bit_test(words: &[u64], id: NodeId) -> bool {
-    words[(id / 64) as usize] & (1u64 << (id % 64)) != 0
-}
-
 fn popcount(words: &[u64]) -> usize {
     words.iter().map(|w| w.count_ones() as usize).sum()
 }
 
 impl PrunedLattice {
     /// Runs Phases 1 and 2 for one interpretation with a fresh scratch
-    /// workspace. Sustained callers should hold a
-    /// [`crate::workspace::QueryWorkspace`] (or borrow one from a
-    /// [`crate::workspace::WorkspacePool`]) and use
-    /// [`PrunedLattice::build_with`]; the result is identical either way.
+    /// workspace. Its buffers are output-sized, so this costs a few small
+    /// allocations; a caller building many sub-lattices back to back can
+    /// hold a [`crate::workspace::QueryWorkspace`] and use
+    /// [`PrunedLattice::build_with`]. The result is identical either way.
     pub fn build(lattice: &Lattice, interp: &Interpretation) -> PrunedLattice {
         PrunedLattice::build_with(lattice, interp, &mut QueryWorkspace::new())
     }
@@ -169,10 +163,8 @@ impl PrunedLattice {
         interp: &Interpretation,
         ws: &mut QueryWorkspace,
     ) -> PrunedLattice {
-        ws.note_build();
-        let n = lattice.node_count();
-        let words = n.div_ceil(64);
-        let mut stats = PruneStats { lattice_nodes: n, ..PruneStats::default() };
+        let mut stats =
+            PruneStats { lattice_nodes: lattice.node_count(), ..PruneStats::default() };
         let mut touched: u64 = 0;
 
         // Phase 1: B = the bound copies, as sorted index slots. A bound copy
@@ -200,55 +192,49 @@ impl PrunedLattice {
         let mtn_ids = || totals.iter().copied().filter(|&id| !lattice.has_free_leaf(id));
         stats.mtn_count = mtn_ids().count();
 
-        // Phase 2: keep = MTNs ∪ descendants (children closure downward).
-        ws.keep.clear();
-        ws.keep.resize(words, 0);
-        ws.stack.clear();
-        ws.stack.extend(mtn_ids());
-        while let Some(id) = ws.stack.pop() {
-            if bit_test(&ws.keep, id) {
-                continue;
+        // Phase 2: the MTNs and their descendants, one level at a time from
+        // the top. A level's nodes are its MTNs and the children of the level
+        // above, sorted and deduplicated; every child is one level down, and
+        // ids are level-ordered, so the blocks, each pushed descending, leave
+        // `kept` descending. The work is the kept sub-lattice's edges;
+        // nothing is lattice-sized.
+        ws.kept.clear();
+        ws.frontier.clear();
+        let mut mtns_down = mtn_ids().rev().peekable();
+        let mut level = mtns_down.peek().map_or(0, |&id| lattice.level_of(id));
+        while level > 0 {
+            while let Some(id) = mtns_down.next_if(|&id| lattice.level_of(id) == level) {
+                ws.frontier.push(id);
             }
-            bit_set(&mut ws.keep, id);
-            for &c in lattice.children(id) {
-                if !bit_test(&ws.keep, c) {
-                    ws.stack.push(c);
-                }
+            ws.frontier.sort_unstable();
+            ws.frontier.dedup();
+            ws.kept.extend(ws.frontier.iter().rev());
+            ws.next.clear();
+            for &id in &ws.frontier {
+                ws.next.extend(lattice.children(id));
             }
+            std::mem::swap(&mut ws.frontier, &mut ws.next);
+            level -= 1;
         }
-        let len = popcount(&ws.keep);
+        // Dense re-index in ascending id (= level) order.
+        let nodes: Vec<NodeId> = ws.kept.iter().rev().copied().collect();
+        let len = nodes.len();
         stats.pruned_nodes = len;
-
-        // Dense re-index in ascending id (= level) order. `dense_of` entries
-        // are only read under a keep-bit test, so stale ones need no reset.
-        if ws.dense_of.len() < n {
-            ws.dense_of.resize(n, 0);
-        }
-        let mut nodes: Vec<NodeId> = Vec::with_capacity(len);
-        for (wi, &word) in ws.keep.iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                let id = (wi * 64) as NodeId + w.trailing_zeros();
-                ws.dense_of[id as usize] = nodes.len() as u32;
-                nodes.push(id);
-                w &= w - 1;
-            }
-        }
+        let dense = |id: NodeId| nodes.binary_search(&id).expect("kept set is down-closed");
         let levels: Vec<u32> = nodes.iter().map(|&id| lattice.level_of(id)).collect();
 
-        // Children CSR (lattice child lists are ascending and the dense map
-        // is monotone, so dense children stay ascending), parents inverted.
+        // Children CSR (the kept set is down-closed, so every child is kept;
+        // lattice child lists are ascending and `dense` is monotone, so
+        // dense children stay ascending), parents inverted.
         let mut child_off = Vec::with_capacity(len + 1);
         child_off.push(0usize);
         let mut child_items: Vec<usize> = Vec::new();
         let mut parent_counts = vec![0usize; len];
         for &id in &nodes {
             for &c in lattice.children(id) {
-                if bit_test(&ws.keep, c) {
-                    let ci = ws.dense_of[c as usize] as usize;
-                    child_items.push(ci);
-                    parent_counts[ci] += 1;
-                }
+                let ci = dense(c);
+                child_items.push(ci);
+                parent_counts[ci] += 1;
             }
             child_off.push(child_items.len());
         }
@@ -320,7 +306,7 @@ impl PrunedLattice {
 
         // MTNs in dense space (ascending: totals are ascending and the dense
         // map is monotone).
-        let mtns: Vec<usize> = mtn_ids().map(|id| ws.dense_of[id as usize] as usize).collect();
+        let mtns: Vec<usize> = mtn_ids().map(dense).collect();
         debug_assert!(mtns.windows(2).all(|w| w[0] < w[1]));
 
         for &m in &mtns {
@@ -630,6 +616,5 @@ mod tests {
             }
         }
         assert!(builds >= 4);
-        assert_eq!(ws.builds(), builds);
     }
 }

@@ -48,7 +48,9 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"KWSV");
 /// Version 3 dropped the two subtree-cache counters from the probes block.
 /// Version 4 dropped the three counters of the deleted intra-request probe
 /// pool from the probes block (23 → 20 `u64`s; SERVING.md §2 names them).
-pub const VERSION: u16 = 4;
+/// Version 5 dropped the reuse counter of the deleted Phase-2 workspace
+/// pool from the probes block (20 → 19 `u64`s).
+pub const VERSION: u16 = 5;
 
 /// Upper bound on one frame's payload (32 MiB). Reports over DBLife at paper
 /// scale are well under 1 MiB; anything larger than this is a corrupt or
@@ -678,7 +680,6 @@ fn put_probes(out: &mut Vec<u8>, p: &ProbeCounters) {
     put_u64(out, p.probes_abandoned);
     put_u64(out, p.budget_exhausted);
     put_u64(out, p.phase1_nodes_touched);
-    put_u64(out, p.workspace_reuses);
     put_u64(out, p.selection_cache_hits);
     put_u64(out, p.verdict_cache_hits);
     put_u64(out, p.cache_bytes);
@@ -702,7 +703,6 @@ fn read_probes(rd: &mut Rd<'_>) -> Result<ProbeCounters, WireError> {
         probes_abandoned: rd.u64()?,
         budget_exhausted: rd.u64()?,
         phase1_nodes_touched: rd.u64()?,
-        workspace_reuses: rd.u64()?,
         selection_cache_hits: rd.u64()?,
         verdict_cache_hits: rd.u64()?,
         cache_bytes: rd.u64()?,

@@ -46,8 +46,8 @@
 //! ## Per-session state
 //!
 //! Every admitted session builds its own [`NonAnswerDebugger`] via
-//! [`NonAnswerDebugger::from_shared`]: a fresh workspace pool and the
-//! tenant's budget, over the one shared immutable database/index/lattice.
+//! [`NonAnswerDebugger::from_shared`]: the tenant's budget over the one
+//! shared immutable database/index/lattice.
 //! The evaluation cache is private per session by default; with
 //! [`ServeConfig::shared_cache`] set, sessions instead attach to one
 //! process-wide [`EvalCache`] keyed by the substrate's database

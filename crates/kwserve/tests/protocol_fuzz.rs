@@ -137,8 +137,8 @@ fn bit_flips_never_panic_any_decoder() {
 }
 
 /// Frames of the previous protocol version are refused, not misread: a
-/// version-3 `Hello`, and a report whose probes block still carries the
-/// three counters version 4 dropped (three trailing `u64`s after the only
+/// version-4 `Hello`, and a report whose probes block still carries the
+/// counter version 5 dropped (one trailing `u64` after the only
 /// interpretation).
 #[test]
 fn previous_version_frames_are_refused() {
@@ -154,8 +154,8 @@ fn previous_version_frames_are_refused() {
     let report = system.debug("saffron candle").unwrap();
     assert_eq!(report.interpretations.len(), 1);
     let mut payload = encode_report(&report);
-    payload.extend_from_slice(&[0u8; 3 * 8]);
-    assert!(decode_report(&payload).is_err(), "a 23-counter probes block");
+    payload.extend_from_slice(&[0u8; 8]);
+    assert!(decode_report(&payload).is_err(), "a 20-counter probes block");
 }
 
 fn fuzz_bits(payload: &[u8], check: impl Fn(&[u8])) {

@@ -336,11 +336,6 @@ impl Database {
         &self.tables[id]
     }
 
-    /// Mutable access to a table.
-    pub fn table_mut(&mut self, id: TableId) -> &mut Table {
-        &mut self.tables[id]
-    }
-
     /// Looks up a table id by name.
     pub fn table_id(&self, name: &str) -> Option<TableId> {
         self.by_name.get(name).copied()

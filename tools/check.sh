@@ -28,18 +28,22 @@ cargo build --release --manifest-path perfbench/Cargo.toml
 echo "==> perfbench self-tests (same-seed lib-cold counts repeat; traced spans add up to latency)"
 cargo test --release --manifest-path perfbench/Cargo.toml
 
-echo "==> perfbench end to end (every workload 2 s at seed 1, then traced lib-cold; runs in a scratch directory)"
+echo "==> perfbench end to end (every workload 2 s at seed 1, then traced lib-cold at seeds 1-3; runs in a scratch directory)"
 # Each run checks its own outputs and exits non-zero on a mismatch; the
-# traced lib-cold run also compares the staged path's report bytes (which
-# sample through `AlivenessOracle::sample`) with `debug_with_strategy`'s.
+# traced lib-cold runs also compare the staged path's report bytes (which
+# build on one reused `QueryWorkspace` and sample through
+# `AlivenessOracle::sample`) with `debug_with_strategy`'s, and check that
+# every traced request's span self times add up to its timed latency.
 perfbench="$PWD/perfbench/target/release/perfbench"
 perfbench_start=$SECONDS
 for workload in lib-cold serve-closed write-read; do
     (cd "$bench_dir" && "$perfbench" --workload "$workload" --seed 1 --seconds 2 --trace 0) \
         | grep -E "^attempted"
 done
-(cd "$bench_dir" && "$perfbench" --workload lib-cold --seed 1 --seconds 2 --trace 1) \
-    | grep -E "^attempted"
+for seed in 1 2 3; do
+    (cd "$bench_dir" && "$perfbench" --workload lib-cold --seed "$seed" --seconds 2 --trace 1) \
+        | grep -E "^attempted"
+done
 echo "    perfbench end to end took $((SECONDS - perfbench_start)) s"
 
 echo "==> cargo test -q (workspace)"
