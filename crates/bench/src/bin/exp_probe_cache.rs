@@ -136,11 +136,10 @@ fn main() {
     let (t_off, t_cold, t_warm) = (throughput(&off), throughput(&cold), throughput(&warm));
     let cache = system.eval_cache();
     println!(
-        "session cache: {} selection entries, {} postings, {} verdicts, {} keywords, {} payload bytes\n",
+        "session cache: {} selection entries, {} postings, {} verdicts, {} bytes\n",
         cache.selection_entries(),
         cache.postings_entries(),
         cache.verdict_entries(),
-        cache.interned_keywords(),
         cache.bytes()
     );
 

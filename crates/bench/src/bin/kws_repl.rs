@@ -281,12 +281,11 @@ fn show_metrics(system: &NonAnswerDebugger, last: &LastRun, args: &ReplArgs, max
 fn show_cache(system: &NonAnswerDebugger, enabled: bool, last: Option<&LastRun>) {
     let cache = system.eval_cache();
     println!(
-        "evaluation cache: {} ({} selection entries, {} postings, {} verdicts, {} keywords, {} payload bytes)",
+        "evaluation cache: {} ({} selection entries, {} postings, {} verdicts, {} bytes)",
         if enabled { "on" } else { "off" },
         cache.selection_entries(),
         cache.postings_entries(),
         cache.verdict_entries(),
-        cache.interned_keywords(),
         cache.bytes()
     );
     if let Some(run) = last {

@@ -5,8 +5,9 @@
 //! *after* the first session has paid for them; a [`WaveExchange`] covers
 //! the ones **in flight** at the same moment. It is one table of cells keyed
 //! by `(db_id, epoch, binding_key)` — the verdict cache's canonical
-//! [`crate::evalcache::network_key`], over the exchange's own keyword ids so
-//! keys agree across sessions. On a verdict-cache miss, after the driver has
+//! [`crate::evalcache::network_key`], which names keywords by their text, so
+//! keys agree across sessions and the probe's one key serves both stores. On
+//! a verdict-cache miss, after the driver has
 //! reserved the probe's budget slot in dispatch order, the first session to
 //! submit a key **owns** its cell: it executes the probe at once, publishes
 //! the verdict, then retires the cell. A session that finds the key in
@@ -27,7 +28,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use crate::evalcache::Interner;
 use crate::jnts::Jnts;
 use crate::oracle::{AlivenessOracle, Probe, Source};
 
@@ -86,9 +86,6 @@ impl ProbeCell {
 /// [`crate::debugger::NonAnswerDebugger::set_wave_exchange`].
 #[derive(Default)]
 pub struct WaveExchange {
-    /// The exchange's own keyword interner: canonical keys must agree
-    /// *across* sessions, so they cannot use any session cache's ids.
-    interner: Interner,
     inflight: Mutex<HashMap<Key, Arc<ProbeCell>>>,
     merged_waves: AtomicU64,
     submitted: AtomicU64,
@@ -136,23 +133,24 @@ impl WaveExchange {
         }
     }
 
-    /// Resolves one reserved probe of dense node `dense`. The first session
-    /// to claim its key owns the cell: it executes on `oracle` and publishes
-    /// the outcome. A follower waits on the cell and settles the owner's
-    /// verdict (`coalesced_probes`); its reserved slot stays consumed, so
-    /// budget cuts match unbatched runs. An orphaned cell makes the follower
-    /// re-execute on its own slot. `verdict_key` goes on to the publish.
+    /// Resolves one reserved probe of dense node `dense`, whose binding key
+    /// is `key`. The first session to claim the key owns the cell: it
+    /// executes on `oracle` and publishes the outcome. A follower waits on
+    /// the cell and settles the owner's verdict (`coalesced_probes`); its
+    /// reserved slot stays consumed, so budget cuts match unbatched runs. An
+    /// orphaned cell makes the follower re-execute on its own slot. `key`
+    /// goes on to the verdict-cache publish.
     pub(crate) fn resolve<'a>(
         &self,
         oracle: &mut AlivenessOracle<'a>,
         dense: usize,
         jnts: &'a Jnts,
-        verdict_key: Option<Vec<u8>>,
+        key: Vec<u8>,
     ) -> Probe {
         let db = oracle.database();
-        let key = (db.db_id(), db.epoch(), oracle.binding_key(jnts, &self.interner));
         let mut owned = OwnedCell { exchange: self, cell: None };
-        let Some(cell) = self.claim(key, &mut owned) else {
+        let verdict_key = Some(key.clone());
+        let Some(cell) = self.claim((db.db_id(), db.epoch(), key), &mut owned) else {
             let probe = oracle.execute_reserved(dense, jnts, verdict_key);
             // A fault, hard failure or budget trip orphans the cell.
             owned.settle(if let Probe::Verdict(alive) = probe { Some(alive) } else { None });
@@ -284,7 +282,7 @@ mod tests {
 
             // A peer session owns the network's cell; this probe follows it.
             let (mut coalesced, ex) = (oracle(), WaveExchange::default());
-            let key = (db.db_id(), db.epoch(), coalesced.binding_key(&j, &ex.interner));
+            let key = (db.db_id(), db.epoch(), coalesced.binding_key(&j));
             let mut owner = guard(&ex);
             assert!(ex.claim(key, &mut owner).is_none());
             let probe = std::thread::scope(|s| {

@@ -208,10 +208,10 @@ impl SharedParts {
 
     /// Creates a process-wide [`EvalCache`] stamped with this
     /// substrate's `(db_id, epoch)` identity, bounded by `budget_bytes`
-    /// payload bytes (`None` = unbounded), and attaches it: every session
-    /// subsequently built from this handle (or its clones) shares the one
-    /// store. Returns the cache for metrics/monitoring. Replaces any
-    /// previously attached store.
+    /// bytes, keys' keywords included (`None` = unbounded), and attaches it:
+    /// every session subsequently built from this handle (or its clones)
+    /// shares the one store. Returns the cache for metrics/monitoring.
+    /// Replaces any previously attached store.
     pub fn share_eval_cache(&mut self, budget_bytes: Option<u64>) -> Arc<EvalCache> {
         let cache =
             Arc::new(EvalCache::with_identity(self.db.db_id(), self.db.epoch(), budget_bytes));

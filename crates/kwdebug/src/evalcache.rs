@@ -7,22 +7,29 @@
 //! This module caches that work at three levels, below the node-id
 //! memo/R1/R2 reuse:
 //!
-//! * **Selection cache** (layer 1) — `(table, keyword)` → the sorted row ids
-//!   satisfying the keyword's containment predicate. Computed once per
-//!   epoch; every later probe attaches the shared selection to its plan node
-//!   and the executor skips predicate evaluation for that node entirely.
+//! * **Selection cache** (layer 1) — `(table, keyword text)` → the sorted
+//!   row ids satisfying the keyword's containment predicate. Computed once
+//!   per epoch; every later probe attaches the shared selection to its plan
+//!   node and the executor skips predicate evaluation for that node entirely.
 //! * **Selection postings** (layer 1.5) — `(selection, join column)` → the
 //!   selection's rows grouped by their value in that column, attached to
 //!   plans as `PlanNode::col_postings` so the executor answers a
 //!   selection's semi-joins without re-reading rows.
 //! * **Verdict cache** (layer 3) — canonical binding key of a *whole*
-//!   network ([`network_key`]; vertices labeled `table + bound keyword`, so
-//!   copy numbers don't split entries) → its completed semi-join verdict.
+//!   network ([`network_key`]; vertices labeled by table and bound keyword
+//!   text, so copy numbers don't split entries) → its completed semi-join
+//!   verdict.
 //!   The memo answers repeats by lattice node id within one traversal; this
 //!   layer answers them structurally, across traversals and (shared) across
 //!   sessions: a probe whose exact bound network was ever fully reduced is
 //!   answered — alive or dead — without touching the engine
 //!   (`verdict_cache_hits`).
+//!
+//! Every key carries its keywords' text, never a store-local id, so the
+//! verdict cache and the single-flight table of [`crate::batch`] name a
+//! probe by the same bytes. Every entry's footprint counts its key's
+//! keyword bytes, so [`EvalCache::bytes`] and the budget cover everything
+//! resident.
 //!
 //! All maps are lock-striped so the sessions of a serving process that share
 //! one cache ([`crate::debugger::SharedParts`]) do not serialize behind a
@@ -51,7 +58,7 @@
 //!    intervening [`relengine::EpochDelta`]s can have changed: selections
 //!    whose keyword occurs (as a case-insensitive substring, matching the
 //!    predicate) in any touched text value of their table; postings whose
-//!    selection is dirty or whose column was written; verdicts whose
+//!    keyword is dirty in that sense or whose column was written; verdicts whose
 //!    `tables_mask` intersects a written table (re-validation
 //!    by recomputation — a dead network can come alive after an append, so a
 //!    cached verdict over a written table proves nothing). Surviving entries
@@ -99,11 +106,11 @@ use crate::jnts::Jnts;
 /// Number of lock stripes per layer.
 const SHARDS: usize = 16;
 
-/// Key of one cached selection: table, interned keyword id, and whether the
+/// Key of one cached selection: table, keyword text, and whether the
 /// session restricts candidates through the inverted index (the cached rows
 /// must equal the selection an uncached oracle builds, and that build
 /// differs with index availability).
-type SelectionKey = (TableId, u64, bool);
+type SelectionKey = (TableId, String, bool);
 
 /// The table-set bit of one table in a `tables_mask`: tables `0..63` get
 /// their own bit, everything above shares bit 63 (a sound catch-all — masks
@@ -117,27 +124,6 @@ pub fn table_mask_bit(table: TableId) -> u64 {
 /// the verdicts reachable from written tables.
 pub fn network_mask(j: &Jnts) -> u64 {
     j.nodes().iter().fold(0, |m, ts| m | table_mask_bit(ts.table))
-}
-
-/// Keyword strings to dense ids in first-seen order. A keyword is looked up
-/// before it is copied, so the common case — an id already handed out —
-/// allocates nothing.
-#[derive(Default)]
-pub(crate) struct Interner {
-    ids: Mutex<HashMap<String, u64>>,
-}
-
-impl Interner {
-    /// The id of `kw`, assigning the next one on first sight.
-    pub(crate) fn intern(&self, kw: &str) -> u64 {
-        let mut ids = self.ids.lock().expect("interner poisoned");
-        if let Some(&id) = ids.get(kw) {
-            return id;
-        }
-        let id = ids.len() as u64;
-        ids.insert(kw.to_owned(), id);
-        id
-    }
 }
 
 /// Whether an entry stamped `entry_epoch` may be served to a reader pinned
@@ -280,7 +266,6 @@ pub struct EvalCache {
     /// Completed whole-network verdicts by canonical binding key (see
     /// [`network_key`]); `true` = alive.
     verdicts: Layer<Vec<u8>, bool>,
-    pub(crate) interner: Interner,
     /// Sum of resident entry footprints. Incremented on insert, decremented
     /// on eviction and invalidation — `bytes() == accounted_bytes()` is the
     /// accounting identity the shared-cache suite asserts.
@@ -310,13 +295,12 @@ pub struct EvalCache {
 
 impl EvalCache {
     /// Creates an empty cache for database `db_id` at write epoch `epoch`,
-    /// bounded by `budget` payload bytes (`None` = unbounded).
+    /// bounded by `budget` bytes (`None` = unbounded).
     pub fn with_identity(db_id: u64, epoch: u64, budget: Option<u64>) -> EvalCache {
         EvalCache {
             selections: Layer::new(),
             postings: Layer::new(),
             verdicts: Layer::new(),
-            interner: Interner::default(),
             bytes: AtomicU64::new(0),
             clock: AtomicU64::new(0),
             budget,
@@ -333,12 +317,6 @@ impl EvalCache {
     /// The next logical-clock tick (monotone across threads).
     fn tick(&self) -> u64 {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Stable per-cache id of a keyword string (used in binding labels and
-    /// selection keys, so entries survive across queries sharing keywords).
-    pub fn intern(&self, keyword: &str) -> u64 {
-        self.interner.intern(keyword)
     }
 
     /// Looks `key` up in `layer` as seen from epoch `pin`, stamping a hit
@@ -381,27 +359,27 @@ impl EvalCache {
         &self,
         pin: u64,
         table: TableId,
-        kw: u64,
+        kw: &str,
         indexed: bool,
     ) -> Option<Arc<Vec<RowId>>> {
-        self.lookup(&self.selections, pin, &(table, kw, indexed))
+        self.lookup(&self.selections, pin, &(table, kw.to_owned(), indexed))
     }
 
     /// Inserts a selection computed at epoch `pin`, keeping the existing
     /// entry on a race and dropping the write when the cache has moved past
     /// `pin`. Returns the canonical shared vector plus the bytes newly added
-    /// to the cache (0 when it lost the race or was fenced out — the caller
-    /// still gets a usable `Arc` either way).
+    /// to the cache, the keyword's bytes included (0 when it lost the race
+    /// or was fenced out — the caller still gets a usable `Arc` either way).
     pub fn insert_selection(
         &self,
         pin: u64,
         table: TableId,
-        kw: u64,
+        kw: &str,
         indexed: bool,
         rows: Vec<RowId>,
     ) -> (Arc<Vec<RowId>>, u64) {
-        let bytes = std::mem::size_of_val(rows.as_slice()) as u64;
-        let key = (table, kw, indexed);
+        let bytes = (std::mem::size_of_val(rows.as_slice()) + kw.len()) as u64;
+        let key = (table, kw.to_owned(), indexed);
         self.admit(&self.selections, pin, key, Arc::new(rows), bytes, table_mask_bit(table))
     }
 
@@ -412,28 +390,28 @@ impl EvalCache {
         &self,
         pin: u64,
         table: TableId,
-        kw: u64,
+        kw: &str,
         indexed: bool,
         col: ColId,
     ) -> Option<Arc<ValuePostings>> {
-        self.lookup(&self.postings, pin, &((table, kw, indexed), col))
+        self.lookup(&self.postings, pin, &((table, kw.to_owned(), indexed), col))
     }
 
     /// Inserts the value→rows postings of a selection in one column, keeping
     /// the existing entry on a race and dropping fenced-out writes. Returns
-    /// the canonical shared postings plus the bytes newly added (0 when it
-    /// lost the race or was fenced).
+    /// the canonical shared postings plus the bytes newly added, the
+    /// keyword's included (0 when it lost the race or was fenced).
     pub fn insert_selection_postings(
         &self,
         pin: u64,
         table: TableId,
-        kw: u64,
+        kw: &str,
         indexed: bool,
         col: ColId,
         postings: ValuePostings,
     ) -> (Arc<ValuePostings>, u64) {
-        let bytes = postings.payload_bytes();
-        let key = ((table, kw, indexed), col);
+        let bytes = postings.payload_bytes() + kw.len() as u64;
+        let key = ((table, kw.to_owned(), indexed), col);
         self.admit(&self.postings, pin, key, Arc::new(postings), bytes, table_mask_bit(table))
     }
 
@@ -513,31 +491,24 @@ impl EvalCache {
         // A selection (table, kw) is dirty iff some changed text value of its
         // table contains the keyword — the exact condition under which a row
         // enters, leaves, or re-enters the predicate's answer.
-        let dirty_kws: HashSet<(TableId, u64)> = {
-            let ids = self.interner.ids.lock().expect("interner poisoned");
-            let mut dirty = HashSet::new();
-            for (kw, &id) in ids.iter() {
-                let kw_lower = kw.to_ascii_lowercase();
-                for (&table, texts) in &dirty_text {
-                    if texts.iter().any(|t| t.contains(&kw_lower)) {
-                        dirty.insert((table, id));
-                    }
-                }
-            }
-            dirty
+        let dirty = |(table, kw, _): &SelectionKey| {
+            dirty_text.get(table).is_some_and(|texts| {
+                let kw = kw.to_ascii_lowercase();
+                texts.iter().any(|t| t.contains(&kw))
+            })
         };
 
         // Postings are derived from (selection rows, column values): dirty
-        // when the selection is, or when the column itself was updated under
-        // a surviving selection. Appends and deletes need no extra test —
-        // they change a selection's postings only by changing the selection,
-        // and a row joining or leaving a selection always carries the keyword
-        // in its text, which the selection test above already catches.
+        // when their keyword is (tested on the postings key itself, since
+        // LRU may have evicted the selection), or when the column itself was
+        // updated under a surviving selection. Appends and deletes need no
+        // extra test — they change a selection's postings only by changing
+        // the selection, and a row joining or leaving a selection always
+        // carries the keyword in its text, which the keyword test catches.
         self.forget([
-            self.selections.retain(|k, _| !dirty_kws.contains(&(k.0, k.1))),
+            self.selections.retain(|sel, _| !dirty(sel)),
             self.postings.retain(|(sel, col), _| {
-                !dirty_kws.contains(&(sel.0, sel.1))
-                    && !dirty_cols.get(&sel.0).is_some_and(|cols| cols.contains(col))
+                !dirty(sel) && !dirty_cols.get(&sel.0).is_some_and(|cols| cols.contains(col))
             }),
             self.verdicts.retain(|_, e| e.mask & dirty_mask == 0),
         ])
@@ -591,8 +562,9 @@ impl EvalCache {
         }
     }
 
-    /// Total payload bytes currently resident (selections + postings +
-    /// verdicts). Decremented on eviction and invalidation;
+    /// Total bytes currently resident (selections + postings + verdicts,
+    /// each with its key's keyword bytes). Decremented on eviction and
+    /// invalidation;
     /// always equals [`EvalCache::accounted_bytes`].
     pub fn bytes(&self) -> u64 {
         self.bytes.load(Ordering::Relaxed)
@@ -654,24 +626,37 @@ impl EvalCache {
     pub fn verdict_entries(&self) -> usize {
         self.verdicts.len()
     }
-
-    /// Number of interned keywords.
-    pub fn interned_keywords(&self) -> usize {
-        self.interner.ids.lock().expect("interner poisoned").len()
-    }
 }
 
-
-/// Canonical binding key of a *whole* network: the rooted byte code of the
-/// full tree (rooted at vertex 0), with vertices labeled by binding — table
-/// plus bound keyword, no copy numbers (see
-/// [`crate::oracle::AlivenessOracle::with_eval_cache`]). Two probes with this
-/// key equal ask the engine the exact same question, so the verdict-cache
-/// layer ([`EvalCache::verdict`]) answers the second from the first's
-/// completed reduction — within a session or, through a shared store,
-/// across every session of the epoch.
-pub fn network_key(j: &Jnts, vid: &dyn Fn(usize) -> u64) -> Vec<u8> {
-    rooted_subtree_key(0, usize::MAX, &direction_aware_adjacency(j), vid)
+/// Canonical binding key of a *whole* network whose vertex `i` is bound to
+/// keyword `bound[i]` (`None` for a free copy): the rooted byte code of the
+/// full tree (rooted at vertex 0), then the network's distinct bound
+/// keywords in bytewise order, each prefixed by its length as a
+/// little-endian `u64`. A vertex is labeled `table << 32 | (rank + 1)`,
+/// `rank` being its keyword's position in that list (0 for a free copy); no
+/// copy numbers (see [`crate::oracle::AlivenessOracle::with_eval_cache`]).
+/// The rooted code is self-delimiting, so two keys are equal exactly when
+/// the rooted trees are equal with the same table and keyword text at each
+/// vertex: the engine is asked the exact same question. The verdict-cache
+/// layer ([`EvalCache::verdict`]) then answers the second probe from the
+/// first's completed reduction — within a session or, through a shared
+/// store, across every session of the epoch — and the single-flight table
+/// of [`crate::batch`] claims it under the same bytes.
+pub fn network_key(j: &Jnts, bound: &[Option<&str>]) -> Vec<u8> {
+    let mut keywords: Vec<&str> = bound.iter().flatten().copied().collect();
+    keywords.sort_unstable();
+    keywords.dedup();
+    let label = |i: usize| {
+        let rank = bound[i].map_or(0, |kw| keywords.binary_search(&kw).expect("listed") + 1);
+        (j.nodes()[i].table as u64) << 32 | rank as u64
+    };
+    let mut key = rooted_subtree_key(0, usize::MAX, &direction_aware_adjacency(j), &label);
+    key.reserve_exact(keywords.iter().map(|kw| 8 + kw.len()).sum());
+    for kw in &keywords {
+        key.extend_from_slice(&(kw.len() as u64).to_le_bytes());
+        key.extend_from_slice(kw.as_bytes());
+    }
+    key
 }
 
 #[cfg(test)]
@@ -680,76 +665,79 @@ mod tests {
     use relengine::{DatabaseBuilder, Value};
 
     #[test]
-    fn interner_is_stable() {
-        let c = EvalCache::with_identity(0, 0, None);
-        let a = c.intern("saffron");
-        let b = c.intern("candle");
-        assert_ne!(a, b);
-        assert_eq!(c.intern("saffron"), a);
-        assert_eq!(c.interned_keywords(), 2);
-    }
-
-    #[test]
     fn selection_roundtrip_and_race() {
         let c = EvalCache::with_identity(0, 0, None);
-        assert!(c.selection(0, 0, 1, true).is_none());
-        let (first, added) = c.insert_selection(0, 0, 1, true, vec![3, 5, 8]);
+        assert!(c.selection(0, 0, "b", true).is_none());
+        let (first, added) = c.insert_selection(0, 0, "b", true, vec![3, 5, 8]);
         assert_eq!(*first, vec![3, 5, 8]);
         assert!(added > 0);
         let bytes = c.bytes();
         assert_eq!(bytes, added);
         // Losing writer keeps the existing entry and adds no bytes.
-        let (second, re_added) = c.insert_selection(0, 0, 1, true, vec![9]);
+        let (second, re_added) = c.insert_selection(0, 0, "b", true, vec![9]);
         assert_eq!(*second, vec![3, 5, 8]);
         assert_eq!(re_added, 0);
         assert_eq!(c.bytes(), bytes);
         assert_eq!(c.selection_entries(), 1);
         // Indexed flag is part of the key.
-        assert!(c.selection(0, 0, 1, false).is_none());
+        assert!(c.selection(0, 0, "b", false).is_none());
+    }
+
+    #[test]
+    fn added_bytes_count_the_keyword() {
+        let c = EvalCache::with_identity(0, 0, None);
+        let (_, added) = c.insert_selection(0, 0, "saffron", true, vec![1, 2]);
+        assert_eq!(added, (2 * std::mem::size_of::<RowId>() + "saffron".len()) as u64);
+        let postings = ValuePostings::build(vec![(1, 0)]);
+        let payload = postings.payload_bytes();
+        let (_, added) = c.insert_selection_postings(0, 0, "saffron", true, 1, postings);
+        assert_eq!(added, payload + "saffron".len() as u64);
+        assert_eq!(c.bytes(), c.accounted_bytes());
     }
 
     #[test]
     fn hit_miss_counters_track_all_layers() {
         let c = EvalCache::with_identity(0, 0, None);
-        assert!(c.selection(0, 0, 0, true).is_none());
+        assert!(c.selection(0, 0, "a", true).is_none());
         assert!(c.verdict(0, b"nope").is_none());
         assert_eq!((c.hits(), c.misses()), (0, 2));
-        c.insert_selection(0, 0, 0, true, vec![1]);
+        c.insert_selection(0, 0, "a", true, vec![1]);
         c.insert_verdict(0, b"yes".to_vec(), 1, true);
-        assert!(c.selection(0, 0, 0, true).is_some());
+        assert!(c.selection(0, 0, "a", true).is_some());
         assert_eq!(c.verdict(0, b"yes"), Some(true));
         assert_eq!((c.hits(), c.misses()), (2, 2));
     }
 
     #[test]
     fn budget_evicts_lru_and_returns_bytes() {
-        // Each selection of 4 RowIds costs 16 bytes; budget fits two.
-        let c = EvalCache::with_identity(7, 0, Some(32));
+        // Each selection of 4 RowIds under a one-byte keyword costs 16 + 1
+        // bytes; budget fits two.
+        let c = EvalCache::with_identity(7, 0, Some(34));
         assert_eq!(c.db_id(), 7);
-        c.insert_selection(0, 0, 0, true, vec![1, 2, 3, 4]);
-        c.insert_selection(0, 1, 1, true, vec![1, 2, 3, 4]);
+        c.insert_selection(0, 0, "a", true, vec![1, 2, 3, 4]);
+        c.insert_selection(0, 1, "b", true, vec![1, 2, 3, 4]);
         assert_eq!(c.evictions(), 0);
         // Touch the first so the second is the LRU victim.
-        assert!(c.selection(0, 0, 0, true).is_some());
-        c.insert_selection(0, 2, 2, true, vec![1, 2, 3, 4]);
+        assert!(c.selection(0, 0, "a", true).is_some());
+        c.insert_selection(0, 2, "c", true, vec![1, 2, 3, 4]);
         assert_eq!(c.evictions(), 1, "one entry evicted to fit the budget");
-        assert!(c.bytes() <= 32, "budget enforced: {}", c.bytes());
-        assert!(c.selection(0, 0, 0, true).is_some(), "recently-touched entry survives");
-        assert!(c.selection(0, 1, 1, true).is_none(), "LRU entry evicted");
-        assert!(c.selection(0, 2, 2, true).is_some(), "newest entry resident");
+        assert!(c.bytes() <= 34, "budget enforced: {}", c.bytes());
+        assert!(c.selection(0, 0, "a", true).is_some(), "recently-touched entry survives");
+        assert!(c.selection(0, 1, "b", true).is_none(), "LRU entry evicted");
+        assert!(c.selection(0, 2, "c", true).is_some(), "newest entry resident");
         assert_eq!(c.bytes(), c.accounted_bytes(), "accounting identity after eviction");
     }
 
     #[test]
     fn eviction_spans_layers_and_keeps_identity() {
-        let c = EvalCache::with_identity(1, 0, Some(40));
+        let c = EvalCache::with_identity(1, 0, Some(42));
         c.insert_verdict(0, b"old-verdict-key".to_vec(), 1, true);
-        c.insert_selection(0, 0, 0, true, vec![1, 2, 3, 4]);
-        c.insert_selection(0, 1, 1, true, vec![1, 2, 3, 4]);
-        // 15+1 key/value + 16 + 16 = 48 > 40: the oldest (verdict) goes.
+        c.insert_selection(0, 0, "a", true, vec![1, 2, 3, 4]);
+        c.insert_selection(0, 1, "b", true, vec![1, 2, 3, 4]);
+        // 15+1 key/value + 17 + 17 = 50 > 42: the oldest (verdict) goes.
         assert!(c.evictions() > 0);
         assert!(c.verdict(0, b"old-verdict-key").is_none(), "oldest layer-3 entry evicted");
-        assert!(c.bytes() <= 40);
+        assert!(c.bytes() <= 42);
         assert_eq!(c.bytes(), c.accounted_bytes());
     }
 
@@ -796,12 +784,12 @@ mod tests {
     #[test]
     fn read_fence_hides_future_entries() {
         let c = EvalCache::with_identity(9, 3, None);
-        c.insert_selection(3, 0, 0, true, vec![1, 2]);
+        c.insert_selection(3, 0, "a", true, vec![1, 2]);
         // A reader pinned before the entry's epoch must miss it…
-        assert!(c.selection(2, 0, 0, true).is_none(), "entry from the future is invisible");
+        assert!(c.selection(2, 0, "a", true).is_none(), "entry from the future is invisible");
         // …while a reader at (or past) it hits.
-        assert!(c.selection(3, 0, 0, true).is_some());
-        assert!(c.selection(4, 0, 0, true).is_some());
+        assert!(c.selection(3, 0, "a", true).is_some());
+        assert!(c.selection(4, 0, "a", true).is_some());
         assert_eq!((c.hits(), c.misses()), (2, 1));
     }
 
@@ -815,14 +803,14 @@ mod tests {
         assert_eq!(c.epoch(), db.epoch());
         // A session still pinned at epoch 0 computes against superseded data;
         // its inserts must not land.
-        let (arc, added) = c.insert_selection(0, 0, 0, true, vec![1]);
+        let (arc, added) = c.insert_selection(0, 0, "a", true, vec![1]);
         assert_eq!(added, 0, "stale insert fenced out");
         assert_eq!(*arc, vec![1], "caller still gets a usable value");
         assert_eq!(c.selection_entries(), 0);
         assert_eq!(c.insert_verdict(0, b"k".to_vec(), 1, true), 0);
         assert_eq!(c.bytes(), 0);
         // Current-epoch inserts land normally.
-        let (_, added) = c.insert_selection(c.epoch(), 0, 0, true, vec![1]);
+        let (_, added) = c.insert_selection(c.epoch(), 0, "a", true, vec![1]);
         assert!(added > 0);
     }
 
@@ -832,8 +820,7 @@ mod tests {
         let color = db.table_id("color").expect("table");
         let item = db.table_id("item").expect("table");
         let c = EvalCache::with_identity(db.db_id(), db.epoch(), None);
-        let red = c.intern("red");
-        let candle = c.intern("candle");
+        let (red, candle) = ("red", "candle");
         // Selections on both tables, both keywords; one verdict per table.
         c.insert_selection(0, color, red, true, vec![0]);
         c.insert_selection(0, color, candle, true, vec![]);
@@ -876,9 +863,7 @@ mod tests {
         let mut db = writable_db();
         let color = db.table_id("color").expect("table");
         let c = EvalCache::with_identity(db.db_id(), db.epoch(), None);
-        let red = c.intern("red");
-        let blue = c.intern("blue");
-        let green = c.intern("green");
+        let (red, blue, green) = ("red", "blue", "green");
         c.insert_selection(0, color, red, true, vec![0]);
         c.insert_selection(0, color, blue, true, vec![1]);
         c.insert_selection(0, color, green, true, vec![]);
@@ -905,7 +890,7 @@ mod tests {
         let color = db.table_id("color").expect("table");
         let item = db.table_id("item").expect("table");
         let c = EvalCache::with_identity(db.db_id(), db.epoch(), None);
-        let candle = c.intern("candle");
+        let candle = "candle";
         let mk = || ValuePostings::build(vec![(1, 0)]);
         c.insert_selection_postings(0, item, candle, true, 2, mk());
         c.insert_selection_postings(0, item, candle, true, 0, mk());
@@ -937,11 +922,36 @@ mod tests {
     }
 
     #[test]
+    fn postings_outliving_their_selection_are_still_invalidated() {
+        let mut db = writable_db();
+        let color = db.table_id("color").expect("table");
+        let item = db.table_id("item").expect("table");
+        let mk = || ValuePostings::build(vec![(1, 0)]);
+        // Room for the postings and one more 21-byte selection, not for the
+        // 19-byte ("red") selection as well.
+        let budget = mk().payload_bytes() + 3 + 21;
+        let c = EvalCache::with_identity(db.db_id(), db.epoch(), Some(budget));
+        c.insert_selection(0, color, "red", true, vec![0, 1, 2, 3]);
+        c.insert_selection_postings(0, color, "red", true, 0, mk());
+        c.insert_selection(0, item, "other", true, vec![0, 1, 2, 3]);
+        assert_eq!(c.evictions(), 1, "the LRU ('red' selection) is evicted");
+        assert_eq!((c.selection_entries(), c.postings_entries()), (1, 1));
+        // The write dirties "red" on color: its postings must go even though
+        // no resident selection carries the keyword.
+        db.append_rows(color, vec![vec![Value::Int(3), Value::text("dark red")]])
+            .expect("write");
+        assert_eq!(c.invalidate(&db), 1);
+        assert!(c.selection_postings(c.epoch(), color, "red", true, 0).is_none());
+        assert_eq!((c.selection_entries(), c.postings_entries()), (1, 0));
+        assert_eq!(c.bytes(), c.accounted_bytes());
+    }
+
+    #[test]
     fn truncated_delta_log_purges_everything() {
         let mut db = writable_db();
         let color = db.table_id("color").expect("table");
         let c = EvalCache::with_identity(db.db_id(), db.epoch(), None);
-        c.insert_selection(0, color, 0, true, vec![0]);
+        c.insert_selection(0, color, "a", true, vec![0]);
         c.insert_verdict(0, b"s".to_vec(), table_mask_bit(1), true);
         db.append_rows(color, vec![vec![Value::Int(3), Value::text("green")]]).expect("write");
         db.truncate_deltas(db.epoch());
@@ -955,7 +965,7 @@ mod tests {
     fn foreign_database_is_ignored() {
         let db = writable_db();
         let c = EvalCache::with_identity(db.db_id().wrapping_add(1), 0, None);
-        c.insert_selection(0, 0, 0, true, vec![0]);
+        c.insert_selection(0, 0, "a", true, vec![0]);
         assert_eq!(c.invalidate(&db), 0, "identity mismatch: no-op");
         assert_eq!(c.selection_entries(), 1);
     }
@@ -964,15 +974,15 @@ mod tests {
     fn invalidating_an_evicted_entry_never_double_subtracts() {
         let mut db = writable_db();
         let color = db.table_id("color").expect("table");
-        // Budget fits two 16-byte selections; the third insert evicts the
-        // LRU one — which is exactly the entry the write then dirties.
-        let c = EvalCache::with_identity(db.db_id(), db.epoch(), Some(32));
-        let red = c.intern("red");
-        let stale = c.intern("stale");
+        // Budget fits two 16-byte selections with their keywords ("red" 3,
+        // "stale" 5, "other" 5 bytes); the third insert evicts the LRU one —
+        // which is exactly the entry the write then dirties.
+        let c = EvalCache::with_identity(db.db_id(), db.epoch(), Some(42));
+        let (red, stale) = ("red", "stale");
         c.insert_selection(0, color, red, true, vec![0, 1, 2, 3]);
         c.insert_selection(0, color, stale, true, vec![0, 1, 2, 3]);
         assert!(c.selection(0, color, stale, true).is_some(), "touch: 'red' becomes LRU");
-        c.insert_selection(0, 1, 9, true, vec![0, 1, 2, 3]);
+        c.insert_selection(0, 1, "other", true, vec![0, 1, 2, 3]);
         assert_eq!(c.evictions(), 1, "'red' evicted by the budget");
         let before = c.bytes();
         assert_eq!(before, c.accounted_bytes());

@@ -25,7 +25,7 @@
 //! | `phase1_nodes_touched` | debugger, keyword-copy-set index entries read by Phase 1: one per lookup plus one per total node id (DESIGN.md §9.2) | beyond the paper (compact substrate) |
 //! | `selection_cache_hits` | oracle, keyword selections an interpretation took from [`crate::evalcache`] (at most one per bound keyword) | beyond the paper (evaluation cache) |
 //! | `verdict_cache_hits` | oracle/dispatcher, probes answered (Alive *or* Dead) from a cached whole-network verdict | beyond the paper (evaluation cache) |
-//! | `cache_bytes` | oracle, payload bytes resident in the session [`crate::evalcache::EvalCache`] | beyond the paper (evaluation cache) |
+//! | `cache_bytes` | oracle, bytes added to the [`crate::evalcache::EvalCache`]: each new entry's payload plus its key's keyword bytes (a verdict: its whole key) | beyond the paper (evaluation cache) |
 //! | `delta_postings_merged` | oracle, keyword selection builds whose posting list was merged on read over pending index deltas | beyond the paper (mutable databases) |
 //! | `coalesced_probes` | driver, probes answered by another session's in-flight execution through a [`crate::batch::WaveExchange`] | beyond the paper (cross-session single-flight) |
 //! | `epoch` | debugger, gauge of the session's pinned database write epoch | beyond the paper (mutable databases) |
@@ -106,8 +106,9 @@ pub struct ProbeCounters {
     /// ([`crate::evalcache::network_key`]), alive or dead; counted like an
     /// inference, never as a probe.
     pub verdict_cache_hits: u64,
-    /// Payload bytes this oracle newly added to the session evaluation
-    /// cache; summed across a session the counter equals the cache's
+    /// Bytes this oracle newly added to the session evaluation cache, each
+    /// entry's key keywords included; summed across a session the counter
+    /// equals the cache's
     /// resident size (warm runs that add nothing report 0).
     pub cache_bytes: u64,
     /// Keyword selection builds (at most once per interpretation, and with

@@ -111,7 +111,7 @@ impl MutableDatabase {
     }
 
     /// Creates and attaches a shared [`EvalCache`] stamped with the current
-    /// `(db_id, epoch)` identity, bounded by `budget_bytes` payload bytes
+    /// `(db_id, epoch)` identity, bounded by `budget_bytes` bytes
     /// (`None` = unbounded). The write path keeps it epoch-current from then
     /// on; sessions built from later [`MutableDatabase::parts`] share it.
     pub fn share_eval_cache(&mut self, budget_bytes: Option<u64>) -> Arc<EvalCache> {

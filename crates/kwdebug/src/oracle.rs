@@ -95,7 +95,7 @@ use crate::batch::WaveExchange;
 use crate::binding::Interpretation;
 use crate::budget::{BudgetGate, Exhausted, ProbeBudget, RetryPolicy};
 use crate::error::KwError;
-use crate::evalcache::{network_key, network_mask, EvalCache, Interner};
+use crate::evalcache::{network_key, network_mask, EvalCache};
 use crate::jnts::{Jnts, JntsEdge};
 use crate::metrics::ProbeCounters;
 use crate::report::QueryInfo;
@@ -422,27 +422,19 @@ impl<'a> AlivenessOracle<'a> {
     }
 
     /// The canonical identity of a probe: [`crate::evalcache::network_key`]
-    /// over binding labels — the table id in the high 32 bits and, for
-    /// bound copies, the keyword's id from `intern` + 1 in the low bits
-    /// (0 = free copy). Copy numbers are deliberately absent, so
-    /// structurally identical networks of different lattice nodes share one
-    /// key. The verdict cache interns through the cache, the
-    /// [`crate::batch::WaveExchange`] through its own interner; either way
-    /// two sessions on the same `(db_id, epoch)` produce equal keys exactly
-    /// when their probes are the same ground-truth query.
-    pub(crate) fn binding_key(&self, jnts: &Jnts, interner: &Interner) -> Vec<u8> {
-        let labels: Vec<u64> = jnts
+    /// over each vertex's table and bound keyword text. Copy numbers are
+    /// deliberately absent, so structurally identical networks of different
+    /// lattice nodes share one key, and no store-local id is involved, so
+    /// the verdict cache and the [`crate::batch::WaveExchange`] name a probe
+    /// by the same bytes: two sessions on the same `(db_id, epoch)` produce
+    /// equal keys exactly when their probes are the same ground-truth query.
+    pub(crate) fn binding_key(&self, jnts: &Jnts) -> Vec<u8> {
+        let bound: Vec<Option<&str>> = jnts
             .nodes()
             .iter()
-            .map(|&ts| {
-                let base = (ts.table as u64) << 32;
-                match self.interp.keyword_for(ts) {
-                    None => base,
-                    Some(k) => base | (interner.intern(&self.keywords[k]) + 1),
-                }
-            })
+            .map(|&ts| self.interp.keyword_for(ts).map(|k| self.keywords[k].as_str()))
             .collect();
-        network_key(jnts, &|i| labels[i])
+        network_key(jnts, &bound)
     }
 
     /// Keyword `k`'s selection, bound to `table`. Its slot is filled once
@@ -458,21 +450,18 @@ impl<'a> AlivenessOracle<'a> {
         let counters = &mut self.counters;
         let sel = match &self.cache {
             None => Arc::new(build_selection(db, index, table, kw, counters)),
-            Some(cache) => {
-                let kid = cache.intern(kw);
-                match cache.selection(pin, table, kid, indexed) {
-                    Some(sel) => {
-                        counters.selection_cache_hits += 1;
-                        sel
-                    }
-                    None => {
-                        let sel = build_selection(db, index, table, kw, counters);
-                        let (sel, added) = cache.insert_selection(pin, table, kid, indexed, sel);
-                        counters.cache_bytes += added;
-                        sel
-                    }
+            Some(cache) => match cache.selection(pin, table, kw, indexed) {
+                Some(sel) => {
+                    counters.selection_cache_hits += 1;
+                    sel
                 }
-            }
+                None => {
+                    let sel = build_selection(db, index, table, kw, counters);
+                    let (sel, added) = cache.insert_selection(pin, table, kw, indexed, sel);
+                    counters.cache_bytes += added;
+                    sel
+                }
+            },
         };
         Arc::clone(self.rows[k].selection.insert(sel))
     }
@@ -495,13 +484,12 @@ impl<'a> AlivenessOracle<'a> {
         let postings = match &self.cache {
             None => Arc::new(build()),
             Some(cache) => {
-                let (pin, kid, indexed) =
-                    (self.db.epoch(), cache.intern(&self.keywords[k]), self.index.is_some());
-                match cache.selection_postings(pin, table, kid, indexed, col) {
+                let (pin, kw, indexed) = (self.db.epoch(), &self.keywords[k], self.index.is_some());
+                match cache.selection_postings(pin, table, kw, indexed, col) {
                     Some(postings) => postings,
                     None => {
                         let (postings, added) =
-                            cache.insert_selection_postings(pin, table, kid, indexed, col, build());
+                            cache.insert_selection_postings(pin, table, kw, indexed, col, build());
                         self.counters.cache_bytes += added;
                         postings
                     }
@@ -720,8 +708,9 @@ impl<'a> AlivenessOracle<'a> {
             self.counters.memo_hits += 1;
             return Probe::Verdict(alive);
         }
-        // One verdict-cache key per probe serves the lookup and the publish.
-        let key = self.cache.as_ref().map(|cache| self.binding_key(jnts, &cache.interner));
+        // One key per probe serves the verdict lookup, the exchange's claim
+        // and the publish.
+        let key = (self.cache.is_some() || exchange.is_some()).then(|| self.binding_key(jnts));
         let cached =
             key.as_ref().and_then(|key| self.cache.as_ref()?.verdict(self.db.epoch(), key));
         if let Some(alive) = cached {
@@ -730,9 +719,9 @@ impl<'a> AlivenessOracle<'a> {
         if let Err(why) = self.try_reserve() {
             return Probe::Exhausted(why);
         }
-        match exchange {
-            Some(exchange) => exchange.resolve(self, dense, jnts, key),
-            None => self.execute_reserved(dense, jnts, key),
+        match (exchange, key) {
+            (Some(exchange), Some(key)) => exchange.resolve(self, dense, jnts, key),
+            (_, key) => self.execute_reserved(dense, jnts, key),
         }
     }
 
@@ -925,6 +914,20 @@ mod tests {
         let mut oracle2 = AlivenessOracle::new(&db, Some(&idx), interp2, &m2.keywords, false);
         assert!(!oracle2.is_alive(0, &j).unwrap()); // no saffron candle
         assert_eq!(oracle2.queries(), 1);
+    }
+
+    #[test]
+    fn binding_keys_name_keywords_by_text() {
+        let db = db();
+        let idx = InvertedIndex::build(&db);
+        let j = mtn_jnts();
+        let key = |query: &str| {
+            let m = map_keywords(&KeywordQuery::parse(query).unwrap(), &idx);
+            AlivenessOracle::new(&db, Some(&idx), &m.interpretations[0], &m.keywords, false)
+                .binding_key(&j)
+        };
+        assert_eq!(key("red candle"), key("candle red"), "keyword order is not part of the key");
+        assert_ne!(key("candle red"), key("candle saffron"), "the color vertex's keyword differs");
     }
 
     #[test]

@@ -164,8 +164,8 @@ fn check_workload<Q: AsRef<str>>(
             let slow = naive_build(lattice, interp);
             let fresh = PrunedLattice::build(lattice, interp);
             assert_same(&fresh, &slow, &ctx);
-            // The pooled-workspace path must agree too (this is the path the
-            // debugger takes in production).
+            // The reused-workspace path must agree too (the path E14 and
+            // perfbench's staged `lib-cold` take; the debugger builds fresh).
             let reused = PrunedLattice::build_with(lattice, interp, &mut ws);
             assert_same(&reused, &slow, &format!("{ctx} (reused ws)"));
             interps += 1;

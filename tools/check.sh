@@ -89,8 +89,18 @@ for example in traversal_shootout interactive_diagnosis; do
     (cd "$bench_dir" && "$bin/examples/$example" > /dev/null)
 done
 
-echo "==> cold-vs-warm probe cache benchmark (DBLife, records to a scratch directory)"
+echo "==> E15 cold-vs-warm probe cache (DBLife, records to a scratch directory; every row's probe counts must equal the committed record's)"
 (cd "$bench_dir" && "$bin/exp_probe_cache" --scale medium) | grep -E "throughput|speedup|wrote"
+# Only the deterministic counts are compared: each row's `probes` object
+# without its `time_ns`.
+probes_of() { grep -o '"probes":{[^}]*}' "$1" | sed 's/"time_ns":[0-9]*,//' || true; }
+want=$(probes_of results/BENCH_exp_probe_cache.json)
+got=$(probes_of "$bench_dir/results/BENCH_exp_probe_cache.json")
+if [[ -z "$want" || "$got" != "$want" ]]; then
+    echo "E15 probe counts differ from results/BENCH_exp_probe_cache.json:"
+    diff <(echo "$want") <(echo "$got") || true
+    exit 1
+fi
 
 echo "==> mutable-database differential (incremental maintenance vs fresh rebuild)"
 cargo test --workspace --release -q --test mutation_equivalence
