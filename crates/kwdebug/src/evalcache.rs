@@ -631,8 +631,8 @@ impl EvalCache {
 /// Canonical binding key of a *whole* network whose vertex `i` is bound to
 /// keyword `bound[i]` (`None` for a free copy): the rooted byte code of the
 /// full tree (rooted at vertex 0), then the network's distinct bound
-/// keywords in bytewise order, each prefixed by its length as a
-/// little-endian `u64`. A vertex is labeled `table << 32 | (rank + 1)`,
+/// keywords in bytewise order, each prefixed by its length as an LEB128
+/// varint (one byte below 128). A vertex is labeled `table << 32 | (rank + 1)`,
 /// `rank` being its keyword's position in that list (0 for a free copy); no
 /// copy numbers (see [`crate::oracle::AlivenessOracle::with_eval_cache`]).
 /// The rooted code is self-delimiting, so two keys are equal exactly when
@@ -651,9 +651,16 @@ pub fn network_key(j: &Jnts, bound: &[Option<&str>]) -> Vec<u8> {
         (j.nodes()[i].table as u64) << 32 | rank as u64
     };
     let mut key = rooted_subtree_key(0, usize::MAX, &direction_aware_adjacency(j), &label);
-    key.reserve_exact(keywords.iter().map(|kw| 8 + kw.len()).sum());
+    // The stored key keeps this capacity, so reserve what one-byte lengths
+    // need and no more.
+    key.reserve_exact(keywords.iter().map(|kw| 1 + kw.len()).sum());
     for kw in &keywords {
-        key.extend_from_slice(&(kw.len() as u64).to_le_bytes());
+        let mut len = kw.len();
+        while len >= 0x80 {
+            key.push(0x80 | (len & 0x7f) as u8);
+            len >>= 7;
+        }
+        key.push(len as u8);
         key.extend_from_slice(kw.as_bytes());
     }
     key
@@ -693,6 +700,16 @@ mod tests {
         let (_, added) = c.insert_selection_postings(0, 0, "saffron", true, 1, postings);
         assert_eq!(added, payload + "saffron".len() as u64);
         assert_eq!(c.bytes(), c.accounted_bytes());
+    }
+
+    #[test]
+    fn network_keys_delimit_long_keywords() {
+        let j = Jnts::single(crate::jnts::TupleSet::new(0, 1));
+        let key = |kw: &str| network_key(&j, &[Some(kw)]);
+        let (long, longer) = ("k".repeat(200), "k".repeat(300));
+        assert_ne!(key(&long), key(&longer));
+        // A length of 128 or more takes a second varint byte.
+        assert_eq!(key(&long).len(), key("k").len() + 199 + 1);
     }
 
     #[test]
