@@ -70,7 +70,8 @@ pub struct DebugConfig {
     /// with the cache on or off (the differential suite pins this down); only
     /// probe work shrinks. Caveat:
     /// with a *limited* [`DebugConfig::budget`] the cache can change which
-    /// probe trips the cap, so partial reports may differ.
+    /// probe trips the cap, and a report sample served from an alive
+    /// verdict entry takes no budget slot, so partial reports may differ.
     pub eval_cache: bool,
     /// Drive SBH's prior from the online per-level alive-rate estimator
     /// ([`crate::estimate::OnlinePa`]) instead of the fixed `pa` — observed

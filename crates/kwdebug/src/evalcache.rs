@@ -25,11 +25,24 @@
 //!   answered — alive or dead — without touching the engine
 //!   (`verdict_cache_hits`).
 //!
+//!   An alive entry also has a **sample slot**: the row-id tuples of the
+//!   network's report sample, the limit they were enumerated with and an
+//!   exact layout tag ([`network_layout`]). The first completed sample of
+//!   an entry publishes into it ([`EvalCache::insert_sample`], which never
+//!   creates an entry); a later sample of a network with a byte-equal tag
+//!   is served from it ([`EvalCache::sample`]) with no join. The tag is
+//!   needed because the key is canonical: networks listing their vertices
+//!   in different orders share an entry but enumerate different tuples. A
+//!   write that drops the verdict drops its sample, since a sample reads
+//!   only the network's tables.
+//!
 //! Every key carries its keywords' text, never a store-local id, so the
 //! verdict cache and the single-flight table of [`crate::batch`] name a
 //! probe by the same bytes. Every entry's footprint counts its key's
-//! keyword bytes, so [`EvalCache::bytes`] and the budget cover everything
-//! resident.
+//! keyword bytes, and a verdict's footprint its sample slot, so
+//! [`EvalCache::bytes`] and the budget cover everything resident.
+//! Selections and postings are looked up through a borrowed view of their
+//! key, so a lookup allocates nothing.
 //!
 //! All maps are lock-striped so the sessions of a serving process that share
 //! one cache ([`crate::debugger::SharedParts`]) do not serialize behind a
@@ -106,11 +119,72 @@ use crate::jnts::Jnts;
 /// Number of lock stripes per layer.
 const SHARDS: usize = 16;
 
-/// Key of one cached selection: table, keyword text, and whether the
-/// session restricts candidates through the inverted index (the cached rows
-/// must equal the selection an uncached oracle builds, and that build
-/// differs with index availability).
-type SelectionKey = (TableId, String, bool);
+/// Key of one cached selection (`col: None`) or of its postings in one join
+/// column (`col: Some`): table, keyword text, and whether the session
+/// restricts candidates through the inverted index (the cached rows must
+/// equal the selection an uncached oracle builds, and that build differs
+/// with index availability).
+#[derive(Clone)]
+struct TextKey {
+    table: TableId,
+    kw: String,
+    indexed: bool,
+    col: Option<ColId>,
+}
+
+/// The parts of a [`TextKey`], owned or borrowed. A lookup hashes and
+/// compares a `(table, &str, indexed, col)` view, so it builds no owned key.
+trait KeyView {
+    fn parts(&self) -> (TableId, &str, bool, Option<ColId>);
+}
+
+impl KeyView for TextKey {
+    fn parts(&self) -> (TableId, &str, bool, Option<ColId>) {
+        (self.table, &self.kw, self.indexed, self.col)
+    }
+}
+
+impl KeyView for (TableId, &str, bool, Option<ColId>) {
+    fn parts(&self) -> (TableId, &str, bool, Option<ColId>) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn KeyView + 'a> for TextKey {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+// The owned key and its view hash and compare the same parts, as `Borrow`
+// requires.
+impl Hash for dyn KeyView + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn KeyView + '_ {}
+
+impl Hash for TextKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for TextKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for TextKey {}
 
 /// The table-set bit of one table in a `tables_mask`: tables `0..63` get
 /// their own bit, everything above shares bit 63 (a sound catch-all — masks
@@ -147,14 +221,63 @@ struct Entry<V> {
     mask: u64,
 }
 
+/// A resident whole-network verdict: `None` is dead; `Some` is alive and
+/// holds the network's report sample once a sampler has published one — an
+/// empty slice, which allocates nothing, until then. The slot makes an entry
+/// 8 bytes larger, and the boxed key 8 bytes smaller.
+///
+/// A published sample is one allocation: the limit it was enumerated with
+/// (0 = unlimited), the tuple width and the layout tag's length as LEB128
+/// varints, the exact layout tag ([`network_layout`]), then each tuple's row
+/// ids as little-endian `u32`s. Two networks with one canonical key may
+/// order their vertices differently and so enumerate different first
+/// tuples; the tag tells them apart, compared byte for byte.
+type Verdict = Option<Box<[u8]>>;
+
+/// Encodes `tuples`, enumerated with `limit` over `layout`, as a sample slot
+/// (see [`Verdict`]).
+fn encode_sample(layout: &[u8], limit: usize, tuples: &[Vec<RowId>]) -> Box<[u8]> {
+    let width = tuples.first().map_or(0, Vec::len);
+    let mut slot = Vec::with_capacity(12 + layout.len() + 4 * width * tuples.len());
+    for n in [limit, width, layout.len()] {
+        push_varint(&mut slot, n);
+    }
+    slot.extend_from_slice(layout);
+    slot.extend(tuples.iter().flatten().flat_map(|rid| rid.to_le_bytes()));
+    slot.into_boxed_slice()
+}
+
+/// The first `k` tuples (every tuple for `k == 0`) of `layout`'s sample, if
+/// `slot` holds them: the layouts are byte-equal, and either
+/// `0 < k <= limit` (tuples come in a fixed order, so the first `k` of a
+/// larger sample are a `k`-limited sample) or the stored sample is complete
+/// (fewer tuples than its limit, or no limit).
+fn serve_sample(slot: &[u8], layout: &[u8], k: usize) -> Option<Vec<Vec<RowId>>> {
+    let mut rest = slot;
+    let [limit, width, tag_len] = [(); 3].map(|_| read_varint(&mut rest));
+    let (tag, rows) = rest.split_at_checked(tag_len)?;
+    if tag != layout || width == 0 {
+        return None;
+    }
+    let count = rows.len() / (4 * width);
+    let complete = limit == 0 || count < limit;
+    if !(complete || (k > 0 && k <= limit)) {
+        return None;
+    }
+    let take = if k == 0 { count } else { k.min(count) };
+    let rid = |b: &[u8]| RowId::from_le_bytes(b.try_into().expect("4-byte row id"));
+    let tuple = |t: &[u8]| t.chunks_exact(4).map(rid).collect();
+    Some(rows.chunks_exact(4 * width).take(take).map(tuple).collect())
+}
+
 /// One cache layer: `SHARDS` independently locked maps from `K` to stamped
-/// entries. Values are cheap to copy (an `Arc` or a `bool`), so a lookup
-/// hands out a copy and holds no lock past the call.
+/// entries. A lookup reads what it needs out of the entry (an `Arc` clone, a
+/// `bool`, copied sample tuples) and holds no lock past the call.
 struct Layer<K, V> {
     shards: Vec<Mutex<HashMap<K, Entry<V>>>>,
 }
 
-impl<K: Hash + Eq + Clone, V: Clone> Layer<K, V> {
+impl<K: Hash + Eq + Clone, V> Layer<K, V> {
     fn new() -> Self {
         Layer { shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect() }
     }
@@ -168,35 +291,49 @@ impl<K: Hash + Eq + Clone, V: Clone> Layer<K, V> {
         self.shards[(h.finish() as usize) % SHARDS].lock().expect("cache shard poisoned")
     }
 
-    /// The value under `key` if it is visible to a reader pinned at `pin`,
-    /// restamped with `stamp()` (only taken on a hit).
-    fn get<Q>(&self, key: &Q, pin: u64, stamp: impl FnOnce() -> u64) -> Option<V>
+    /// What `read` takes from the value under `key`, if the entry is visible
+    /// to a reader pinned at `pin` and `read` answers; only then is the entry
+    /// restamped with `stamp()`.
+    fn get<Q, R>(
+        &self,
+        key: &Q,
+        pin: u64,
+        stamp: impl FnOnce() -> u64,
+        read: impl FnOnce(&V) -> Option<R>,
+    ) -> Option<R>
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
         let mut shard = self.shard(key);
         let entry = shard.get_mut(key).filter(|e| visible(e.epoch, pin))?;
+        let found = read(&entry.value)?;
         entry.stamp = stamp();
-        Some(entry.value.clone())
+        Some(found)
     }
 
     /// Inserts `entry` unless the epoch it was computed at is no longer the
     /// cache's `current` one (checked under the shard lock, see
-    /// [`EvalCache::invalidate`]) or `key` is already resident. Returns the
-    /// value to use — the resident one when it is visible to the entry's
-    /// epoch, else the entry's own — and the bytes newly added (0 unless
-    /// inserted).
-    fn insert(&self, key: K, entry: Entry<V>, current: &AtomicU64) -> (V, u64) {
+    /// [`EvalCache::invalidate`]) or `key` is already resident. Returns what
+    /// `read` takes from the value to use — the resident one when it is
+    /// visible to the entry's epoch, else the entry's own — and the bytes
+    /// newly added (0 unless inserted).
+    fn insert<R>(
+        &self,
+        key: K,
+        entry: Entry<V>,
+        current: &AtomicU64,
+        read: impl FnOnce(&V) -> R,
+    ) -> (R, u64) {
         let mut shard = self.shard(&key);
         if entry.epoch != current.load(Ordering::SeqCst) {
-            return (entry.value, 0);
+            return (read(&entry.value), 0);
         }
         if let Some(existing) = shard.get(&key) {
             let visible = visible(existing.epoch, entry.epoch);
-            return (if visible { existing.value.clone() } else { entry.value }, 0);
+            return (read(if visible { &existing.value } else { &entry.value }), 0);
         }
-        let (value, bytes) = (entry.value.clone(), entry.bytes);
+        let (value, bytes) = (read(&entry.value), entry.bytes);
         shard.insert(key, entry);
         (value, bytes)
     }
@@ -258,14 +395,14 @@ fn stamp_of<K>(oldest: &Option<(u64, K)>) -> u64 {
 /// See the module docs for the layers, the epoch contract and the LRU byte
 /// budget.
 pub struct EvalCache {
-    selections: Layer<SelectionKey, Arc<Vec<RowId>>>,
+    selections: Layer<TextKey, Arc<Vec<RowId>>>,
     /// Per-column value→rows postings of a cached selection — the derived
     /// sets probes attach as `PlanNode::col_postings`, extracted once per
     /// (selection, column) per epoch.
-    postings: Layer<(SelectionKey, ColId), Arc<ValuePostings>>,
+    postings: Layer<TextKey, Arc<ValuePostings>>,
     /// Completed whole-network verdicts by canonical binding key (see
-    /// [`network_key`]); `true` = alive.
-    verdicts: Layer<Vec<u8>, bool>,
+    /// [`network_key`]), an alive one with its report sample once published.
+    verdicts: Layer<Box<[u8]>, Verdict>,
     /// Sum of resident entry footprints. Incremented on insert, decremented
     /// on eviction and invalidation — `bytes() == accounted_bytes()` is the
     /// accounting identity the shared-cache suite asserts.
@@ -319,38 +456,49 @@ impl EvalCache {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Looks `key` up in `layer` as seen from epoch `pin`, stamping a hit
-    /// most-recently-used and counting the hit or miss.
-    fn lookup<K, Q, V>(&self, layer: &Layer<K, V>, pin: u64, key: &Q) -> Option<V>
+    /// Looks `key` up in `layer` as seen from epoch `pin`, taking what `read`
+    /// answers from the value, stamping a hit most-recently-used and
+    /// counting the hit or miss.
+    fn lookup<K, Q, V, R>(
+        &self,
+        layer: &Layer<K, V>,
+        pin: u64,
+        key: &Q,
+        read: impl FnOnce(&V) -> Option<R>,
+    ) -> Option<R>
     where
         K: Hash + Eq + Clone + Borrow<Q>,
         Q: Hash + Eq + ?Sized,
-        V: Clone,
     {
-        let hit = layer.get(key, pin, || self.tick());
+        let hit = layer.get(key, pin, || self.tick(), read);
         let counter = if hit.is_some() { &self.hits } else { &self.misses };
         counter.fetch_add(1, Ordering::Relaxed);
         hit
     }
 
     /// Inserts into `layer` through its write fence ([`Layer::insert`]),
-    /// accounting the bytes added and evicting past the budget.
-    fn admit<K: Hash + Eq + Clone, V: Clone>(
+    /// accounting the bytes added and evicting past the budget. Returns what
+    /// `read` takes from the value to use, and the bytes added.
+    fn admit<K: Hash + Eq + Clone, V, R>(
         &self,
         layer: &Layer<K, V>,
         pin: u64,
         key: K,
-        value: V,
-        bytes: u64,
-        mask: u64,
-    ) -> (V, u64) {
+        (value, bytes, mask): (V, u64, u64),
+        read: impl FnOnce(&V) -> R,
+    ) -> (R, u64) {
         let entry = Entry { value, bytes, stamp: self.tick(), epoch: pin, mask };
-        let (value, added) = layer.insert(key, entry, &self.epoch);
+        let (value, added) = layer.insert(key, entry, &self.epoch, read);
+        self.account(added);
+        (value, added)
+    }
+
+    /// Books `added` resident bytes, evicting past the budget.
+    fn account(&self, added: u64) {
         if added > 0 {
             self.bytes.fetch_add(added, Ordering::Relaxed);
             self.maybe_evict();
         }
-        (value, added)
     }
 
     /// Looks up a cached selection as seen from epoch `pin`, stamping it
@@ -362,7 +510,8 @@ impl EvalCache {
         kw: &str,
         indexed: bool,
     ) -> Option<Arc<Vec<RowId>>> {
-        self.lookup(&self.selections, pin, &(table, kw.to_owned(), indexed))
+        let key: &dyn KeyView = &(table, kw, indexed, None);
+        self.lookup(&self.selections, pin, key, |sel| Some(Arc::clone(sel)))
     }
 
     /// Inserts a selection computed at epoch `pin`, keeping the existing
@@ -379,8 +528,9 @@ impl EvalCache {
         rows: Vec<RowId>,
     ) -> (Arc<Vec<RowId>>, u64) {
         let bytes = (std::mem::size_of_val(rows.as_slice()) + kw.len()) as u64;
-        let key = (table, kw.to_owned(), indexed);
-        self.admit(&self.selections, pin, key, Arc::new(rows), bytes, table_mask_bit(table))
+        let key = TextKey { table, kw: kw.to_owned(), indexed, col: None };
+        let value = (Arc::new(rows), bytes, table_mask_bit(table));
+        self.admit(&self.selections, pin, key, value, Arc::clone)
     }
 
     /// Looks up the cached value→rows postings of selection
@@ -394,7 +544,8 @@ impl EvalCache {
         indexed: bool,
         col: ColId,
     ) -> Option<Arc<ValuePostings>> {
-        self.lookup(&self.postings, pin, &((table, kw.to_owned(), indexed), col))
+        let key: &dyn KeyView = &(table, kw, indexed, Some(col));
+        self.lookup(&self.postings, pin, key, |postings| Some(Arc::clone(postings)))
     }
 
     /// Inserts the value→rows postings of a selection in one column, keeping
@@ -411,14 +562,15 @@ impl EvalCache {
         postings: ValuePostings,
     ) -> (Arc<ValuePostings>, u64) {
         let bytes = postings.payload_bytes() + kw.len() as u64;
-        let key = ((table, kw.to_owned(), indexed), col);
-        self.admit(&self.postings, pin, key, Arc::new(postings), bytes, table_mask_bit(table))
+        let key = TextKey { table, kw: kw.to_owned(), indexed, col: Some(col) };
+        let value = (Arc::new(postings), bytes, table_mask_bit(table));
+        self.admit(&self.postings, pin, key, value, Arc::clone)
     }
 
     /// Looks up a completed whole-network verdict by canonical binding key as
     /// seen from epoch `pin`, stamping it most-recently-used.
     pub fn verdict(&self, pin: u64, key: &[u8]) -> Option<bool> {
-        self.lookup(&self.verdicts, pin, key)
+        self.lookup(&self.verdicts, pin, key, |v| Some(v.is_some()))
     }
 
     /// Inserts a completed whole-network verdict computed at epoch `pin` over
@@ -427,7 +579,62 @@ impl EvalCache {
     /// lost the race or was fenced).
     pub fn insert_verdict(&self, pin: u64, key: Vec<u8>, tables_mask: u64, alive: bool) -> u64 {
         let bytes = (key.len() + 1) as u64;
-        self.admit(&self.verdicts, pin, key, alive, bytes, tables_mask).1
+        let value = (alive.then(Box::default), bytes, tables_mask);
+        self.admit(&self.verdicts, pin, key.into_boxed_slice(), value, |_| ()).1
+    }
+
+    /// The first `k` tuples (all for `k == 0`) of the report sample kept in
+    /// the alive verdict entry under `key`, as seen from epoch `pin`, when
+    /// the slot holds them for the exact `layout` ([`network_layout`]; see
+    /// `serve_sample` for the limit rule). Counts a hit or a miss and
+    /// stamps a hit most-recently-used, like every lookup.
+    pub fn sample(
+        &self,
+        pin: u64,
+        key: &[u8],
+        layout: &[u8],
+        k: usize,
+    ) -> Option<Vec<Vec<RowId>>> {
+        self.lookup(&self.verdicts, pin, key, |v| serve_sample(v.as_deref()?, layout, k))
+    }
+
+    /// Publishes the report sample `tuples`, enumerated with `limit` over
+    /// the exact `layout`, into the alive verdict entry under `key`. Only an
+    /// existing alive entry visible at `pin`, with an empty slot, takes it,
+    /// under the write fence of [`EvalCache::insert_verdict`]; publishing
+    /// never creates an entry. The slot's bytes join the entry's footprint,
+    /// so eviction and invalidation return them. Returns the bytes added (0
+    /// when nothing was stored).
+    pub fn insert_sample(
+        &self,
+        pin: u64,
+        key: &[u8],
+        layout: &[u8],
+        limit: usize,
+        tuples: &[Vec<RowId>],
+    ) -> u64 {
+        if tuples.is_empty() {
+            return 0;
+        }
+        let added = {
+            let mut shard = self.verdicts.shard(key);
+            if pin != self.epoch.load(Ordering::SeqCst) {
+                return 0;
+            }
+            // An alive entry with an empty slot, visible at the sampler's pin.
+            let open = |e: &&mut Entry<Verdict>| {
+                visible(e.epoch, pin) && e.value.as_ref().is_some_and(|slot| slot.is_empty())
+            };
+            let Some(entry) = shard.get_mut(key).filter(open) else { return 0 };
+            let slot = encode_sample(layout, limit, tuples);
+            let bytes = slot.len() as u64;
+            entry.value = Some(slot);
+            entry.bytes += bytes;
+            entry.stamp = self.tick();
+            bytes
+        };
+        self.account(added);
+        added
     }
 
     /// Advances the cache to `db`'s current epoch, evicting exactly the
@@ -491,9 +698,9 @@ impl EvalCache {
         // A selection (table, kw) is dirty iff some changed text value of its
         // table contains the keyword — the exact condition under which a row
         // enters, leaves, or re-enters the predicate's answer.
-        let dirty = |(table, kw, _): &SelectionKey| {
-            dirty_text.get(table).is_some_and(|texts| {
-                let kw = kw.to_ascii_lowercase();
+        let dirty = |key: &TextKey| {
+            dirty_text.get(&key.table).is_some_and(|texts| {
+                let kw = key.kw.to_ascii_lowercase();
                 texts.iter().any(|t| t.contains(&kw))
             })
         };
@@ -507,8 +714,9 @@ impl EvalCache {
         // carries the keyword in its text, which the keyword test catches.
         self.forget([
             self.selections.retain(|sel, _| !dirty(sel)),
-            self.postings.retain(|(sel, col), _| {
-                !dirty(sel) && !dirty_cols.get(&sel.0).is_some_and(|cols| cols.contains(col))
+            self.postings.retain(|key, _| {
+                let written = |cols: &HashSet<ColId>| key.col.is_some_and(|c| cols.contains(&c));
+                !dirty(key) && !dirty_cols.get(&key.table).is_some_and(written)
             }),
             self.verdicts.retain(|_, e| e.mask & dirty_mask == 0),
         ])
@@ -562,9 +770,9 @@ impl EvalCache {
         }
     }
 
-    /// Total bytes currently resident (selections + postings + verdicts,
-    /// each with its key's keyword bytes). Decremented on eviction and
-    /// invalidation;
+    /// Total bytes currently resident (selections + postings + verdicts and
+    /// their sample slots, each with its key's keyword bytes). Decremented
+    /// on eviction and invalidation;
     /// always equals [`EvalCache::accounted_bytes`].
     pub fn bytes(&self) -> u64 {
         self.bytes.load(Ordering::Relaxed)
@@ -643,27 +851,79 @@ impl EvalCache {
 /// store, across every session of the epoch — and the single-flight table
 /// of [`crate::batch`] claims it under the same bytes.
 pub fn network_key(j: &Jnts, bound: &[Option<&str>]) -> Vec<u8> {
-    let mut keywords: Vec<&str> = bound.iter().flatten().copied().collect();
-    keywords.sort_unstable();
-    keywords.dedup();
-    let label = |i: usize| {
-        let rank = bound[i].map_or(0, |kw| keywords.binary_search(&kw).expect("listed") + 1);
-        (j.nodes()[i].table as u64) << 32 | rank as u64
-    };
+    let keywords = sorted_keywords(bound);
+    let label = |i: usize| (j.nodes()[i].table as u64) << 32 | rank(&keywords, bound[i]) as u64;
     let mut key = rooted_subtree_key(0, usize::MAX, &direction_aware_adjacency(j), &label);
     // The stored key keeps this capacity, so reserve what one-byte lengths
     // need and no more.
     key.reserve_exact(keywords.iter().map(|kw| 1 + kw.len()).sum());
     for kw in &keywords {
-        let mut len = kw.len();
-        while len >= 0x80 {
-            key.push(0x80 | (len & 0x7f) as u8);
-            len >>= 7;
-        }
-        key.push(len as u8);
+        push_varint(&mut key, kw.len());
         key.extend_from_slice(kw.as_bytes());
     }
     key
+}
+
+/// The exact layout tag of a network whose vertex `i` is bound to keyword
+/// `bound[i]`, for [`EvalCache::sample`]: the vertex count, then in vertex
+/// order each vertex's table and its keyword's rank among the network's
+/// sorted bound keywords (0 for a free copy), then in edge order each edge's
+/// `(a, b, fk, a_is_from)`, as LEB128 varints. The fields are
+/// self-delimiting, so two tags are byte-equal exactly when the networks
+/// list the same vertices and edges in the same order; with equal
+/// [`network_key`]s, the keywords behind the ranks agree too, and the
+/// engine enumerates the same tuples.
+pub fn network_layout(j: &Jnts, bound: &[Option<&str>]) -> Vec<u8> {
+    let keywords = sorted_keywords(bound);
+    let mut tag = Vec::with_capacity(1 + 2 * j.node_count() + 4 * j.edges().len());
+    push_varint(&mut tag, j.node_count());
+    for (ts, &kw) in j.nodes().iter().zip(bound) {
+        push_varint(&mut tag, ts.table);
+        push_varint(&mut tag, rank(&keywords, kw));
+    }
+    for e in j.edges() {
+        tag.extend_from_slice(&[e.a, e.b]);
+        push_varint(&mut tag, e.fk);
+        tag.push(u8::from(e.a_is_from));
+    }
+    tag
+}
+
+/// A network's distinct bound keywords in bytewise order.
+fn sorted_keywords<'k>(bound: &[Option<&'k str>]) -> Vec<&'k str> {
+    let mut keywords: Vec<&str> = bound.iter().flatten().copied().collect();
+    keywords.sort_unstable();
+    keywords.dedup();
+    keywords
+}
+
+/// A vertex's keyword rank: the position of its keyword `kw` in the
+/// network's [`sorted_keywords`] plus one, 0 for a free copy.
+fn rank(keywords: &[&str], kw: Option<&str>) -> usize {
+    kw.map_or(0, |kw| keywords.binary_search(&kw).expect("listed") + 1)
+}
+
+/// Appends `n` as an LEB128 varint (one byte below 128).
+fn push_varint(buf: &mut Vec<u8>, mut n: usize) {
+    while n >= 0x80 {
+        buf.push(0x80 | (n & 0x7f) as u8);
+        n >>= 7;
+    }
+    buf.push(n as u8);
+}
+
+/// Reads a [`push_varint`] varint off the front of `buf`.
+fn read_varint(buf: &mut &[u8]) -> usize {
+    let mut n = 0;
+    for (i, &b) in buf.iter().enumerate() {
+        n |= usize::from(b & 0x7f) << (7 * i);
+        if b < 0x80 {
+            *buf = &buf[i + 1..];
+            return n;
+        }
+    }
+    *buf = &[];
+    n
 }
 
 #[cfg(test)]
@@ -710,6 +970,132 @@ mod tests {
         assert_ne!(key(&long), key(&longer));
         // A length of 128 or more takes a second varint byte.
         assert_eq!(key(&long).len(), key("k").len() + 199 + 1);
+    }
+
+    #[test]
+    fn selection_lookups_borrow_the_keyword() {
+        let c = EvalCache::with_identity(0, 0, None);
+        c.insert_selection(0, 3, "red", true, vec![1]);
+        let postings = ValuePostings::build(vec![(1, 0)]);
+        c.insert_selection_postings(0, 3, "red", true, 2, postings);
+        assert!(c.selection(0, 3, "red", true).is_some());
+        assert!(c.selection_postings(0, 3, "red", true, 2).is_some());
+        // Each part of the key tells entries apart.
+        assert!(c.selection(0, 3, "re", true).is_none());
+        assert!(c.selection(0, 4, "red", true).is_none());
+        assert!(c.selection_postings(0, 3, "red", true, 1).is_none());
+        assert!(c.selection_postings(0, 3, "red", false, 2).is_none());
+        assert_eq!((c.hits(), c.misses()), (2, 4));
+    }
+
+    /// Two tuples of width 2 under limit 2, one alive verdict entry.
+    fn cache_with_sample(budget: Option<u64>) -> (EvalCache, Vec<Vec<RowId>>, u64) {
+        let c = EvalCache::with_identity(0, 0, budget);
+        c.insert_verdict(0, b"alive".to_vec(), 1, true);
+        let tuples = vec![vec![4, 7], vec![5, 9]];
+        let added = c.insert_sample(0, b"alive", b"ab", 2, &tuples);
+        (c, tuples, added)
+    }
+
+    #[test]
+    fn published_samples_add_their_bytes() {
+        let (c, tuples, added) = cache_with_sample(None);
+        // Three one-byte varints, the two-byte tag, four 4-byte row ids.
+        assert_eq!(added, 3 + 2 + 16);
+        assert_eq!(c.bytes(), ("alive".len() + 1) as u64 + added);
+        assert_eq!(c.bytes(), c.accounted_bytes());
+        assert_eq!(c.sample(0, b"alive", b"ab", 2), Some(tuples.clone()));
+        // A filled slot stays as it is.
+        assert_eq!(c.insert_sample(0, b"alive", b"ab", 5, &[vec![1, 1]]), 0);
+        assert_eq!(c.insert_sample(0, b"alive", b"ba", 2, &[vec![1, 1]]), 0);
+        assert_eq!(c.sample(0, b"alive", b"ab", 2), Some(tuples));
+        // The verdict is unchanged and served as before.
+        assert_eq!(c.verdict(0, b"alive"), Some(true));
+        assert_eq!(c.verdict_entries(), 1);
+    }
+
+    #[test]
+    fn published_samples_count_against_the_budget() {
+        let (_, _, added) = cache_with_sample(None);
+        // Room for two verdict entries, not for one of them with its sample.
+        let budget = 2 * ("alive".len() + 1) as u64 + added - 1;
+        let c = EvalCache::with_identity(0, 0, Some(budget));
+        c.insert_verdict(0, b"alive".to_vec(), 1, true);
+        c.insert_verdict(0, b"other".to_vec(), 1, true);
+        assert_eq!(c.evictions(), 0);
+        assert_eq!(c.insert_sample(0, b"alive", b"ab", 2, &[vec![4, 7], vec![5, 9]]), added);
+        assert_eq!(c.evictions(), 1, "the publish pushed the store past its budget");
+        assert!(c.bytes() <= budget);
+        assert_eq!(c.bytes(), c.accounted_bytes());
+        assert!(c.verdict(0, b"other").is_none(), "the least recently used entry went");
+        assert!(c.sample(0, b"alive", b"ab", 2).is_some(), "the entry the publish touched is kept");
+    }
+
+    #[test]
+    fn samples_publish_only_to_visible_alive_entries() {
+        let c = EvalCache::with_identity(0, 3, None);
+        c.insert_verdict(3, b"dead".to_vec(), 1, false);
+        c.insert_verdict(3, b"alive".to_vec(), 1, true);
+        let before = c.bytes();
+        let tuples = [vec![1]];
+        assert_eq!(c.insert_sample(3, b"dead", b"t", 1, &tuples), 0, "dead entry");
+        assert_eq!(c.insert_sample(3, b"absent", b"t", 1, &tuples), 0, "no entry is created");
+        assert_eq!(c.insert_sample(2, b"alive", b"t", 1, &tuples), 0, "a stale pin");
+        assert_eq!(c.insert_sample(3, b"alive", b"t", 1, &[]), 0, "nothing to keep");
+        assert_eq!((c.bytes(), c.verdict_entries()), (before, 2));
+        assert!(c.sample(3, b"alive", b"t", 1).is_none());
+        assert!(c.sample(3, b"dead", b"t", 1).is_none());
+        // The read fence holds for samples as for verdicts.
+        assert!(c.insert_sample(3, b"alive", b"t", 1, &tuples) > 0);
+        assert!(c.sample(2, b"alive", b"t", 1).is_none(), "an entry from the future");
+        assert_eq!(c.sample(3, b"alive", b"t", 1), Some(tuples.to_vec()));
+    }
+
+    #[test]
+    fn samples_serve_requests_their_limit_covers() {
+        // A full sample (as many tuples as its limit) serves 0 < k <= limit.
+        let (c, tuples, _) = cache_with_sample(None);
+        assert_eq!(c.sample(0, b"alive", b"ab", 1), Some(tuples[..1].to_vec()));
+        assert_eq!(c.sample(0, b"alive", b"ab", 2), Some(tuples.clone()));
+        assert!(c.sample(0, b"alive", b"ab", 3).is_none(), "more than the limit");
+        assert!(c.sample(0, b"alive", b"ab", 0).is_none(), "unlimited");
+        assert!(c.sample(0, b"alive", b"a", 1).is_none(), "another layout");
+        assert!(c.sample(0, b"alive", b"abc", 1).is_none(), "another layout");
+        // A complete sample (fewer tuples than its limit) serves every k.
+        let complete = EvalCache::with_identity(0, 0, None);
+        complete.insert_verdict(0, b"k".to_vec(), 1, true);
+        complete.insert_sample(0, b"k", b"ab", 3, &tuples);
+        for k in [0, 1, 2, 3, 50] {
+            let want = if k == 1 { &tuples[..1] } else { &tuples[..] };
+            assert_eq!(complete.sample(0, b"k", b"ab", k).as_deref(), Some(want), "k = {k}");
+        }
+        // So does an unlimited one.
+        let unlimited = EvalCache::with_identity(0, 0, None);
+        unlimited.insert_verdict(0, b"k".to_vec(), 1, true);
+        unlimited.insert_sample(0, b"k", b"ab", 0, &tuples);
+        assert_eq!(unlimited.sample(0, b"k", b"ab", 0), Some(tuples.clone()));
+        assert_eq!(unlimited.sample(0, b"k", b"ab", 1), Some(tuples[..1].to_vec()));
+        // Sample lookups count hits and misses like any other lookup.
+        assert_eq!((c.hits(), c.misses()), (2, 4));
+        assert_eq!((complete.hits(), complete.misses()), (5, 0));
+    }
+
+    #[test]
+    fn network_layouts_follow_vertex_order() {
+        use crate::jnts::TupleSet;
+        use crate::schema_graph::Incidence;
+        let inc = |fk, other| Incidence { fk, other, local_is_from: true };
+        let root = Jnts::single(TupleSet::new(1, 0));
+        let a = root.extend(0, inc(0, 0), 1).extend(0, inc(1, 2), 1);
+        let b = root.extend(0, inc(1, 2), 1).extend(0, inc(0, 0), 1);
+        let bound_a = [None, Some("candle"), Some("red")];
+        let bound_b = [None, Some("red"), Some("candle")];
+        assert_eq!(network_key(&a, &bound_a), network_key(&b, &bound_b), "one canonical key");
+        assert_ne!(network_layout(&a, &bound_a), network_layout(&b, &bound_b));
+        assert_eq!(network_layout(&a, &bound_a), network_layout(&a.clone(), &bound_a));
+        // The keyword text is not in the tag (the key carries it), only its rank.
+        assert_eq!(network_layout(&a, &bound_a), network_layout(&a, &[None, Some("a"), Some("b")]));
+        assert_ne!(network_layout(&a, &bound_a), network_layout(&a, &[None, Some("b"), Some("a")]));
     }
 
     #[test]

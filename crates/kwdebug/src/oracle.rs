@@ -31,7 +31,9 @@
 //! An oracle serves one pruned lattice and keeps, per node, one entry of a
 //! table indexed by dense id: the **verdict** an execution, a cached
 //! whole-network verdict or a coalesced wait settled (the memo, consulted
-//! only when memoization is on); the **retained reduction** of an alive
+//! only when memoization is on), and with a cache attached the **verdict
+//! key** of an alive one, which the node's sample looks its sample slot up
+//! by; the **retained reduction** of an alive
 //! execution ([`relengine::Executor::exists_retaining`]), which a sample of
 //! the same network — matched by identity, never hashed — resumes with only
 //! the back-pass and the enumeration
@@ -70,7 +72,8 @@
 //! | selection taken from the cache (slot empty) | `selection_cache_hits` (at most once per bound keyword per interpretation) | beyond the paper (evaluation cache) |
 //! | probe answered from the entry's verdict (memo on) | `memo_hits` | beyond the paper (§3 re-executes) |
 //! | probe answered by a cached verdict / another session's execution | `verdict_cache_hits` / `coalesced_probes`; settles the entry | beyond the paper (evaluation cache / single-flight) |
-//! | `sample` for a report | `probes_executed`, `probe_time`, `tuples_scanned`; resumed from the entry's retained reduction, the same events with fewer rows examined | §2.1 sample tuples of `A(K)`/`M(K)` |
+//! | `sample` for a report | `probes_executed`, `probe_time`, `tuples_scanned`; resumed from the entry's retained reduction, the same events with fewer rows examined; with a cache, `cache_bytes` for the sample published to the verdict entry | §2.1 sample tuples of `A(K)`/`M(K)` |
+//! | sample served from an alive verdict entry | `verdict_cache_hits`; no budget slot, no engine query | beyond the paper (evaluation cache) |
 //! | transient fault retried | `retries`, `faults_injected` | beyond the paper (degraded mode) |
 //! | probe abandoned | `probes_abandoned` (+ `faults_injected` per fault) | beyond the paper (degraded mode) |
 //! | budget cap tripped | `budget_exhausted` (once; sticky) | beyond the paper (degraded mode) |
@@ -95,7 +98,7 @@ use crate::batch::WaveExchange;
 use crate::binding::Interpretation;
 use crate::budget::{BudgetGate, Exhausted, ProbeBudget, RetryPolicy};
 use crate::error::KwError;
-use crate::evalcache::{network_key, network_mask, EvalCache};
+use crate::evalcache::{network_key, network_layout, network_mask, EvalCache};
 use crate::jnts::{Jnts, JntsEdge};
 use crate::metrics::ProbeCounters;
 use crate::report::QueryInfo;
@@ -266,6 +269,10 @@ struct NodeFacts<'a> {
     verdict: Option<bool>,
     retained: Option<Box<Retained<'a>>>,
     row: Option<Box<QueryInfo>>,
+    /// The verdict key an alive probe looked up or published, kept (with a
+    /// cache attached) so the node's sample finds its slot without building
+    /// the key again.
+    key: Option<Vec<u8>>,
 }
 
 /// An alive execution's network (the lattice's own, matched by identity),
@@ -429,12 +436,15 @@ impl<'a> AlivenessOracle<'a> {
     /// by the same bytes: two sessions on the same `(db_id, epoch)` produce
     /// equal keys exactly when their probes are the same ground-truth query.
     pub(crate) fn binding_key(&self, jnts: &Jnts) -> Vec<u8> {
-        let bound: Vec<Option<&str>> = jnts
-            .nodes()
-            .iter()
-            .map(|&ts| self.interp.keyword_for(ts).map(|k| self.keywords[k].as_str()))
-            .collect();
-        network_key(jnts, &bound)
+        network_key(jnts, &self.bound(jnts))
+    }
+
+    /// The keyword text bound to each vertex of `jnts` (`None` for a free
+    /// copy).
+    fn bound(&self, jnts: &Jnts) -> Vec<Option<&'a str>> {
+        let (interp, keywords) = (self.interp, self.keywords);
+        let bound = |&ts| interp.keyword_for(ts).map(|k| keywords[k].as_str());
+        jnts.nodes().iter().map(bound).collect()
     }
 
     /// Keyword `k`'s selection, bound to `table`. Its slot is filled once
@@ -503,7 +513,8 @@ impl<'a> AlivenessOracle<'a> {
     /// a cached or coalesced one, and records the verdict (and an alive
     /// execution's reduction) in the node's entry. An executed or coalesced
     /// verdict also feeds the online `p_a` estimator and is published to the
-    /// verdict cache under `verdict_key`.
+    /// verdict cache under `verdict_key`. With a cache attached, an alive
+    /// node keeps `verdict_key` for its sample.
     pub(crate) fn settle(
         &mut self,
         dense: usize,
@@ -523,11 +534,13 @@ impl<'a> AlivenessOracle<'a> {
             }
             Source::Executed(reduced) => (reduced.is_some(), reduced),
         };
+        let mut kept = verdict_key.filter(|_| self.cache.is_some());
         if established {
             if let Some(stats) = &self.pa_stats {
                 stats.record(jnts.node_count(), alive);
             }
-            if let (Some(cache), Some(key)) = (&self.cache, verdict_key) {
+            if let (Some(cache), Some(key)) = (&self.cache, kept.take()) {
+                kept = alive.then(|| key.clone());
                 self.counters.cache_bytes +=
                     cache.insert_verdict(self.db.epoch(), key, network_mask(jnts), alive);
             }
@@ -536,6 +549,9 @@ impl<'a> AlivenessOracle<'a> {
         facts.verdict = Some(alive);
         if let Some((plan, reduced)) = retained {
             facts.retained = Some(Box::new(Retained { jnts, plan, reduced }));
+        }
+        if alive {
+            facts.key = kept;
         }
         Probe::Verdict(alive)
     }
@@ -714,7 +730,7 @@ impl<'a> AlivenessOracle<'a> {
         let cached =
             key.as_ref().and_then(|key| self.cache.as_ref()?.verdict(self.db.epoch(), key));
         if let Some(alive) = cached {
-            return self.settle(dense, jnts, Source::Cached(alive), None);
+            return self.settle(dense, jnts, Source::Cached(alive), key);
         }
         if let Err(why) = self.try_reserve() {
             return Probe::Exhausted(why);
@@ -738,11 +754,14 @@ impl<'a> AlivenessOracle<'a> {
     }
 
     /// Fetches up to `limit` sample result tuples of a network (for
-    /// reports). Counts as one more executed query, subject to the same
-    /// budget and retry policy as probes. A network this oracle executed
-    /// alive (the same `&Jnts` it probed) resumes from its retained
-    /// reduction, examining fewer rows; any other is reduced afresh. The
-    /// tuples are the same either way.
+    /// reports). With a cache attached, a sample kept in the network's alive
+    /// verdict entry for its exact layout answers first: one
+    /// `verdict_cache_hits`, no budget slot, no engine query. Otherwise it
+    /// counts as one more executed query, subject to the same budget and
+    /// retry policy as probes, and a completed sample is published to that
+    /// entry. A network this oracle executed alive (the same `&Jnts` it
+    /// probed) resumes from its retained reduction, examining fewer rows;
+    /// any other is reduced afresh. The tuples are the same every way.
     pub fn sample(&mut self, jnts: &Jnts, limit: usize) -> Result<Vec<Vec<RowId>>, KwError> {
         let dense = self
             .facts
@@ -752,13 +771,28 @@ impl<'a> AlivenessOracle<'a> {
     }
 
     /// [`AlivenessOracle::sample`] of dense node `dense` when the caller
-    /// knows it: resumes the reduction retained in its entry, if any.
+    /// knows it: takes the verdict key kept in its entry, and resumes the
+    /// reduction retained there, if any.
     pub(crate) fn sample_node(
         &mut self,
         dense: Option<usize>,
         jnts: &Jnts,
         limit: usize,
     ) -> Result<Vec<Vec<RowId>>, KwError> {
+        let pin = self.db.epoch();
+        // The network's verdict key (its probe's, else built) and exact
+        // layout, with a cache attached.
+        let slot = self.cache.is_some().then(|| {
+            let bound = self.bound(jnts);
+            let kept = dense.and_then(|d| self.facts.get_mut(d)?.key.take());
+            (kept.unwrap_or_else(|| network_key(jnts, &bound)), network_layout(jnts, &bound))
+        });
+        if let (Some(cache), Some((key, layout))) = (&self.cache, &slot) {
+            if let Some(tuples) = cache.sample(pin, key, layout, limit) {
+                self.counters.verdict_cache_hits += 1;
+                return Ok(tuples);
+            }
+        }
         if let Err(why) = self.try_reserve() {
             return Err(KwError::BudgetExhausted(why));
         }
@@ -779,6 +813,9 @@ impl<'a> AlivenessOracle<'a> {
         // leaves it reduced toward node 0; either way it stays resumable.
         if let (Some(dense), Some(retained)) = (dense, resume) {
             self.facts[dense].retained = Some(retained);
+        }
+        if let (Ok(tuples), Some(cache), Some((key, layout))) = (&outcome, &self.cache, &slot) {
+            self.counters.cache_bytes += cache.insert_sample(pin, key, layout, limit, tuples);
         }
         outcome.map_err(|fail| match fail {
             ProbeFail::Node(e) => e.into(),

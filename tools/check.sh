@@ -84,6 +84,9 @@ cargo test --workspace --release -q --test probe_cache_equivalence
 echo "==> shared evaluation cache differential (cross-session, budgets, chaos pollution)"
 cargo test --workspace --release -q --test shared_cache_equivalence
 
+echo "==> sample slot differential (report samples served from alive verdict entries vs uncached)"
+cargo test --workspace --release -q --test sample_slot_equivalence
+
 echo "==> examples end to end (traversal_shootout: every strategy agrees, cache and batching on and off; interactive_diagnosis: a DebugSession end to end)"
 for example in traversal_shootout interactive_diagnosis; do
     (cd "$bench_dir" && "$bin/examples/$example" > /dev/null)
